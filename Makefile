@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet check ci bench-store bench-vclock bench-fig4 bench-obs bench-pipeline bench-crdt bench-fanout bench-net bench-tree bench-partial
+.PHONY: all build test test-race vet check ci bench bench-compare bench-store bench-vclock bench-fig4 bench-obs
 
 all: check
 
@@ -10,19 +10,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The crdt, store, dc, edge, obs, wal, simnet, transport, wire, group and
-# epaxos packages carry the concurrency-heavy code (sealed snapshots shared
-# across reader goroutines with COW forks, sharded store locks, background
-# base advancement, ClockSI 2PC, lock-free edge stats, the event bus, the
-# group-commit WAL writer, the staged DC write pipeline — including the
-# ≥8-committer convergence test — the interest-sharded push fan-out with its
-# multicast trees (relay crash/repair tests), simnet's pooled
-# multi-destination scheduler, the TCP mesh's refcounted frame buffers,
-# corked per-conn loops and pending-call table, the replication mesh's
-# per-bucket interest/stability vectors, and the peer-group / EPaxos-style
-# quorum machinery); run them under the race detector on every check.
+# The packages with concurrency-heavy code — sealed snapshots and COW forks
+# (crdt), sharded store locks and background base advancement (store), the DC
+# write pipeline, push fan-out and multicast trees (dc, edge), the event bus
+# (obs), the group-commit WAL writer (wal), both network substrates and the
+# codec they share (simnet, transport, transport/tcp, wire, bin), the
+# replication mesh (replication), the peer-group / EPaxos quorum machinery
+# (group, epaxos), and the end-to-end benchmark's tracker and decorators
+# (benchmark) — run under the race detector on every check.
 test-race:
-	$(GO) test -race ./internal/crdt ./internal/store ./internal/dc ./internal/edge ./internal/obs ./internal/wal ./internal/simnet ./internal/transport ./internal/transport/tcp ./internal/wire ./internal/bin ./internal/group ./internal/epaxos ./internal/replication
+	$(GO) test -race ./internal/crdt ./internal/store ./internal/dc ./internal/edge ./internal/obs ./internal/wal ./internal/simnet ./internal/transport ./internal/transport/tcp ./internal/wire ./internal/bin ./internal/group ./internal/epaxos ./internal/replication ./benchmark
 
 vet:
 	$(GO) vet ./...
@@ -45,60 +42,18 @@ bench-vclock:
 bench-fig4:
 	$(GO) test -run xxx -bench BenchmarkFig4 -benchtime 3x .
 
-# A/B of the DC write path: legacy inline (per-tx replication fan-out, fsync
-# per commit) vs the staged pipeline (per-peer batched senders, group-commit
-# WAL, async push workers). Records the comparison to BENCH_pipeline.json at
-# the repo root; acceptance requires the pipelined path >=2x.
-bench-pipeline:
-	$(GO) test -run TestRecordPipelineBench -count=1 -v ./internal/dc -record-pipeline
-
 # Instrumentation overhead on the cached read path: obs=false vs obs=true
 # must stay within a few percent of each other (see DESIGN.md
 # § Observability).
 bench-obs:
 	$(GO) test -run xxx -bench BenchmarkStoreReadObs -benchmem ./internal/store
 
-# A/B of the DC push fan-out: per-subscriber (one goroutine, one filter pass
-# and one cloned frame per subscriber) vs interest-sharded (one filter pass
-# and one sealed shared frame per shard, bounded worker pool) at 1k/10k/100k
-# Zipf-skewed subscribers. Records the comparison to BENCH_fanout.json at
-# the repo root; acceptance requires the sharded path >=5x delivered-txs/s
-# at 100k and zero delivery-order/interest violations in both modes.
-bench-fanout:
-	$(GO) run ./cmd/colony-bench fanout
+# The performance ledger: one end-to-end benchmark over the real TCP mesh
+# with a per-layer budget (benchmark/README.md). bench runs the whole suite
+# and writes benchmark/out/suite.json; bench-compare holds one recorded suite
+# against another: make bench-compare OLD=old.json NEW=benchmark/out/suite.json
+bench:
+	$(GO) run ./benchmark
 
-# A/B of the RGA read/materialisation hot path: legacy recursive-tree kernel
-# with deep-clone reads vs the indexed COW kernel with sealed snapshots and
-# cursor-resolved typing bursts, at 1k/10k/100k elements, plus the zero-alloc
-# cached snapshot read. Records the comparison to BENCH_crdt.json at the repo
-# root; acceptance requires >=2x at 10k and 0 allocs/op on the cached read.
-bench-crdt:
-	$(GO) test -run TestRecordCRDTBench -count=1 -v ./internal/crdt -record-crdt
-
-# A/B of the transport substrate: replication throughput (commit burst to
-# cluster-wide convergence, 3 DCs) on simnet vs the real TCP mesh on
-# loopback with the binary wire codec. Records the comparison to
-# BENCH_net.json at the repo root.
-bench-net:
-	$(GO) test -run TestRecordNetBench -count=1 -v ./internal/transport/tcp -record-net
-
-# A/B of the push multicast layer: direct sharded fan-out (one frame per
-# subscriber per flush) vs two-level multicast trees (one frame per subtree
-# root, relays re-fan the sealed frame to ≤degree children, cursor/repair
-# fallback on relay failure) at 1k/10k/100k relay-capable subscribers with
-# workspace-structured interest. Records the comparison to BENCH_tree.json
-# at the repo root; acceptance requires >=5x fewer DC-sent units at 100k,
-# delivered tx/s within 20% of direct, and zero violations in both modes.
-bench-tree:
-	$(GO) run ./cmd/colony-bench tree
-
-# A/B of the replication scope: full mesh (every DC receives every payload)
-# vs interest-scoped partial replication (per-bucket replication vectors,
-# payload-stripped stubs for unwanted buckets, on-demand backfill) at
-# 64/512/4096-bucket universes with a shared Zipf hot set and per-DC cold
-# thirds. Records the comparison to BENCH_partial.json at the repo root;
-# acceptance requires >=5x fewer WAN units at 4096 buckets, per-DC residency
-# proportional to the interest share, tx/s within 10% of full, and zero
-# convergence violations in both modes.
-bench-partial:
-	$(GO) run ./cmd/colony-bench partial
+bench-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)

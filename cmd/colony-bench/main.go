@@ -7,25 +7,20 @@
 //	colony-bench fig7    # migration / group synchronisation timeline
 //	colony-bench claims    # headline numbers (§1, §7.3)
 //	colony-bench ablations # K-stability / commit-variant / group-size / cache
-//	colony-bench fanout    # push fan-out A/B at 1k/10k/100k subscribers
-//	colony-bench tree      # tree-multicast vs direct-sharded A/B (DC egress)
-//	colony-bench partial   # full vs interest-scoped replication A/B (WAN units)
-//	colony-bench all       # everything, in order (fanout/tree/partial excluded:
-//	                       # run them explicitly or via make bench-fanout /
-//	                       # bench-tree / bench-partial)
+//	colony-bench all       # everything, in order
 //
 // Output is printed as aligned tables plus CSV blocks that plot directly.
 // --scale accelerates the modelled network (0.1 = 10× faster than the
-// paper's wall-clock; results are reported in model time).
+// paper's wall-clock; results are reported in model time). The performance
+// ledger of the deployed system (real TCP mesh, per-layer budget) is a
+// separate program: go run ./benchmark.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -50,17 +45,6 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 1, "workload seed")
 		quick      = fs.Bool("quick", false, "small configurations for a fast sanity run")
 		obsDump    = fs.Bool("obs", true, "print the per-run instrumentation snapshot after each fig4 point")
-		inline     = fs.Bool("inline", false, "run the DCs on the serial pre-pipeline write path (A/B baseline)")
-		fanSizes   = fs.String("fanout-sizes", "1000,10000,100000", "comma-separated subscriber populations for the fanout A/B")
-		fanCommits = fs.Int("fanout-commits", 64, "transactions committed per fanout run")
-		fanOut     = fs.String("fanout-out", "BENCH_fanout.json", "output file for the fanout A/B record")
-		treeSizes  = fs.String("tree-sizes", "1000,10000,100000", "comma-separated subscriber populations for the tree A/B")
-		treeDeg    = fs.Int("tree-degree", 16, "children per subtree root")
-		treeOut    = fs.String("tree-out", "BENCH_tree.json", "output file for the tree A/B record")
-		partSizes  = fs.String("partial-buckets", "64,512,4096", "comma-separated bucket universes for the partial-replication A/B")
-		partTxs    = fs.Int("partial-commits", 6000, "transactions committed per partial run")
-		partOut    = fs.String("partial-out", "BENCH_partial.json", "output file for the partial-replication A/B record")
-		fullRepl   = fs.Bool("fullrepl", false, "partial: run only the full-replication baseline (no A/B, no acceptance checks)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,10 +57,6 @@ func run(args []string) error {
 		*maxClients = 32
 		*actions = 10
 		*duration = 20 * time.Second
-		*fanSizes = "500,2000"
-		*treeSizes = "500,2000"
-		*partSizes = "64,512"
-		*partTxs = 1500
 	}
 
 	progress := func(msg string) { fmt.Fprintf(os.Stderr, "… %s\n", msg) }
@@ -86,7 +66,6 @@ func run(args []string) error {
 		ActionsPerClient: *actions,
 		Scale:            *scale,
 		Seed:             *seed,
-		InlineWritePath:  *inline,
 	}
 	tlcfg := bench.TimelineConfig{
 		Duration:    *duration,
@@ -125,12 +104,6 @@ func run(args []string) error {
 		printTimeline("Figure 7 — synchronising with a peer group", res)
 	case "ablations":
 		return runAblations(*scale, *seed)
-	case "fanout":
-		return runFanout(*fanSizes, *fanCommits, *fanOut, *seed, progress)
-	case "tree":
-		return runTree(*treeSizes, *fanCommits, *treeDeg, *treeOut, *seed, progress)
-	case "partial":
-		return runPartial(*partSizes, *partTxs, *partOut, *fullRepl, *seed, progress)
 	case "claims", "all":
 		pts, err := bench.RunFig4(fig4cfg, progress)
 		if err != nil {
@@ -158,7 +131,7 @@ func run(args []string) error {
 		}
 		printClaims(bench.DeriveClaims(fig4, fig5))
 	default:
-		return fmt.Errorf("unknown command %q (fig4|fig5|fig6|fig7|claims|ablations|fanout|tree|partial|all)", cmd)
+		return fmt.Errorf("unknown command %q (fig4|fig5|fig6|fig7|claims|ablations|all)", cmd)
 	}
 	return nil
 }
@@ -203,398 +176,6 @@ func runAblations(scale float64, seed int64) error {
 	}
 	for _, r := range cs {
 		fmt.Printf("%8d %9.1f%%\n", r.Limit, 100*r.HitRate)
-	}
-	return nil
-}
-
-// fanoutRun is one population point of the recorded fan-out A/B.
-type fanoutRun struct {
-	Subscribers   int                `json:"subscribers"`
-	PerSubscriber bench.FanoutResult `json:"per_subscriber"`
-	Sharded       bench.FanoutResult `json:"sharded"`
-	// Speedup is sharded over per-subscriber on delivered-txs/s.
-	Speedup float64 `json:"speedup"`
-	// AllocRatio is per-subscriber over sharded on allocations per
-	// delivered transaction (higher = more saved by sharing frames).
-	AllocRatio float64 `json:"alloc_ratio"`
-}
-
-// runFanout records the interest-sharded vs per-subscriber push fan-out A/B
-// (DESIGN.md §4e) to outPath. Acceptance: zero delivery violations in both
-// modes and ≥5× delivered-txs/s for the sharded path at the largest
-// population.
-func runFanout(sizesCSV string, commits int, outPath string, seed int64, progress func(string)) error {
-	var sizes []int
-	for _, f := range strings.Split(sizesCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -fanout-sizes entry %q", f)
-		}
-		sizes = append(sizes, n)
-	}
-	sort.Ints(sizes)
-
-	var runs []fanoutRun
-	for _, size := range sizes {
-		cfg := bench.FanoutConfig{Subscribers: size, Commits: commits, Seed: seed}
-		cfg.PerSubscriber = true
-		base, err := bench.RunFanout(cfg, progress)
-		if err != nil {
-			return err
-		}
-		cfg.PerSubscriber = false
-		sharded, err := bench.RunFanout(cfg, progress)
-		if err != nil {
-			return err
-		}
-		run := fanoutRun{Subscribers: size, PerSubscriber: base, Sharded: sharded}
-		if base.DeliveredPerSec > 0 {
-			run.Speedup = sharded.DeliveredPerSec / base.DeliveredPerSec
-		}
-		if sharded.AllocsPerTx > 0 {
-			run.AllocRatio = base.AllocsPerTx / sharded.AllocsPerTx
-		}
-		runs = append(runs, run)
-	}
-
-	fmt.Println("\n== Push fan-out A/B — per-subscriber vs interest-sharded (Zipf-skewed interest) ==")
-	fmt.Printf("%10s %16s %16s %8s %12s %12s %8s %8s\n",
-		"subs", "persub(tx/s)", "sharded(tx/s)", "speedup", "allocs/tx", "allocs/tx", "shards", "shared%")
-	for _, r := range runs {
-		sharedPct := 0.0
-		if total := r.Sharded.FramesBuilt + r.Sharded.FramesShared; total > 0 {
-			sharedPct = 100 * float64(r.Sharded.FramesShared) / float64(total)
-		}
-		fmt.Printf("%10d %16.0f %16.0f %7.1fx %12.1f %12.1f %8d %7.1f%%\n",
-			r.Subscribers, r.PerSubscriber.DeliveredPerSec, r.Sharded.DeliveredPerSec,
-			r.Speedup, r.PerSubscriber.AllocsPerTx, r.Sharded.AllocsPerTx,
-			r.Sharded.Shards, sharedPct)
-	}
-
-	out := struct {
-		Generated string `json:"generated"`
-		Bench     string `json:"bench"`
-		Config    struct {
-			Commits int     `json:"commits"`
-			Buckets int     `json:"buckets"`
-			ZipfS   float64 `json:"zipf_s"`
-			DCs     int     `json:"dcs"`
-			K       int     `json:"k"`
-		} `json:"config"`
-		Runs []fanoutRun `json:"runs"`
-	}{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Bench:     "push fan-out A/B: Zipf-skewed interest, per-subscriber baseline vs interest-sharded (delivered txs/s until all interested subscribers received every commit)",
-		Runs:      runs,
-	}
-	out.Config.Commits = commits
-	out.Config.Buckets = 64
-	out.Config.ZipfS = 1.2
-	out.Config.DCs = 1
-	out.Config.K = 1
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-
-	for _, r := range runs {
-		if v := r.PerSubscriber.Violations + r.Sharded.Violations; v > 0 {
-			return fmt.Errorf("fanout: %d delivery violations at %d subscribers", v, r.Subscribers)
-		}
-	}
-	if last := runs[len(runs)-1]; last.Speedup < 5 {
-		return fmt.Errorf("fanout: sharded speedup %.2fx at %d subscribers, acceptance requires >=5x",
-			last.Speedup, last.Subscribers)
-	}
-	return nil
-}
-
-// treeRun is one population point of the recorded tree-multicast A/B.
-type treeRun struct {
-	Subscribers int              `json:"subscribers"`
-	Direct      bench.TreeResult `json:"direct_sharded"`
-	Tree        bench.TreeResult `json:"tree"`
-	// EgressReduction is direct over tree on DC-sent units (higher = more
-	// DC egress absorbed by the relay layer).
-	EgressReduction float64 `json:"egress_reduction"`
-	// ThroughputRatio is tree over direct on delivered-txs/s; acceptance
-	// requires >= 0.8 (within 20% of direct).
-	ThroughputRatio float64 `json:"throughput_ratio"`
-}
-
-// runTree records the tree-multicast vs direct-sharded push A/B (DESIGN.md
-// §4g) to outPath. Acceptance: zero delivery violations in both modes, ≥5×
-// fewer DC-sent units for tree mode at the largest population, and tree-mode
-// delivered-txs/s within 20% of direct.
-func runTree(sizesCSV string, commits, degree int, outPath string, seed int64, progress func(string)) error {
-	var sizes []int
-	for _, f := range strings.Split(sizesCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -tree-sizes entry %q", f)
-		}
-		sizes = append(sizes, n)
-	}
-	sort.Ints(sizes)
-
-	// Simnet benches are wall-clock paced, so single runs are noisy; take
-	// the best of two attempts per mode (slowdowns from machine load are
-	// one-sided, violations are checked on every attempt).
-	best := func(cfg bench.TreeConfig) (bench.TreeResult, error) {
-		r1, err := bench.RunTree(cfg, progress)
-		if err != nil {
-			return r1, err
-		}
-		r2, err := bench.RunTree(cfg, progress)
-		if err != nil {
-			return r2, err
-		}
-		if r1.Violations+r2.Violations > 0 {
-			r1.Violations += r2.Violations
-			return r1, nil
-		}
-		if r2.DeliveredPerSec > r1.DeliveredPerSec {
-			return r2, nil
-		}
-		return r1, nil
-	}
-
-	var runs []treeRun
-	for _, size := range sizes {
-		cfg := bench.TreeConfig{Subscribers: size, Commits: commits, Degree: degree, Seed: seed}
-		cfg.Direct = true
-		direct, err := best(cfg)
-		if err != nil {
-			return err
-		}
-		cfg.Direct = false
-		tree, err := best(cfg)
-		if err != nil {
-			return err
-		}
-		run := treeRun{Subscribers: size, Direct: direct, Tree: tree}
-		if tree.DCSentUnits > 0 {
-			run.EgressReduction = float64(direct.DCSentUnits) / float64(tree.DCSentUnits)
-		}
-		if direct.DeliveredPerSec > 0 {
-			run.ThroughputRatio = tree.DeliveredPerSec / direct.DeliveredPerSec
-		}
-		runs = append(runs, run)
-	}
-
-	fmt.Println("\n== Tree multicast A/B — direct-sharded vs subtree relays (Zipf-skewed interest) ==")
-	fmt.Printf("%10s %14s %14s %9s %14s %12s %12s %8s\n",
-		"subs", "direct(sent)", "tree(sent)", "reduct", "relay(sent)", "direct(tx/s)", "tree(tx/s)", "ratio")
-	for _, r := range runs {
-		fmt.Printf("%10d %14d %14d %8.1fx %14d %12.0f %12.0f %8.2f\n",
-			r.Subscribers, r.Direct.DCSentUnits, r.Tree.DCSentUnits, r.EgressReduction,
-			r.Tree.RelaySentUnits, r.Direct.DeliveredPerSec, r.Tree.DeliveredPerSec, r.ThroughputRatio)
-	}
-
-	out := struct {
-		Generated string `json:"generated"`
-		Bench     string `json:"bench"`
-		Config    struct {
-			Commits int     `json:"commits"`
-			Buckets int     `json:"buckets"`
-			ZipfS   float64 `json:"zipf_s"`
-			Degree  int     `json:"degree"`
-			DCs     int     `json:"dcs"`
-			K       int     `json:"k"`
-		} `json:"config"`
-		Runs []treeRun `json:"runs"`
-	}{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Bench:     "tree multicast A/B: Zipf-skewed interest, direct-sharded baseline vs bounded-degree subtree relays (DC-sent units = every frame the DC put on the wire)",
-		Runs:      runs,
-	}
-	out.Config.Commits = commits
-	out.Config.Buckets = 64
-	out.Config.ZipfS = 1.2
-	out.Config.Degree = degree
-	out.Config.DCs = 1
-	out.Config.K = 1
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-
-	for _, r := range runs {
-		if v := r.Direct.Violations + r.Tree.Violations; v > 0 {
-			return fmt.Errorf("tree: %d delivery violations at %d subscribers", v, r.Subscribers)
-		}
-	}
-	last := runs[len(runs)-1]
-	if last.EgressReduction < 5 {
-		return fmt.Errorf("tree: DC egress reduction %.2fx at %d subscribers, acceptance requires >=5x",
-			last.EgressReduction, last.Subscribers)
-	}
-	if last.ThroughputRatio < 0.8 {
-		return fmt.Errorf("tree: delivered-txs/s ratio %.2f at %d subscribers, acceptance requires >=0.8",
-			last.ThroughputRatio, last.Subscribers)
-	}
-	return nil
-}
-
-// partialRun is one bucket-universe point of the recorded partial-replication
-// A/B.
-type partialRun struct {
-	Buckets int                 `json:"buckets"`
-	Full    bench.PartialResult `json:"full"`
-	Partial bench.PartialResult `json:"partial"`
-	// WANReduction is full over partial on simnet sent units (higher = more
-	// replication payload replaced by metadata stubs).
-	WANReduction float64 `json:"wan_reduction"`
-	// ThroughputRatio is partial over full on commit tx/s; acceptance
-	// requires >= 0.9 (within 10% of full replication).
-	ThroughputRatio float64 `json:"throughput_ratio"`
-}
-
-// runPartial records the full-replication vs interest-scoped (partial)
-// replication A/B (DESIGN.md §4h) to outPath. Acceptance: zero convergence
-// violations in both modes, ≥5× fewer WAN units for partial mode at the
-// largest bucket universe, per-DC residency proportional to the interest
-// share, and partial-mode tx/s within 10% of full. With -fullrepl only the
-// full baseline runs (no A/B record, no acceptance checks).
-func runPartial(sizesCSV string, commits int, outPath string, fullOnly bool, seed int64, progress func(string)) error {
-	var sizes []int
-	for _, f := range strings.Split(sizesCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -partial-buckets entry %q", f)
-		}
-		sizes = append(sizes, n)
-	}
-	sort.Ints(sizes)
-
-	// Simnet benches are wall-clock paced, so single runs are noisy; take
-	// the best of two attempts per mode (slowdowns from machine load are
-	// one-sided, violations are checked on every attempt).
-	best := func(cfg bench.PartialConfig) (bench.PartialResult, error) {
-		r1, err := bench.RunPartial(cfg, progress)
-		if err != nil {
-			return r1, err
-		}
-		r2, err := bench.RunPartial(cfg, progress)
-		if err != nil {
-			return r2, err
-		}
-		if r1.Violations+r2.Violations > 0 {
-			r1.Violations += r2.Violations
-			return r1, nil
-		}
-		if r2.TxPerSec > r1.TxPerSec {
-			return r2, nil
-		}
-		return r1, nil
-	}
-
-	if fullOnly {
-		fmt.Println("\n== Full-replication baseline only (-fullrepl) ==")
-		for _, size := range sizes {
-			r, err := best(bench.PartialConfig{Buckets: size, Commits: commits, Full: true, Seed: seed})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%6d buckets: %d WAN units, %.0f tx/s, %d violations\n",
-				size, r.WANUnits, r.TxPerSec, r.Violations)
-		}
-		return nil
-	}
-
-	var runs []partialRun
-	for _, size := range sizes {
-		cfg := bench.PartialConfig{Buckets: size, Commits: commits, Seed: seed}
-		cfg.Full = true
-		full, err := best(cfg)
-		if err != nil {
-			return err
-		}
-		cfg.Full = false
-		part, err := best(cfg)
-		if err != nil {
-			return err
-		}
-		run := partialRun{Buckets: size, Full: full, Partial: part}
-		if part.WANUnits > 0 {
-			run.WANReduction = float64(full.WANUnits) / float64(part.WANUnits)
-		}
-		if full.TxPerSec > 0 {
-			run.ThroughputRatio = part.TxPerSec / full.TxPerSec
-		}
-		runs = append(runs, run)
-	}
-
-	fmt.Println("\n== Partial replication A/B — full mesh vs interest-scoped (3 DCs, Zipf interest) ==")
-	fmt.Printf("%8s %12s %12s %9s %10s %10s %12s %12s %8s\n",
-		"buckets", "full(wan)", "part(wan)", "reduct", "stubs", "resident", "full(tx/s)", "part(tx/s)", "ratio")
-	for _, r := range runs {
-		resident := 0
-		for _, s := range r.Partial.PerDC {
-			resident += s.ResidentBuckets
-		}
-		fmt.Printf("%8d %12d %12d %8.1fx %10d %10d %12.0f %12.0f %8.2f\n",
-			r.Buckets, r.Full.WANUnits, r.Partial.WANUnits, r.WANReduction,
-			r.Partial.ReplStubTxs, resident, r.Full.TxPerSec, r.Partial.TxPerSec, r.ThroughputRatio)
-	}
-
-	out := struct {
-		Generated string `json:"generated"`
-		Bench     string `json:"bench"`
-		Config    struct {
-			Commits int     `json:"commits"`
-			ZipfS   float64 `json:"zipf_s"`
-			DCs     int     `json:"dcs"`
-			K       int     `json:"k"`
-		} `json:"config"`
-		Runs []partialRun `json:"runs"`
-	}{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Bench:     "partial replication A/B: 3 DCs, shared Zipf hot set + per-DC cold thirds, full mesh baseline vs interest-scoped stubs (WAN units = payload txs the simnet carried; stub-only frames count 1)",
-		Runs:      runs,
-	}
-	out.Config.Commits = commits
-	out.Config.ZipfS = 1.2
-	out.Config.DCs = 3
-	out.Config.K = 2
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-
-	for _, r := range runs {
-		if v := r.Full.Violations + r.Partial.Violations; v > 0 {
-			return fmt.Errorf("partial: %d convergence violations at %d buckets", v, r.Buckets)
-		}
-	}
-	last := runs[len(runs)-1]
-	if last.WANReduction < 5 {
-		return fmt.Errorf("partial: WAN-unit reduction %.2fx at %d buckets, acceptance requires >=5x",
-			last.WANReduction, last.Buckets)
-	}
-	if last.ThroughputRatio < 0.9 {
-		return fmt.Errorf("partial: tx/s ratio %.2f at %d buckets, acceptance requires >=0.9",
-			last.ThroughputRatio, last.Buckets)
-	}
-	// Residency proportionality: each DC's resident bucket count must stay
-	// within 2× its interest set (on-demand backfills can add a few).
-	for _, s := range last.Partial.PerDC {
-		if s.ResidentBuckets > 2*s.InterestBuckets {
-			return fmt.Errorf("partial: dc%d resident %d buckets vs %d interest at %d buckets universe",
-				s.DC, s.ResidentBuckets, s.InterestBuckets, last.Buckets)
-		}
 	}
 	return nil
 }

@@ -6,7 +6,8 @@
 // container (§7.2).
 //
 // The deployment's instrumentation registry is served over HTTP:
-// Prometheus-style text at /metrics, expvar JSON at /debug/vars.
+// Prometheus-style text at /metrics, expvar JSON at /debug/vars, and the
+// runtime profiler under /debug/pprof/.
 //
 //	colony-server -dcs 3 -k 2 -pops 2 -scale 0.1 -metrics :8080
 //
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
@@ -64,10 +66,6 @@ func run(args []string) error {
 		metrics = fs.String("metrics", ":8080", "HTTP address for /metrics and /debug/vars (empty disables)")
 		datadir = fs.String("datadir", "", "directory for per-DC write-ahead logs (empty disables persistence)")
 		syncw   = fs.Bool("syncwrites", false, "commit acks wait for WAL durability (group-committed; needs -datadir)")
-		inline  = fs.Bool("inline", false, "disable the staged write pipeline (serial per-tx baseline)")
-		persub  = fs.Bool("persub", false, "per-subscriber push fan-out instead of interest shards (A/B baseline)")
-		direct  = fs.Bool("directpush", false, "push to every subscriber directly instead of via multicast trees (A/B baseline)")
-		treedeg = fs.Int("treedeg", 0, "children per relay in the push multicast trees (0 = default 16)")
 		partial = fs.Bool("partial", false, "interest-scoped replication: DCs hold only subscribed buckets, stub the rest, backfill on demand")
 		buckets = fs.String("buckets", "", "comma-separated boot-time bucket interest set (with -partial; empty = acquire on demand)")
 
@@ -95,8 +93,7 @@ func run(args []string) error {
 			listen: *listen, peers: *peersF, index: *index,
 			shards: *shards, k: *k, workload: *workload,
 			metrics: *metrics, every: *every, datadir: *datadir,
-			syncWrites: *syncw, inline: *inline, perSub: *persub,
-			directPush: *direct, treeDegree: *treedeg, flushDelay: *cork,
+			syncWrites: *syncw, flushDelay: *cork,
 			autoAdvance: *adv, partial: *partial, buckets: bootBuckets,
 		})
 	}
@@ -108,10 +105,6 @@ func run(args []string) error {
 		AutoAdvanceThreshold: *adv,
 		DataDir:              *datadir,
 		SyncWrites:           *syncw,
-		InlineWritePath:      *inline,
-		PerSubscriberPush:    *persub,
-		DirectPush:           *direct,
-		TreeDegree:           *treedeg,
 		PartialRepl:          *partial,
 	}
 	if *partial && len(bootBuckets) > 0 {
@@ -144,18 +137,11 @@ func run(args []string) error {
 	}
 
 	if *metrics != "" {
-		reg := cluster.Obs()
-		reg.PublishExpvar("colony")
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		ln, err := net.Listen("tcp", *metrics)
+		ln, err := serveMetrics(*metrics, cluster.Obs(), nil)
 		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
+			return err
 		}
 		defer ln.Close()
-		go func() { _ = http.Serve(ln, mux) }()
-		fmt.Printf("metrics: http://%s/metrics (expvar at /debug/vars)\n", ln.Addr())
 	}
 
 	fmt.Printf("colony-server: %d DCs (K=%d, %d shards each), %d PoPs, scale %.2f\n",
@@ -207,6 +193,46 @@ func run(args []string) error {
 	}
 }
 
+// metricsMux builds the HTTP surface both modes serve at -metrics: the
+// registry as Prometheus text at /metrics and as expvar JSON at /debug/vars,
+// the runtime profiler under /debug/pprof/, and — in mesh mode, where status
+// is non-nil — the JSON state report at /status.
+func metricsMux(reg *obs.Registry, status func() meshStatus) *http.ServeMux {
+	reg.PublishExpvar("colony")
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if status != nil {
+		mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(status())
+		})
+	}
+	return mux
+}
+
+// serveMetrics serves metricsMux on addr in the background; the caller closes
+// the returned listener on shutdown.
+func serveMetrics(addr string, reg *obs.Registry, status func() meshStatus) (net.Listener, error) {
+	mux := metricsMux(reg, status)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("metrics listener: %w", err)
+	}
+	go func() { _ = http.Serve(ln, mux) }()
+	extra := ""
+	if status != nil {
+		extra = ", status at /status"
+	}
+	fmt.Printf("metrics: http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/%s)\n", ln.Addr(), extra)
+	return ln, nil
+}
+
 // meshOptions carries the -listen mode's flag values.
 type meshOptions struct {
 	listen      string
@@ -219,10 +245,6 @@ type meshOptions struct {
 	every       time.Duration
 	datadir     string
 	syncWrites  bool
-	inline      bool
-	perSub      bool
-	directPush  bool
-	treeDegree  int
 	flushDelay  time.Duration
 	autoAdvance int
 	partial     bool
@@ -282,10 +304,6 @@ func runMesh(o meshOptions) error {
 		Obs:                  reg,
 		DataDir:              o.datadir,
 		SyncWrites:           o.syncWrites,
-		Inline:               o.inline,
-		PerSubscriberPush:    o.perSub,
-		DirectPush:           o.directPush,
-		TreeDegree:           o.treeDegree,
 		PartialRepl:          o.partial,
 		Buckets:              o.buckets,
 		AutoAdvanceThreshold: o.autoAdvance,
@@ -330,21 +348,11 @@ func runMesh(o meshOptions) error {
 	}
 
 	if o.metrics != "" {
-		reg.PublishExpvar("colony")
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(status())
-		})
-		ln, err := net.Listen("tcp", o.metrics)
+		ln, err := serveMetrics(o.metrics, reg, status)
 		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
+			return err
 		}
 		defer ln.Close()
-		go func() { _ = http.Serve(ln, mux) }()
-		fmt.Printf("metrics: http://%s/metrics (status at /status)\n", ln.Addr())
 	}
 
 	peerNames := make([]string, 0, len(addrs))

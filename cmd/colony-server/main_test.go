@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"colony/internal/obs"
 )
 
 // reservePorts grabs n distinct loopback ports by binding and releasing
@@ -149,5 +152,38 @@ func TestThreeProcessMeshConvergence(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+}
+
+// TestMetricsMuxEndpoints: both modes serve one HTTP surface — the registry,
+// expvar and the profiler — and only mesh mode adds /status.
+func TestMetricsMuxEndpoints(t *testing.T) {
+	for _, mode := range []struct {
+		name       string
+		status     func() meshStatus
+		statusCode int
+	}{
+		{"simnet", nil, http.StatusNotFound},
+		{"mesh", func() meshStatus { return meshStatus{Name: "dc0"} }, http.StatusOK},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			srv := httptest.NewServer(metricsMux(obs.New(), mode.status))
+			defer srv.Close()
+			for path, want := range map[string]int{
+				"/metrics":             http.StatusOK,
+				"/debug/vars":          http.StatusOK,
+				"/debug/pprof/cmdline": http.StatusOK,
+				"/status":              mode.statusCode,
+			} {
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+				}
+			}
+		})
 	}
 }

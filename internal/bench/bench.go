@@ -224,9 +224,6 @@ type DeployConfig struct {
 	// shards, device caches, group parents) via background base
 	// advancement. 0 means the default (256); negative disables.
 	AutoAdvanceThreshold int
-	// InlineWritePath runs the DCs on the serial pre-pipeline write path —
-	// the A/B baseline for the staged pipeline (colony-bench -inline).
-	InlineWritePath bool
 }
 
 // Deploy boots a cluster and connects the clients for the configured mode.
@@ -256,7 +253,6 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 		Workers:     cfg.Workers,
 
 		AutoAdvanceThreshold: cfg.AutoAdvanceThreshold,
-		InlineWritePath:      cfg.InlineWritePath,
 	})
 	if err != nil {
 		return nil, err

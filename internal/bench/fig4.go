@@ -30,9 +30,6 @@ type Fig4Config struct {
 	ServiceTime time.Duration
 	Workers     int
 	Seed        int64
-	// InlineWritePath runs the DCs on the serial pre-pipeline write path
-	// (A/B baseline for the staged pipeline).
-	InlineWritePath bool
 }
 
 // Fig4Point is one measured point of the curve.
@@ -109,7 +106,6 @@ func runFig4Point(cfg Fig4Config, mode Mode, dcs, clients int) (Fig4Point, error
 		// processing and propagation matches the modelled system.
 		ServiceTime: time.Duration(float64(cfg.ServiceTime) * cfg.Scale),
 		Workers:     cfg.Workers, Seed: cfg.Seed,
-		InlineWritePath: cfg.InlineWritePath,
 	})
 	if err != nil {
 		return Fig4Point{}, err

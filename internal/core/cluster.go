@@ -77,29 +77,12 @@ type ClusterConfig struct {
 	// DataDir/dcN and replays it on restart. Empty disables (unit tests).
 	DataDir string
 	// SyncWrites makes commit acknowledgement wait for WAL durability; the
-	// pipelined write path shares one fsync across a group-commit batch (see
+	// write path shares one fsync across a group-commit batch (see
 	// dc.Config). Only meaningful with DataDir.
 	SyncWrites bool
-	// InlineWritePath disables the DCs' staged write pipeline (per-peer
-	// batched replication senders, group-commit WAL, async push fan-out) and
-	// restores the serial per-transaction path — the A/B baseline.
-	InlineWritePath bool
-	// PerSubscriberPush keeps the pipeline but replaces the DCs' default
-	// interest-sharded push fan-out with the per-subscriber variant (one
-	// outbox, goroutine and filter pass per subscriber) — the fan-out A/B
-	// baseline (make bench-fanout). Ignored when InlineWritePath is set.
-	PerSubscriberPush bool
-	// DirectPush disables the tree multicast layered on the sharded fan-out:
-	// every relay-capable subscriber is pushed to directly, one frame each —
-	// the multicast A/B baseline (make bench-tree).
-	DirectPush bool
-	// TreeDegree bounds the children per relay in the multicast trees
-	// (default 16, see dc.Config).
-	TreeDegree int
 	// PartialRepl enables interest-scoped replication (ROADMAP item 4): each
 	// DC holds only its interest set's buckets, receives payload-stripped
-	// stubs for the rest, and backfills buckets on demand. Incompatible with
-	// InlineWritePath (dc.Config).
+	// stubs for the rest, and backfills buckets on demand.
 	PartialRepl bool
 	// DCBuckets is the boot-time interest set per DC index (missing entries
 	// start empty and acquire buckets purely on demand). Ignored unless
@@ -176,11 +159,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Obs:         cfg.Obs,
 			DataDir:     dataDir,
 			SyncWrites:  cfg.SyncWrites,
-			Inline:      cfg.InlineWritePath,
-
-			PerSubscriberPush: cfg.PerSubscriberPush,
-			DirectPush:        cfg.DirectPush,
-			TreeDegree:        cfg.TreeDegree,
 
 			PartialRepl: cfg.PartialRepl,
 			Buckets:     cfg.DCBuckets[i],

@@ -66,59 +66,10 @@ type Config struct {
 	// restart. Empty disables persistence (unit tests, far-edge nodes).
 	DataDir string
 	// SyncWrites makes commit acknowledgement wait until the transaction's
-	// WAL append is durable (flushed and fsynced). With the pipelined path
-	// the wait piggybacks on the group-commit writer, so N concurrent
-	// committers share one fsync; inline it degenerates to an fsync per
-	// commit. Only meaningful with DataDir set.
+	// WAL append is durable (flushed and fsynced). The wait piggybacks on the
+	// group-commit writer, so N concurrent committers share one fsync. Only
+	// meaningful with DataDir set.
 	SyncWrites bool
-	// WALSyncEvery caps how many appends the group-commit writer coalesces
-	// into one fsync batch (default 64); WALSyncInterval optionally lets the
-	// writer linger to fill a batch (default 0: fsync whatever is pending).
-	WALSyncEvery    int
-	WALSyncInterval time.Duration
-	// ReplOutbox bounds each per-peer replication outbox (default 4096);
-	// a full outbox back-pressures committers rather than dropping, so
-	// replication never silently relies on anti-entropy alone.
-	ReplOutbox int
-	// ReplBatchMax caps how many transactions a per-peer sender coalesces
-	// into one wire.ReplBatch (default 128).
-	ReplBatchMax int
-	// Inline disables the staged write pipeline and restores the serial
-	// pre-pipeline path: one wire.ReplTx per transaction per peer built and
-	// sent inside commitAt, push fan-out under the global DC lock, and
-	// unbatched WAL appends (an fsync per commit when SyncWrites is set).
-	// It exists for A/B benchmarking (make bench-pipeline) and as an escape
-	// hatch; production configurations leave it false.
-	Inline bool
-	// PerSubscriberPush restores PR 3's pipelined fan-out — one outbox, one
-	// goroutine and one interest-filter pass per subscriber — instead of the
-	// default interest-sharded fan-out. It exists for A/B benchmarking
-	// (make bench-fanout); ignored when Inline is set.
-	PerSubscriberPush bool
-	// PushShardWorkers bounds the worker pool that drains dirty interest
-	// shards in sharded fan-out mode (default 4). Irrelevant in inline and
-	// per-subscriber modes.
-	PushShardWorkers int
-	// DirectPush disables tree multicast and restores PR 5's direct-sharded
-	// fan-out: the DC sends every shard frame itself, once per subscriber.
-	// It exists for A/B benchmarking (make bench-tree); production
-	// configurations leave it false and let relay-capable subscribers
-	// (Subscribe.Relay) re-fan-out frames to their subtree siblings.
-	DirectPush bool
-	// TreeDegree bounds a multicast subtree: one relay root plus at most
-	// TreeDegree children (default 16). Only relay-capable subscribers join
-	// trees; others always receive direct frames.
-	TreeDegree int
-	// TreeAckTimeout bounds how long the DC waits for a subtree root's
-	// forwarding receipt before assuming the relay died: the affected
-	// subscribers' cursors are rewound (the repair path re-covers them
-	// directly) and the tree is re-rooted. Default 2s.
-	TreeAckTimeout time.Duration
-	// PushCoalesce corks a dirty shard for the given window before flushing
-	// so that a burst of commits ships as one frame per member rather than
-	// one frame per commit — the push-layer analogue of TCP corking.
-	// Default 0 (flush immediately).
-	PushCoalesce time.Duration
 	// ServiceTime and Workers model the DC's finite capacity for
 	// client-facing requests (commit acceptance, fetches, subscriptions,
 	// migrated transactions): each such request occupies one of Workers
@@ -131,8 +82,7 @@ type Config struct {
 	// DC holds only the buckets in its interest set, advertises that set to
 	// peers via BucketVec gossip, and receives payload-stripped stubs for
 	// everything else. Buckets are acquired on demand (backfill) and may be
-	// evicted when cold. Requires the pipelined path (incompatible with
-	// Inline).
+	// evicted when cold.
 	PartialRepl bool
 	// Buckets is the boot-time interest set (live immediately, no backfill —
 	// at genesis every bucket is empty everywhere). Additional buckets join
@@ -152,32 +102,22 @@ type Config struct {
 type subscription struct {
 	node     string
 	interest map[txn.ObjectID]bool
-	// logIdx is the position in the DC's transaction log up to which the
-	// subscriber has been served.
-	logIdx int
-	// stable is the stability cut last handed to the subscriber's outbox
-	// (pipelined) or pushed (inline).
+	// stable is the subscriber's start or latest rewind cut; deliveries
+	// advance sentStable, not this.
 	stable vclock.Vector
 
-	// Pipelined push fan-out (unused in inline mode). pending holds log
-	// entries scanned but not yet sent (unfiltered — the worker applies the
-	// interest filter outside the DC lock), pendingStable the latest cut to
-	// advertise, sentStable the cut last actually handed to the network.
-	// All are guarded by outMu, which also guards interest so the worker
-	// can filter without the DC lock. Lock order: d.mu before outMu.
-	outMu         sync.Mutex
-	pending       []*txn.Transaction
-	pendingStable vclock.Vector
-	sentStable    vclock.Vector
-	notify        chan struct{}
-	stop          chan struct{}
-	stopOnce      sync.Once
+	// sentStable is the cut last actually handed to the network. Guarded by
+	// outMu, which also guards interest writes so cursor readers need not
+	// take the DC lock. Lock order: d.mu before the fanout mutex before
+	// outMu.
+	outMu      sync.Mutex
+	sentStable vclock.Vector
 
-	// Interest-sharded fan-out bookkeeping (zero in inline and
-	// per-subscriber modes). shard is the interest shard this subscription
-	// currently belongs to, guarded by the fanout mutex. deliveredIdx is the
-	// log index the subscriber has been sent through and fanGen the log
-	// generation it belongs to; both are guarded by outMu, like sentStable.
+	// Interest-sharded fan-out bookkeeping. shard is the interest shard this
+	// subscription currently belongs to, guarded by the fanout mutex.
+	// deliveredIdx is the log index the subscriber has been sent through and
+	// fanGen the log generation it belongs to; both are guarded by outMu,
+	// like sentStable.
 	shard        *pushShard
 	deliveredIdx int
 	fanGen       uint64
@@ -200,16 +140,17 @@ type subscription struct {
 	tree *pushTree
 }
 
-// signal wakes the subscription's push worker (no-op if already signalled).
-func (s *subscription) signal() {
-	if s.notify == nil {
-		return
-	}
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
+// Replication sizing, fixed at the values every deployment ran with while
+// they were still configurable.
+const (
+	// replOutboxCap bounds each per-peer replication outbox. A full outbox
+	// back-pressures committers rather than dropping, so replication never
+	// silently relies on anti-entropy alone.
+	replOutboxCap = 4096
+	// replBatchMax caps how many transactions a per-peer sender coalesces
+	// into one wire.ReplBatch.
+	replBatchMax = 128
+)
 
 // replOutbox is one peer's bounded replication queue, drained by a dedicated
 // sender goroutine that coalesces runs of transactions into wire.ReplBatch
@@ -250,19 +191,20 @@ type DC struct {
 	walMu  sync.Mutex
 	walErr error
 
-	// outboxes are the per-peer replication queues (pipelined mode; created
-	// in SetPeers under d.mu). replDepth/pushDepth mirror the queue depths
-	// for the obs gauges without taking locks.
+	// outboxes are the per-peer replication queues (created in SetPeers
+	// under d.mu). replDepth/pushDepth mirror the queue depths for the obs
+	// gauges without taking locks.
 	outboxes  map[int]*replOutbox
 	replDepth atomic.Int64
 	pushDepth atomic.Int64
-	// pipeStop stops every sender and push worker; pipeWG waits for them.
+	// pipeStop stops the replication senders and the tree sweeper; pipeWG
+	// waits for them and for the shard workers (stopped via fan.stop).
 	pipeStop chan struct{}
 	pipeWG   sync.WaitGroup
 
-	// fan is the interest-sharded fan-out engine (nil in inline and
-	// per-subscriber modes); fanShards/fanDirty mirror its shard count and
-	// dirty-queue depth for the obs gauges without taking its lock.
+	// fan is the interest-sharded fan-out engine; fanShards/fanDirty mirror
+	// its shard count and dirty-queue depth for the obs gauges without taking
+	// its lock.
 	fan       *fanout
 	fanShards atomic.Int64
 	fanDirty  atomic.Int64
@@ -308,9 +250,6 @@ type DC struct {
 // worker (if configured). Call SetPeers once all DCs exist, then Close when
 // done.
 func New(net transport.Network, cfg Config) (*DC, error) {
-	if cfg.PartialRepl && cfg.Inline {
-		return nil, fmt.Errorf("dc %s: PartialRepl requires the pipelined path (Inline must be false)", cfg.Name)
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
@@ -330,21 +269,6 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	coord, err := clocksi.NewCoordinator(shards, cfg.VNodes)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ReplOutbox <= 0 {
-		cfg.ReplOutbox = 4096
-	}
-	if cfg.ReplBatchMax <= 0 {
-		cfg.ReplBatchMax = 128
-	}
-	if cfg.PushShardWorkers <= 0 {
-		cfg.PushShardWorkers = 4
-	}
-	if cfg.TreeDegree <= 0 {
-		cfg.TreeDegree = 16
-	}
-	if cfg.TreeAckTimeout <= 0 {
-		cfg.TreeAckTimeout = 2 * time.Second
 	}
 	d := &DC{
 		cfg:           cfg,
@@ -424,30 +348,24 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 			return nil, fmt.Errorf("dc: recover %s: %w", cfg.Name, err)
 		}
 		logFile, err := wal.OpenWithOptions(cfg.DataDir, cfg.Name+".wal", wal.Options{
-			// The pipelined path batches WAL appends behind a single group-
-			// commit writer; inline mode keeps the legacy buffered appends.
-			GroupCommit:  !cfg.Inline,
-			SyncEvery:    cfg.WALSyncEvery,
-			SyncInterval: cfg.WALSyncInterval,
-			OnError:      d.noteWALError,
-			Obs:          cfg.Obs,
+			// Appends batch behind a single group-commit writer with the
+			// wal package's own batch defaults.
+			GroupCommit: true,
+			OnError:     d.noteWALError,
+			Obs:         cfg.Obs,
 		})
 		if err != nil {
 			return nil, err
 		}
 		d.journal = logFile
 	}
-	if !cfg.Inline && !cfg.PerSubscriberPush {
-		d.fan = newFanout(d)
-		for i := 0; i < cfg.PushShardWorkers; i++ {
-			d.pipeWG.Add(1)
-			go d.runShardWorker()
-		}
-		if !cfg.DirectPush {
-			d.pipeWG.Add(1)
-			go d.runTreeSweeper()
-		}
+	d.fan = newFanout(d)
+	for i := 0; i < pushShardWorkers; i++ {
+		d.pipeWG.Add(1)
+		go d.runShardWorker()
 	}
+	d.pipeWG.Add(1)
+	go d.runTreeSweeper()
 	d.node = net.AddNode(cfg.Name, d.handle)
 	if cfg.Heartbeat > 0 {
 		go d.heartbeatLoop()
@@ -457,10 +375,10 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	return d, nil
 }
 
-// SetPeers wires the other DCs (index → network node name). In pipelined
-// mode it also creates one bounded outbox plus sender goroutine per peer;
-// commitAt enqueues onto these and the senders coalesce runs of pending
-// transactions into wire.ReplBatch frames.
+// SetPeers wires the other DCs (index → network node name) and creates one
+// bounded outbox plus sender goroutine per peer; commitAt enqueues onto these
+// and the senders coalesce runs of pending transactions into wire.ReplBatch
+// frames.
 func (d *DC) SetPeers(peers map[int]string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -469,10 +387,10 @@ func (d *DC) SetPeers(peers map[int]string) {
 			continue
 		}
 		d.peers[idx] = name
-		if d.cfg.Inline || d.outboxes[idx] != nil || d.closed {
+		if d.outboxes[idx] != nil || d.closed {
 			continue
 		}
-		o := &replOutbox{peerIdx: idx, peer: name, ch: make(chan *txn.Transaction, d.cfg.ReplOutbox)}
+		o := &replOutbox{peerIdx: idx, peer: name, ch: make(chan *txn.Transaction, replOutboxCap)}
 		d.outboxes[idx] = o
 		d.pipeWG.Add(1)
 		go d.runReplSender(o)
@@ -481,7 +399,7 @@ func (d *DC) SetPeers(peers map[int]string) {
 
 // runReplSender drains one peer's outbox: it blocks for the first pending
 // transaction, greedily coalesces whatever else is queued (up to
-// ReplBatchMax) into a single ReplBatch with one state-vector clone, and
+// replBatchMax) into a single ReplBatch with one state-vector clone, and
 // ships it. Per-peer FIFO (outbox order = commit order, simnet links are
 // FIFO) preserves the causal order of this DC's own commits.
 func (d *DC) runReplSender(o *replOutbox) {
@@ -491,10 +409,10 @@ func (d *DC) runReplSender(o *replOutbox) {
 		case <-d.pipeStop:
 			return
 		case t := <-o.ch:
-			batch := make([]*txn.Transaction, 1, d.cfg.ReplBatchMax)
+			batch := make([]*txn.Transaction, 1, replBatchMax)
 			batch[0] = t
 		fill:
-			for len(batch) < d.cfg.ReplBatchMax {
+			for len(batch) < replBatchMax {
 				select {
 				case t2 := <-o.ch:
 					batch = append(batch, t2)
@@ -536,7 +454,7 @@ func (d *DC) SetVisibilityCheck(check func(*txn.Transaction) bool) {
 }
 
 // Close stops the DC's background work (heartbeat, replication senders,
-// push workers) and flushes the write-ahead log.
+// shard workers, tree sweeper) and flushes the write-ahead log.
 func (d *DC) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -549,9 +467,7 @@ func (d *DC) Close() {
 	close(d.stopHeartbeat)
 	<-d.heartbeatDone
 	close(d.pipeStop)
-	if d.fan != nil {
-		d.fan.stop()
-	}
+	d.fan.stop()
 	d.pipeWG.Wait()
 	if journal != nil {
 		_ = journal.Close()
@@ -705,12 +621,12 @@ func (d *DC) handle(from string, msg any) any {
 			time.Sleep(d.cfg.ServiceTime)
 			defer func() { <-d.capacity }()
 		}
-	case wire.ReplTx, wire.ReplBatch:
+	case wire.ReplBatch:
 		// Applying replicated traffic costs a fraction of a client request;
 		// this is what keeps N DCs from scaling capacity N× for write-heavy
 		// workloads. The cost is per frame, not per transaction — coalesced
 		// batches amortise the receive overhead, which is exactly the win
-		// the pipelined sender buys.
+		// the batching sender buys.
 		if d.capacity != nil {
 			d.capacity <- struct{}{}
 			time.Sleep(d.cfg.ServiceTime / 4)
@@ -718,10 +634,6 @@ func (d *DC) handle(from string, msg any) any {
 		}
 	}
 	switch m := msg.(type) {
-	case wire.ReplTx:
-		// Single-transaction compatibility envelope (older peers, tests).
-		d.receiveReplicated(wire.ReplBatch{From: m.From, Txs: []*txn.Transaction{m.Tx}, State: m.State, SentAt: m.SentAt})
-		return nil
 	case wire.ReplBatch:
 		d.receiveReplicated(m)
 		return nil
@@ -878,10 +790,11 @@ func (d *DC) commitLocal(t *txn.Transaction) (vclock.CommitStamps, error) {
 
 // commitAt runs the 2PC for a transaction (local or edge-originated),
 // assigning the commit timestamp from the DC sequencer, then records and
-// replicates it. Pipelined, the replication leg is a per-peer outbox
-// enqueue (the senders build and ship coalesced batches) and the push leg
-// is an outbox append drained by per-subscriber workers, so the commit
-// critical path holds d.mu only for the bookkeeping writes.
+// replicates it. The replication leg is a per-peer outbox enqueue (the
+// senders build and ship coalesced batches) and the push leg is a fan-out
+// scan that routes the newly stable suffix to interest shards drained by the
+// shard workers, so the commit critical path holds d.mu only for the
+// bookkeeping writes.
 func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
 	stamps, err := d.coord.Commit(t, func(maxPrepare uint64) (int, uint64) {
 		d.mu.Lock()
@@ -903,14 +816,10 @@ func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
 	d.recordLocked(t)
 	d.mesh.ObserveSelf(d.state)
 	var (
-		inlinePeers []string
-		inlineMsg   wire.ReplTx
-		outs        []*replOutbox
-		cp          *txn.Transaction
+		outs []*replOutbox
+		cp   *txn.Transaction
 	)
-	if d.cfg.Inline {
-		inlinePeers, inlineMsg = d.replMsgLocked(t)
-	} else if len(d.outboxes) > 0 {
+	if len(d.outboxes) > 0 {
 		// One clone shared by every peer's batch (the wire contract treats
 		// in-flight transactions as immutable), collected under d.mu so a
 		// concurrent SetPeers cannot race the map.
@@ -922,11 +831,7 @@ func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
 	}
 	d.notifySubscribersLocked(false)
 	d.mu.Unlock()
-	if d.cfg.Inline {
-		for _, p := range inlinePeers {
-			_ = d.node.Send(p, inlineMsg)
-		}
-	} else if cp != nil {
+	if cp != nil {
 		d.enqueueRepl(outs, cp)
 	}
 	return stamps.Clone(), nil
@@ -956,15 +861,6 @@ func (d *DC) passesVisibilityLocked(t *txn.Transaction) bool {
 		}
 	}
 	return true
-}
-
-// replMsgLocked builds the replication fan-out for a transaction.
-func (d *DC) replMsgLocked(t *txn.Transaction) ([]string, wire.ReplTx) {
-	peers := make([]string, 0, len(d.peers))
-	for _, p := range d.peers {
-		peers = append(peers, p)
-	}
-	return peers, wire.ReplTx{From: d.cfg.Index, Tx: t.Clone(), State: d.state.Clone(), SentAt: time.Now()}
 }
 
 // antiEntropyLocked finds own-accepted transactions the heartbeat sender is
@@ -1192,29 +1088,13 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 			stable:   start,
 		}
 		// Everything at or below the start cut is already held by the
-		// subscriber (via the object snapshots below, or its prior cache).
-		for _, t := range d.log {
-			if !t.VisibleAt(start) {
-				break
-			}
-			sub.logIdx++
-		}
-		if d.fan != nil {
-			// Sharded: no per-subscriber goroutine. The delivery cursor
-			// starts at the start cut; if that is behind the scan frontier
-			// (Resume with an old Since), the placement kick below makes the
-			// first flush repair the gap.
-			sub.sentStable = start
-			sub.deliveredIdx = sub.logIdx
-			sub.fanGen = d.fan.gen.Load()
-		} else if !d.cfg.Inline && !d.closed {
-			sub.pendingStable = start
-			sub.sentStable = start
-			sub.notify = make(chan struct{}, 1)
-			sub.stop = make(chan struct{})
-			d.pipeWG.Add(1)
-			go d.runPushWorker(sub)
-		}
+		// subscriber (via the object snapshots below, or its prior cache), so
+		// the delivery cursor starts there; if that is behind the scan
+		// frontier (Resume with an old Since), the placement kick below makes
+		// the first flush repair the gap.
+		sub.deliveredIdx = d.logIdxAtLocked(start)
+		sub.sentStable = start
+		sub.fanGen = d.fan.gen.Load()
 		d.subs[m.Node] = sub
 	} else if m.Resume && !sub.stable.LEQ(m.Since) {
 		// Reconnection of a live subscription with a cut behind our cursor:
@@ -1237,14 +1117,14 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 		sub.interest[id] = true
 	}
 	if sub.sentStable != nil {
-		// Pipelined, advertise the cut last actually handed to the network,
-		// not the outbox cursor: the inline path guaranteed every push at or
-		// below ack.Stable was sent before the reply (FIFO links then deliver
-		// them first), and visibility at the edge must not outrun delivery.
+		// Advertise the cut last actually handed to the network, not the
+		// registration or rewind cut: every push at or below ack.Stable must
+		// have been sent before the reply (FIFO links then deliver them
+		// first), and visibility at the edge must not outrun delivery.
 		ack.Stable = sub.sentStable.Clone()
 	}
 	sub.outMu.Unlock()
-	if d.fan != nil && !d.closed {
+	if !d.closed {
 		// (Re)place in the interest shard matching the possibly-extended
 		// signature; the kick repairs any cursor gap.
 		d.fan.place(sub)
@@ -1261,66 +1141,50 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 	return ack
 }
 
-// rewindSubLocked moves a subscriber's cursor back to cut so the log above it
-// is replayed (duplicates are filtered by dot downstream). Pipelined, the
-// outbox is discarded too: its contents are above the new cursor and will be
-// rescanned, and replaying them from the old cursor first would break the
-// causal order of the push stream. Called with d.mu held.
-func (d *DC) rewindSubLocked(sub *subscription, cut vclock.Vector) {
-	sub.stable = cut.Clone()
-	sub.logIdx = 0
+// logIdxAtLocked returns the length of the visible log's prefix that is
+// visible at cut — the delivery cursor of a subscriber that holds exactly
+// cut. Called with d.mu held.
+func (d *DC) logIdxAtLocked(cut vclock.Vector) int {
+	idx := 0
 	for _, t := range d.log {
 		if !t.VisibleAt(cut) {
 			break
 		}
-		sub.logIdx++
+		idx++
 	}
-	if d.cfg.Inline {
-		return
-	}
-	if d.fan != nil {
-		// Sharded: pull the delivery cursor back; the next flush of the
-		// subscriber's shard rebuilds the gap from the log (repair frame).
-		// If the subscriber rides a multicast subtree, bump the tree's ver
-		// first (under the fanout mutex, which guards sub.tree) so any
-		// in-flight tree plan backs off instead of optimistically advancing
-		// the cursor past the replay gap this rewind requests.
-		d.fan.mu.Lock()
-		if sub.tree != nil {
-			sub.tree.ver++
-		}
-		sub.outMu.Lock()
-		if sub.logIdx < sub.deliveredIdx {
-			sub.deliveredIdx = sub.logIdx
-		}
-		sub.rewinds++
-		sub.sentStable = sub.stable
-		sub.outMu.Unlock()
-		d.fan.mu.Unlock()
-		return
-	}
-	sub.outMu.Lock()
-	d.pushDepth.Add(-int64(len(sub.pending)))
-	sub.pending = nil
-	sub.pendingStable = sub.stable
-	sub.sentStable = sub.stable
-	sub.outMu.Unlock()
+	return idx
 }
 
-// dropSubLocked removes a subscription and stops its push worker. Called with
-// d.mu held.
-func (d *DC) dropSubLocked(sub *subscription) {
-	delete(d.subs, sub.node)
-	if sub.stop != nil {
-		sub.stopOnce.Do(func() { close(sub.stop) })
-	}
-	if d.fan != nil {
-		d.fan.remove(sub)
+// rewindSubLocked moves a subscriber's delivery cursor back to cut so the log
+// above it is replayed (duplicates are filtered by dot downstream): the next
+// flush of the subscriber's shard rebuilds the gap from the log (repair
+// frame). Called with d.mu held.
+func (d *DC) rewindSubLocked(sub *subscription, cut vclock.Vector) {
+	sub.stable = cut.Clone()
+	logIdx := d.logIdxAtLocked(cut)
+	// If the subscriber rides a multicast subtree, bump the tree's ver first
+	// (under the fanout mutex, which guards sub.tree) so any in-flight tree
+	// plan backs off instead of optimistically advancing the cursor past the
+	// replay gap this rewind requests.
+	d.fan.mu.Lock()
+	if sub.tree != nil {
+		sub.tree.ver++
 	}
 	sub.outMu.Lock()
-	d.pushDepth.Add(-int64(len(sub.pending)))
-	sub.pending = nil
+	if logIdx < sub.deliveredIdx {
+		sub.deliveredIdx = logIdx
+	}
+	sub.rewinds++
+	sub.sentStable = sub.stable
 	sub.outMu.Unlock()
+	d.fan.mu.Unlock()
+}
+
+// dropSubLocked removes a subscription from the DC and from its interest
+// shard. Called with d.mu held.
+func (d *DC) dropSubLocked(sub *subscription) {
+	delete(d.subs, sub.node)
+	d.fan.remove(sub)
 }
 
 // unsubscribe shrinks an interest set (or drops the subscription entirely
@@ -1344,7 +1208,7 @@ func (d *DC) unsubscribe(m wire.Unsubscribe) {
 	sub.outMu.Unlock()
 	if empty {
 		d.dropSubLocked(sub)
-	} else if d.fan != nil && !d.closed {
+	} else if !d.closed {
 		// The signature may have shrunk: move to the narrower shard so
 		// shared frames stop carrying the dropped buckets.
 		d.fan.place(sub)
@@ -1385,18 +1249,14 @@ func (d *DC) fetchObject(requester string, id txn.ObjectID, at vclock.Vector) an
 		// subscription, losing it for good.
 		sub.outMu.Lock()
 		sub.interest[id] = true
-		ahead := !sub.stable.LEQ(cut)
-		if d.fan != nil {
-			// Sharded mode advances sentStable, not sub.stable.
-			ahead = !sub.sentStable.LEQ(cut)
-		}
+		ahead := !sub.sentStable.LEQ(cut)
 		sub.outMu.Unlock()
 		if ahead {
 			// The cursor is ahead of the served cut: rewind so the gap is
 			// replayed (duplicates are filtered downstream).
 			d.rewindSubLocked(sub, cut)
 		}
-		if d.fan != nil && !d.closed {
+		if !d.closed {
 			// The fetched bucket joins the signature; the kick replays
 			// updates above the served cut for it.
 			d.fan.place(sub)
@@ -1423,143 +1283,18 @@ func (d *DC) materializeLocked(id txn.ObjectID, at vclock.Vector) wire.ObjectSta
 // not-yet-stable transaction so pushes never reorder causally related
 // updates.
 //
-// Sharded (the default), the whole subscriber population costs one fanout
-// scan: each new transaction is routed to the interest shards whose bucket
-// set it touches, and the bounded shard-worker pool filters, seals and ships
-// one frame per shard outside d.mu. broadcast marks stability-only triggers
-// (heartbeat tick, gossip receipt): only then is a pure cut advance fanned
-// to every shard — between broadcasts, subscribers learn new cuts from the
-// frames that carry their transactions.
-//
-// Per-subscriber (Config.PerSubscriberPush) keeps PR 3's pipelined model —
-// the scan appends the unfiltered run to each subscriber's outbox and wakes
-// its worker. Inline, the legacy behaviour — filter and send under d.mu — is
-// preserved for A/B comparison.
+// The whole subscriber population costs one fanout scan: each new
+// transaction is routed to the interest shards whose bucket set it touches,
+// and the bounded shard-worker pool filters, seals and ships one frame per
+// shard outside d.mu. broadcast marks stability-only triggers (heartbeat
+// tick, gossip receipt): only then is a pure cut advance fanned to every
+// shard — between broadcasts, subscribers learn new cuts from the frames that
+// carry their transactions.
 func (d *DC) notifySubscribersLocked(broadcast bool) {
 	if len(d.subs) == 0 {
 		return
 	}
-	stable := d.mesh.KStable(d.cfg.K)
-	if d.fan != nil {
-		d.fan.scan(stable, broadcast)
-		return
-	}
-	for _, sub := range d.subs {
-		if d.cfg.Inline {
-			d.pushInlineLocked(sub, stable)
-			continue
-		}
-		var batch []*txn.Transaction
-		idx := sub.logIdx
-		for idx < len(d.log) {
-			t := d.log[idx]
-			if !t.VisibleAt(stable) {
-				break
-			}
-			idx++
-			batch = append(batch, t) // unfiltered; the worker restricts
-		}
-		// KStable is monotone, so sub.stable (a previous cut) is always ≤
-		// stable; enqueue when there is anything new to say.
-		if len(batch) == 0 && sub.stable.Equal(stable) {
-			continue
-		}
-		sub.logIdx = idx
-		// KStable builds a fresh vector per call and nothing downstream
-		// mutates a cut in place, so every subscriber shares this one.
-		sub.stable = stable
-		sub.outMu.Lock()
-		sub.pending = append(sub.pending, batch...)
-		sub.pendingStable = stable
-		sub.outMu.Unlock()
-		d.pushDepth.Add(int64(len(batch)))
-		sub.signal()
-	}
-}
-
-// pushInlineLocked is the pre-pipeline push: filter and send under d.mu.
-func (d *DC) pushInlineLocked(sub *subscription, stable vclock.Vector) {
-	var batch []*txn.Transaction
-	idx := sub.logIdx
-	for idx < len(d.log) {
-		t := d.log[idx]
-		if !t.VisibleAt(stable) {
-			break
-		}
-		idx++
-		if filtered := t.RestrictShared(func(u txn.Update) bool { return sub.interest[u.Object] }); filtered != nil {
-			batch = append(batch, filtered)
-		}
-	}
-	if len(batch) == 0 && sub.stable.Equal(stable) {
-		return
-	}
-	msg := wire.SealPushFrame(d.cfg.Name, batch, stable)
-	d.obsPushBatch.Observe(int64(len(batch)))
-	if err := d.node.Send(sub.node, msg); err != nil {
-		// Subscriber unreachable (offline or migrated): leave the cursor
-		// in place; the next trigger retries, and a Resume subscribe
-		// rewinds it if the node reconnects elsewhere.
-		return
-	}
-	sub.logIdx = idx
-	sub.stable = stable
-}
-
-// runPushWorker drains one subscriber's outbox until the subscription or the
-// DC is torn down.
-func (d *DC) runPushWorker(sub *subscription) {
-	defer d.pipeWG.Done()
-	for {
-		select {
-		case <-d.pipeStop:
-			return
-		case <-sub.stop:
-			return
-		case <-sub.notify:
-			d.flushSub(sub)
-		}
-	}
-}
-
-// flushSub filters and ships everything pending for one subscriber. outMu is
-// held across the pop+send so a concurrent rewind (subscribe with Resume,
-// fetchObject, RecheckVisibility) can never interleave between consuming the
-// outbox and handing its contents to the network; sends themselves only
-// schedule delivery, so the hold is short. Transactions whose interest
-// restriction is empty are dropped here — same fate the inline path gave
-// them at scan time.
-func (d *DC) flushSub(sub *subscription) {
-	sub.outMu.Lock()
-	defer sub.outMu.Unlock()
-	for len(sub.pending) > 0 || (sub.pendingStable != nil && !sub.pendingStable.Equal(sub.sentStable)) {
-		pending := sub.pending
-		sub.pending = nil
-		stable := sub.pendingStable
-		d.pushDepth.Add(-int64(len(pending)))
-		var batch []*txn.Transaction
-		for _, t := range pending {
-			if filtered := t.RestrictShared(func(u txn.Update) bool { return sub.interest[u.Object] }); filtered != nil {
-				batch = append(batch, filtered)
-			}
-		}
-		if len(batch) == 0 && stable.Equal(sub.sentStable) {
-			continue
-		}
-		// The frame shares the stable cut and filtered views read-only
-		// (sealed frame contract); no per-subscriber clones.
-		msg := wire.SealPushFrame(d.cfg.Name, batch, stable)
-		d.obsPushBatch.Observe(int64(len(batch)))
-		if err := d.node.Send(sub.node, msg); err != nil {
-			// Subscriber unreachable: requeue and stop; the next commit or
-			// heartbeat signals a retry, and a Resume subscribe rewinds the
-			// cursor if the node reconnects elsewhere.
-			sub.pending = append(pending, sub.pending...)
-			d.pushDepth.Add(int64(len(pending)))
-			return
-		}
-		sub.sentStable = stable
-	}
+	d.fan.scan(d.mesh.KStable(d.cfg.K), broadcast)
 }
 
 // --- migrated transactions (paper §3.9) ---
@@ -1633,27 +1368,16 @@ func (d *DC) RecheckVisibility() {
 	}
 	// Rewind every subscriber to the start of the log: retroactively
 	// unmasked transactions were never delivered, and subscribers
-	// deduplicate replays by dot. Pipelined outboxes are discarded — they may
-	// hold transactions the new policy masks, and the rescan below re-enqueues
-	// everything still visible. Sharded, the log rebuild shifted every index,
+	// deduplicate replays by dot. Queued shard segments are discarded — they
+	// may hold transactions the new policy masks, and the rescan below
+	// re-routes everything still visible. The log rebuild shifted every index,
 	// so the fanout generation is bumped (in-flight flushes of the old
 	// generation abandon their cursors) and every cursor restarts at zero.
-	var gen uint64
-	if d.fan != nil {
-		gen = d.fan.reset()
-	}
+	gen := d.fan.reset()
 	for _, sub := range d.subs {
-		sub.logIdx = 0
-		if d.cfg.Inline {
-			continue
-		}
 		sub.outMu.Lock()
-		if d.fan != nil {
-			sub.deliveredIdx = 0
-			sub.fanGen = gen
-		}
-		d.pushDepth.Add(-int64(len(sub.pending)))
-		sub.pending = nil
+		sub.deliveredIdx = 0
+		sub.fanGen = gen
 		sub.outMu.Unlock()
 	}
 	d.notifySubscribersLocked(false)

@@ -1,12 +1,11 @@
 // Interest-sharded push fan-out.
 //
-// PR 3's pipelined push kept one outbox, one goroutine and one interest
-// filter per subscriber: linear state, linear wakeups, and a filter pass per
-// subscriber per flush. This file replaces that with interest shards — one
-// shard per distinct interest *signature* (the sorted set of buckets a
-// subscriber watches). The commit scan routes each newly K-stable
-// transaction once per shard whose bucket set it touches (a bucket →
-// shard-set index), a bounded worker pool drains dirty shards, and every
+// Subscribers are grouped into interest shards — one shard per distinct
+// interest *signature* (the sorted set of buckets a subscriber watches) — so
+// push state, wakeups and filter passes scale with the number of distinct
+// signatures, not the subscriber count. The commit scan routes each newly
+// K-stable transaction once per shard whose bucket set it touches (a bucket
+// → shard-set index), a bounded worker pool drains dirty shards, and every
 // subscriber of a shard receives the same sealed wire.PushFrame: one filter
 // pass and one frame build per shard, however many subscribers share it.
 //
@@ -18,11 +17,11 @@
 //
 // Delivery bookkeeping is a per-subscriber cursor (deliveredIdx) over the
 // DC's visible log, advanced only after the network accepted a frame, plus
-// the sentStable cut inherited from the per-subscriber path — visibility
-// never outruns delivery. Cursors behind a shard's queued segments (send
-// failure, resume rewind, interest rebalancing, mid-run join) are healed by
-// a per-cursor repair frame built from the log; members that share a cursor
-// share the repair too.
+// the sentStable cut last handed to the network — visibility never outruns
+// delivery. Cursors behind a shard's queued segments (send failure, resume
+// rewind, interest rebalancing, mid-run join) are healed by a per-cursor
+// repair frame built from the log; members that share a cursor share the
+// repair too.
 package dc
 
 import (
@@ -30,12 +29,16 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"colony/internal/txn"
 	"colony/internal/vclock"
 	"colony/internal/wire"
 )
+
+// pushShardWorkers is the size of the worker pool that drains dirty interest
+// shards, fixed at the value every deployment ran with while it was still
+// configurable.
+const pushShardWorkers = 4
 
 // pushSeg is one scanned run of the DC log routed to a shard: the
 // transactions in log range [lo, hi) that touch the shard's buckets
@@ -165,10 +168,10 @@ func (f *fanout) place(sub *subscription) {
 		}
 		sh.subs[sub] = true
 		sub.shard = sh
-		if sub.relay && !f.d.cfg.DirectPush {
+		if sub.relay {
 			f.attachTreeLocked(sh, sub)
 		}
-	} else if sub.relay && sub.tree == nil && !f.d.cfg.DirectPush {
+	} else if sub.relay && sub.tree == nil {
 		// The subscription upgraded to relay-capable (re-subscribe with the
 		// Relay bit) without changing its signature.
 		f.attachTreeLocked(sub.shard, sub)
@@ -310,7 +313,7 @@ func (f *fanout) reset() uint64 {
 	return gen
 }
 
-// runShardWorker is one of the PushShardWorkers pool goroutines: it sleeps
+// runShardWorker is one of the pushShardWorkers pool goroutines: it sleeps
 // on the condvar until a shard is dirty, claims it, and flushes it outside
 // every lock. One flush serves every subscriber of the shard.
 func (d *DC) runShardWorker() {
@@ -331,19 +334,6 @@ func (d *DC) runShardWorker() {
 		d.fanDirty.Add(-1)
 		sh.queued = false
 		sh.inflight = true
-		if w := d.cfg.PushCoalesce; w > 0 {
-			// Cork the flush briefly so a commit burst ships as one frame
-			// per member instead of one frame per commit. inflight keeps
-			// the shard off the dirty queue; segments queued during the
-			// window are picked up below.
-			f.mu.Unlock()
-			time.Sleep(w)
-			f.mu.Lock()
-			if f.stopped {
-				f.mu.Unlock()
-				return
-			}
-		}
 		segs := sh.segs
 		sh.segs = nil
 		members := make([]*subscription, 0, len(sh.subs))
@@ -403,7 +393,7 @@ func (d *DC) flushShard(sh *pushShard, segs []pushSeg, members []*subscription, 
 	// sealed frame once, via their relay root. Members a tree covers are
 	// skipped by the direct grouping below.
 	var covered map[*subscription]bool
-	if !d.cfg.DirectPush && hasTrees {
+	if hasTrees {
 		var plans []treeSend
 		plans, covered = d.planTreeSends(sh, hi, stable, gen)
 		d.sendTrees(sh, plans, segs, starts, filtered, stable, hi, gen)

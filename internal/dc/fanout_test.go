@@ -242,84 +242,40 @@ func TestShardedResumeReplaysLostPushes(t *testing.T) {
 	r.checkClean(t)
 }
 
-// TestPerSubscriberPushParity: the A/B baseline (Config.PerSubscriberPush)
-// keeps the same delivery semantics — totals, bucket isolation, causal
-// order — as the sharded default. Run under -race via make ci.
-func TestPerSubscriberPushParity(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	d := singleDC(t, net, func(cfg *Config) { cfg.PerSubscriberPush = true })
-	if d.fan != nil {
-		t.Fatal("PerSubscriberPush mode must not build the shard fanout")
-	}
-
-	ra := newPushRecorder(net, "edgeA", true)
-	rb := newPushRecorder(net, "edgeB", true)
-	rab := newPushRecorder(net, "edgeAB", true)
-	ra.subscribe(t, "dc0", false, nil, alphaID)
-	rb.subscribe(t, "dc0", false, nil, betaID)
-	rab.subscribe(t, "dc0", false, nil, alphaID, betaID)
-
-	for i := 0; i < 4; i++ {
-		commitN(t, d, alphaID, 1)
-		commitN(t, d, betaID, 1)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		return ra.count("alpha") == 4 && rb.count("beta") == 4 &&
-			rab.count("alpha") == 4 && rab.count("beta") == 4
-	}, "per-subscriber pushes never arrived")
-	if ra.count("beta") != 0 || rb.count("alpha") != 0 {
-		t.Fatal("per-subscriber mode leaked a bucket across interest sets")
-	}
-	ra.checkClean(t)
-	rb.checkClean(t)
-	rab.checkClean(t)
-}
-
 // TestFanoutNoGoroutineLeak: 1k subscribe/unsubscribe cycles must leave no
-// push or shard workers behind, in either fan-out mode, and Close must
-// reclaim the worker pool.
+// shard workers behind, and Close must reclaim the worker pool.
 func TestFanoutNoGoroutineLeak(t *testing.T) {
-	modes := []struct {
-		name   string
-		perSub bool
-	}{{"sharded", false}, {"per-subscriber", true}}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			net := simnet.New(simnet.Config{})
-			defer net.Close()
-			d, err := New(net.Transport(), Config{
-				Index: 0, Name: "dc0", NumDCs: 1, Shards: 2, K: 1,
-				PerSubscriberPush: mode.perSub,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			settle := func(limit int, msg string) {
-				t.Helper()
-				deadline := time.Now().Add(3 * time.Second)
-				for time.Now().Before(deadline) {
-					if runtime.NumGoroutine() <= limit {
-						return
-					}
-					runtime.Gosched()
-					time.Sleep(5 * time.Millisecond)
+	t.Run("sharded", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		net := simnet.New(simnet.Config{})
+		defer net.Close()
+		d, err := New(net.Transport(), Config{Index: 0, Name: "dc0", NumDCs: 1, Shards: 2, K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		settle := func(limit int, msg string) {
+			t.Helper()
+			deadline := time.Now().Add(3 * time.Second)
+			for time.Now().Before(deadline) {
+				if runtime.NumGoroutine() <= limit {
+					return
 				}
-				t.Fatalf("%s: %d goroutines, want ≤ %d", msg, runtime.NumGoroutine(), limit)
+				runtime.Gosched()
+				time.Sleep(5 * time.Millisecond)
 			}
-			after := runtime.NumGoroutine() // includes the bounded worker pool
-			for i := 0; i < 1000; i++ {
-				name := fmt.Sprintf("edge%d", i%7)
-				id := txn.ObjectID{Bucket: fmt.Sprintf("bkt%d", i%13), Key: "k"}
-				d.subscribe(wire.Subscribe{Node: name, Objects: []txn.ObjectID{id}})
-				d.unsubscribe(wire.Unsubscribe{Node: name})
-			}
-			settle(after+2, "after churn")
-			d.Close()
-			settle(base+2, "after close")
-		})
-	}
+			t.Fatalf("%s: %d goroutines, want ≤ %d", msg, runtime.NumGoroutine(), limit)
+		}
+		after := runtime.NumGoroutine() // includes the bounded worker pool
+		for i := 0; i < 1000; i++ {
+			name := fmt.Sprintf("edge%d", i%7)
+			id := txn.ObjectID{Bucket: fmt.Sprintf("bkt%d", i%13), Key: "k"}
+			d.subscribe(wire.Subscribe{Node: name, Objects: []txn.ObjectID{id}})
+			d.unsubscribe(wire.Unsubscribe{Node: name})
+		}
+		settle(after+2, "after churn")
+		d.Close()
+		settle(base+2, "after close")
+	})
 }
 
 // TestShardedFanoutObsExposed: the sharded fan-out surfaces its shard count,

@@ -53,7 +53,6 @@ func TestPipelinedConcurrentCommittersConverge(t *testing.T) {
 	defer net.Close()
 	dcs := pipelineCluster(t, net, 3, 1, func(cfg *Config) {
 		cfg.SyncWrites = true
-		cfg.ReplBatchMax = 16
 	})
 
 	const committers, perCommitter = 9, 10
@@ -186,41 +185,9 @@ func TestPerPeerBatchesApplyInSendOrder(t *testing.T) {
 	}
 }
 
-// TestInlineModeMatchesPipelinedSemantics keeps the legacy serial path (the
-// A/B baseline) working: convergence and push delivery behave the same.
-func TestInlineModeMatchesPipelinedSemantics(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	dcs := pipelineCluster(t, net, 3, 1, func(cfg *Config) { cfg.Inline = true })
-
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			d := dcs[c%len(dcs)]
-			for i := 0; i < 5; i++ {
-				tx := d.Begin("a")
-				tx.Update(xID, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
-				if _, err := tx.Commit(); err != nil {
-					t.Errorf("%v", err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	for i, d := range dcs {
-		d := d
-		waitFor(t, 5*time.Second, func() bool {
-			return counterValue(t, d, d.State()) == 20
-		}, fmt.Sprintf("inline dc%d never converged", i))
-	}
-}
-
 // TestPipelinedSubscriberReceivesPushes exercises the async push fan-out end
-// to end: a subscriber on a pipelined DC sees every K-stable transaction, in
-// causal order, via the per-subscriber worker.
+// to end: a subscriber sees every K-stable transaction exactly once, with a
+// monotone stable cut, via its interest shard's flush.
 func TestPipelinedSubscriberReceivesPushes(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()

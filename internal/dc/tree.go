@@ -1,14 +1,14 @@
 // Tree multicast over the interest-sharded fan-out (paper §3.4).
 //
-// PR 5 made the DC build one sealed frame per interest shard, but it still
-// *sent* that frame once per subscriber — at 100k subscribers the DC's egress
-// is 100k sends per flush even though only ~8k distinct frames exist. This
-// file organises each shard's relay-capable subscribers (wire.Subscribe.Relay
-// — edge nodes and group sync points) into subtrees of bounded degree: one
-// root plus at most TreeDegree children. The flush sends the sealed frame
-// once per subtree root as a wire.TreePush; the root re-fans the same frame
-// out to its children and returns one aggregated wire.TreeAck. DC egress
-// then scales with the subtree count, not the subscriber count.
+// The fan-out builds one sealed frame per interest shard; sending it once per
+// subscriber would make DC egress 100k sends per flush at 100k subscribers
+// even though only ~8k distinct frames exist. This file organises each
+// shard's relay-capable subscribers (wire.Subscribe.Relay — edge nodes and
+// group sync points) into subtrees of bounded degree: one root plus at most
+// treeDegree children. The flush sends the sealed frame once per subtree root
+// as a wire.TreePush; the root re-fans the same frame out to its children and
+// returns one aggregated wire.TreeAck. DC egress then scales with the subtree
+// count, not the subscriber count.
 //
 // Correctness leans entirely on PR 5's cursor machinery:
 //
@@ -33,7 +33,7 @@
 //     reports Dropped.
 //
 // Trees are two-level by design: ack aggregation is a single hop, a relay
-// crash affects at most TreeDegree subscribers, and at degree 16 the egress
+// crash affects at most treeDegree subscribers, and at degree 16 the egress
 // reduction already exceeds an order of magnitude on Zipf-shaped interest.
 // Deeper trees (relays under relays) are a follow-on.
 package dc
@@ -44,6 +44,19 @@ import (
 	"colony/internal/txn"
 	"colony/internal/vclock"
 	"colony/internal/wire"
+)
+
+// Tree sizing, fixed at the values every deployment ran with while they were
+// still configurable.
+const (
+	// treeDegree bounds a multicast subtree: one relay root plus at most
+	// treeDegree children.
+	treeDegree = 16
+	// treeAckTimeout bounds how long the DC waits for a subtree root's
+	// forwarding receipt before assuming the relay died: the affected
+	// subscribers' cursors are rewound (the repair path re-covers them
+	// directly) and the tree is re-rooted.
+	treeAckTimeout = 2 * time.Second
 )
 
 // treePending is one outstanding TreePush receipt: the cursor range the send
@@ -106,7 +119,7 @@ func (tr *pushTree) childNames() []string {
 // at the subscription. Called with the fanout mutex held.
 func (f *fanout) attachTreeLocked(sh *pushShard, sub *subscription) {
 	for _, tr := range sh.trees {
-		if len(tr.members) <= f.d.cfg.TreeDegree {
+		if len(tr.members) <= treeDegree {
 			tr.members = append(tr.members, sub)
 			tr.dirty = true
 			tr.ver++
@@ -476,9 +489,6 @@ func (d *DC) dropPending(plan treeSend, reassign bool) {
 // the receipt's pre-send cursor so the next flush repairs it directly.
 func (d *DC) handleTreeAck(m wire.TreeAck) {
 	f := d.fan
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sh := f.byID[m.Shard]
@@ -566,8 +576,7 @@ func (d *DC) handleTreeAck(m wire.TreeAck) {
 func (d *DC) runTreeSweeper() {
 	defer d.pipeWG.Done()
 	f := d.fan
-	timeout := d.cfg.TreeAckTimeout
-	tick := time.NewTicker(timeout / 4)
+	tick := time.NewTicker(treeAckTimeout / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -575,7 +584,7 @@ func (d *DC) runTreeSweeper() {
 			return
 		case <-tick.C:
 		}
-		cutoff := time.Now().Add(-timeout)
+		cutoff := time.Now().Add(-treeAckTimeout)
 		f.mu.Lock()
 		if f.stopped {
 			f.mu.Unlock()
@@ -604,9 +613,6 @@ func (d *DC) runTreeSweeper() {
 // names (tests and debugging). Trees below the two-member send threshold are
 // included; subscribers outside any tree are not.
 func (d *DC) TreeTopology() map[string][]string {
-	if d.fan == nil {
-		return nil
-	}
 	out := make(map[string][]string)
 	d.fan.mu.Lock()
 	for _, sh := range d.fan.shards {

@@ -2,6 +2,7 @@ package dc
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,62 +141,94 @@ func TestTreeMulticastDelivery(t *testing.T) {
 	}
 }
 
-// TestTreeDegreeBounds: the subtree fan-out is capped at TreeDegree children
+// TestTreeDegreeBounds: the subtree fan-out is capped at treeDegree children
 // per root, splitting large shards into multiple subtrees.
 func TestTreeDegreeBounds(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	d := singleDC(t, net, func(cfg *Config) { cfg.TreeDegree = 2 })
+	d := singleDC(t, net, nil)
 
-	for i := 0; i < 7; i++ {
-		r := newTreeRecorder(net, "relay"+string(rune('A'+i)), true)
+	// Two full subtrees plus one more member: the last must open a third.
+	const members = 2*(treeDegree+1) + 1
+	for i := 0; i < members; i++ {
+		r := newTreeRecorder(net, fmt.Sprintf("relay%02d", i), true)
 		r.subscribeRelay(t, "dc0", alphaID)
 	}
 	topo := d.TreeTopology()
-	if len(topo) < 3 {
-		t.Fatalf("topology = %v, want ≥ 3 subtrees for 7 members at degree 2", topo)
+	if len(topo) != 3 {
+		t.Fatalf("topology = %v, want 3 subtrees for %d members at degree %d", topo, members, treeDegree)
 	}
 	total := 0
 	for root, children := range topo {
-		if len(children) > 2 {
-			t.Errorf("root %s has %d children, degree bound is 2", root, len(children))
+		if len(children) > treeDegree {
+			t.Errorf("root %s has %d children, degree bound is %d", root, len(children), treeDegree)
 		}
 		total += 1 + len(children)
 	}
-	if total != 7 {
-		t.Errorf("trees cover %d members, want 7", total)
+	if total != members {
+		t.Errorf("trees cover %d members, want %d", total, members)
 	}
 }
 
 // TestTreeMixedRelayAndDirect: subscribers that never declared the Relay
-// capability share the shard but stay outside every tree and keep receiving
-// plain direct frames — tree mode must not change their protocol.
+// capability stay outside every tree and keep receiving plain direct frames —
+// alone (no tree traffic at all) and next to relay-capable members of the
+// same shard.
 func TestTreeMixedRelayAndDirect(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	d := singleDC(t, net, nil)
+	reg := obs.New()
+	d := singleDC(t, net, func(cfg *Config) { cfg.Obs = reg })
+
+	// Relay-aware handlers subscribed without the Relay bit: they would
+	// record a TreeAssign or TreePush if the DC ever sent them one.
+	plains := []*treeRecorder{newTreeRecorder(net, "plainC", true), newTreeRecorder(net, "plainD", true)}
+	noTreeTraffic := func() {
+		t.Helper()
+		for _, p := range plains {
+			p.relayMu.Lock()
+			tables := len(p.tables)
+			p.relayMu.Unlock()
+			if tables != 0 || p.acks.Load() != 0 || p.forwards.Load() != 0 {
+				t.Errorf("%s never set Subscribe.Relay but saw %d TreeAssigns, %d TreePushes", p.name, tables, p.acks.Load())
+			}
+		}
+	}
+	for _, p := range plains {
+		p.subscribe(t, "dc0", false, nil, alphaID)
+	}
+	commitN(t, d, alphaID, 3)
+	waitFor(t, 2*time.Second, func() bool {
+		return plains[0].count("alpha") == 3 && plains[1].count("alpha") == 3
+	}, "direct pushes never arrived")
+	if topo := d.TreeTopology(); len(topo) != 0 {
+		t.Fatalf("non-relay subscribers were placed in trees: %v", topo)
+	}
+	if n := reg.Snapshot().Counters["dc.tree_assigns"]; n != 0 {
+		t.Errorf("dc.tree_assigns = %d with no relay-capable subscriber", n)
+	}
+	noTreeTraffic()
 
 	ra := newTreeRecorder(net, "relayA", true)
 	rb := newTreeRecorder(net, "relayB", true)
-	plain := newPushRecorder(net, "plainC", true)
 	ra.subscribeRelay(t, "dc0", alphaID)
 	rb.subscribeRelay(t, "dc0", alphaID)
-	plain.subscribe(t, "dc0", false, nil, alphaID)
-
-	for _, children := range d.TreeTopology() {
-		for _, c := range children {
-			if c == "plainC" {
+	for root, children := range d.TreeTopology() {
+		for _, c := range append(children, root) {
+			if c == "plainC" || c == "plainD" {
 				t.Fatal("non-relay subscriber was placed in a tree")
 			}
 		}
 	}
 	commitN(t, d, alphaID, 5)
 	waitFor(t, 2*time.Second, func() bool {
-		return ra.count("alpha") == 5 && rb.count("alpha") == 5 && plain.count("alpha") == 5
+		return ra.count("alpha") == 5 && rb.count("alpha") == 5 &&
+			plains[0].count("alpha") == 8 && plains[1].count("alpha") == 8
 	}, "mixed-mode pushes never arrived")
-	ra.checkClean(t)
-	rb.checkClean(t)
-	plain.checkClean(t)
+	noTreeTraffic()
+	for _, r := range append(plains, ra, rb) {
+		r.checkClean(t)
+	}
 }
 
 // TestTreeAckFailedChildRewind: when the root cannot reach a child, its
@@ -259,7 +292,7 @@ func TestTreeAckFailedChildRewind(t *testing.T) {
 func TestTreeRelayCrashSweeperRepair(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	d := singleDC(t, net, func(cfg *Config) { cfg.TreeAckTimeout = 100 * time.Millisecond })
+	d := singleDC(t, net, nil)
 
 	recs := map[string]*treeRecorder{}
 	for _, name := range []string{"relayA", "relayB", "relayC"} {
@@ -530,42 +563,5 @@ func TestTreeAckRewindsDepartedMember(t *testing.T) {
 	sub.outMu.Unlock()
 	if got >= hi {
 		t.Fatalf("departed child's deliveredIdx = %d, want rewound to %d", got, plan.di)
-	}
-}
-
-// TestTreeDirectPushFlag: the A/B escape hatch restores PR 5 exactly — no
-// trees are built even for relay-capable subscribers, every frame is a
-// direct send, and delivery is unchanged.
-func TestTreeDirectPushFlag(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	reg := obs.New()
-	d := singleDC(t, net, func(cfg *Config) { cfg.DirectPush = true; cfg.Obs = reg })
-
-	recs := make([]*treeRecorder, 4)
-	for i := range recs {
-		recs[i] = newTreeRecorder(net, "relay"+string(rune('A'+i)), true)
-		recs[i].subscribeRelay(t, "dc0", alphaID)
-	}
-	if topo := d.TreeTopology(); len(topo) != 0 {
-		t.Fatalf("DirectPush built trees: %v", topo)
-	}
-	commitN(t, d, alphaID, 6)
-	waitFor(t, 2*time.Second, func() bool {
-		for _, r := range recs {
-			if r.count("alpha") != 6 {
-				return false
-			}
-		}
-		return true
-	}, "direct pushes never arrived")
-	for _, r := range recs {
-		if r.forwards.Load() != 0 || r.acks.Load() != 0 {
-			t.Error("DirectPush mode sent tree frames")
-		}
-		r.checkClean(t)
-	}
-	if n := reg.Snapshot().Counters["dc.tree_assigns"]; n != 0 {
-		t.Errorf("dc.tree_assigns = %d in DirectPush mode", n)
 	}
 }

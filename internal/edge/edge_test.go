@@ -435,7 +435,7 @@ func TestTreeRelayCrashEdgeConvergence(t *testing.T) {
 	t.Cleanup(net.Close)
 	d, err := dc.New(net.Transport(), dc.Config{
 		Index: 0, Name: "dc0", NumDCs: 1, Shards: 2, K: 1,
-		Heartbeat: 5 * time.Millisecond, TreeAckTimeout: 100 * time.Millisecond,
+		Heartbeat: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

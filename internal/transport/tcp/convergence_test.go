@@ -1,25 +1,16 @@
 package tcp_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"colony/internal/crdt"
 	"colony/internal/dc"
-	"colony/internal/obs"
-	"colony/internal/simnet"
 	"colony/internal/transport/tcp"
 	"colony/internal/txn"
 )
-
-// recordNet gates the BENCH_net.json recorder (make bench-net).
-var recordNet = flag.Bool("record-net", false,
-	"run the simnet-vs-TCP replication benchmark and write BENCH_net.json at the repo root")
 
 var benchID = txn.ObjectID{Bucket: "bench", Key: "ctr"}
 
@@ -28,31 +19,14 @@ var benchID = txn.ObjectID{Bucket: "bench", Key: "ctr"}
 // version of a multi-process colony-server deployment: every replication
 // frame crosses a real socket through the binary codec.
 func tcpDCs(t testing.TB, n int) []*dc.DC {
-	dcs, _ := tcpDCsCork(t, n, 200*time.Microsecond)
-	return dcs
-}
-
-// tcpDCsNoCork is the flush-per-drain baseline for the corking A/B.
-func tcpDCsNoCork(t testing.TB, n int) ([]*dc.DC, *obs.Registry) {
-	return tcpDCsCork(t, n, 0)
-}
-
-// tcpDCsCorked is the corked variant at colony-server's default window.
-func tcpDCsCorked(t testing.TB, n int) ([]*dc.DC, *obs.Registry) {
-	return tcpDCsCork(t, n, 200*time.Microsecond)
-}
-
-func tcpDCsCork(t testing.TB, n int, flushDelay time.Duration) ([]*dc.DC, *obs.Registry) {
 	t.Helper()
-	reg := obs.New()
 	peers := make(map[int]string, n)
 	meshes := make([]*tcp.Mesh, n)
 	for i := 0; i < n; i++ {
 		peers[i] = fmt.Sprintf("dc%d", i)
 		m, err := tcp.New(tcp.Config{
 			Name: peers[i], Listen: "127.0.0.1:0",
-			Obs:        reg,
-			FlushDelay: flushDelay,
+			FlushDelay: 200 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -79,33 +53,7 @@ func tcpDCsCork(t testing.TB, n int, flushDelay time.Duration) ([]*dc.DC, *obs.R
 		t.Cleanup(d.Close)
 		dcs[i] = d
 	}
-	return dcs, reg
-}
-
-// simnetDCs is the same topology on the simulator, for the benchmark's
-// baseline and to keep the two substrates honest against each other.
-func simnetDCs(t testing.TB, n int) ([]*dc.DC, *obs.Registry) {
-	t.Helper()
-	reg := obs.New()
-	net := simnet.New(simnet.Config{Obs: reg})
-	t.Cleanup(net.Close)
-	peers := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		peers[i] = fmt.Sprintf("dc%d", i)
-	}
-	dcs := make([]*dc.DC, n)
-	for i := 0; i < n; i++ {
-		d, err := dc.New(net.Transport(), dc.Config{
-			Index: i, Name: peers[i], NumDCs: n, Shards: 2, K: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetPeers(peers)
-		t.Cleanup(d.Close)
-		dcs[i] = d
-	}
-	return dcs, reg
+	return dcs
 }
 
 func counterAt(d *dc.DC) int64 {
@@ -145,10 +93,9 @@ func commitBurst(t testing.TB, dcs []*dc.DC, perDC int) {
 }
 
 // waitConverged polls until every DC reads total from the shared counter.
-func waitConverged(t testing.TB, dcs []*dc.DC, total int64, timeout time.Duration) time.Duration {
+func waitConverged(t testing.TB, dcs []*dc.DC, total int64, timeout time.Duration) {
 	t.Helper()
-	start := time.Now()
-	deadline := start.Add(timeout)
+	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		ok := true
 		for _, d := range dcs {
@@ -158,7 +105,7 @@ func waitConverged(t testing.TB, dcs []*dc.DC, total int64, timeout time.Duratio
 			}
 		}
 		if ok {
-			return time.Since(start)
+			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -166,7 +113,6 @@ func waitConverged(t testing.TB, dcs []*dc.DC, total int64, timeout time.Duratio
 		t.Logf("dc%d reads %d/%d, state %v", i, counterAt(d), total, d.State())
 	}
 	t.Fatalf("DCs did not converge to %d within %v", total, timeout)
-	return 0
 }
 
 // TestThreeDCConvergenceOverTCP is the tentpole's acceptance test: three DCs,
@@ -208,76 +154,4 @@ func TestThreeDCConvergenceOverTCP(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// TestRecordNetBench measures replication throughput — commit burst to
-// cluster-wide convergence — on simnet and on TCP loopback, and records the
-// comparison to BENCH_net.json at the repo root. Gated behind -record-net
-// (make bench-net) so the regular test run stays fast.
-func TestRecordNetBench(t *testing.T) {
-	if !*recordNet {
-		t.Skip("run with -record-net (make bench-net) to record BENCH_net.json")
-	}
-	const (
-		nDCs  = 3
-		perDC = 2000 // long enough that throughput, not tail latency, dominates
-	)
-	total := int64(nDCs * perDC)
-
-	type result struct {
-		CommitSeconds   float64 `json:"commit_seconds"`
-		ConvergeSeconds float64 `json:"converge_seconds"`
-		TxPerSec        float64 `json:"tx_per_sec"`
-		// Frames and Flushes report the corking A/B's direct measure: how
-		// many frames each socket flush carried (simnet has no flushes).
-		Frames  int64 `json:"frames_sent,omitempty"`
-		Flushes int64 `json:"flushes,omitempty"`
-	}
-	record := func(build func(testing.TB, int) ([]*dc.DC, *obs.Registry)) result {
-		dcs, reg := build(t, nDCs)
-		start := time.Now()
-		commitBurst(t, dcs, perDC)
-		commit := time.Since(start)
-		converged := waitConverged(t, dcs, total, 60*time.Second)
-		convergeS := (commit + converged).Seconds()
-		res := result{
-			CommitSeconds:   commit.Seconds(),
-			ConvergeSeconds: convergeS,
-			TxPerSec:        float64(total) / convergeS,
-		}
-		if reg != nil {
-			snap := reg.Snapshot()
-			res.Frames = snap.Counters["net.sent"]
-			res.Flushes = snap.Counters["net.flushes"]
-		}
-		return res
-	}
-
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		DCs       int    `json:"dcs"`
-		TotalTxs  int64  `json:"total_txs"`
-		Simnet    result `json:"simnet"`
-		TCPNoCork result `json:"tcp_loopback_nocork"`
-		TCP       result `json:"tcp_loopback"`
-	}{
-		Benchmark: "replication throughput: commit burst to cluster-wide convergence, simnet vs TCP loopback (flush-per-drain vs corked write loop)",
-		DCs:       nDCs,
-		TotalTxs:  total,
-		Simnet:    record(simnetDCs),
-		TCPNoCork: record(tcpDCsNoCork),
-		TCP:       record(tcpDCsCorked),
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../../BENCH_net.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("simnet: %.0f tx/s, tcp nocork: %.0f tx/s (%d frames / %d flushes), tcp corked: %.0f tx/s (%d frames / %d flushes)",
-		out.Simnet.TxPerSec,
-		out.TCPNoCork.TxPerSec, out.TCPNoCork.Frames, out.TCPNoCork.Flushes,
-		out.TCP.TxPerSec, out.TCP.Frames, out.TCP.Flushes)
 }

@@ -61,14 +61,6 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 	}
 	buf = append(buf, byte(m.Tag()))
 	switch v := m.(type) {
-	case ReplTx:
-		buf = bin.AppendVarint(buf, int64(v.From))
-		var err error
-		if buf, err = appendTx(buf, v.Tx); err != nil {
-			return nil, err
-		}
-		buf = appendVector(buf, v.State)
-		return appendTime(buf, v.SentAt), nil
 	case ReplBatch:
 		buf = bin.AppendVarint(buf, int64(v.From))
 		buf = bin.AppendUvarint(buf, uint64(len(v.Txs)))
@@ -287,12 +279,6 @@ func DecodeMessage(data []byte) (Message, error) {
 	switch tag {
 	case TagNone:
 		m = nil
-	case TagReplTx:
-		v := ReplTx{From: int(r.Varint())}
-		v.Tx = readTx(r)
-		v.State = readVector(r)
-		v.SentAt = readTime(r)
-		m = v
 	case TagReplBatch:
 		v := ReplBatch{From: int(r.Varint())}
 		n := r.Count(1)

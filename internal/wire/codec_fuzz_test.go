@@ -24,6 +24,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{byte(TagNone)})
 	f.Add([]byte{})
 	f.Add([]byte{byte(TagReplBatch), 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(retiredReplTxFrame)
 	// Partial-replication frames: hostile counts and truncated bodies.
 	f.Add([]byte{byte(TagBucketVec), 0x02, 0x01, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{byte(TagBackfillReq), 0x04, 'r', 'o', 'o', 'm'})

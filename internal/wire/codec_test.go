@@ -67,7 +67,6 @@ func mustApply(o crdt.Object, m crdt.Meta, op crdt.Op) {
 func goldenMessages() map[string]Message {
 	sentAt := time.Unix(0, 1700000000000000000)
 	return map[string]Message{
-		"repl_tx": ReplTx{From: 1, Tx: sampleTx(), State: vclock.Vector{9, 8, 7}, SentAt: sentAt},
 		"repl_batch": ReplBatch{From: 2, Txs: []*txn.Transaction{sampleTx(), sampleTx()},
 			State: vclock.Vector{1, 2}, SentAt: sentAt, WantSeq: 6},
 		"repl_heartbeat":  ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30}},
@@ -130,6 +129,10 @@ func goldenMessages() map[string]Message {
 		"epaxos_commit_ack": EPaxosCommitAck{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4}, From: "peer-2"},
 	}
 }
+
+// retiredReplTxFrame is the start of a frame an old peer would have sent with
+// the retired tag 1: sender index, then a transaction's dot.
+var retiredReplTxFrame = []byte{byte(TagReplTx), 0x02, 0x01, 0x06, 'e', 'd', 'g', 'e', '-', '7', 0x2a}
 
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden_"+name+".hex")
@@ -261,7 +264,7 @@ func TestEncodeNilAndEmpty(t *testing.T) {
 	// Zero values of every type must round-trip too (heartbeats with nil
 	// vectors, empty batches, acks with nil stamps...).
 	for _, zero := range []Message{
-		ReplTx{}, ReplBatch{}, ReplHeartbeat{}, EdgeCommit{}, EdgeCommitAck{},
+		ReplBatch{}, ReplHeartbeat{}, EdgeCommit{}, EdgeCommitAck{},
 		EdgeCommitNack{}, Subscribe{}, SubscribeAck{}, Unsubscribe{},
 		ObjectState{}, FetchObject{}, PushTxs{}, MigratedTx{}, MigratedTxAck{},
 		TreeAssign{}, TreePush{}, TreeAck{},
@@ -369,6 +372,14 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeMessage([]byte{0xee}); !errors.Is(err, ErrUnknownTag) {
 		t.Errorf("unknown tag: err = %v, want ErrUnknownTag", err)
+	}
+	// Tag 1 is retired: a frame carrying it — bare, or with the body an old
+	// peer would have sent — is rejected, never decoded into a zero-valued
+	// message or silently ignored.
+	for _, frame := range [][]byte{{byte(TagReplTx)}, retiredReplTxFrame} {
+		if m, err := DecodeMessage(frame); !errors.Is(err, ErrUnknownTag) || m != nil {
+			t.Errorf("retired tag frame %x: got %v, %v, want nil, ErrUnknownTag", frame, m, err)
+		}
 	}
 }
 

@@ -9,7 +9,10 @@ type Tag uint8
 
 // The wire protocol's message tags.
 const (
-	TagNone           Tag = 0
+	TagNone Tag = 0
+	// TagReplTx is retired: it carried the single-transaction replication
+	// message ReplTx, which nothing sends any more. The number stays declared
+	// so it is never reused; the decoder rejects it as an unknown tag.
 	TagReplTx         Tag = 1
 	TagReplBatch      Tag = 2
 	TagReplHeartbeat  Tag = 3
@@ -72,7 +75,7 @@ type Message interface {
 
 // Compile-time check: every wire message satisfies Message.
 var _ = []Message{
-	ReplTx{}, ReplBatch{}, ReplHeartbeat{},
+	ReplBatch{}, ReplHeartbeat{},
 	EdgeCommit{}, EdgeCommitAck{}, EdgeCommitNack{},
 	Subscribe{}, SubscribeAck{}, Unsubscribe{},
 	ObjectState{}, FetchObject{}, PushTxs{},
@@ -85,12 +88,6 @@ var _ = []Message{
 	BucketVec{}, BackfillReq{}, BackfillResp{}, BucketDrop{},
 	DropQuery{}, DropVote{},
 }
-
-// Tag implements Message.
-func (ReplTx) Tag() Tag { return TagReplTx }
-
-// Units implements Message.
-func (ReplTx) Units() int { return 1 }
 
 // Tag implements Message.
 func (ReplBatch) Tag() Tag { return TagReplBatch }

@@ -18,25 +18,14 @@ import (
 
 // --- DC ↔ DC replication ---
 
-// ReplTx replicates one committed transaction between DCs. State piggybacks
-// the sender's current state vector for K-stability tracking (paper §3.8).
-// SentAt stamps the send time so the receiver can observe inter-DC
-// propagation latency; the zero value (e.g. on messages from older peers)
-// disables the measurement.
-type ReplTx struct {
-	From   int // sender's DC index
-	Tx     *txn.Transaction
-	State  vclock.Vector
-	SentAt time.Time
-}
-
 // ReplBatch replicates a run of committed transactions between DCs in one
 // message. Txs are in the sender's commit (causal) order; State piggybacks
-// the sender's state vector once for the whole batch, so coalescing N
-// transactions costs one vector clone instead of N. SentAt stamps the send
-// time for propagation-latency accounting, like ReplTx. The per-peer sender
-// goroutines (dc package) coalesce their outbox into these; anti-entropy
-// retransmissions reuse the same type.
+// the sender's current state vector for K-stability tracking (paper §3.8),
+// once for the whole batch, so coalescing N transactions costs one vector
+// clone instead of N. SentAt stamps the send time so the receiver can observe
+// inter-DC propagation latency; the zero value disables the measurement. The
+// per-peer sender goroutines (dc package) coalesce their outbox into these;
+// anti-entropy retransmissions reuse the same type.
 type ReplBatch struct {
 	From   int // sender's DC index
 	Txs    []*txn.Transaction

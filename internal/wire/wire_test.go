@@ -30,7 +30,8 @@ func makeTx() *txn.Transaction {
 // commit promotion, update appends) without the in-flight message changing.
 func TestReplTxCloneSafety(t *testing.T) {
 	local := makeTx()
-	msg := ReplTx{From: 1, Tx: local.Clone(), State: vclock.Vector{4, 4, 4}}
+	msg := ReplBatch{From: 1, Txs: []*txn.Transaction{local.Clone()}, State: vclock.Vector{4, 4, 4}}
+	sent := msg.Txs[0]
 	want := local.Clone() // expected wire image
 
 	// The sender's copy keeps evolving after the send.
@@ -43,17 +44,17 @@ func TestReplTxCloneSafety(t *testing.T) {
 	local.AppendUpdate(txn.ObjectID{Bucket: "b", Key: "late"}, crdt.KindCounter,
 		crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
 
-	if !msg.Tx.Snapshot.Equal(want.Snapshot) {
-		t.Errorf("message snapshot mutated: %v, want %v", msg.Tx.Snapshot, want.Snapshot)
+	if !sent.Snapshot.Equal(want.Snapshot) {
+		t.Errorf("message snapshot mutated: %v, want %v", sent.Snapshot, want.Snapshot)
 	}
-	if len(msg.Tx.Commit) != len(want.Commit) {
-		t.Errorf("message commit mutated: %v, want %v", msg.Tx.Commit, want.Commit)
+	if len(sent.Commit) != len(want.Commit) {
+		t.Errorf("message commit mutated: %v, want %v", sent.Commit, want.Commit)
 	}
-	if len(msg.Tx.Updates) != len(want.Updates) {
-		t.Errorf("message updates mutated: %d entries, want %d", len(msg.Tx.Updates), len(want.Updates))
+	if len(sent.Updates) != len(want.Updates) {
+		t.Errorf("message updates mutated: %d entries, want %d", len(sent.Updates), len(want.Updates))
 	}
-	if !reflect.DeepEqual(msg.Tx, want) {
-		t.Errorf("message transaction diverged from wire image:\n got %+v\nwant %+v", msg.Tx, want)
+	if !reflect.DeepEqual(sent, want) {
+		t.Errorf("message transaction diverged from wire image:\n got %+v\nwant %+v", sent, want)
 	}
 }
 
