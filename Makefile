@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet check ci bench bench-compare bench-store bench-vclock bench-fig4 bench-obs
+.PHONY: all build test test-race test-stress vet check ci bench bench-compare bench-store bench-vclock bench-fig4 bench-obs
 
 all: check
 
@@ -20,6 +20,13 @@ test:
 # (benchmark) — run under the race detector on every check.
 test-race:
 	$(GO) test -race ./internal/crdt ./internal/store ./internal/dc ./internal/edge ./internal/obs ./internal/wal ./internal/simnet ./internal/transport ./internal/transport/tcp ./internal/wire ./internal/bin ./internal/group ./internal/epaxos ./internal/replication ./benchmark
+
+# The push path — interest shards, multicast trees, relays, receiver cursors
+# and the resume that repairs them — twenty times over under the race
+# detector: every review pass this code needed was a race, and "green most
+# runs" is not green.
+test-stress:
+	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 
 vet:
 	$(GO) vet ./...

@@ -44,22 +44,17 @@ type Config struct {
 	NumDCs int
 	// Shards is the number of storage servers (default 4).
 	Shards int
-	// VNodes is the consistent-hashing virtual node count (default 64).
-	VNodes int
 	// K is the K-stability visibility threshold for edge nodes (default 1;
 	// the paper's experiments use 2 with 3 DCs).
 	K int
 	// Heartbeat is the state-vector gossip period; 0 disables heartbeats
 	// (tests drive gossip through traffic instead).
 	Heartbeat time.Duration
-	// CompactEvery triggers automatic base-version advancement (journal
-	// truncation, paper §4.1) on the heartbeat worker; 0 disables.
-	CompactEvery time.Duration
-	// AutoAdvanceThreshold additionally lets each storage shard advance its
-	// own base versions in the background whenever an object's journal
-	// outgrows this many entries, folding up to the DC's K-stable cut. It
-	// bounds journal growth under sustained write load between CompactEvery
-	// ticks (and without them). 0 disables.
+	// AutoAdvanceThreshold lets each storage shard advance its own base
+	// versions (journal truncation, paper §4.1) in the background whenever an
+	// object's journal outgrows this many entries, folding up to the DC's
+	// K-stable cut. It bounds journal growth under sustained write load.
+	// 0 disables.
 	AutoAdvanceThreshold int
 	// DataDir enables persistence (paper §6.3): committed transactions are
 	// appended to a write-ahead log under this directory and replayed on
@@ -98,37 +93,18 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// subscription tracks one edge node's (or group sync point's) interest set.
+// subscription tracks one edge node's (or group sync point's) interest set
+// and where it sits in the fan-out. It holds no delivery state: the
+// subscriber keeps its own cursor (wire.PushCursor) and reports it when it
+// resumes.
 type subscription struct {
-	node     string
+	node string
+	// interest is read and written only under d.mu.
 	interest map[txn.ObjectID]bool
-	// stable is the subscriber's start or latest rewind cut; deliveries
-	// advance sentStable, not this.
-	stable vclock.Vector
 
-	// sentStable is the cut last actually handed to the network. Guarded by
-	// outMu, which also guards interest writes so cursor readers need not
-	// take the DC lock. Lock order: d.mu before the fanout mutex before
-	// outMu.
-	outMu      sync.Mutex
-	sentStable vclock.Vector
-
-	// Interest-sharded fan-out bookkeeping. shard is the interest shard this
-	// subscription currently belongs to, guarded by the fanout mutex.
-	// deliveredIdx is the log index the subscriber has been sent through and
-	// fanGen the log generation it belongs to; both are guarded by outMu,
-	// like sentStable.
-	shard        *pushShard
-	deliveredIdx int
-	fanGen       uint64
-	// rewinds counts delivery-cursor rewinds (guarded by outMu, bumped even
-	// when the cursor was already at or below the rewind target — the
-	// re-cover intent matters, not the movement). Optimistic advances
-	// snapshot it together with deliveredIdx and back off per subscriber
-	// when it moved: a rewind landing between the cursor scan and the
-	// post-send advance must not be overwritten, or the replay gap it
-	// requested is skipped for good.
-	rewinds uint64
+	// shard is the interest shard this subscription currently belongs to. It
+	// changes only in place/remove, which run under d.mu and the fanout mutex.
+	shard *pushShard
 
 	// relay marks the subscriber as tree-multicast capable (it declared
 	// wire.Subscribe.Relay): it may be grouped into a subtree and asked to
@@ -140,9 +116,11 @@ type subscription struct {
 	tree *pushTree
 }
 
-// Replication sizing, fixed at the values every deployment ran with while
-// they were still configurable.
+// Sizing fixed at the values every deployment ran with while they were still
+// configurable.
 const (
+	// vnodes is the consistent-hashing virtual node count per storage shard.
+	vnodes = 64
 	// replOutboxCap bounds each per-peer replication outbox. A full outbox
 	// back-pressures committers rather than dropping, so replication never
 	// silently relies on anti-entropy alone.
@@ -197,8 +175,8 @@ type DC struct {
 	outboxes  map[int]*replOutbox
 	replDepth atomic.Int64
 	pushDepth atomic.Int64
-	// pipeStop stops the replication senders and the tree sweeper; pipeWG
-	// waits for them and for the shard workers (stopped via fan.stop).
+	// pipeStop stops the replication senders; pipeWG waits for them and for
+	// the shard workers (stopped via fan.stop).
 	pipeStop chan struct{}
 	pipeWG   sync.WaitGroup
 
@@ -253,9 +231,6 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
 	if cfg.K <= 0 {
 		cfg.K = 1
 	}
@@ -266,7 +241,7 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	for i := range shards {
 		shards[i] = clocksi.NewShard(fmt.Sprintf("%s/shard%d", cfg.Name, i), uint64(i))
 	}
-	coord, err := clocksi.NewCoordinator(shards, cfg.VNodes)
+	coord, err := clocksi.NewCoordinator(shards, vnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -364,8 +339,6 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		d.pipeWG.Add(1)
 		go d.runShardWorker()
 	}
-	d.pipeWG.Add(1)
-	go d.runTreeSweeper()
 	d.node = net.AddNode(cfg.Name, d.handle)
 	if cfg.Heartbeat > 0 {
 		go d.heartbeatLoop()
@@ -454,7 +427,7 @@ func (d *DC) SetVisibilityCheck(check func(*txn.Transaction) bool) {
 }
 
 // Close stops the DC's background work (heartbeat, replication senders,
-// shard workers, tree sweeper) and flushes the write-ahead log.
+// shard workers) and flushes the write-ahead log.
 func (d *DC) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -576,15 +549,10 @@ func (d *DC) heartbeatLoop() {
 	defer close(d.heartbeatDone)
 	ticker := time.NewTicker(d.cfg.Heartbeat)
 	defer ticker.Stop()
-	lastCompact := time.Now()
 	ticks := 0
 	for {
 		select {
 		case <-ticker.C:
-			if d.cfg.CompactEvery > 0 && time.Since(lastCompact) >= d.cfg.CompactEvery {
-				lastCompact = time.Now()
-				_ = d.Compact() // best effort; journals shrink next round
-			}
 			if d.partial {
 				ticks++
 				if ticks%32 == 1 {
@@ -655,9 +623,6 @@ func (d *DC) handle(from string, msg any) any {
 		return d.subscribe(m)
 	case wire.Unsubscribe:
 		d.unsubscribe(m)
-		return nil
-	case wire.TreeAck:
-		d.handleTreeAck(m)
 		return nil
 	case wire.FetchObject:
 		return d.fetchObject(from, m.ID, m.At)
@@ -1069,65 +1034,42 @@ func (d *DC) subscribe(m wire.Subscribe) any {
 }
 
 // subscribeRegister is subscribe's registration critical section: it installs
-// or extends the subscription, registers interest, and materialises the seed,
-// all under d.mu.
+// or extends the subscription, registers interest, places it in its interest
+// shard, decides where its push stream continues (resumeLocked — which also
+// serves a resume's range reply) and materialises the seeds, all under d.mu.
 func (d *DC) subscribeRegister(m wire.Subscribe) any {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	sub := d.subs[m.Node]
 	if sub == nil {
-		start := d.mesh.KStable(d.cfg.K)
-		if m.Resume {
-			// The subscriber already holds state up to Since (from a
-			// previous connection or another DC); replay from there. Any
-			// overlap is deduplicated by dot on the subscriber.
-			start = m.Since.Clone()
-		}
-		sub = &subscription{
-			node:     m.Node,
-			interest: make(map[txn.ObjectID]bool),
-			stable:   start,
-		}
-		// Everything at or below the start cut is already held by the
-		// subscriber (via the object snapshots below, or its prior cache), so
-		// the delivery cursor starts there; if that is behind the scan
-		// frontier (Resume with an old Since), the placement kick below makes
-		// the first flush repair the gap.
-		sub.deliveredIdx = d.logIdxAtLocked(start)
-		sub.sentStable = start
-		sub.fanGen = d.fan.gen.Load()
+		sub = &subscription{node: m.Node, interest: make(map[txn.ObjectID]bool)}
 		d.subs[m.Node] = sub
-	} else if m.Resume && !sub.stable.LEQ(m.Since) {
-		// Reconnection of a live subscription with a cut behind our cursor:
-		// rewind so pushes lost during the disconnection are replayed. When
-		// the subscriber is already at or ahead of the cursor, nothing was
-		// lost and the (linear) rewind scan is skipped.
-		d.rewindSubLocked(sub, m.Since)
 	}
 	if m.Relay {
 		sub.relay = true // sticky for the subscription's lifetime
 	}
-	// Seeds are materialised at the *current* stable cut, never at the
-	// (possibly rewound) subscription cursor: the cut must dominate every
-	// transaction already pushed to this subscriber, so that a replayed
-	// update skipped on arrival is guaranteed to be covered by the seed.
-	seedCut := d.mesh.KStable(d.cfg.K)
-	ack := wire.SubscribeAck{Stable: sub.stable.Clone()}
-	sub.outMu.Lock()
 	for _, id := range m.Objects {
 		sub.interest[id] = true
 	}
-	if sub.sentStable != nil {
-		// Advertise the cut last actually handed to the network, not the
-		// registration or rewind cut: every push at or below ack.Stable must
-		// have been sent before the reply (FIFO links then deliver them
-		// first), and visibility at the edge must not outrun delivery.
-		ack.Stable = sub.sentStable.Clone()
-	}
-	sub.outMu.Unlock()
+	// Seeds are materialised at the *current* stable cut, and the scan is
+	// brought up to that cut first: the position handed back is then the
+	// frontier the seeds cover, and everything past it reaches the subscriber
+	// as frames.
+	seedCut := d.mesh.KStable(d.cfg.K)
+	var ack wire.SubscribeAck
 	if !d.closed {
 		// (Re)place in the interest shard matching the possibly-extended
-		// signature; the kick repairs any cursor gap.
+		// signature.
 		d.fan.place(sub)
+		d.fan.scan(seedCut, false)
+		ack.Gen, ack.Cursor = d.resumeLocked(sub, m)
+	}
+	if !m.Resume && m.Gen != ack.Gen {
+		// A subscriber with no position in this generation adopts the one the
+		// ack carries — the frontier — and may adopt the frontier's cut with
+		// it. Any other learns cuts only from the in-order frames that carry
+		// them: the DC does not know what it has integrated.
+		ack.Stable = seedCut
 	}
 	for _, id := range m.Objects {
 		// Per bucket, the seed cut is lifted to at least the bucket's
@@ -1136,48 +1078,7 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 		// must cover everything the state contains.
 		ack.Objects = append(ack.Objects, d.materializeLocked(id, d.seedCutFor(id.Bucket, seedCut)))
 	}
-	d.notifySubscribersLocked(false)
-	d.mu.Unlock()
 	return ack
-}
-
-// logIdxAtLocked returns the length of the visible log's prefix that is
-// visible at cut — the delivery cursor of a subscriber that holds exactly
-// cut. Called with d.mu held.
-func (d *DC) logIdxAtLocked(cut vclock.Vector) int {
-	idx := 0
-	for _, t := range d.log {
-		if !t.VisibleAt(cut) {
-			break
-		}
-		idx++
-	}
-	return idx
-}
-
-// rewindSubLocked moves a subscriber's delivery cursor back to cut so the log
-// above it is replayed (duplicates are filtered by dot downstream): the next
-// flush of the subscriber's shard rebuilds the gap from the log (repair
-// frame). Called with d.mu held.
-func (d *DC) rewindSubLocked(sub *subscription, cut vclock.Vector) {
-	sub.stable = cut.Clone()
-	logIdx := d.logIdxAtLocked(cut)
-	// If the subscriber rides a multicast subtree, bump the tree's ver first
-	// (under the fanout mutex, which guards sub.tree) so any in-flight tree
-	// plan backs off instead of optimistically advancing the cursor past the
-	// replay gap this rewind requests.
-	d.fan.mu.Lock()
-	if sub.tree != nil {
-		sub.tree.ver++
-	}
-	sub.outMu.Lock()
-	if logIdx < sub.deliveredIdx {
-		sub.deliveredIdx = logIdx
-	}
-	sub.rewinds++
-	sub.sentStable = sub.stable
-	sub.outMu.Unlock()
-	d.fan.mu.Unlock()
 }
 
 // dropSubLocked removes a subscription from the DC and from its interest
@@ -1200,13 +1101,10 @@ func (d *DC) unsubscribe(m wire.Unsubscribe) {
 		d.dropSubLocked(sub)
 		return
 	}
-	sub.outMu.Lock()
 	for _, id := range m.Objects {
 		delete(sub.interest, id)
 	}
-	empty := len(sub.interest) == 0
-	sub.outMu.Unlock()
-	if empty {
+	if len(sub.interest) == 0 {
 		d.dropSubLocked(sub)
 	} else if !d.closed {
 		// The signature may have shrunk: move to the narrower shard so
@@ -1217,10 +1115,10 @@ func (d *DC) unsubscribe(m wire.Unsubscribe) {
 
 // fetchObject serves a cache miss. When the requester supplies its
 // transaction snapshot (At), the object is materialised at exactly that cut
-// so the read joins the transaction's snapshot atomically; the requester's
-// push cursor is rewound to the cut so updates above it are (re)delivered —
-// duplicates are filtered by dot and base vectors. Without a usable At the
-// DC serves its stable cut.
+// so the read joins the transaction's snapshot atomically; when the push
+// stream is already past that cut, the updates above it are sent again as a
+// direct range frame — duplicates are filtered by dot and base vectors.
+// Without a usable At the DC serves its stable cut.
 func (d *DC) fetchObject(requester string, id txn.ObjectID, at vclock.Vector) any {
 	if err := d.EnsureBuckets(id.Bucket); err != nil {
 		// Serving "empty at cut" for a bucket this DC cannot backfill would
@@ -1244,22 +1142,20 @@ func (d *DC) fetchObject(requester string, id txn.ObjectID, at vclock.Vector) an
 	cut = d.seedCutFor(id.Bucket, cut)
 	if sub := d.subs[requester]; sub != nil {
 		// Register interest under the same lock that serves the state:
-		// otherwise the push cursor could advance past a transaction
-		// touching this object between the fetch and the (asynchronous)
-		// subscription, losing it for good.
-		sub.outMu.Lock()
+		// otherwise the push stream could pass a transaction touching this
+		// object between the fetch and the (asynchronous) subscription,
+		// losing it for good.
 		sub.interest[id] = true
-		ahead := !sub.sentStable.LEQ(cut)
-		sub.outMu.Unlock()
-		if ahead {
-			// The cursor is ahead of the served cut: rewind so the gap is
-			// replayed (duplicates are filtered downstream).
-			d.rewindSubLocked(sub, cut)
-		}
 		if !d.closed {
-			// The fetched bucket joins the signature; the kick replays
-			// updates above the served cut for it.
+			// The fetched bucket joins the signature. What the stream has
+			// already routed above the served cut — to a shard the requester
+			// was not in, or to a cache that did not hold the object yet —
+			// goes out again for the new signature; a requester whose cursor
+			// is behind the range refuses it and resumes, which covers it too.
 			d.fan.place(sub)
+			if idx, stable := d.fan.frontier(); !stable.LEQ(cut) {
+				d.sendRangeLocked(sub, min(d.logIdxAtLocked(cut), idx), idx, stable, false)
+			}
 		}
 	}
 	return d.materializeLocked(id, cut)
@@ -1353,7 +1249,7 @@ func (d *DC) runMigrated(m wire.MigratedTx) any {
 // transaction against the current check — called after a security-policy
 // change, since ACL updates can retroactively mask (or unmask) versions
 // (paper §5.3: the policy exposes "a variable-size window" of the TCC+
-// store). Subscriber cursors are re-anchored at their stable cuts.
+// store). The rebuilt log is a new generation of the push stream.
 func (d *DC) RecheckVisibility() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1366,20 +1262,13 @@ func (d *DC) RecheckVisibility() {
 			d.masked[t.Dot] = t
 		}
 	}
-	// Rewind every subscriber to the start of the log: retroactively
-	// unmasked transactions were never delivered, and subscribers
-	// deduplicate replays by dot. Queued shard segments are discarded — they
-	// may hold transactions the new policy masks, and the rescan below
-	// re-routes everything still visible. The log rebuild shifted every index,
-	// so the fanout generation is bumped (in-flight flushes of the old
-	// generation abandon their cursors) and every cursor restarts at zero.
-	gen := d.fan.reset()
-	for _, sub := range d.subs {
-		sub.outMu.Lock()
-		sub.deliveredIdx = 0
-		sub.fanGen = gen
-		sub.outMu.Unlock()
-	}
+	// Retroactively unmasked transactions were never delivered, and queued
+	// shard segments may hold transactions the new policy masks: the fan-out
+	// starts a new log generation from index zero and the rescan below
+	// re-routes everything still visible. Every subscriber refuses the new
+	// generation's frames, resumes, and is replayed the log from the start
+	// (it deduplicates by dot).
+	d.fan.reset()
 	d.notifySubscribersLocked(false)
 }
 

@@ -15,13 +15,13 @@
 // every subscriber belongs to exactly one shard, so its push stream stays in
 // log (causal) order without cross-shard coordination.
 //
-// Delivery bookkeeping is a per-subscriber cursor (deliveredIdx) over the
-// DC's visible log, advanced only after the network accepted a frame, plus
-// the sentStable cut last handed to the network — visibility never outruns
-// delivery. Cursors behind a shard's queued segments (send failure, resume
-// rewind, interest rebalancing, mid-run join) are healed by a per-cursor
-// repair frame built from the log; members that share a cursor share the
-// repair too.
+// The DC keeps no per-subscriber delivery state. Every frame says which
+// slice of the visible log it covers — [Lo, Hi) of log generation Gen, each
+// shard's frames forming one gap-free chain — and the *receiver* holds the
+// cursor (wire.PushCursor): it integrates a frame only when it connects, and
+// on a gap or after silence asks for [cursor, …) with a resume-subscribe. The
+// flush is therefore filter once, seal once, send, forget; the one repair
+// path is the range reply (sendRangeLocked), served straight from d.log.
 package dc
 
 import (
@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"colony/internal/txn"
 	"colony/internal/vclock"
@@ -43,9 +44,9 @@ const pushShardWorkers = 4
 // pushSeg is one scanned run of the DC log routed to a shard: the
 // transactions in log range [lo, hi) that touch the shard's buckets
 // (unfiltered — the flush restricts update lists once per shard), plus the
-// stable cut that made the range visible. A zero-width segment (lo == hi)
-// is a kick: it carries no transactions but makes the next flush advertise
-// stability and repair stale member cursors.
+// stable cut that made the range visible. A segment without transactions is a
+// pure stability advance: the next frame extends the shard's range to hi and
+// advertises the cut.
 type pushSeg struct {
 	lo, hi int
 	txs    []*txn.Transaction
@@ -64,36 +65,40 @@ type pushShard struct {
 	segs     []pushSeg
 	queued   bool
 	inflight bool
+	// next is the log index the shard's next frame starts at — the Hi of its
+	// previous frame, or the scan frontier when the shard was created. No
+	// transaction in [next, first queued segment) touches the shard's
+	// buckets (the scan would have routed it), so consecutive frames chain
+	// without gaps. Guarded by the fanout mutex.
+	next int
 	// id is the compact per-DC shard identifier tree frames carry on the
 	// wire (the signature is unbounded); immutable after creation.
 	id uint64
 	// trees are the shard's multicast subtrees (relay-capable members only),
 	// guarded by the fanout mutex like subs.
 	trees []*pushTree
-	// treeByRoot indexes the shard's subtrees by root node name so ack
-	// handling is O(1) — at 100k subscribers a hot shard holds thousands of
-	// trees and each flush produces one ack per tree.
-	treeByRoot map[string]*pushTree
 }
 
 // fanout is the sharded fan-out state machine hanging off a DC.
 type fanout struct {
 	d *DC
 
-	// gen is the log generation: RecheckVisibility rebuilds d.log, shifting
-	// every index, so cursors and segments from an older generation are
-	// abandoned rather than misapplied.
-	gen atomic.Uint64
+	// gen is the log generation every frame and cursor is stamped with. It is
+	// seeded from the boot time — recover rebuilds d.log in WAL order, which
+	// is not admission order, so a cursor from a previous incarnation is
+	// meaningless and must never match — and bumped whenever
+	// RecheckVisibility rebuilds d.log and shifts every index. boot is the
+	// seed: a generation in [boot, gen) is an earlier log of this incarnation.
+	gen  atomic.Uint64
+	boot uint64
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	stopped bool
 	// shards indexes by interest signature; byBucket is the routing index
-	// (bucket → shards whose signature contains it); byID resolves the
-	// compact shard id tree acks carry.
+	// (bucket → shards whose signature contains it).
 	shards   map[string]*pushShard
 	byBucket map[string]map[*pushShard]bool
-	byID     map[uint64]*pushShard
 	nextID   uint64
 	dirty    []*pushShard
 	// idx is the scan frontier over d.log (every index below it has been
@@ -109,9 +114,10 @@ func newFanout(d *DC) *fanout {
 		d:        d,
 		shards:   make(map[string]*pushShard),
 		byBucket: make(map[string]map[*pushShard]bool),
-		byID:     make(map[uint64]*pushShard),
 		stable:   d.mesh.KStable(d.cfg.K),
+		boot:     uint64(time.Now().UnixNano()),
 	}
+	f.gen.Store(f.boot)
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -141,9 +147,10 @@ func shardSigOf(interest map[txn.ObjectID]bool) (string, map[string]bool) {
 
 // place puts a subscription in the shard matching its current interest
 // signature, creating the shard on first use and leaving the old shard on a
-// signature change (interest rebalancing). It always ends with a kick so the
-// next flush repairs any gap between the subscriber's delivery cursor and
-// the scan frontier. Called with d.mu held.
+// signature change (interest rebalancing). Nothing is queued: a joiner holds
+// seeds up to the scan frontier, and a member whose cursor does not connect
+// to its new shard's chain finds out from the next frame and resumes. Called
+// with d.mu held.
 func (f *fanout) place(sub *subscription) {
 	sig, buckets := shardSigOf(sub.interest)
 	f.mu.Lock()
@@ -153,9 +160,8 @@ func (f *fanout) place(sub *subscription) {
 		sh := f.shards[sig]
 		if sh == nil {
 			f.nextID++
-			sh = &pushShard{sig: sig, buckets: buckets, subs: make(map[*subscription]bool), id: f.nextID}
+			sh = &pushShard{sig: sig, buckets: buckets, subs: make(map[*subscription]bool), id: f.nextID, next: f.idx}
 			f.shards[sig] = sh
-			f.byID[sh.id] = sh
 			f.d.fanShards.Add(1)
 			for b := range buckets {
 				set := f.byBucket[b]
@@ -169,16 +175,13 @@ func (f *fanout) place(sub *subscription) {
 		sh.subs[sub] = true
 		sub.shard = sh
 		if sub.relay {
-			f.attachTreeLocked(sh, sub)
+			f.attachTreeLocked(sh, sub, nil)
 		}
 	} else if sub.relay && sub.tree == nil {
 		// The subscription upgraded to relay-capable (re-subscribe with the
 		// Relay bit) without changing its signature.
-		f.attachTreeLocked(sub.shard, sub)
+		f.attachTreeLocked(sub.shard, sub, nil)
 	}
-	sh := sub.shard
-	sh.segs = append(sh.segs, pushSeg{lo: f.idx, hi: f.idx, stable: f.stable})
-	f.dirtyLocked(sh)
 }
 
 // remove takes a subscription out of its shard, dropping the shard when it
@@ -201,7 +204,6 @@ func (f *fanout) removeLocked(sub *subscription) {
 		return
 	}
 	delete(f.shards, sh.sig)
-	delete(f.byID, sh.id)
 	f.d.fanShards.Add(-1)
 	for b := range sh.buckets {
 		set := f.byBucket[b]
@@ -233,7 +235,7 @@ func (f *fanout) dirtyLocked(sh *pushShard) {
 // pass over the new transactions, one segment append per touched shard —
 // O(new txs + touched shards), independent of the subscriber count. With
 // broadcast set (heartbeat / gossip receipt) a pure stability advance is
-// fanned to every shard as a zero-width segment; between broadcasts, shards
+// fanned to every shard as an empty segment; between broadcasts, shards
 // learn new cuts only from the segments that carry their transactions, which
 // is what keeps a quiet 100k-subscriber population free. Called with d.mu
 // held.
@@ -294,14 +296,15 @@ func (f *fanout) scan(stable vclock.Vector, broadcast bool) {
 }
 
 // reset abandons the current log generation (RecheckVisibility rebuilt
-// d.log): the scan frontier returns to zero and queued segments are
-// discarded — the caller rescans, re-routing everything still visible.
-// Returns the new generation for the caller to stamp onto subscriber
-// cursors. Called with d.mu held.
-func (f *fanout) reset() uint64 {
+// d.log): the scan frontier and every shard's chain return to zero and queued
+// segments are discarded — the caller rescans, re-routing everything still
+// visible. Receivers refuse the new generation's frames and resume; theirs is
+// an earlier generation of this incarnation, so they are served from index
+// zero (resumeLocked). Called with d.mu held.
+func (f *fanout) reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	gen := f.gen.Add(1)
+	f.gen.Add(1)
 	f.idx = 0
 	f.bcast = nil
 	for _, sh := range f.shards {
@@ -309,13 +312,15 @@ func (f *fanout) reset() uint64 {
 			f.d.pushDepth.Add(-int64(len(sh.segs[i].txs)))
 		}
 		sh.segs = nil
+		sh.next = 0
 	}
-	return gen
 }
 
 // runShardWorker is one of the pushShardWorkers pool goroutines: it sleeps
-// on the condvar until a shard is dirty, claims it, and flushes it outside
-// every lock. One flush serves every subscriber of the shard.
+// on the condvar until a shard is dirty, claims it — taking its queued
+// segments, the range they extend the shard's chain by, and the recipients —
+// and flushes it outside every lock. One flush serves every subscriber of the
+// shard.
 func (d *DC) runShardWorker() {
 	defer d.pipeWG.Done()
 	f := d.fan
@@ -336,15 +341,15 @@ func (d *DC) runShardWorker() {
 		sh.inflight = true
 		segs := sh.segs
 		sh.segs = nil
-		members := make([]*subscription, 0, len(sh.subs))
-		for sub := range sh.subs {
-			members = append(members, sub)
+		lo := sh.next
+		if len(segs) > 0 {
+			sh.next = segs[len(segs)-1].hi
 		}
-		hasTrees := len(sh.trees) > 0
-		gen := f.gen.Load()
+		plans, direct := f.planLocked(sh)
+		hi, gen := sh.next, f.gen.Load()
 		f.mu.Unlock()
 
-		d.flushShard(sh, segs, members, hasTrees, gen)
+		d.flushShard(sh, segs, plans, direct, gen, lo, hi)
 
 		f.mu.Lock()
 		sh.inflight = false
@@ -358,146 +363,132 @@ func (d *DC) runShardWorker() {
 	}
 }
 
-// flushShard filters the shard's queued segments once, seals one frame, and
-// fans it to every member over one SendMulti pass. Members whose delivery
-// cursor is behind the segments (send failure, rewind, rebalancing) are
-// grouped by cursor and each group gets one repair-prefixed frame instead.
-// hasTrees is the worker's under-lock snapshot of len(sh.trees) > 0 —
-// sh.trees itself is guarded by the fanout mutex, which flushShard does not
-// hold (planTreeSends re-snapshots under it).
-func (d *DC) flushShard(sh *pushShard, segs []pushSeg, members []*subscription, hasTrees bool, gen uint64) {
+// flushShard filters the shard's queued segments once, seals one frame
+// covering [lo, hi), and sends it: once per subtree root (sendTrees) and in
+// one SendMulti pass to the members outside any tree. Send errors are not
+// tracked — a member the frame did not reach sees the gap at its own cursor
+// when the next one arrives, or hears nothing, and resumes either way.
+func (d *DC) flushShard(sh *pushShard, segs []pushSeg, plans []treeSend, direct []string, gen uint64, lo, hi int) {
 	total := 0
 	for i := range segs {
 		total += len(segs[i].txs)
 	}
 	d.pushDepth.Add(-int64(total))
-	if len(segs) == 0 || len(members) == 0 {
+	if len(segs) == 0 || len(plans)+len(direct) == 0 {
 		return
 	}
 	keep := func(u txn.Update) bool { return sh.buckets[u.Object.Bucket] }
 	filtered := make([]*txn.Transaction, 0, total)
-	starts := make([]int, len(segs))
 	for i := range segs {
-		starts[i] = len(filtered)
 		for _, t := range segs[i].txs {
 			if ft := t.RestrictShared(keep); ft != nil {
 				filtered = append(filtered, ft)
 			}
 		}
 	}
-	hi := segs[len(segs)-1].hi
-	stable := segs[len(segs)-1].stable
-	d.obsShardFanout.Observe(int64(len(members)))
+	frame := wire.SealPushFrame(d.cfg.Name, filtered, segs[len(segs)-1].stable, gen, lo, hi)
+	served := len(direct)
+	for i := range plans {
+		served += plans[i].members
+	}
+	d.obsShardFanout.Observe(int64(served))
+	d.obsFramesBuilt.Inc()
+	d.obsPushBatch.Observe(int64(len(filtered)))
+	d.obsFramesShared.Add(int64(served - 1))
 
-	// Tree path first: subtrees whose members all share one cursor get the
-	// sealed frame once, via their relay root. Members a tree covers are
-	// skipped by the direct grouping below.
-	var covered map[*subscription]bool
-	if hasTrees {
-		var plans []treeSend
-		plans, covered = d.planTreeSends(sh, hi, stable, gen)
-		d.sendTrees(sh, plans, segs, starts, filtered, stable, hi, gen)
-	}
-
-	// Group members by delivery cursor; each group shares one sealed frame.
-	// The common case is every member at the segments' first boundary: one
-	// group, one frame. Each member's rewind counter is snapshotted with its
-	// cursor: the post-send advance backs off when a rewind raced the send
-	// (same protocol as the tree path), so a requested replay gap is never
-	// marked delivered.
-	type groupMember struct {
-		sub *subscription
-		rew uint64
-	}
-	groups := make(map[int][]groupMember, 1)
-	for _, sub := range members {
-		if covered[sub] {
-			continue
-		}
-		sub.outMu.Lock()
-		ok := sub.fanGen == gen
-		di := sub.deliveredIdx
-		rew := sub.rewinds
-		upToDate := di >= hi && stable.LEQ(sub.sentStable)
-		sub.outMu.Unlock()
-		if !ok || upToDate {
-			continue
-		}
-		if di > hi {
-			di = hi
-		}
-		groups[di] = append(groups[di], groupMember{sub, rew})
-	}
-	for di, subs := range groups {
-		frame, ok := d.shardFrameFor(sh, segs, starts, filtered, stable, di, gen)
-		if !ok {
-			continue // log generation changed under us; the rescan re-covers
-		}
-		d.obsFramesBuilt.Inc()
-		d.obsPushBatch.Observe(int64(len(frame.Txs)))
-		if len(subs) > 1 {
-			d.obsFramesShared.Add(int64(len(subs) - 1))
-		}
-		names := make([]string, len(subs))
-		for i, m := range subs {
-			names[i] = m.sub.node
-		}
-		errs := d.node.SendMulti(names, frame)
-		d.obsPushSends.Add(int64(len(names)))
-		for i, m := range subs {
-			if errs != nil && errs[i] != nil {
-				continue // unreachable: cursor stays put, a later flush repairs
-			}
-			sub := m.sub
-			sub.outMu.Lock()
-			if sub.fanGen == gen && sub.rewinds == m.rew {
-				if hi > sub.deliveredIdx {
-					sub.deliveredIdx = hi
-				}
-				if sub.sentStable.LEQ(stable) {
-					sub.sentStable = stable
-				}
-			}
-			sub.outMu.Unlock()
-		}
+	d.sendTrees(sh, plans, frame)
+	if len(direct) > 0 {
+		d.node.SendMulti(direct, frame)
+		d.obsPushSends.Add(int64(len(direct)))
 	}
 }
 
-// shardFrameFor builds the sealed frame for members whose delivery cursor is
-// di: the filtered shard run from di on, preceded by a repair of the log
-// range [di, first-covered-segment.lo) when the cursor is behind the queued
-// segments. Scan boundaries align cursor and segment edges in steady state,
-// so the repair is usually empty and the group shares the plain shard frame.
-func (d *DC) shardFrameFor(sh *pushShard, segs []pushSeg, starts []int, filtered []*txn.Transaction, stable vclock.Vector, di int, gen uint64) (wire.PushFrame, bool) {
-	i := 0
-	for i < len(segs) && segs[i].hi <= di {
-		i++
+// logIdxAtLocked returns the length of the visible log's prefix that is
+// visible at cut — where the stream of a subscriber that holds exactly cut
+// continues. A linear scan, so it serves only the paths that have no cursor
+// to go by: a resume from another generation and a fetch below the stable
+// cut. Called with d.mu held.
+func (d *DC) logIdxAtLocked(cut vclock.Vector) int {
+	idx := 0
+	for _, t := range d.log {
+		if !t.VisibleAt(cut) {
+			break
+		}
+		idx++
 	}
-	if i == len(segs) {
-		// Cursor already past every segment: pure stability advance.
-		return wire.SealPushFrame(d.cfg.Name, nil, stable), true
+	return idx
+}
+
+// frontier returns the scan frontier and the cut that goes with it. Both move
+// only under d.mu (scan, reset), so a caller holding d.mu may act on them
+// after the fanout mutex is released.
+func (f *fanout) frontier() (idx int, stable vclock.Vector) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.idx, f.stable
+}
+
+// resumeLocked decides where a (re)subscribing node's stream continues and
+// returns the position for the SubscribeAck. A plain subscribe continues at
+// the scan frontier: its seeds cover everything below. A resume in the
+// current generation continues at the reported cursor, and the range reply
+// goes out before the ack. A resume from any other generation gets the
+// position only — the subscriber adopts it from the ack and asks again,
+// exactly: from zero if its generation is an earlier log of this incarnation
+// (a visibility recheck may have unmasked transactions anywhere), else from
+// what Since does not cover (a restart, or a subscriber arriving from another
+// DC). Called with d.mu held.
+func (d *DC) resumeLocked(sub *subscription, m wire.Subscribe) (gen uint64, from int) {
+	f := d.fan
+	gen = f.gen.Load()
+	idx, stable := f.frontier()
+	switch {
+	case !m.Resume:
+		return gen, idx
+	case m.Gen == gen:
+		from = min(max(m.Cursor, 0), idx)
+		if from < idx || !stable.LEQ(m.Since) {
+			d.sendRangeLocked(sub, from, idx, stable, true)
+		}
+		return gen, from
+	case m.Gen >= f.boot && m.Gen < gen:
+		return gen, 0
+	default:
+		return gen, min(d.logIdxAtLocked(m.Since), idx)
 	}
-	txs := filtered[starts[i]:]
-	if di >= segs[i].lo {
-		// Aligned (or mid-segment, where the overlap deduplicates by dot
-		// downstream): no repair needed.
-		return wire.SealPushFrame(d.cfg.Name, txs, stable), true
-	}
-	d.mu.Lock()
-	if d.fan.gen.Load() != gen || segs[i].lo > len(d.log) {
-		d.mu.Unlock()
-		return wire.PushFrame{}, false
+}
+
+// sendRangeLocked is the one repair path: it sends sub a direct sealed frame
+// with the transactions of d.log[from, idx) that touch its signature — idx
+// and stable being the scan frontier and its cut (fanout.frontier) — at most
+// 256 of them, the bound antiEntropyLocked puts on a round; the receiver asks
+// again from its new cursor. The frame carries the cut unless the range was
+// cut short of the frontier the cut belongs to. With missed set (a resume),
+// a reply that carries transactions also moves a tree child out of its
+// subtree: its relay did not reach it. Called with d.mu held.
+func (d *DC) sendRangeLocked(sub *subscription, from, idx int, stable vclock.Vector, missed bool) {
+	f := d.fan
+	sh := sub.shard // placed and removed only under d.mu
+	if sh == nil {
+		return
 	}
 	keep := func(u txn.Update) bool { return sh.buckets[u.Object.Bucket] }
-	var repair []*txn.Transaction
-	for _, t := range d.log[di:segs[i].lo] {
-		if ft := t.RestrictShared(keep); ft != nil {
-			repair = append(repair, ft)
+	var txs []*txn.Transaction
+	to := from
+	for ; to < idx && len(txs) < 256; to++ {
+		if ft := d.log[to].RestrictShared(keep); ft != nil {
+			txs = append(txs, ft)
 		}
 	}
-	d.mu.Unlock()
-	if len(repair) == 0 {
-		return wire.SealPushFrame(d.cfg.Name, txs, stable), true
+	if to < idx {
+		stable = nil
 	}
-	return wire.SealPushFrame(d.cfg.Name, append(repair, txs...), stable), true
+	if missed && len(txs) > 0 {
+		f.moveOut(sh, sub)
+	}
+	d.obsTreeRepairs.Inc()
+	d.obsPushSends.Inc()
+	// A refused send needs no handling: the subscriber still holds its cursor
+	// and asks again.
+	_ = d.node.Send(sub.node, wire.SealPushFrame(d.cfg.Name, txs, stable, f.gen.Load(), from, to))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,18 +22,26 @@ var (
 	betaID  = txn.ObjectID{Bucket: "beta", Key: "x"}
 )
 
-// pushRecorder is a fake edge node that records every PushTxs frame it
-// receives and checks the delivery-order invariants: the advertised stable
-// cut must be monotone, and fresh (first-delivery) transactions must arrive
-// in commit order — globally in strict mode (no interest changes in the
-// test), per bucket otherwise (an interest extension legitimately replays
-// older transactions of the newly adopted bucket, like a seed would).
+// pushRecorder is a fake edge node: it holds its own cursor in the DC's push
+// stream (the same wire.PushCursor rule as edge.Node), integrates only the
+// frames that connect to it, resumes on a gap, and checks the delivery-order
+// invariants on what it integrates: the advertised stable cut must be
+// monotone, and fresh (first-delivery) transactions must arrive in commit
+// order — globally in strict mode (no interest changes in the test), per
+// bucket otherwise (an interest extension legitimately replays older
+// transactions of the newly adopted bucket, like a seed would). The silence
+// timer of a real edge is the test's to play: it calls resume by hand.
 type pushRecorder struct {
 	node   *simnet.Node
 	name   string
 	strict bool
+	relay  bool // subscribes with the Relay bit (treeRecorder)
 
 	mu         sync.Mutex
+	dc         string // the DC last subscribed to; resumes go there
+	cur        wire.PushCursor
+	resuming   bool
+	refused    int            // frames that did not connect to the cursor
 	byBucket   map[string]int // fresh txs per bucket
 	seen       map[vclock.Dot]bool
 	lastTs     uint64
@@ -60,6 +69,15 @@ func (r *pushRecorder) handle(from string, msg any) any {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if !r.cur.Admit(p.Gen, p.Lo, p.Hi) {
+		r.refused++
+		if !r.resuming {
+			// The handler runs on the DC's link; the resume call must not.
+			r.resuming = true
+			go r.resume()
+		}
+		return nil
+	}
 	if p.Stable != nil {
 		if r.stable != nil && !r.stable.LEQ(p.Stable) {
 			r.violations = append(r.violations, fmt.Sprintf("stable regressed: %v after %v", p.Stable, r.stable))
@@ -103,12 +121,56 @@ func (r *pushRecorder) checkClean(t *testing.T) {
 	}
 }
 
-func (r *pushRecorder) subscribe(t *testing.T, dc string, resume bool, since vclock.Vector, ids ...txn.ObjectID) {
-	t.Helper()
+// call sends one Subscribe reporting the recorder's position and adopts the
+// position the ack hands back when the generation differs — exactly
+// edge.Node.subscribe. It reports whether the ack re-based the cursor.
+func (r *pushRecorder) call(dc string, resume bool, since vclock.Vector, ids []txn.ObjectID) (rebased bool, err error) {
+	r.mu.Lock()
+	r.dc = dc
+	req := wire.Subscribe{Node: r.name, Objects: ids, Resume: resume, Since: since,
+		Gen: r.cur.Gen, Cursor: r.cur.Idx, Relay: r.relay}
+	r.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := r.node.Call(ctx, dc, wire.Subscribe{Node: r.name, Objects: ids, Resume: resume, Since: since}); err != nil {
+	reply, err := r.node.Call(ctx, dc, req)
+	if err != nil {
+		return false, err
+	}
+	ack, ok := reply.(wire.SubscribeAck)
+	if !ok {
+		return false, fmt.Errorf("subscribe reply %T", reply)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ack.Gen == r.cur.Gen {
+		return false, nil
+	}
+	r.cur = wire.PushCursor{Gen: ack.Gen, Idx: ack.Cursor}
+	return true, nil
+}
+
+// resume asks the DC for everything after the cursor; a resume the ack
+// re-bases (another generation) asks again from the new position.
+func (r *pushRecorder) resume() {
+	r.mu.Lock()
+	dc, since := r.dc, r.stable
+	r.mu.Unlock()
+	for rebased := true; rebased; {
+		rebased, _ = r.call(dc, true, since, nil)
+	}
+	r.mu.Lock()
+	r.resuming = false
+	r.mu.Unlock()
+}
+
+func (r *pushRecorder) subscribe(t *testing.T, dc string, resume bool, since vclock.Vector, ids ...txn.ObjectID) {
+	t.Helper()
+	rebased, err := r.call(dc, resume, since, ids)
+	if err != nil {
 		t.Fatalf("%s subscribe: %v", r.name, err)
+	}
+	if rebased && resume {
+		r.resume()
 	}
 }
 
@@ -242,6 +304,55 @@ func TestShardedResumeReplaysLostPushes(t *testing.T) {
 	r.checkClean(t)
 }
 
+// TestShardedRecheckStartsNewGeneration: a visibility recheck rebuilds the log
+// under every subscriber's cursor. The rebuilt log is a new generation: the
+// subscriber refuses its frames, resumes with the old generation, is placed at
+// index zero and replayed the log — including a transaction the recheck
+// unmasked *below* its stable cut, which a replay by Since would skip.
+func TestShardedRecheckStartsNewGeneration(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	defer net.Close()
+	d := singleDC(t, net, nil)
+	var allow atomic.Bool
+	d.SetVisibilityCheck(func(tx *txn.Transaction) bool { return tx.Actor != "mallory" || allow.Load() })
+
+	r := newPushRecorder(net, "edgeV", false)
+	r.subscribe(t, "dc0", false, nil, alphaID)
+	commitN(t, d, alphaID, 1)
+	tx := d.Begin("mallory")
+	tx.Update(alphaID, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 100}})
+	masked, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, d, alphaID, 1) // depends on the masked one: masked with it
+	// A stability broadcast (the heartbeat's) carries the cut past both.
+	d.mu.Lock()
+	d.notifySubscribersLocked(true)
+	d.mu.Unlock()
+	waitFor(t, 2*time.Second, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.stable.Get(0) > masked[0]
+	}, "the stability broadcast never arrived")
+	if got := r.count("alpha"); got != 1 {
+		t.Fatalf("%d alpha txs delivered while two are masked, want 1", got)
+	}
+	r.mu.Lock()
+	before := r.cur
+	r.mu.Unlock()
+
+	allow.Store(true)
+	d.RecheckVisibility()
+	waitFor(t, 2*time.Second, func() bool { return r.count("alpha") == 3 }, "the unmasked transaction never arrived")
+	r.mu.Lock()
+	after := r.cur
+	r.mu.Unlock()
+	if after.Gen == before.Gen || after.Idx != 3 {
+		t.Errorf("cursor %+v → %+v, want a new generation at index 3", before, after)
+	}
+}
+
 // TestFanoutNoGoroutineLeak: 1k subscribe/unsubscribe cycles must leave no
 // shard workers behind, and Close must reclaim the worker pool.
 func TestFanoutNoGoroutineLeak(t *testing.T) {
@@ -302,7 +413,18 @@ func TestShardedFanoutObsExposed(t *testing.T) {
 		return r1.count("alpha") == 8 && r2.count("alpha") == 8 && r3.count("beta") == 2
 	}, "pushes never arrived")
 
+	// One subscriber misses a frame and resumes: the range reply is the repair
+	// the ledger counts.
+	net.Isolate("edge3")
+	commitN(t, d, betaID, 1)
+	net.Rejoin("edge3")
+	r3.resume()
+	waitFor(t, 2*time.Second, func() bool { return r3.count("beta") == 3 }, "the resume never replayed the lost push")
+
 	snap := reg.Snapshot()
+	if snap.Counters["dc.tree_repairs"] == 0 {
+		t.Error("dc.tree_repairs never counted the range reply")
+	}
 	if got, ok := snap.Gauges["dc.push_shards"]; !ok || got != 2 {
 		t.Errorf("dc.push_shards gauge = %d (present=%v), want 2", got, ok)
 	}

@@ -484,16 +484,13 @@ func (d *DC) DropBucket(bucket string) error {
 	// d.mu too, so the two serialise).
 	d.mu.Lock()
 	for _, sub := range d.subs {
-		sub.outMu.Lock()
 		for id := range sub.interest {
 			if id.Bucket == bucket {
-				sub.outMu.Unlock()
 				d.mu.Unlock()
 				abort()
 				return fmt.Errorf("dc %s: bucket %s still has subscriber interest (%s)", d.cfg.Name, bucket, sub.node)
 			}
 		}
-		sub.outMu.Unlock()
 	}
 	peers := make([]string, 0, len(d.peers))
 	for _, p := range d.peers {
@@ -546,14 +543,11 @@ func (d *DC) subscriberInterestIn(bucket string) string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, sub := range d.subs {
-		sub.outMu.Lock()
 		for id := range sub.interest {
 			if id.Bucket == bucket {
-				sub.outMu.Unlock()
 				return sub.node
 			}
 		}
-		sub.outMu.Unlock()
 	}
 	return ""
 }

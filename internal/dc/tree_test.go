@@ -1,7 +1,6 @@
 package dc
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,24 +16,25 @@ import (
 
 // treeRecorder is a relay-capable pushRecorder: it subscribes with the Relay
 // bit, keeps the child tables the DC assigns, re-fans TreePush frames out to
-// its children (mirroring edge.Node.relayPush), and still checks every
-// pushRecorder delivery invariant on the frames it applies locally. vanish
-// simulates a relay that crashes after the network accepted a frame: the
-// TreePush is swallowed — no forward, no ack — which only the DC's receipt
-// sweeper can detect.
+// its children before and independently of its own cursor check (mirroring
+// edge.Node.relayPush), and still checks every pushRecorder delivery
+// invariant on the frames it integrates. vanish simulates a relay that
+// crashes after the network accepted a frame: the TreePush is swallowed — no
+// forward, no error anywhere — so its children simply hear nothing.
 type treeRecorder struct {
 	pushRecorder
-	relayMu  sync.Mutex
-	tables   map[uint64]wire.TreeAssign // shard id → latest table
-	forwards atomic.Int64
-	acks     atomic.Int64
-	vanish   atomic.Bool
+	relayMu    sync.Mutex
+	tables     map[uint64]wire.TreeAssign // shard id → latest table
+	forwards   atomic.Int64
+	treePushes atomic.Int64
+	vanish     atomic.Bool
 }
 
 func newTreeRecorder(net *simnet.Network, name string, strict bool) *treeRecorder {
 	r := &treeRecorder{pushRecorder: pushRecorder{
 		name:      name,
 		strict:    strict,
+		relay:     true,
 		byBucket:  make(map[string]int),
 		seen:      make(map[vclock.Dot]bool),
 		lastTsBkt: make(map[string]uint64),
@@ -55,38 +55,42 @@ func (r *treeRecorder) handle(from string, msg any) any {
 		return nil
 	case wire.TreePush:
 		if r.vanish.Load() {
-			return nil // crashed after receive: no forward, no ack
+			return nil // crashed after receive: no forward, nothing applied
 		}
+		r.treePushes.Add(1)
 		r.relayMu.Lock()
 		table, ok := r.tables[m.Shard]
 		r.relayMu.Unlock()
-		ack := wire.TreeAck{Node: r.name, Shard: m.Shard, Epoch: m.Epoch, Seq: m.Seq}
-		if !ok || table.Epoch != m.Epoch {
-			ack.Dropped = true
-		} else {
-			errs := r.node.SendMulti(table.Children, m.Inner())
-			for i, err := range errs {
+		if ok && table.Epoch == m.Epoch {
+			sent := len(table.Children)
+			for _, err := range r.node.SendMulti(table.Children, m.Inner()) {
 				if err != nil {
-					ack.Failed = append(ack.Failed, table.Children[i])
+					sent--
 				}
 			}
-			r.forwards.Add(int64(len(table.Children) - len(ack.Failed)))
+			r.forwards.Add(int64(sent))
 		}
-		_ = r.node.Send(m.From, ack)
-		r.acks.Add(1)
 		return r.pushRecorder.handle(from, m.Inner())
 	}
 	return nil
 }
 
+// subscribeRelay subscribes with the Relay bit (every treeRecorder does) —
+// kept as a name so the tests read as what they set up.
 func (r *treeRecorder) subscribeRelay(t *testing.T, dc string, ids ...txn.ObjectID) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := r.node.Call(ctx, dc, wire.Subscribe{Node: r.name, Objects: ids, Relay: true}); err != nil {
-		t.Fatalf("%s subscribe: %v", r.name, err)
-	}
+	r.subscribe(t, dc, false, nil, ids...)
 }
+
+// subscribePlain subscribes a relay-aware handler *without* the Relay bit.
+func (r *treeRecorder) subscribePlain(t *testing.T, dc string, ids ...txn.ObjectID) {
+	t.Helper()
+	r.relay = false
+	r.subscribe(t, dc, false, nil, ids...)
+}
+
+// childrenOf returns the children of the (single) subtree rooted at root.
+func childrenOf(d *DC, root string) []string { return d.TreeTopology()[root] }
 
 // TestTreeMulticastDelivery: relay-capable subscribers sharing an interest
 // signature are organised into a subtree, the DC sends each flush once to
@@ -189,13 +193,13 @@ func TestTreeMixedRelayAndDirect(t *testing.T) {
 			p.relayMu.Lock()
 			tables := len(p.tables)
 			p.relayMu.Unlock()
-			if tables != 0 || p.acks.Load() != 0 || p.forwards.Load() != 0 {
-				t.Errorf("%s never set Subscribe.Relay but saw %d TreeAssigns, %d TreePushes", p.name, tables, p.acks.Load())
+			if tables != 0 || p.treePushes.Load() != 0 || p.forwards.Load() != 0 {
+				t.Errorf("%s never set Subscribe.Relay but saw %d TreeAssigns, %d TreePushes", p.name, tables, p.treePushes.Load())
 			}
 		}
 	}
 	for _, p := range plains {
-		p.subscribe(t, "dc0", false, nil, alphaID)
+		p.subscribePlain(t, "dc0", alphaID)
 	}
 	commitN(t, d, alphaID, 3)
 	waitFor(t, 2*time.Second, func() bool {
@@ -231,14 +235,16 @@ func TestTreeMixedRelayAndDirect(t *testing.T) {
 	}
 }
 
-// TestTreeAckFailedChildRewind: when the root cannot reach a child, its
-// aggregated ack names the child, the DC rewinds that child's cursor, and
-// the direct repair path re-covers it once it is reachable again — nothing
-// lost, nothing double-applied.
-func TestTreeAckFailedChildRewind(t *testing.T) {
+// TestTreeUnreachableChildResumes: when the root cannot reach a child the
+// forward is simply lost — nobody tells the DC. The child sees the gap at its
+// own cursor as soon as a frame reaches it again, resumes from the DC, and is
+// moved out of the subtree that failed it — nothing lost, nothing
+// double-applied.
+func TestTreeUnreachableChildResumes(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	d := singleDC(t, net, nil)
+	reg := obs.New()
+	d := singleDC(t, net, func(cfg *Config) { cfg.Obs = reg })
 
 	recs := map[string]*treeRecorder{}
 	for _, name := range []string{"relayA", "relayB", "relayC"} {
@@ -256,11 +262,10 @@ func TestTreeAckFailedChildRewind(t *testing.T) {
 		return true
 	}, "warm-up pushes never arrived")
 
-	// Cut one child off; the root's forward fails and the ack names it.
-	topo := d.TreeTopology()
-	var victim string
-	for _, children := range topo {
-		victim = children[0]
+	// Cut one child off; the root's forward to it fails and is forgotten.
+	var root, victim string
+	for r, children := range d.TreeTopology() {
+		root, victim = r, children[0]
 	}
 	net.Isolate(victim)
 	commitN(t, d, alphaID, 4)
@@ -275,20 +280,35 @@ func TestTreeAckFailedChildRewind(t *testing.T) {
 	if got := recs[victim].count("alpha"); got != 3 {
 		t.Fatalf("isolated child received %d alpha txs, want the 3 pre-cut ones", got)
 	}
+	if n := reg.Snapshot().Counters["dc.tree_repairs"]; n != 0 {
+		t.Fatalf("dc.tree_repairs = %d before anyone resumed — the DC is not supposed to notice", n)
+	}
 
-	// Heal the link: the rewound cursor makes the next flush repair the gap.
+	// Heal the link: the next frame does not connect to the child's cursor,
+	// so it resumes and the range reply closes the gap.
 	net.Rejoin(victim)
 	commitN(t, d, alphaID, 1)
-	waitFor(t, 3*time.Second, func() bool { return recs[victim].count("alpha") == 8 }, "rewound child never repaired")
+	waitFor(t, 3*time.Second, func() bool { return recs[victim].count("alpha") == 8 }, "child never resumed past its gap")
+	if n := reg.Snapshot().Counters["dc.tree_repairs"]; n == 0 {
+		t.Error("dc.tree_repairs never counted the range reply")
+	}
+	for _, c := range childrenOf(d, root) {
+		if c == victim {
+			t.Errorf("%s had to resume but is still a child of %s", victim, root)
+		}
+	}
 	for _, r := range recs {
 		r.checkClean(t)
 	}
 }
 
-// TestTreeRelayCrashSweeperRepair: the hardest failure — the network accepts
-// the TreePush but the root dies before forwarding or acking. Only the
-// receipt sweeper can notice; it must rewind every member the orphaned send
-// covered, re-root the tree, and let the repair path converge the survivors.
+// TestTreeRelayCrashSweeperRepair (the name predates receiver-held cursors —
+// there is no sweeper any more; the property stands): the hardest failure —
+// the network accepts the TreePush but the root dies before forwarding. No
+// error surfaces anywhere and no later frame reveals a gap: the children
+// just hear nothing. A real edge's silence timer (internal/edge) makes it
+// resume; here the test plays the timer. The range replies converge the
+// survivors and re-form their tree without the dead relay.
 func TestTreeRelayCrashSweeperRepair(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
@@ -314,13 +334,21 @@ func TestTreeRelayCrashSweeperRepair(t *testing.T) {
 	for r := range d.TreeTopology() {
 		root = r
 	}
-	recs[root].vanish.Store(true) // crash after receive: swallow, never ack
+	recs[root].vanish.Store(true) // crash after receive: swallow silently
 
 	commitN(t, d, alphaID, 5)
-	// The children must converge via sweeper rewind + direct repair even
-	// though their relay is gone; the crashed root swallowed its own copy
-	// too, so it stays behind until it starts answering again.
-	waitFor(t, 5*time.Second, func() bool {
+	time.Sleep(50 * time.Millisecond)
+	for name, r := range recs {
+		if name != root {
+			if got := r.count("alpha"); got != 2 {
+				t.Fatalf("%s received %d alpha txs through a dead relay", name, got)
+			}
+			r.resume() // the silence timer fires
+		}
+	}
+	// The children converge even though their relay is gone; the crashed root
+	// swallowed its own copy too, so it stays behind until it answers again.
+	waitFor(t, 2*time.Second, func() bool {
 		for name, r := range recs {
 			if name != root && r.count("alpha") != 7 {
 				return false
@@ -329,28 +357,32 @@ func TestTreeRelayCrashSweeperRepair(t *testing.T) {
 		return true
 	}, "children never converged after relay crash")
 
-	// The tree must have been re-rooted away from the dead relay.
-	waitFor(t, 2*time.Second, func() bool {
-		for r := range d.TreeTopology() {
-			if r != root {
-				return true
-			}
+	// The survivors' tree must have re-formed without the dead relay.
+	if left := childrenOf(d, root); len(left) != 0 {
+		t.Fatalf("dead relay %s still has children %v", root, left)
+	}
+	survivors := 0
+	for r, children := range d.TreeTopology() {
+		if r != root {
+			survivors += 1 + len(children)
 		}
-		return false
-	}, "tree never re-rooted")
+	}
+	if survivors != 2 {
+		t.Fatalf("topology %v: want both survivors in trees of their own", d.TreeTopology())
+	}
 
-	// The crashed relay comes back (it answers pushes again): the sweeper
-	// already rewound it, so repair re-covers its gap too.
+	// The crashed relay comes back (it answers pushes again): the next frame
+	// does not connect to its cursor and it resumes like anyone else.
 	recs[root].vanish.Store(false)
 	commitN(t, d, alphaID, 1)
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, 3*time.Second, func() bool {
 		for _, r := range recs {
 			if r.count("alpha") != 8 {
 				return false
 			}
 		}
 		return true
-	}, "revived relay never repaired")
+	}, "revived relay never caught up")
 	for _, r := range recs {
 		r.checkClean(t)
 	}
@@ -409,159 +441,5 @@ func TestTreeChurnReRoots(t *testing.T) {
 		if name != root {
 			r.checkClean(t)
 		}
-	}
-}
-
-// TestTreeRewindInvalidatesInFlightPlan: a cursor rewind (resume/reconnect)
-// that lands between a tree plan's registration and sendTrees' optimistic
-// advance must not be overwritten — the rewind bumps the tree's ver, and the
-// advance backs off, leaving the replay gap for the repair path. Regression
-// test: rewindSubLocked used to leave ver untouched, so the advance silently
-// moved the cursor to hi and the rewound range was never replayed.
-func TestTreeRewindInvalidatesInFlightPlan(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	d := singleDC(t, net, nil)
-	oldCut := d.Stable()
-
-	recs := map[string]*treeRecorder{}
-	for _, name := range []string{"relayA", "relayB", "relayC"} {
-		r := newTreeRecorder(net, name, true)
-		r.subscribeRelay(t, "dc0", alphaID)
-		recs[name] = r
-	}
-	commitN(t, d, alphaID, 3)
-	waitFor(t, 2*time.Second, func() bool {
-		for _, r := range recs {
-			if r.count("alpha") != 3 {
-				return false
-			}
-		}
-		return true
-	}, "warm-up pushes never arrived")
-
-	// Register a plan by hand, exactly as a flush would: hi one past the
-	// frontier so every (converged) member is eligible.
-	f := d.fan
-	f.mu.Lock()
-	var sh *pushShard
-	for _, s := range f.shards {
-		sh = s
-	}
-	hi := f.idx + 1
-	stable := f.stable.Clone()
-	f.mu.Unlock()
-	gen := f.gen.Load()
-	plans, covered := d.planTreeSends(sh, hi, stable, gen)
-	if len(plans) != 1 || len(covered) != 3 {
-		t.Fatalf("planTreeSends: %d plans covering %d members, want 1 covering 3", len(plans), len(covered))
-	}
-	plan := plans[0]
-
-	// The racing rewind: a member resumes with an old cut while the plan is
-	// in flight (registered, not yet sent/advanced).
-	var victim string
-	for _, name := range []string{"relayA", "relayB", "relayC"} {
-		if name != plan.root {
-			victim = name
-			break
-		}
-	}
-	d.mu.Lock()
-	sub := d.subs[victim]
-	d.rewindSubLocked(sub, oldCut)
-	d.mu.Unlock()
-
-	// The send goes through (the root acks), but the advance must back off:
-	// the tree's ver changed under the plan.
-	segs := []pushSeg{{lo: plan.di, hi: hi, stable: stable}}
-	d.sendTrees(sh, plans, segs, []int{0}, nil, stable, hi, gen)
-	sub.outMu.Lock()
-	got := sub.deliveredIdx
-	sub.outMu.Unlock()
-	if got >= hi {
-		t.Fatalf("deliveredIdx = %d after racing rewind, want < %d (advance must back off)", got, hi)
-	}
-}
-
-// TestTreeAckRewindsDepartedMember: a child that leaves the tree between the
-// push and the ack (signature change moved it to another shard) still owns
-// its optimistically advanced cursor; a TreeAck naming it Failed must rewind
-// it from the pending's membership snapshot. Regression test: handleTreeAck
-// used to scan the tree's *current* members and miss departed ones.
-func TestTreeAckRewindsDepartedMember(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	d := singleDC(t, net, nil)
-
-	recs := map[string]*treeRecorder{}
-	for _, name := range []string{"relayA", "relayB", "relayC"} {
-		r := newTreeRecorder(net, name, true)
-		r.subscribeRelay(t, "dc0", alphaID)
-		recs[name] = r
-	}
-	commitN(t, d, alphaID, 3)
-	waitFor(t, 2*time.Second, func() bool {
-		for _, r := range recs {
-			if r.count("alpha") != 3 {
-				return false
-			}
-		}
-		return true
-	}, "warm-up pushes never arrived")
-
-	f := d.fan
-	f.mu.Lock()
-	var sh *pushShard
-	for _, s := range f.shards {
-		sh = s
-	}
-	shID := sh.id
-	hi := f.idx + 1
-	stable := f.stable.Clone()
-	f.mu.Unlock()
-	gen := f.gen.Load()
-	plans, _ := d.planTreeSends(sh, hi, stable, gen)
-	if len(plans) != 1 {
-		t.Fatalf("planTreeSends: %d plans, want 1", len(plans))
-	}
-	plan := plans[0]
-
-	// Simulate the optimistic advance a successful send performs.
-	for _, s := range plan.subs {
-		s.outMu.Lock()
-		s.deliveredIdx = hi
-		s.outMu.Unlock()
-	}
-
-	// A non-root child widens its interest: the signature change moves it to
-	// another shard and detaches it from the tree — after the push, before
-	// the ack.
-	var victim string
-	for _, name := range []string{"relayA", "relayB", "relayC"} {
-		if name != plan.root {
-			victim = name
-			break
-		}
-	}
-	recs[victim].subscribeRelay(t, "dc0", alphaID, betaID)
-	d.mu.Lock()
-	sub := d.subs[victim]
-	d.mu.Unlock()
-	f.mu.Lock()
-	if sub.tree == plan.tr {
-		f.mu.Unlock()
-		t.Fatal("victim still in the tree — signature change did not detach it")
-	}
-	f.mu.Unlock()
-
-	// The root's ack names the departed child as unreachable: its cursor must
-	// rewind to the pending's pre-send position even though it left the tree.
-	d.handleTreeAck(wire.TreeAck{Node: plan.root, Shard: shID, Epoch: plan.epoch, Seq: plan.seq, Failed: []string{victim}})
-	sub.outMu.Lock()
-	got := sub.deliveredIdx
-	sub.outMu.Unlock()
-	if got >= hi {
-		t.Fatalf("departed child's deliveredIdx = %d, want rewound to %d", got, plan.di)
 	}
 }

@@ -112,8 +112,10 @@ type Hooks struct {
 	// Extra handles messages the edge layer does not understand
 	// (peer-group and consensus traffic addressed to this node).
 	Extra func(from string, msg any) any
-	// Push runs after every integrated push batch; a group parent forwards
-	// stable updates to its members with it.
+	// Push runs after every integrated push batch, once per frame and in the
+	// order the frames were integrated (integration is serialised around it,
+	// so it must not call ApplyPush); a group parent forwards stable updates
+	// to its members with it.
 	Push func(wire.PushTxs)
 	// Ack runs after every DC commit acknowledgement; a group parent (sync
 	// point) distributes concrete commit descriptors with it.
@@ -165,6 +167,12 @@ type commitTrack struct {
 // simply not measured (the histograms sample, they do not need every tx).
 const maxTracked = 4096
 
+// resyncAfter is how long a node with interest lets its DC's push stream stay
+// silent before it asks for everything after its cursor — a frame that never
+// arrived leaves no gap to notice — and the pause it keeps between two
+// resumes that made no progress.
+const resyncAfter = 2 * time.Second
+
 // Node is one edge device.
 type Node struct {
 	cfg  Config
@@ -185,9 +193,19 @@ type Node struct {
 	interest  map[txn.ObjectID]bool
 	unacked   []*txn.Transaction
 	connected string
-	hooks     Hooks
-	listeners map[txn.ObjectID][]func(txn.ObjectID)
-	stats     nodeCounters
+	// push is this node's position in the connected DC's push stream
+	// (paper §4.2: the edge carries its own position). A sequenced frame is
+	// integrated only when it connects to it; heard is when the stream last
+	// gave a sign of life. resync marks that a frame did not connect;
+	// resyncAt/resyncFrom record the last resume, to pace futile ones.
+	push       wire.PushCursor
+	heard      time.Time
+	resync     bool
+	resyncAt   time.Time
+	resyncFrom wire.PushCursor
+	hooks      Hooks
+	listeners  map[txn.ObjectID][]func(txn.ObjectID)
+	stats      nodeCounters
 	// tracked follows in-flight local commits for the latency histograms;
 	// nil when no registry is attached (the commit path then skips it).
 	tracked map[vclock.Dot]*commitTrack
@@ -218,6 +236,12 @@ type Node struct {
 
 	obsRelayFwd  *obs.Counter
 	obsRelayDrop *obs.Counter
+	obsResyncs   *obs.Counter
+
+	// applyMu serialises push integration, so frames are applied and
+	// Hooks.Push runs in stream order even when a relayed and a direct frame
+	// arrive on different links at once. Taken before mu.
+	applyMu sync.Mutex
 
 	kick chan struct{}
 	stop chan struct{}
@@ -269,6 +293,7 @@ func New(net transport.Network, cfg Config) *Node {
 	n.obsFetchMiss = cfg.Obs.Counter("edge.fetch_miss")
 	n.obsRelayFwd = cfg.Obs.Counter("edge.relay_forwards")
 	n.obsRelayDrop = cfg.Obs.Counter("edge.relay_drops")
+	n.obsResyncs = cfg.Obs.Counter("edge.push_resyncs")
 	n.ackLat = cfg.Obs.Histogram("edge.commit_to_ack_ns")
 	n.kstableLat = cfg.Obs.Histogram("edge.commit_to_kstable_ns")
 	n.bus = cfg.Obs.Events()
@@ -516,7 +541,7 @@ func (n *Node) Connect() error {
 	}
 	since := n.stable.Clone()
 	n.mu.Unlock()
-	return n.subscribe(dc, ids, true, since)
+	return n.subscribe(dc, ids, true, since, 3)
 }
 
 // Migrate detaches the node from its current DC and attaches it to newDC
@@ -524,8 +549,10 @@ func (n *Node) Connect() error {
 // filter the duplicates if the old DC had already accepted them.
 func (n *Node) Migrate(newDC string) error {
 	n.mu.Lock()
-	old := n.connected
-	n.connected = newDC
+	old, oldPush := n.connected, n.push
+	// The cursor belongs to the DC it came from; at the new one the resume
+	// goes by Since and the ack says where the stream continues.
+	n.connected, n.push = newDC, wire.PushCursor{}
 	ids := make([]txn.ObjectID, 0, len(n.interest))
 	for id := range n.interest {
 		ids = append(ids, id)
@@ -535,10 +562,10 @@ func (n *Node) Migrate(newDC string) error {
 	if n.bus.Active() {
 		n.bus.Publish(obs.Event{Type: obs.EvMigrationStarted, Node: n.cfg.Name, Peer: newDC})
 	}
-	if err := n.subscribe(newDC, ids, true, since); err != nil {
+	if err := n.subscribe(newDC, ids, true, since, 3); err != nil {
 		// Roll back to the previous DC on failure; the caller may retry.
 		n.mu.Lock()
-		n.connected = old
+		n.connected, n.push = old, oldPush
 		n.mu.Unlock()
 		return fmt.Errorf("edge: migrate to %s: %w", newDC, err)
 	}
@@ -556,7 +583,7 @@ func (n *Node) AddInterest(ids ...txn.ObjectID) error {
 	dc := n.connected
 	since := n.stable.Clone()
 	n.mu.Unlock()
-	return n.subscribe(dc, ids, true, since)
+	return n.subscribe(dc, ids, true, since, 3)
 }
 
 // RemoveInterest evicts objects from the cache and unsubscribes them.
@@ -571,36 +598,67 @@ func (n *Node) RemoveInterest(ids ...txn.ObjectID) {
 	_ = n.node.Send(dc, wire.Unsubscribe{Node: n.cfg.Name, Objects: ids})
 }
 
-// subscribe performs the Subscribe RPC and integrates the reply. A timed-out
-// call is retried twice: subscriptions are idempotent, and a momentarily
-// overloaded DC should not fail session setup.
-func (n *Node) subscribe(dc string, ids []txn.ObjectID, resume bool, since vclock.Vector) error {
-	var (
-		reply any
-		err   error
-	)
+// subscribe declares interest in ids at dc and, with resume, reports this
+// node's position in the DC's push stream so that everything after it is
+// sent. When the ack puts the node in another generation of the stream — a
+// restarted or different DC, a rebuilt log, none of which can be relied on to
+// know this node — the node adopts the position the ack derived from since
+// and resumes once more from there, exactly, declaring the rest of its
+// interest as it does.
+func (n *Node) subscribe(dc string, ids []txn.ObjectID, resume bool, since vclock.Vector, attempts int) error {
 	// A resume without any previous cut is just a fresh subscription; an
 	// empty Since would anchor the subscription (and this node's stable
 	// baseline) at the empty cut.
 	resume = resume && len(since) > 0
-	for attempt := 0; attempt < 3; attempt++ {
+	rebased, err := n.subscribeOnce(dc, ids, resume, since, attempts)
+	if err != nil || !rebased || !resume {
+		return err
+	}
+	declared := make(map[txn.ObjectID]bool, len(ids))
+	for _, id := range ids {
+		declared[id] = true
+	}
+	n.mu.Lock()
+	var rest []txn.ObjectID
+	for id := range n.interest {
+		if !declared[id] {
+			rest = append(rest, id)
+		}
+	}
+	n.mu.Unlock()
+	_, err = n.subscribeOnce(dc, rest, true, since, attempts)
+	return err
+}
+
+// subscribeOnce performs one Subscribe RPC and integrates the reply; rebased
+// reports that the ack moved this node to another generation of a sequenced
+// stream. A timed-out call is retried up to attempts times in all:
+// subscriptions are idempotent, and a momentarily overloaded DC should not
+// fail session setup.
+func (n *Node) subscribeOnce(dc string, ids []txn.ObjectID, resume bool, since vclock.Vector, attempts int) (rebased bool, err error) {
+	n.mu.Lock()
+	req := wire.Subscribe{
+		Node: n.cfg.Name, Objects: ids, Resume: resume, Since: since,
+		Gen: n.push.Gen, Cursor: n.push.Idx,
+		// Edge nodes understand the tree frames and volunteer as relays.
+		Relay: true,
+	}
+	n.mu.Unlock()
+	var reply any
+	for attempt := 0; attempt < attempts; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-		reply, err = n.node.Call(ctx, dc, wire.Subscribe{
-			Node: n.cfg.Name, Objects: ids, Resume: resume, Since: since,
-			// Edge nodes understand the tree frames and volunteer as relays.
-			Relay: true,
-		})
+		reply, err = n.node.Call(ctx, dc, req)
 		cancel()
 		if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 			break
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("edge: subscribe to %s: %w", dc, err)
+		return false, fmt.Errorf("edge: subscribe to %s: %w", dc, err)
 	}
 	ack, ok := reply.(wire.SubscribeAck)
 	if !ok {
-		return fmt.Errorf("edge: unexpected subscribe reply %T", reply)
+		return false, fmt.Errorf("edge: unexpected subscribe reply %T", reply)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -620,7 +678,15 @@ func (n *Node) subscribe(dc string, ids []txn.ObjectID, resume bool, since vcloc
 	n.stable = n.stable.Join(ack.Stable)
 	n.joinState(n.stable)
 	n.sweepStableLocked()
-	return nil
+	if dc != n.connected {
+		return false, nil
+	}
+	n.heard = time.Now()
+	if ack.Gen == n.push.Gen {
+		return false, nil // this node's own cursor is the authority
+	}
+	n.push = wire.PushCursor{Gen: ack.Gen, Idx: ack.Cursor}
+	return ack.Gen != 0, nil
 }
 
 // --- message handling ---
@@ -657,43 +723,63 @@ func (n *Node) handle(from string, msg any) any {
 // relayPush is the subtree-root half of tree multicast (paper §3.4): the DC
 // sent the sealed shard frame here once, and this node re-fans it out to the
 // children its current wire.TreeAssign table names, then applies the frame
-// locally and returns one aggregated wire.TreeAck. The frame is forwarded
-// *before* the local apply so the children's latency does not stack behind
-// this node's store work; it is forwarded as a plain PushTxs (TreePush.Inner,
-// sharing the sealed transaction run — no copies), so children need no tree
-// awareness. A missing or differently-versioned child table means a
-// membership change is in flight: forwarding to a guessed set could skip a
-// newly added sibling, so the node refuses (Dropped) and lets the DC repair
-// its children directly.
+// locally. It forwards and forgets: the frame goes out *before* and
+// independently of this node's own cursor check, so the children's latency
+// does not stack behind this node's store work and a relay that is itself
+// behind still serves them; it is forwarded as a plain PushTxs
+// (TreePush.Inner, sharing the sealed transaction run — no copies), so
+// children need no tree awareness; and nothing is reported back — a child the
+// forward did not reach notices at its own cursor. A missing or
+// differently-versioned child table means a membership change is in flight:
+// forwarding to a guessed set could skip a newly added sibling, so the node
+// forwards nothing and the children resume from the DC.
 func (n *Node) relayPush(m wire.TreePush) {
 	n.relayMu.Lock()
 	ent, ok := n.relays[relayKey{from: m.From, shard: m.Shard}]
 	n.relayMu.Unlock()
-	ack := wire.TreeAck{Node: n.cfg.Name, Shard: m.Shard, Epoch: m.Epoch, Seq: m.Seq}
+	inner := m.Inner()
 	if !ok || ent.epoch != m.Epoch {
-		ack.Dropped = true
 		n.obsRelayDrop.Inc()
 	} else {
-		errs := n.node.SendMulti(ent.children, m.Inner())
 		sent := len(ent.children)
-		for i, err := range errs {
+		for _, err := range n.node.SendMulti(ent.children, inner) {
 			if err != nil {
-				ack.Failed = append(ack.Failed, ent.children[i])
 				sent--
 			}
 		}
 		n.obsRelayFwd.Add(int64(sent))
 	}
-	_ = n.node.Send(m.From, ack) // a lost ack is healed by the DC's sweeper
-	n.ApplyPush(m.Inner())
+	n.ApplyPush(inner)
 }
 
 // ApplyPush integrates a batch of stable transactions (from the connected DC
 // or, in a peer group, relayed by the sync point). Duplicates are filtered
 // by dot.
+//
+// A sequenced frame (Gen != 0) is integrated only if it comes from the
+// connected DC and connects to this node's cursor. One that does not — a gap
+// (a frame was lost, or a direct frame overtook one still queued at a relay)
+// or another log generation — is refused whole: not applied, its stable cut
+// not adopted, Hooks.Push not called; the sender loop resumes from the
+// cursor. So transactions are integrated in log order, and a stable cut only
+// ever together with the in-order frame that carries it.
 func (n *Node) ApplyPush(m wire.PushTxs) {
+	n.applyMu.Lock()
 	touched := make(map[txn.ObjectID]bool)
 	n.mu.Lock()
+	if m.Gen != 0 {
+		ours := m.From == n.connected // else: the stream of a DC this node has left
+		if ours {
+			n.heard = time.Now()
+		}
+		if !ours || !n.push.Admit(m.Gen, m.Lo, m.Hi) {
+			n.resync = n.resync || ours
+			n.mu.Unlock()
+			n.applyMu.Unlock()
+			n.wake()
+			return
+		}
+	}
 	for _, shared := range m.Txs {
 		// Clone before storing: the same message (and transaction pointer)
 		// fans out to many receivers, and each store mutates its record's
@@ -718,11 +804,12 @@ func (n *Node) ApplyPush(m wire.PushTxs) {
 	if n.bus.Active() {
 		n.bus.Publish(obs.Event{Type: obs.EvPushApplied, Node: n.cfg.Name, N: int64(len(m.Txs))})
 	}
-	for _, fn := range fns {
-		fn.fn(fn.id)
-	}
 	if hook != nil {
 		hook(m)
+	}
+	n.applyMu.Unlock()
+	for _, fn := range fns {
+		fn.fn(fn.id)
 	}
 }
 
@@ -869,13 +956,11 @@ func (n *Node) fetchMiss(id txn.ObjectID, kind crdt.Kind, at vclock.Vector) (crd
 	n.interest[id] = true
 	dc := n.connected
 	name := n.cfg.Name
-	since := n.stable.Clone()
 	n.mu.Unlock()
 	// Register the subscription upstream; best-effort, the seed already
-	// serves this transaction. Since anchors the resume at our stable cut —
-	// an empty Since would rewind the subscription and replay the whole log
-	// on every cache miss.
-	_ = n.node.Send(dc, wire.Subscribe{Node: name, Objects: []txn.ObjectID{id}, Resume: true, Since: since, Relay: true})
+	// serves this transaction. Not a resume: the fetch itself registered the
+	// interest at a DC and had the updates above the served cut sent again.
+	_ = n.node.Send(dc, wire.Subscribe{Node: name, Objects: []txn.ObjectID{id}, Relay: true})
 	// No clone: Seed stored its own sealed copy, and a sealed obj (served
 	// from a shared snapshot) is read-safe — ReadTracked forks before any
 	// buffered-update replay.
@@ -989,16 +1074,50 @@ func (n *Node) kickSender() {
 	n.failStreak = 0
 	n.nextTry = time.Time{}
 	n.mu.Unlock()
+	n.wake()
+}
+
+// wake nudges the sender loop without touching the commit pipeline's backoff.
+func (n *Node) wake() {
 	select {
 	case n.kick <- struct{}{}:
 	default:
 	}
 }
 
+// maybeResync is the push stream's one repair path, run from the sender loop:
+// when a frame did not connect to the cursor, or the node holds interest and
+// its DC's stream has been silent for resyncAfter, it resumes — a Subscribe
+// reporting the cursor (and the stable cut, for a DC in another generation),
+// answered by a range frame from there. At most one resume goes out per
+// resyncAfter unless the last one moved the cursor (a bounded reply: ask on
+// from the new position).
+func (n *Node) maybeResync() {
+	n.mu.Lock()
+	now := time.Now()
+	due := n.resync || (n.push.Gen != 0 && len(n.interest) > 0 && now.Sub(n.heard) >= resyncAfter)
+	if !due || n.closed || (n.push == n.resyncFrom && now.Sub(n.resyncAt) < resyncAfter) {
+		n.mu.Unlock()
+		return
+	}
+	n.resync = false
+	n.resyncAt, n.resyncFrom = now, n.push
+	dc, since := n.connected, n.stable.Clone()
+	n.mu.Unlock()
+	n.obsResyncs.Inc()
+	// One attempt: the check itself comes round again.
+	if err := n.subscribe(dc, nil, true, since, 1); err != nil {
+		n.mu.Lock()
+		n.resync = true // unreachable: ask again once the pause is over
+		n.mu.Unlock()
+	}
+}
+
 // senderLoop ships locally committed transactions to the connected DC in
 // order, resolving each transaction's symbolic snapshot with the concrete
 // commit vectors of its predecessors just before sending. Unreachable DCs
-// pause the pipeline; the retry ticker resumes it.
+// pause the pipeline; the retry ticker resumes it. The same wake-ups drive
+// the push stream's resume check.
 func (n *Node) senderLoop() {
 	defer close(n.done)
 	ticker := time.NewTicker(n.cfg.RetryInterval)
@@ -1010,6 +1129,7 @@ func (n *Node) senderLoop() {
 		case <-n.kick:
 		case <-ticker.C:
 		}
+		n.maybeResync()
 		n.drainUnacked()
 	}
 }
@@ -1025,6 +1145,7 @@ func (n *Node) drainUnacked() {
 		return
 	}
 	for {
+		n.maybeResync() // a long drain must not starve the push stream's repair
 		n.mu.Lock()
 		if n.closed || len(n.unacked) == 0 {
 			n.mu.Unlock()

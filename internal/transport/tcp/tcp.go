@@ -9,7 +9,7 @@
 // Every connection opens with a handshake, each side writing immediately and
 // then reading the peer's hello:
 //
-//	magic "CLNY" | uvarint version (=1) | uvarint feature bits | string name
+//	magic "CLNY" | uvarint version (=2) | uvarint feature bits | string name
 //
 // Feature bit 0 declares the v1 binary codec; a peer that lacks it (or speaks
 // another version) is disconnected. After the handshake the stream is a
@@ -63,11 +63,14 @@ import (
 	"colony/internal/wire"
 )
 
-// Protocol constants. Version is bumped only for incompatible framing
-// changes; new message types ride on new wire tags instead.
+// Protocol constants. Version is bumped for incompatible changes to the
+// framing or to the layout of an existing wire message, so a mixed-version
+// mesh is refused at the handshake instead of mis-decoding; new message types
+// ride on new wire tags instead. Version 2: push frames carry their log
+// range, subscribes and their acks a stream position; tag 17 is retired.
 const (
 	magic       = "CLNY"
-	version     = 1
+	version     = 2
 	featCodecV1 = 1 << 0
 
 	kindSend  = 0

@@ -343,6 +343,47 @@ func TestBadHandshakeRejected(t *testing.T) {
 	waitFor(t, "delivery after bad handshakes", func() bool { return s.len() == 1 })
 }
 
+// TestPreviousVersionRefusedAtHandshake: a peer still speaking protocol
+// version 1 — whose push frames lack the log range and whose relays send the
+// retired tag 17 — is disconnected at the hello, and the well-formed frame it
+// pipelined right behind it is never decoded or delivered.
+func TestPreviousVersionRefusedAtHandshake(t *testing.T) {
+	m := newMesh(t, "proc")
+	var s sink
+	m.AddNode("n", s.handler)
+
+	nc, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello := append([]byte(magic), 1, featCodecV1)
+	hello = bin.AppendString(hello, "old")
+	body := []byte{kindSend}
+	body = bin.AppendString(body, "a")
+	body = bin.AppendString(body, "n")
+	body, err = wire.EncodeMessage(body, wire.ReplHeartbeat{From: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := bin.AppendUvarint(nil, uint64(len(body)))
+	nc.Write(append(hello, append(frame, body...)...))
+	nc.SetReadDeadline(time.Now().Add(3 * time.Second))
+	// The mesh writes its own hello, then drops us: read until the close.
+	discard := make([]byte, 256)
+	for {
+		if _, err := nc.Read(discard); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("version-1 peer was not disconnected")
+			}
+			break
+		}
+	}
+	if n := s.len(); n != 0 {
+		t.Fatalf("%d frames from a version-1 peer were delivered", n)
+	}
+}
+
 func TestUnknownPeerAndClose(t *testing.T) {
 	m := newMesh(t, "proc")
 	a := m.AddNode("a", nil)

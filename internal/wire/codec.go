@@ -91,7 +91,9 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = appendObjectIDs(buf, v.Objects)
 		buf = bin.AppendBool(buf, v.Resume)
 		buf = appendVector(buf, v.Since)
-		return bin.AppendBool(buf, v.Relay), nil
+		buf = bin.AppendBool(buf, v.Relay)
+		buf = bin.AppendUvarint(buf, v.Gen)
+		return bin.AppendVarint(buf, int64(v.Cursor)), nil
 	case SubscribeAck:
 		buf = appendVector(buf, v.Stable)
 		buf = bin.AppendUvarint(buf, uint64(len(v.Objects)))
@@ -101,7 +103,8 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 				return nil, err
 			}
 		}
-		return buf, nil
+		buf = bin.AppendUvarint(buf, v.Gen)
+		return bin.AppendVarint(buf, int64(v.Cursor)), nil
 	case Unsubscribe:
 		buf = bin.AppendString(buf, v.Node)
 		return appendObjectIDs(buf, v.Objects), nil
@@ -119,7 +122,8 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 				return nil, err
 			}
 		}
-		return appendVector(buf, v.Stable), nil
+		buf = appendVector(buf, v.Stable)
+		return appendRange(buf, v.Gen, v.Lo, v.Hi), nil
 	case MigratedTxAck:
 		buf = appendStamps(buf, v.Commit)
 		return bin.AppendString(buf, v.Err), nil
@@ -132,7 +136,6 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendString(buf, v.From)
 		buf = bin.AppendUvarint(buf, v.Shard)
 		buf = bin.AppendUvarint(buf, v.Epoch)
-		buf = bin.AppendUvarint(buf, v.Seq)
 		buf = bin.AppendUvarint(buf, uint64(len(v.Txs)))
 		var err error
 		for _, t := range v.Txs {
@@ -140,14 +143,8 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 				return nil, err
 			}
 		}
-		return appendVector(buf, v.Stable), nil
-	case TreeAck:
-		buf = bin.AppendString(buf, v.Node)
-		buf = bin.AppendUvarint(buf, v.Shard)
-		buf = bin.AppendUvarint(buf, v.Epoch)
-		buf = bin.AppendUvarint(buf, v.Seq)
-		buf = appendStrings(buf, v.Failed)
-		return bin.AppendBool(buf, v.Dropped), nil
+		buf = appendVector(buf, v.Stable)
+		return appendRange(buf, v.Gen, v.Lo, v.Hi), nil
 	case GroupJoinReq:
 		buf = bin.AppendString(buf, v.Node)
 		return bin.AppendString(buf, v.Actor), nil
@@ -310,6 +307,8 @@ func DecodeMessage(data []byte) (Message, error) {
 		v.Resume = r.Bool()
 		v.Since = readVector(r)
 		v.Relay = r.Bool()
+		v.Gen = r.Uvarint()
+		v.Cursor = int(r.Varint())
 		m = v
 	case TagSubscribeAck:
 		v := SubscribeAck{Stable: readVector(r)}
@@ -324,6 +323,8 @@ func DecodeMessage(data []byte) (Message, error) {
 				v.Objects = append(v.Objects, st)
 			}
 		}
+		v.Gen = r.Uvarint()
+		v.Cursor = int(r.Varint())
 		m = v
 	case TagUnsubscribe:
 		m = Unsubscribe{Node: r.String(), Objects: readObjectIDs(r)}
@@ -345,6 +346,7 @@ func DecodeMessage(data []byte) (Message, error) {
 			}
 		}
 		v.Stable = readVector(r)
+		v.Gen, v.Lo, v.Hi = readRange(r)
 		m = v
 	case TagMigratedTxAck:
 		m = MigratedTxAck{Commit: readStamps(r), Err: r.String()}
@@ -358,7 +360,6 @@ func DecodeMessage(data []byte) (Message, error) {
 		v := TreePush{From: r.String()}
 		v.Shard = r.Uvarint()
 		v.Epoch = r.Uvarint()
-		v.Seq = r.Uvarint()
 		n := r.Count(1)
 		if n > 0 {
 			v.Txs = make([]*txn.Transaction, 0, n)
@@ -367,14 +368,7 @@ func DecodeMessage(data []byte) (Message, error) {
 			}
 		}
 		v.Stable = readVector(r)
-		m = v
-	case TagTreeAck:
-		v := TreeAck{Node: r.String()}
-		v.Shard = r.Uvarint()
-		v.Epoch = r.Uvarint()
-		v.Seq = r.Uvarint()
-		v.Failed = readStrings(r)
-		v.Dropped = r.Bool()
+		v.Gen, v.Lo, v.Hi = readRange(r)
 		m = v
 	case TagGroupJoinReq:
 		m = GroupJoinReq{Node: r.String(), Actor: r.String()}
@@ -494,6 +488,20 @@ func DecodeMessage(data []byte) (Message, error) {
 }
 
 // --- composite field codecs ---
+
+// appendRange encodes the log range a sequenced push frame covers.
+func appendRange(buf []byte, gen uint64, lo, hi int) []byte {
+	buf = bin.AppendUvarint(buf, gen)
+	buf = bin.AppendVarint(buf, int64(lo))
+	return bin.AppendVarint(buf, int64(hi))
+}
+
+func readRange(r *bin.Reader) (gen uint64, lo, hi int) {
+	gen = r.Uvarint()
+	lo = int(r.Varint())
+	hi = int(r.Varint())
+	return gen, lo, hi
+}
 
 // appendVector encodes a state vector.
 func appendVector(buf []byte, v vclock.Vector) []byte {

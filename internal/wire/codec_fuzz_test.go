@@ -25,6 +25,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(TagReplBatch), 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add(retiredReplTxFrame)
+	f.Add(retiredTreeAckFrame)
+	// Receiver-cursor layouts: a resume with a hostile cursor, an ack cut off
+	// after its objects, and sequenced frames whose range is truncated or
+	// inverted.
+	f.Add([]byte{byte(TagSubscribe), 0x01, 'e', 0x00, 0x01, 0x00, 0x01, 0x07, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{byte(TagSubscribeAck), 0x01, 0x04, 0x00, 0x07})
+	f.Add([]byte{byte(TagPushTxs), 0x03, 'd', 'c', '1', 0x00, 0x00, 0x07, 0x52})
+	f.Add([]byte{byte(TagTreePush), 0x03, 'd', 'c', '1', 0x07, 0x03, 0x00, 0x00, 0x07, 0x58, 0x52})
 	// Partial-replication frames: hostile counts and truncated bodies.
 	f.Add([]byte{byte(TagBucketVec), 0x02, 0x01, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{byte(TagBackfillReq), 0x04, 'r', 'o', 'o', 'm'})

@@ -76,14 +76,14 @@ func goldenMessages() map[string]Message {
 			Missing: vclock.Vector{1, 0, 0}},
 		"subscribe": Subscribe{Node: "edge-7",
 			Objects: []txn.ObjectID{{Bucket: "docs", Key: "readme"}, {Bucket: "docs", Key: "todo"}},
-			Resume:  true, Since: vclock.Vector{2, 2, 2}, Relay: true},
+			Resume:  true, Since: vclock.Vector{2, 2, 2}, Relay: true, Gen: 1700000000000000007, Cursor: 41},
 		"subscribe_ack": SubscribeAck{Stable: vclock.Vector{4, 4, 4},
-			Objects: []ObjectState{sampleObjectState()}},
+			Objects: []ObjectState{sampleObjectState()}, Gen: 1700000000000000007, Cursor: 44},
 		"unsubscribe":  Unsubscribe{Node: "edge-7", Objects: []txn.ObjectID{{Bucket: "docs", Key: "todo"}}},
 		"object_state": sampleObjectState(),
 		"fetch_object": FetchObject{ID: txn.ObjectID{Bucket: "docs", Key: "readme"}, At: vclock.Vector{3, 1, 4}},
 		"push_txs": PushTxs{From: "dc1", Txs: []*txn.Transaction{sampleTx()},
-			Stable: vclock.Vector{5, 5, 5}},
+			Stable: vclock.Vector{5, 5, 5}, Gen: 1700000000000000007, Lo: 41, Hi: 44},
 		"migrated_tx": MigratedTx{Origin: "edge-7", Actor: "alice",
 			Snapshot: vclock.Vector{3, 1, 4}, Name: "recount", Args: []byte{0x01, 0x02},
 			Touches: []txn.ObjectID{{Bucket: "stats", Key: "edits"}, {Bucket: "docs", Key: "readme"}}},
@@ -98,10 +98,9 @@ func goldenMessages() map[string]Message {
 		"drop_vote":   DropVote{Bucket: "stats", Hold: true},
 		"tree_assign": TreeAssign{From: "dc1", Shard: 7, Epoch: 3,
 			Children: []string{"edge-2", "edge-3", "edge-4"}},
-		"tree_push": TreePush{From: "dc1", Shard: 7, Epoch: 3, Seq: 12,
-			Txs: []*txn.Transaction{sampleTx()}, Stable: vclock.Vector{5, 5, 5}},
-		"tree_ack": TreeAck{Node: "edge-1", Shard: 7, Epoch: 3, Seq: 12,
-			Failed: []string{"edge-3"}, Dropped: true},
+		"tree_push": TreePush{From: "dc1", Shard: 7, Epoch: 3,
+			Txs: []*txn.Transaction{sampleTx()}, Stable: vclock.Vector{5, 5, 5},
+			Gen: 1700000000000000007, Lo: 41, Hi: 44},
 		"group_join_req": GroupJoinReq{Node: "peer-2", Actor: "bob"},
 		"group_join_ack": GroupJoinAck{Members: []string{"parent-1", "peer-2"},
 			Parent: "parent-1", SessionKey: []byte{0xde, 0xad, 0xbe, 0xef}},
@@ -133,6 +132,12 @@ func goldenMessages() map[string]Message {
 // retiredReplTxFrame is the start of a frame an old peer would have sent with
 // the retired tag 1: sender index, then a transaction's dot.
 var retiredReplTxFrame = []byte{byte(TagReplTx), 0x02, 0x01, 0x06, 'e', 'd', 'g', 'e', '-', '7', 0x2a}
+
+// retiredTreeAckFrame is the forwarding receipt an old relay would have sent
+// with the retired tag 17 (the last golden encoding of TreeAck): node, shard,
+// epoch, seq, one failed child, dropped.
+var retiredTreeAckFrame = []byte{byte(TagTreeAck), 0x06, 'e', 'd', 'g', 'e', '-', '1', 0x07, 0x03, 0x0c,
+	0x01, 0x06, 'e', 'd', 'g', 'e', '-', '3', 0x01}
 
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden_"+name+".hex")
@@ -267,7 +272,7 @@ func TestEncodeNilAndEmpty(t *testing.T) {
 		ReplBatch{}, ReplHeartbeat{}, EdgeCommit{}, EdgeCommitAck{},
 		EdgeCommitNack{}, Subscribe{}, SubscribeAck{}, Unsubscribe{},
 		ObjectState{}, FetchObject{}, PushTxs{}, MigratedTx{}, MigratedTxAck{},
-		TreeAssign{}, TreePush{}, TreeAck{},
+		TreeAssign{}, TreePush{},
 		GroupJoinReq{}, GroupJoinAck{}, GroupLeaveReq{}, GroupMemberEvent{},
 		GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
 		EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
@@ -373,10 +378,10 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 	if _, err := DecodeMessage([]byte{0xee}); !errors.Is(err, ErrUnknownTag) {
 		t.Errorf("unknown tag: err = %v, want ErrUnknownTag", err)
 	}
-	// Tag 1 is retired: a frame carrying it — bare, or with the body an old
-	// peer would have sent — is rejected, never decoded into a zero-valued
-	// message or silently ignored.
-	for _, frame := range [][]byte{{byte(TagReplTx)}, retiredReplTxFrame} {
+	// Tags 1 and 17 are retired: a frame carrying one — bare, or with the
+	// body an old peer would have sent — is rejected, never decoded into a
+	// zero-valued message or silently ignored.
+	for _, frame := range [][]byte{{byte(TagReplTx)}, retiredReplTxFrame, {byte(TagTreeAck)}, retiredTreeAckFrame} {
 		if m, err := DecodeMessage(frame); !errors.Is(err, ErrUnknownTag) || m != nil {
 			t.Errorf("retired tag frame %x: got %v, %v, want nil, ErrUnknownTag", frame, m, err)
 		}

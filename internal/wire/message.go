@@ -31,7 +31,11 @@ const (
 	// Tree multicast (PR 7).
 	TagTreeAssign Tag = 15
 	TagTreePush   Tag = 16
-	TagTreeAck    Tag = 17
+	// TagTreeAck is retired: it carried the subtree root's forwarding receipt
+	// TreeAck, which nothing sends since receivers hold their own cursors.
+	// The number stays declared so it is never reused; the decoder rejects it
+	// as an unknown tag.
+	TagTreeAck Tag = 17
 
 	// Peer-group membership and sync.
 	TagGroupJoinReq     Tag = 18
@@ -80,7 +84,7 @@ var _ = []Message{
 	Subscribe{}, SubscribeAck{}, Unsubscribe{},
 	ObjectState{}, FetchObject{}, PushTxs{},
 	MigratedTx{}, MigratedTxAck{},
-	TreeAssign{}, TreePush{}, TreeAck{},
+	TreeAssign{}, TreePush{},
 	GroupJoinReq{}, GroupJoinAck{}, GroupLeaveReq{}, GroupMemberEvent{},
 	GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
 	EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
@@ -180,12 +184,6 @@ func (p TreePush) Units() int {
 	}
 	return len(p.Txs)
 }
-
-// Tag implements Message.
-func (TreeAck) Tag() Tag { return TagTreeAck }
-
-// Units implements Message.
-func (TreeAck) Units() int { return 1 }
 
 // Tag implements Message.
 func (GroupJoinReq) Tag() Tag { return TagGroupJoinReq }

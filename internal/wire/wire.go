@@ -1,8 +1,9 @@
 // Package wire defines the messages exchanged between Colony nodes over the
 // network substrate: DC↔DC replication, edge↔DC commits and subscriptions,
 // and peer-group traffic. In the paper these ride RabbitMQ (between DCs) and
-// WebRTC data channels (between peers); here they are Go values delivered by
-// simnet.
+// WebRTC data channels (between peers); here every message has a stable binary
+// encoding (codec.go) carried by the TCP mesh, and the same Go values are
+// handed over in-process by simnet.
 //
 // Transactions inside messages are treated as immutable; senders clone
 // before sending when they retain a mutable reference.
@@ -190,11 +191,19 @@ type EdgeCommitNack struct {
 type Subscribe struct {
 	Node    string
 	Objects []txn.ObjectID
-	// Resume asks the DC to replay stable transactions not covered by Since
-	// — used after a disconnection or a migration, when pushes may have been
-	// lost. The subscriber deduplicates any overlap by dot.
+	// Resume reports the subscriber's position in the push stream and asks
+	// for everything after it — the one repair path, used on a gap, after
+	// silence, after a disconnection or a migration. (Gen, Cursor) is the
+	// position itself: the log generation and index the subscriber has
+	// integrated through, exact and free to serve. Since, the subscriber's
+	// stable cut, is the fallback when Gen is not the sender's current
+	// generation (restart, visibility recheck, another DC): the DC then
+	// replays what Since does not cover and the subscriber deduplicates the
+	// overlap by dot.
 	Resume bool
 	Since  vclock.Vector
+	Gen    uint64
+	Cursor int
 	// Relay declares that this subscriber understands the tree-multicast
 	// frames (TreeAssign/TreePush) and is willing to re-fan-out pushes to
 	// sibling subscribers on the DC's behalf. Edge nodes and group sync
@@ -205,10 +214,18 @@ type Subscribe struct {
 }
 
 // SubscribeAck returns materialised base versions for the newly subscribed
-// objects at the DC's stable cut.
+// objects at the DC's stable cut, and the position (Gen, Cursor) in the DC's
+// push stream the subscription continues from. A subscriber holding another
+// generation adopts the pair; one already in Gen keeps its own cursor, which
+// is the authority. Gen 0 means the sender's pushes are unsequenced (a group
+// parent). Stable is set only for a subscriber that starts at Cursor — one
+// that holds no position in Gen and is not resuming; otherwise cuts arrive
+// with the in-order frames that carry them.
 type SubscribeAck struct {
 	Stable  vclock.Vector
 	Objects []ObjectState
+	Gen     uint64
+	Cursor  int
 }
 
 // Unsubscribe removes objects from the interest set (cache eviction).
@@ -249,10 +266,40 @@ type FetchObject struct {
 
 // PushTxs streams newly K-stable transactions (filtered to the receiver's
 // interest set) plus the sender's stable vector, in causal order.
+//
+// A DC's frames are sequenced: Txs holds every transaction of the DC's
+// visible log range [Lo, Hi) (log generation Gen) that touches the
+// receiver's buckets, and the receiver integrates the frame only when it
+// connects to its PushCursor. Gen 0 marks an unsequenced frame (a group
+// parent forwarding to its members), applied on arrival and deduplicated by
+// dot.
 type PushTxs struct {
 	From   string
 	Txs    []*txn.Transaction
 	Stable vclock.Vector
+	Gen    uint64
+	Lo, Hi int
+}
+
+// PushCursor is a receiver's position in one DC's sequenced push stream: the
+// log generation and the index it has integrated through. The receiver, not
+// the DC, owns it; a frame that does not connect is refused and the receiver
+// resumes (Subscribe.Resume) from here.
+type PushCursor struct {
+	Gen uint64
+	Idx int
+}
+
+// Admit reports whether a frame covering [lo, hi) of generation gen connects
+// to the cursor — same generation, no gap — and advances the cursor past it
+// if so. Overlap below the cursor is fine: the transactions deduplicate by
+// dot.
+func (c *PushCursor) Admit(gen uint64, lo, hi int) bool {
+	if gen != c.Gen || lo > c.Idx {
+		return false
+	}
+	c.Idx = max(c.Idx, hi)
+	return true
 }
 
 // Units reports the number of logical messages the push batch stands for,
@@ -281,11 +328,12 @@ func (p PushTxs) Units() int {
 // many subscribers share the shard.
 type PushFrame = PushTxs
 
-// SealPushFrame builds a PushFrame over an already-filtered transaction run
-// and a stable cut, clipping the slice capacity so no later append through a
-// retained reference can alias into the shared backing array.
-func SealPushFrame(from string, txs []*txn.Transaction, stable vclock.Vector) PushFrame {
-	return PushFrame{From: from, Txs: txs[:len(txs):len(txs)], Stable: stable}
+// SealPushFrame builds a PushFrame over an already-filtered transaction run,
+// the log range [lo, hi) of generation gen it covers, and a stable cut,
+// clipping the slice capacity so no later append through a retained
+// reference can alias into the shared backing array.
+func SealPushFrame(from string, txs []*txn.Transaction, stable vclock.Vector, gen uint64, lo, hi int) PushFrame {
+	return PushFrame{From: from, Txs: txs[:len(txs):len(txs)], Stable: stable, Gen: gen, Lo: lo, Hi: hi}
 }
 
 // --- tree multicast (paper §3.4: dissemination trees rooted at a DC) ---
@@ -303,45 +351,31 @@ type TreeAssign struct {
 }
 
 // TreePush is a sealed push frame addressed to a subtree root: the same
-// filtered transaction run and stable cut a PushFrame carries, plus the
-// routing envelope (shard, epoch, sequence) the relay needs to re-fan it out
-// to its children and acknowledge aggregate delivery back to the DC. Leaf
-// children apply it exactly like a PushTxs. The sealed-frame contract of
+// filtered transaction run, log range and stable cut a PushFrame carries,
+// plus the routing envelope (shard, epoch) the relay needs to re-fan it out
+// to its children. The relay forwards and forgets — nothing goes back to the
+// DC; a child the forward did not reach notices the gap at its own cursor.
+// Leaf children apply it exactly like a PushTxs. The sealed-frame contract of
 // PushFrame applies: neither relays nor leaves may mutate Txs or Stable.
 type TreePush struct {
 	From   string
 	Shard  uint64
 	Epoch  uint64
-	Seq    uint64 // per-subtree FIFO sequence, for ack matching
 	Txs    []*txn.Transaction
 	Stable vclock.Vector
+	Gen    uint64
+	Lo, Hi int
 }
 
-// SealTreeFrame builds a TreePush over an already-filtered transaction run,
-// clipping the slice capacity like SealPushFrame so no retained reference can
-// append into the shared backing array.
-func SealTreeFrame(from string, shard, epoch, seq uint64, txs []*txn.Transaction, stable vclock.Vector) TreePush {
-	return TreePush{From: from, Shard: shard, Epoch: epoch, Seq: seq, Txs: txs[:len(txs):len(txs)], Stable: stable}
+// SealTreeFrame wraps a sealed PushFrame in the routing envelope of one
+// subtree; the transaction run and stable cut are shared, not copied.
+func SealTreeFrame(shard, epoch uint64, f PushFrame) TreePush {
+	return TreePush{From: f.From, Shard: shard, Epoch: epoch, Txs: f.Txs, Stable: f.Stable, Gen: f.Gen, Lo: f.Lo, Hi: f.Hi}
 }
 
-// Inner returns the plain push frame a relay (or leaf) applies locally.
+// Inner returns the plain push frame a relay forwards and applies locally.
 func (p TreePush) Inner() PushTxs {
-	return PushTxs{From: p.From, Txs: p.Txs, Stable: p.Stable}
-}
-
-// TreeAck is the aggregated forwarding receipt a subtree root returns to its
-// DC: Failed lists the children whose forward was locally refused
-// (unreachable, backpressure), and Dropped reports that the relay did not
-// forward at all (its child table was missing or at another epoch). The DC
-// rewinds the named subscribers' delivery cursors so the PR 5 repair path
-// re-covers them with direct frames.
-type TreeAck struct {
-	Node    string // the acking relay
-	Shard   uint64
-	Epoch   uint64
-	Seq     uint64
-	Failed  []string
-	Dropped bool
+	return PushTxs{From: p.From, Txs: p.Txs, Stable: p.Stable, Gen: p.Gen, Lo: p.Lo, Hi: p.Hi}
 }
 
 // TxReader reads an object inside a transaction running at a DC.

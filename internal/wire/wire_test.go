@@ -154,3 +154,28 @@ func TestPushTxsBatchIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestPushCursorAdmit pins the receiver's one rule: a frame is integrated iff
+// it is of the cursor's generation and starts at or below the cursor, and
+// only then does the cursor move — forward, never back.
+func TestPushCursorAdmit(t *testing.T) {
+	c := PushCursor{Gen: 7, Idx: 10}
+	for _, tc := range []struct {
+		gen    uint64
+		lo, hi int
+		ok     bool
+		idx    int
+	}{
+		{7, 10, 12, true, 12},  // connects
+		{7, 13, 15, false, 12}, // gap: a frame is missing
+		{8, 12, 13, false, 12}, // another generation
+		{0, 0, 0, false, 12},   // an unsequenced frame is not the cursor's to judge
+		{7, 5, 9, true, 12},    // overlap below the cursor: dots deduplicate
+		{7, 11, 14, true, 14},  // partial overlap advances to hi
+		{7, 14, 14, true, 14},  // pure stability advance
+	} {
+		if ok := c.Admit(tc.gen, tc.lo, tc.hi); ok != tc.ok || c.Idx != tc.idx || c.Gen != 7 {
+			t.Errorf("Admit(%d, %d, %d) = %v, cursor %+v; want %v at %d", tc.gen, tc.lo, tc.hi, ok, c, tc.ok, tc.idx)
+		}
+	}
+}
