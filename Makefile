@@ -24,9 +24,14 @@ test-race:
 # The push path — interest shards, multicast trees, relays, receiver cursors
 # and the resume that repairs them — twenty times over under the race
 # detector: every review pass this code needed was a race, and "green most
-# runs" is not green.
+# runs" is not green. The second line does the same for group visibility: the
+# store's mark and seed read, the materialisation cache under them, and a
+# member joining, being evicted, re-subscribing, migrating and leaving while
+# the group commits — run it after any change to store.entryVisible,
+# edge.ApplyGroupTx or the seeding in group.Parent.
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
+	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
 
 vet:
 	$(GO) vet ./...

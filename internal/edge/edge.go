@@ -123,11 +123,6 @@ type Hooks struct {
 	// ReadFilter masks transactions from this node's reads — the edge's
 	// local ACL check (paper §6.4).
 	ReadFilter func(*txn.Transaction) bool
-	// Visibility supplies the group visibility log: reads treat the
-	// returned dots as visible in addition to the snapshot cut (paper
-	// §5.1.4). The returned map must be treated as immutable
-	// (copy-on-write on the group side).
-	Visibility func() map[vclock.Dot]bool
 }
 
 // Stats are cumulative counters exposed for experiments.
@@ -439,15 +434,18 @@ func (n *Node) EnqueueForDC(t *txn.Transaction) {
 }
 
 // ApplyGroupTx integrates a transaction ordered by the group's consensus:
-// it is applied to the store (idempotently; the store skips updates to
-// objects this cache does not hold) and update listeners fire. The caller
-// makes it readable through the visibility log.
+// the store journals it and marks it group-visible in one step, so from here
+// on every read at this node sees it in addition to the snapshot cut, for as
+// long as the store holds it — also after the node leaves the group (paper
+// §5.1.4; rollback freedom, §5.2). Idempotent: a dot the store already holds
+// is only marked (and its commit stamps absorbed). The store skips updates
+// to objects this cache does not hold; update listeners fire for the rest.
 func (n *Node) ApplyGroupTx(shared *txn.Transaction) {
 	t := shared.Clone() // the caller's record fans out to many stores
 	n.mu.Lock()
 	n.lamport.Witness(t.Dot.Seq)
 	var fns []boundListener
-	if err := n.st.Apply(t); err == nil {
+	if err := n.st.ApplyGroupVisible(t); err == nil {
 		touched := make(map[txn.ObjectID]bool)
 		for _, id := range t.Objects() {
 			touched[id] = true
@@ -879,13 +877,9 @@ func (t *Tx) ReadTracked(id txn.ObjectID, kind crdt.Kind) (crdt.Object, ReadSour
 	t.n.obsReads.Inc()
 
 	t.n.mu.Lock()
-	visFn := t.n.hooks.Visibility
 	mask := t.n.hooks.ReadFilter
 	t.n.mu.Unlock()
 	opts := store.ReadOptions{SelfVisible: true, Reject: mask}
-	if visFn != nil {
-		opts.ExtraVisible = visFn()
-	}
 	source := SourceCache
 	obj, err := t.n.st.Read(id, t.snapshot, opts)
 	if errors.Is(err, store.ErrNotFound) {

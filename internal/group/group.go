@@ -21,10 +21,8 @@ package group
 
 import (
 	"errors"
-	"sync"
 
 	"colony/internal/txn"
-	"colony/internal/vclock"
 	"colony/internal/wire"
 )
 
@@ -88,44 +86,4 @@ func interferenceKeys(t *txn.Transaction) []string {
 		keys[i] = id.String()
 	}
 	return keys
-}
-
-// visibilityMap is a copy-on-write set of group-visible dots shared with the
-// edge store's read path.
-type visibilityMap struct {
-	mu  sync.Mutex
-	cur map[vclock.Dot]bool
-}
-
-func newVisibilityMap() *visibilityMap {
-	return &visibilityMap{cur: make(map[vclock.Dot]bool)}
-}
-
-// add copies the map and inserts the dot; readers holding the old map are
-// unaffected.
-func (v *visibilityMap) add(d vclock.Dot) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.cur[d] {
-		return false
-	}
-	next := make(map[vclock.Dot]bool, len(v.cur)+1)
-	for k := range v.cur {
-		next[k] = true
-	}
-	next[d] = true
-	v.cur = next
-	return true
-}
-
-func (v *visibilityMap) snapshot() map[vclock.Dot]bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.cur
-}
-
-func (v *visibilityMap) has(d vclock.Dot) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.cur[d]
 }

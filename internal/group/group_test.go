@@ -59,6 +59,9 @@ func newRig(t *testing.T, nDCs, k, nMembers int, variant CommitVariant) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Stop the member's loop with the test: under -count a leaked loop
+		// keeps ticking and retrying through every later run.
+		t.Cleanup(func() { m.leave(false) })
 		r.members = append(r.members, m)
 		r.nodes = append(r.nodes, n)
 	}
@@ -114,7 +117,7 @@ func TestJoinAndMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = m
+	t.Cleanup(func() { m.leave(false) })
 	// Older membership broadcasts may still be in flight; wait for the one
 	// reflecting the late join (4 members + parent).
 	deadline := time.After(time.Second)
@@ -179,7 +182,7 @@ func TestPSIVariantBlocksUntilOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := inc(t, r.nodes[0], 1) // returns only after consensus execution
-	if !r.members[0].vis.has(rec.Dot) {
+	if !r.nodes[0].Store().GroupVisible(rec.Dot) {
 		t.Fatal("PSI commit returned before the tx was group-visible")
 	}
 }
@@ -355,7 +358,7 @@ func TestMigrationBetweenGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = m2
+	t.Cleanup(func() { m2.leave(false) })
 	if got := len(r.parent.Members()); got != 1 {
 		t.Fatalf("old group members = %d", got)
 	}

@@ -44,7 +44,6 @@ type Member struct {
 	mu         sync.Mutex
 	replica    *epaxos.Replica
 	sessionKey []byte
-	vis        *visibilityMap
 	vislogLen  int // entries adopted from the parent's log (sync cursor)
 	// pendingOwn tracks this node's transactions without a concrete commit
 	// yet, in order; they are re-proposed after migrating to another group.
@@ -63,15 +62,10 @@ type Member struct {
 // Join attaches node to the peer group managed by parent. The node's commit
 // pipeline, cache-miss path and read visibility are redirected to the group,
 // and the node's subscription moves from its DC to the parent (the parent
-// subscribes upstream on the group's behalf, §5.1.2–5.1.3).
+// subscribes upstream on the group's behalf, §5.1.2–5.1.3). Transactions a
+// previous group made visible at this node stay visible: the marks live in
+// the node's store (rollback freedom, §5.2).
 func Join(node *edge.Node, cfg MemberConfig) (*Member, error) {
-	return joinWith(node, cfg, newVisibilityMap())
-}
-
-// joinWith is Join with an existing visibility map — used by MigrateTo so
-// that transactions already visible in the previous group stay visible
-// (rollback freedom, §5.2).
-func joinWith(node *edge.Node, cfg MemberConfig, vis *visibilityMap) (*Member, error) {
 	if cfg.Variant == 0 {
 		cfg.Variant = VariantAsync
 	}
@@ -87,7 +81,6 @@ func joinWith(node *edge.Node, cfg MemberConfig, vis *visibilityMap) (*Member, e
 	m := &Member{
 		node: node,
 		cfg:  cfg,
-		vis:  vis,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -99,10 +92,9 @@ func joinWith(node *edge.Node, cfg MemberConfig, vis *visibilityMap) (*Member, e
 		func(to string, msg any) { m.obsMsgs.Inc(); _ = node.Send(to, msg) },
 		m.onExecute)
 	node.SetHooks(edge.Hooks{
-		Extra:      m.handle,
-		Visibility: m.vis.snapshot,
-		Commit:     m.onLocalCommit,
-		Fetch:      m.fetch,
+		Extra:  m.handle,
+		Commit: m.onLocalCommit,
+		Fetch:  m.fetch,
 	})
 
 	ack, err := m.join(cfg.Parent)
@@ -175,11 +167,11 @@ func (m *Member) leave(requeue bool) {
 	}
 }
 
-// detachHooks restores the plain edge-node behaviour. The visibility log
-// stays installed: transactions that became group-visible remain readable
+// detachHooks restores the plain edge-node behaviour. Transactions that
+// became group-visible remain readable — the store keeps their marks
 // (rollback freedom).
 func (m *Member) detachHooks() {
-	m.node.SetHooks(edge.Hooks{Visibility: m.vis.snapshot})
+	m.node.SetHooks(edge.Hooks{})
 }
 
 // Node returns the underlying edge node.
@@ -200,7 +192,9 @@ func (m *Member) OnMembershipChange(fn func([]string)) {
 	m.memberEvs = append(m.memberEvs, fn)
 }
 
-// VisibilityLogLen reports how many group transactions are visible here.
+// VisibilityLogLen reports the member's sync cursor: how many entries of the
+// parent's visibility log it has adopted in order. Transactions the member
+// executed itself are visible here before the cursor passes them.
 func (m *Member) VisibilityLogLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -246,7 +240,7 @@ func (m *Member) syncWithParent() {
 		return
 	}
 	for _, t := range ack.Entries {
-		m.adoptVisible(t)
+		m.node.ApplyGroupTx(t)
 		if !t.Symbolic() {
 			for dc, ts := range t.Commit {
 				m.node.Promote(t.Dot, dc, ts, ack.Stable)
@@ -270,7 +264,7 @@ func (m *Member) handle(from string, msg any) any {
 		m.applyMembership(ev.Members)
 		return nil
 	case VisEntry:
-		m.adoptVisible(ev.Tx)
+		m.node.ApplyGroupTx(ev.Tx)
 		m.mu.Lock()
 		if ev.Index == m.vislogLen {
 			m.vislogLen++
@@ -344,16 +338,7 @@ func (m *Member) onExecute(cmd epaxos.Command) {
 		return
 	}
 	m.obsExecuted.Inc()
-	m.adoptVisible(t)
-}
-
-// adoptVisible makes a group-ordered transaction visible locally
-// (idempotent).
-func (m *Member) adoptVisible(t *txn.Transaction) {
-	if !m.vis.add(t.Dot) {
-		return
-	}
-	m.node.ApplyGroupTx(t.Clone())
+	m.node.ApplyGroupTx(t)
 }
 
 // clearPending drops a now-concrete transaction from the re-propose list.
@@ -390,7 +375,7 @@ func (m *Member) MigrateTo(parent string) (*Member, error) {
 	node := m.node
 	cfg := m.cfg
 	cfg.Parent = parent
-	next, err := joinWith(node, cfg, m.vis)
+	next, err := Join(node, cfg)
 	if err != nil {
 		return nil, err
 	}

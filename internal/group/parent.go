@@ -8,7 +8,6 @@ import (
 	"colony/internal/edge"
 	"colony/internal/epaxos"
 	"colony/internal/obs"
-	"colony/internal/store"
 	"colony/internal/transport"
 	"colony/internal/txn"
 	"colony/internal/vclock"
@@ -44,12 +43,9 @@ type Parent struct {
 	mu         sync.Mutex
 	members    map[string]bool
 	interest   map[string]map[txn.ObjectID]bool // member → declared interest
-	vislog     []*txn.Transaction               // group visibility order
-	byObject   map[txn.ObjectID][]*txn.Transaction
-	promoted   map[vclock.Dot]PromoteMsg
-	remoteLog  []*txn.Transaction // stable remote txs, for member resume (bounded)
+	vislog     []vclock.Dot                     // group visibility order; the transactions are in the node's store
+	remoteLog  []*txn.Transaction               // stable remote txs, for member resume (bounded)
 	sessionKey []byte
-	vis        *visibilityMap
 
 	// EPaxos round counters (nil-safe; shared deployment-wide by name).
 	obsProposed *obs.Counter
@@ -71,10 +67,7 @@ func NewParent(netw transport.Network, cfg ParentConfig) *Parent {
 	p := &Parent{
 		members:    make(map[string]bool),
 		interest:   make(map[string]map[txn.ObjectID]bool),
-		byObject:   make(map[txn.ObjectID][]*txn.Transaction),
-		promoted:   make(map[vclock.Dot]PromoteMsg),
 		sessionKey: key,
-		vis:        newVisibilityMap(),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -91,10 +84,9 @@ func NewParent(netw transport.Network, cfg ParentConfig) *Parent {
 		func(to string, msg any) { p.obsMsgs.Inc(); _ = p.node.Send(to, msg) },
 		p.onExecute)
 	p.node.SetHooks(edge.Hooks{
-		Extra:      p.handle,
-		Visibility: p.vis.snapshot,
-		Push:       p.onPush,
-		Ack:        p.onAck,
+		Extra: p.handle,
+		Push:  p.onPush,
+		Ack:   p.onAck,
 	})
 	go p.loop(cfg.RetryInterval)
 	return p
@@ -267,9 +259,10 @@ func (p *Parent) onMemberUnsubscribe(m wire.Unsubscribe) {
 
 // materializeForMember materialises an object for a member seed: the
 // parent's state cut plus the group-visible transactions (the member's reads
-// include the visibility log, so the seed must too). Group-visible
-// transactions not covered by the cut are reported in Folded so the member's
-// store does not re-apply them when the visibility log replays.
+// include them, so the seed must too). The store reports the state, its
+// coverage and the group-visible transactions beyond that coverage in one
+// atomic read, so Folded names exactly the transactions whose re-delivery the
+// member's store must skip.
 func (p *Parent) materializeForMember(id txn.ObjectID, reqAt vclock.Vector) wire.ObjectState {
 	at := p.node.State()
 	// Serve at the member's snapshot when the group cache covers it; a cut
@@ -279,33 +272,14 @@ func (p *Parent) materializeForMember(id txn.ObjectID, reqAt vclock.Vector) wire
 	if reqAt != nil && reqAt.LEQ(at) {
 		at = reqAt.Clone()
 	}
-	vis := p.vis.snapshot()
-	obj, err := p.node.Store().Read(id, at, store.ReadOptions{ExtraVisible: vis})
+	obj, vec, folded, err := p.node.Store().ReadSeed(id, at)
 	if err != nil {
 		// The group cache does not hold the object. Unlike a DC, the parent
 		// is a partial replica: it must not claim the object is empty at its
 		// state cut — the honest cut for "no knowledge" is the empty vector.
 		return wire.ObjectState{ID: id}
 	}
-	// The object's effective coverage is its base cut joined with the read
-	// cut: updates between them were folded into the base when the parent
-	// seeded it from the DC.
-	if bv, ok := p.node.Store().BaseVector(id); ok {
-		at = vclock.LUB(at, bv)
-	}
-	// Every group-visible transaction's effect is baked into the seed (the
-	// read above used the visibility log as extras); the ones not covered by
-	// the reported cut must be declared folded so the member's store skips
-	// their re-delivery. A per-object index keeps this O(object history).
-	var folded []vclock.Dot
-	p.mu.Lock()
-	for _, t := range p.byObject[id] {
-		if !t.VisibleAt(at) {
-			folded = append(folded, t.Dot)
-		}
-	}
-	p.mu.Unlock()
-	return wire.ObjectState{ID: id, Kind: obj.Kind(), Object: obj, Vec: at, Folded: folded}
+	return wire.ObjectState{ID: id, Kind: obj.Kind(), Object: obj, Vec: vec, Folded: folded}
 }
 
 // onMemberFetch serves a member cache miss from the collaborative cache,
@@ -336,14 +310,13 @@ func (p *Parent) onSync(m SyncReq) any {
 	entries := make([]*txn.Transaction, 0, len(p.vislog)-from)
 	suffix := p.vislog[from:]
 	p.mu.Unlock()
-	for _, t := range suffix {
-		// Serve the freshest stamps the store knows (the vislog entry is a
-		// snapshot from execution time).
-		if cur, ok := p.node.Store().Transaction(t.Dot); ok {
-			entries = append(entries, cur)
-		} else {
-			entries = append(entries, t.Clone())
+	for _, dot := range suffix {
+		// The store serves the freshest commit stamps it knows.
+		cur, ok := p.node.Store().Transaction(dot)
+		if !ok {
+			break // the member's cursor counts entries: never serve past a gap
 		}
+		entries = append(entries, cur)
 	}
 	return SyncAck{From: from, Entries: entries, Stable: p.node.StableVector()}
 }
@@ -389,7 +362,6 @@ func (p *Parent) onPush(m wire.PushTxs) {
 func (p *Parent) onAck(ack wire.EdgeCommitAck) {
 	msg := PromoteMsg{Dot: ack.Dot, DCIndex: ack.DCIndex, Ts: ack.Ts, Stable: ack.Stable}
 	p.mu.Lock()
-	p.promoted[ack.Dot] = msg
 	members, _ := p.membershipLocked()
 	p.mu.Unlock()
 	for _, member := range members {
@@ -406,26 +378,22 @@ func (p *Parent) onExecute(cmd epaxos.Command) {
 	if !ok {
 		return
 	}
-	t := src.Clone()
 	p.obsExecuted.Inc()
-	p.node.ApplyGroupTx(t)
-	// Refresh from the store: a concurrent redelivery may already have
+	p.node.ApplyGroupTx(src)
+	// Read it back from the store: a concurrent redelivery may already have
 	// contributed commit stamps.
-	if st, ok := p.node.Store().Transaction(t.Dot); ok {
-		t = st
+	t, ok := p.node.Store().Transaction(src.Dot)
+	if !ok {
+		return // the store refused it (kind mismatch): not visible here, so not logged
 	}
-	p.vis.add(t.Dot)
 	p.mu.Lock()
-	p.vislog = append(p.vislog, t)
+	p.vislog = append(p.vislog, t.Dot)
 	idx := len(p.vislog) - 1
-	for _, id := range t.Objects() {
-		p.byObject[id] = append(p.byObject[id], t)
-	}
 	members, _ := p.membershipLocked()
 	p.mu.Unlock()
 	// Push the new visibility entry to the members (best effort; SyncReq
 	// recovers anything lost).
-	ev := VisEntry{Index: idx, Tx: t.Clone()}
+	ev := VisEntry{Index: idx, Tx: t}
 	for _, member := range members {
 		_ = p.node.Send(member, ev)
 	}

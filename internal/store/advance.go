@@ -81,52 +81,62 @@ func (s *Store) maybeAutoAdvance(longest int) {
 // proceed; cut must be stable (every future read vector dominates it), which
 // also makes the shard-by-shard fold invisible to readers.
 func (s *Store) Advance(cut vclock.Vector, keepDots bool) error {
-	folded := make(map[vclock.Dot]bool)
+	var folded []vclock.Dot
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for id, obj := range sh.objects {
-			var fork crdt.Object
-			kept := obj.journal[:0]
-			for _, e := range obj.journal {
-				if e.tx.VisibleAt(cut) {
-					if fork == nil {
-						fork = obj.base.Fork()
-					}
-					if err := fork.Apply(e.tx.Meta(e.idx), e.tx.Updates[e.idx].Op); err != nil {
-						sh.mu.Unlock()
-						return fmt.Errorf("advance %s: %w", id, err)
-					}
-					folded[e.tx.Dot] = true
-					continue
-				}
-				kept = append(kept, e)
+			dots, err := foldLocked(obj, cut)
+			if err != nil {
+				sh.mu.Unlock()
+				return fmt.Errorf("advance %s: %w", id, err)
 			}
-			obj.journal = kept
-			if fork != nil {
-				if c, ok := fork.(crdt.Compactor); ok {
-					c.CompactTombstones()
-				}
-				fork.Seal()
-				obj.base = fork
-			}
-			obj.baseVec = obj.baseVec.Join(cut)
-			// The base moved and journal indices shifted; drop the
-			// memoised materialisation.
-			obj.cache = nil
+			folded = append(folded, dots...)
 		}
 		sh.mu.Unlock()
 	}
 	if !keepDots {
-		s.txMu.Lock()
-		for dot := range folded {
-			delete(s.txs, dot)
-		}
-		s.txMu.Unlock()
+		s.forgetTx(folded...)
 	}
 	s.baseAdv.Inc()
 	s.bus.Publish(obs.Event{Type: obs.EvBaseAdvanced, Node: s.self, N: int64(len(folded))})
 	return nil
+}
+
+// foldLocked folds the journal entries of obj visible at cut into a fork of
+// its base, installs the fork as the new base at baseVec ⊔ cut, and returns
+// the dot of every folded entry. Group-visibility marks play no part: an
+// entry folds only once the cut covers it. The caller holds the object's
+// shard write lock.
+func foldLocked(obj *object, cut vclock.Vector) (folded []vclock.Dot, err error) {
+	var fork crdt.Object
+	kept := obj.journal[:0]
+	for _, e := range obj.journal {
+		if !e.tx.VisibleAt(cut) {
+			kept = append(kept, e)
+			continue
+		}
+		if fork == nil {
+			fork = obj.base.Fork()
+		}
+		if err := fork.Apply(e.tx.Meta(e.idx), e.tx.Updates[e.idx].Op); err != nil {
+			return nil, err
+		}
+		folded = append(folded, e.tx.Dot)
+	}
+	obj.journal = kept
+	if fork != nil {
+		if c, ok := fork.(crdt.Compactor); ok {
+			c.CompactTombstones()
+		}
+		fork.Seal()
+		obj.base = fork
+	}
+	obj.baseVec = obj.baseVec.Join(cut)
+	// The base moved and journal indices shifted; drop the memoised
+	// materialisation.
+	obj.cache = nil
+	return folded, nil
 }
 
 // AdvanceBuckets is the per-bucket form of Advance for partially replicated
@@ -151,32 +161,12 @@ func (s *Store) AdvanceBuckets(cutFor func(bucket string) vclock.Vector) error {
 			if len(cut) == 0 {
 				continue
 			}
-			var fork crdt.Object
-			kept := obj.journal[:0]
-			for _, e := range obj.journal {
-				if e.tx.VisibleAt(cut) {
-					if fork == nil {
-						fork = obj.base.Fork()
-					}
-					if err := fork.Apply(e.tx.Meta(e.idx), e.tx.Updates[e.idx].Op); err != nil {
-						sh.mu.Unlock()
-						return fmt.Errorf("advance %s: %w", id, err)
-					}
-					folded++
-					continue
-				}
-				kept = append(kept, e)
+			dots, err := foldLocked(obj, cut)
+			if err != nil {
+				sh.mu.Unlock()
+				return fmt.Errorf("advance %s: %w", id, err)
 			}
-			obj.journal = kept
-			if fork != nil {
-				if c, ok := fork.(crdt.Compactor); ok {
-					c.CompactTombstones()
-				}
-				fork.Seal()
-				obj.base = fork
-			}
-			obj.baseVec = obj.baseVec.Join(cut)
-			obj.cache = nil
+			folded += len(dots)
 		}
 		sh.mu.Unlock()
 	}

@@ -175,3 +175,49 @@ func BenchmarkStoreReadObs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStoreGroupVisibleRead measures a group member's read loop: a peer's
+// transaction becomes group-visible (symbolic — no cut covers it), then the
+// object is read. The mark is on the journal entry, so the read extends the
+// cached materialisation by the one new entry and ns/op is flat in journal
+// depth. The store is rebuilt (off the clock) every depth iterations so the
+// journal stays within [depth, 2·depth).
+func BenchmarkStoreGroupVisibleRead(b *testing.B) {
+	for _, depth := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			id := txn.ObjectID{Bucket: "bench", Key: "doc"}
+			groupTx := func(seq uint64) *txn.Transaction {
+				t := benchTx(id, "peer", seq, 0)
+				t.Commit = nil
+				return t
+			}
+			var s *Store
+			var seq uint64
+			at, opts := vclock.Vector{0}, ReadOptions{SelfVisible: true}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%depth == 0 {
+					b.StopTimer()
+					s = New("member")
+					for j := 0; j < depth; j++ {
+						seq++
+						if err := s.ApplyGroupVisible(groupTx(seq)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := s.Read(id, at, opts); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				seq++
+				if err := s.ApplyGroupVisible(groupTx(seq)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Read(id, at, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -56,10 +56,20 @@ func TestReadCacheEquivalence(t *testing.T) {
 			uint64(rng.Intn(int(seq[2]) + 1)),
 		}
 	}
-	extra := map[vclock.Dot]bool{}
+	// markGroupVisible delivers tx as the group's consensus would, to both
+	// stores alike (the mark is store state, not a read option).
+	markGroupVisible := func(tx *txn.Transaction, want error) {
+		t.Helper()
+		for _, s := range []*Store{cached, plain} {
+			if err := s.ApplyGroupVisible(tx.Clone()); !errors.Is(err, want) {
+				t.Fatalf("ApplyGroupVisible %s = %v, want %v", tx.Dot, err, want)
+			}
+		}
+	}
+	var unmarked []*txn.Transaction // foreign symbolic txs applied, not yet marked
 	promoted := map[vclock.Dot]bool{}
-	for step := 0; step < 400; step++ {
-		switch rng.Intn(4) {
+	for step := 0; step < 500; step++ {
+		switch rng.Intn(5) {
 		case 0: // committed counter increment from a random DC
 			dc := rng.Intn(3)
 			seq[dc]++
@@ -87,19 +97,17 @@ func TestReadCacheEquivalence(t *testing.T) {
 					Op:     crdt.Op{Set: &crdt.ORSetOp{Elem: fmt.Sprintf("e%d", rng.Intn(6))}},
 				}},
 			}
-			if rng.Intn(2) == 0 {
-				// Sometimes group-visible instead: foreign origin, admitted
-				// through the ExtraVisible log (copy-on-write rebuild).
-				tx.Origin = "peer"
-				tx.Dot.Node = "peer"
-				next := make(map[vclock.Dot]bool, len(extra)+1)
-				for d := range extra {
-					next[d] = true
-				}
-				next[tx.Dot] = true
-				extra = next
+			switch rng.Intn(4) {
+			case 0: // foreign origin, group-visible on arrival
+				tx.Origin, tx.Dot.Node = "peer", "peer"
+				markGroupVisible(tx, nil)
+			case 1: // foreign origin, applied now, read, marked later (case 3)
+				tx.Origin, tx.Dot.Node = "peer", "peer"
+				apply(tx)
+				unmarked = append(unmarked, tx)
+			default:
+				apply(tx)
 			}
-			apply(tx)
 		case 2: // promote a not-yet-promoted symbolic transaction
 			dot := vclock.Dot{Node: "dc0", Seq: uint64(rng.Intn(int(selfSeq) + 1))}
 			if promoted[dot] || !cached.Contains(dot) {
@@ -114,23 +122,25 @@ func TestReadCacheEquivalence(t *testing.T) {
 			if err := plain.Promote(dot, dc, seq[dc]); err != nil {
 				t.Fatal(err)
 			}
+		case 3: // the group orders a transaction the stores already journalled
+			if len(unmarked) == 0 {
+				continue
+			}
+			i := rng.Intn(len(unmarked))
+			markGroupVisible(unmarked[i], ErrDuplicate)
+			unmarked = append(unmarked[:i], unmarked[i+1:]...)
 		default: // read both objects with a random option shape
 			at := randomCut()
 			opts := ReadOptions{SelfVisible: rng.Intn(2) == 0}
-			if rng.Intn(2) == 0 {
-				opts.ExtraVisible = extra
-			}
 			read(ids[0], at, opts)
 			read(ids[1], at, opts)
 		}
 	}
-	// Final sweep across both objects at the full cut, all option shapes.
+	// Final sweep across both objects at the full cut, both option shapes.
 	full := vclock.Vector{seq[0], seq[1], seq[2]}
 	for _, self := range []bool{true, false} {
-		for _, ex := range []map[vclock.Dot]bool{nil, extra} {
-			read(ids[0], full, ReadOptions{SelfVisible: self, ExtraVisible: ex})
-			read(ids[1], full, ReadOptions{SelfVisible: self, ExtraVisible: ex})
-		}
+		read(ids[0], full, ReadOptions{SelfVisible: self})
+		read(ids[1], full, ReadOptions{SelfVisible: self})
 	}
 }
 
@@ -221,27 +231,18 @@ func TestCachePromoteAtSameCut(t *testing.T) {
 // shapes never share a materialisation.
 func TestCacheFingerprintSeparation(t *testing.T) {
 	s := New("edgeA")
-	// A symbolic local write: visible only through SelfVisible or an
-	// ExtraVisible entry, not at any cut.
+	// A symbolic local write: visible only through SelfVisible, not at any
+	// cut.
 	if err := s.Apply(incTx("edgeA", 1, vclock.Vector{0}, 0, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	cut := vclock.Vector{9}
-	vis := map[vclock.Dot]bool{{Node: "edgeA", Seq: 1}: true}
 	for round := 0; round < 3; round++ {
 		if got := readCounter(t, s, cut, ReadOptions{SelfVisible: true}); got != 5 {
 			t.Fatalf("round %d: SelfVisible read = %d, want 5", round, got)
 		}
 		if got := readCounter(t, s, cut, ReadOptions{}); got != 0 {
 			t.Fatalf("round %d: plain read = %d, want 0", round, got)
-		}
-		if got := readCounter(t, s, cut, ReadOptions{ExtraVisible: vis}); got != 5 {
-			t.Fatalf("round %d: ExtraVisible read = %d, want 5", round, got)
-		}
-		// A copy-on-write rebuild of the visibility set (new identity, fewer
-		// dots) must not reuse the old map's materialisation.
-		if got := readCounter(t, s, cut, ReadOptions{ExtraVisible: map[vclock.Dot]bool{}}); got != 0 {
-			t.Fatalf("round %d: empty ExtraVisible read = %d, want 0", round, got)
 		}
 		// Reject disables the cache entirely.
 		masked := readCounter(t, s, cut, ReadOptions{

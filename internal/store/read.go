@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"reflect"
 
 	"colony/internal/crdt"
 	"colony/internal/obs"
@@ -10,17 +9,11 @@ import (
 	"colony/internal/vclock"
 )
 
-// ReadOptions tune a materialising read. See the package comment for which
+// ReadOptions tune a materialising read. Whatever the options, a read admits
+// every entry whose transaction is visible at the cut or marked group-visible
+// in this store (ApplyGroupVisible). See the package comment for which
 // combinations are eligible for the materialisation cache.
 type ReadOptions struct {
-	// ExtraVisible admits journal entries from these specific transactions
-	// even when the snapshot vector does not cover them. Peer groups use it
-	// to expose the EPaxos visibility log (paper §5.1.4). The cache
-	// identifies the set by the map's identity, so callers must treat the
-	// map as copy-on-write: build a new map when the set changes rather
-	// than mutating one already passed to Read (the group layer's
-	// visibility log already works this way).
-	ExtraVisible map[vclock.Dot]bool
 	// SelfVisible controls the Read-My-Writes guarantee: when true (the
 	// usual setting for edge nodes), transactions originated by this store's
 	// node are always visible.
@@ -35,24 +28,15 @@ type ReadOptions struct {
 
 // readFP fingerprints the cache-relevant shape of a ReadOptions value. Two
 // reads with equal fingerprints apply the same visibility predicate to any
-// given entry (given the copy-on-write discipline on ExtraVisible).
+// given entry.
 type readFP struct {
 	selfVisible bool
-	extraLen    int
-	extraID     uintptr
 }
 
 // fingerprint derives the cache key for opts; ok is false when the options
 // are not cache-eligible.
 func fingerprint(opts ReadOptions) (readFP, bool) {
-	if opts.Reject != nil {
-		return readFP{}, false
-	}
-	fp := readFP{selfVisible: opts.SelfVisible, extraLen: len(opts.ExtraVisible)}
-	if opts.ExtraVisible != nil {
-		fp.extraID = reflect.ValueOf(opts.ExtraVisible).Pointer()
-	}
-	return fp, true
+	return readFP{selfVisible: opts.SelfVisible}, opts.Reject == nil
 }
 
 // matCache memoises an object's last materialisation.
@@ -72,8 +56,8 @@ type matCache struct {
 	// allApplied records that every entry below the watermark was folded
 	// into state. Only then can a later read reuse state incrementally: a
 	// skipped entry might become visible afterwards (a dominating cut, or a
-	// Promote turning a symbolic commit concrete at the *same* cut), and it
-	// can no longer be replayed in journal order. Applied entries stay
+	// Promote or a group-visibility mark admitting it at the *same* cut),
+	// and it can no longer be replayed in journal order. Applied entries stay
 	// applied — visibility at a dominating cut is monotone — so allApplied
 	// materialisations are safe to extend.
 	allApplied bool
@@ -116,6 +100,38 @@ func (s *Store) Value(id txn.ObjectID, at vclock.Vector, opts ReadOptions) (any,
 		return nil, err
 	}
 	return out.Value(), nil
+}
+
+// ReadSeed materialises the object at cut at as a seed for another replica's
+// cache (Seed's three arguments), under one shard lock so the three agree:
+// the state; its coverage at ⊔ baseVec (updates between the two were folded
+// into the base); and the dots of the transactions the state contains beyond
+// that coverage — group-visible journal entries the coverage does not admit,
+// plus whatever this object's own seed declared folded — whose re-delivery
+// the seeded store must skip.
+func (s *Store) ReadSeed(id txn.ObjectID, at vclock.Vector) (state crdt.Object, coverage vclock.Vector, folded []vclock.Dot, err error) {
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	obj, ok := sh.objects[id]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("read %s: %w", id, ErrNotFound)
+	}
+	if state, err = s.materializeLocked(id, obj, at, ReadOptions{}); err != nil {
+		return nil, nil, nil, err
+	}
+	coverage = vclock.LUB(at, obj.baseVec)
+	for d := range obj.folded {
+		folded = append(folded, d) // baked into the base by this object's own seed
+	}
+	var last vclock.Dot // a transaction's entries are adjacent in the journal
+	for _, e := range obj.journal {
+		if e.tx.groupVisible && e.tx.Dot != last && !e.tx.VisibleAt(coverage) {
+			folded = append(folded, e.tx.Dot)
+			last = e.tx.Dot
+		}
+	}
+	return state, coverage, folded, nil
 }
 
 // materializeLocked produces the object's state at cut at. The caller holds
@@ -215,16 +231,14 @@ func (s *Store) replay(id txn.ObjectID, state crdt.Object, journal []entry, at v
 	return state, all, nil
 }
 
-// entryVisible implements the visibility predicate for one journal entry.
+// entryVisible implements the visibility predicate for one journal entry:
+// self ∨ group-visible ∨ visible at the cut, unless masked.
 func (s *Store) entryVisible(e entry, at vclock.Vector, opts ReadOptions) bool {
-	if opts.Reject != nil && opts.Reject(e.tx) {
+	if opts.Reject != nil && opts.Reject(e.tx.Transaction) {
 		return false
 	}
 	if opts.SelfVisible && e.tx.Origin == s.self {
 		return true
 	}
-	if opts.ExtraVisible[e.tx.Dot] {
-		return true
-	}
-	return e.tx.VisibleAt(at)
+	return e.tx.groupVisible || e.tx.VisibleAt(at)
 }

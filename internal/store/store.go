@@ -26,21 +26,22 @@
 // journal entries past the watermark: amortised O(new entries) instead of
 // O(journal length).
 //
-// A read is cache-eligible when its ReadOptions satisfy both of:
+// A read is cache-eligible when its ReadOptions have a nil Reject: read-time
+// masking depends on predicate identity, which the cache cannot fingerprint,
+// so masked reads always replay fully. SelfVisible may take either value — it
+// is the cache fingerprint, so reads with different SelfVisible settings
+// never share a materialisation. Non-monotonic reads (a cut that does not
+// dominate the cached cut) fall back to a full journal replay, as do reads
+// through a cache whose materialisation skipped entries that a later cut, a
+// Promote or a group-visibility mark could surface.
 //
-//   - Reject is nil: read-time masking depends on predicate identity, which
-//     the cache cannot fingerprint, so masked reads always replay fully.
-//   - ExtraVisible is empty, or the caller treats the map as copy-on-write
-//     (never mutated after being passed to Read): the cache keys on the
-//     map's identity and length. The group layer's visibility log follows
-//     this discipline.
+// # Group visibility
 //
-// SelfVisible may take either value — it is part of the cache fingerprint,
-// so reads with different SelfVisible settings never share a
-// materialisation. Non-monotonic reads (a cut that does not dominate the
-// cached cut) fall back to a full journal replay, as do reads through a
-// cache whose materialisation skipped entries that a later cut could
-// surface.
+// A transaction a peer group's consensus has ordered is readable at this
+// replica at any cut (paper §5.1.4). The store records that on the
+// transaction itself: ApplyGroupVisible journals the transaction and marks it
+// in one step, and every read of this store then admits it — there is no
+// visible set kept beside the store.
 package store
 
 import (
@@ -72,10 +73,23 @@ var (
 // serve that many concurrent readers of distinct objects without contention.
 const numShards = 16
 
+// record is the dot index's entry for one transaction: the canonical
+// transaction plus the group-visibility mark. Journal entries point at the
+// record, so the mark travels with the dot — through Seed and reattachLocked,
+// and out of the store when Advance or forgetTx releases the dot.
+type record struct {
+	*txn.Transaction
+	// groupVisible marks the transaction readable at any cut (set by
+	// ApplyGroupVisible, never cleared). It is written with every shard the
+	// transaction updates write-locked and txMu held, so it may be read under
+	// any one of those shard locks (the read path) or under txMu.
+	groupVisible bool
+}
+
 // entry is one journal record: which transaction produced the update and the
 // update's index within it (the pair determines the CRDT op tag).
 type entry struct {
-	tx  *txn.Transaction
+	tx  *record
 	idx int
 }
 
@@ -114,7 +128,7 @@ type Store struct {
 	// metadata operations (Promote, ResolveSnapshot) never contend with
 	// object reads. Lock order: shard locks (ascending index) before txMu.
 	txMu sync.RWMutex
-	txs  map[vclock.Dot]*txn.Transaction
+	txs  map[vclock.Dot]*record
 
 	// cacheMode marks a partial replica (an edge cache): applying a remote
 	// transaction must not create objects the cache has no base state for —
@@ -148,7 +162,7 @@ type Store struct {
 func New(self string) *Store {
 	s := &Store{
 		self: self,
-		txs:  make(map[vclock.Dot]*txn.Transaction),
+		txs:  make(map[vclock.Dot]*record),
 	}
 	for i := range s.shards {
 		s.shards[i].objects = make(map[txn.ObjectID]*object)
@@ -269,7 +283,19 @@ func updateShards(t *txn.Transaction) [numShards]bool {
 // folded into the object's base version (the transaction is visible at the
 // base vector) — which happens when a freshly seeded base already contains
 // an update that is later replayed by a recovery path.
-func (s *Store) Apply(t *txn.Transaction) error {
+func (s *Store) Apply(t *txn.Transaction) error { return s.apply(t, false) }
+
+// ApplyGroupVisible is Apply for a transaction the peer group's consensus
+// has ordered (paper §5.1.4): it journals the transaction and marks it
+// readable at any cut by every reader of this store, under one acquisition
+// of the transaction's shard locks — a reader sees none or all of a
+// multi-object group transaction. On a dot the store already holds (the
+// node's own local commit, a DC push that arrived first, a transaction
+// carried across a group migration) it absorbs the re-delivery's commit
+// stamps, marks the recorded transaction, and returns ErrDuplicate.
+func (s *Store) ApplyGroupVisible(t *txn.Transaction) error { return s.apply(t, true) }
+
+func (s *Store) apply(t *txn.Transaction, groupVisible bool) error {
 	mask := updateShards(t)
 	s.lockShards(&mask)
 	s.txMu.Lock()
@@ -282,6 +308,11 @@ func (s *Store) Apply(t *txn.Transaction) error {
 				prev.Commit = stamps
 			}
 		}
+		if groupVisible {
+			// A mark below a cache watermark is the Promote case: the skipped
+			// entry left allApplied false, so the next read replays in full.
+			prev.groupVisible = true
+		}
 		s.txMu.Unlock()
 		s.unlockShards(&mask)
 		return ErrDuplicate
@@ -290,7 +321,8 @@ func (s *Store) Apply(t *txn.Transaction) error {
 	// concurrent Seeds of *other* shards must not race this transaction into
 	// a journal twice (they cannot — every shard t touches is locked — but
 	// the dot filter itself must win any concurrent duplicate delivery).
-	s.txs[t.Dot] = t
+	rec := &record{Transaction: t, groupVisible: groupVisible}
+	s.txs[t.Dot] = rec
 	s.txMu.Unlock()
 
 	longest := 0
@@ -332,7 +364,7 @@ func (s *Store) Apply(t *txn.Transaction) error {
 		if obj.folded[t.Dot] {
 			continue // folded into the base as a group-visible transaction
 		}
-		obj.journal = append(obj.journal, entry{tx: t, idx: i})
+		obj.journal = append(obj.journal, entry{tx: rec, idx: i})
 		if n := len(obj.journal); n > longest {
 			longest = n
 		}
@@ -342,10 +374,13 @@ func (s *Store) Apply(t *txn.Transaction) error {
 	return nil
 }
 
-// forgetTx drops a dot registered by a failing Apply.
-func (s *Store) forgetTx(dot vclock.Dot) {
+// forgetTx releases dots from the dot index — a failing Apply's, or the ones
+// an Advance folded — and their group-visibility marks with them.
+func (s *Store) forgetTx(dots ...vclock.Dot) {
 	s.txMu.Lock()
-	delete(s.txs, dot)
+	for _, dot := range dots {
+		delete(s.txs, dot)
+	}
 	s.txMu.Unlock()
 }
 
@@ -356,20 +391,20 @@ func (s *Store) forgetTx(dot vclock.Dot) {
 // with the returned transaction, and must not retain it past that.
 func (s *Store) lockTxShards(dot vclock.Dot) (*txn.Transaction, func(), error) {
 	s.txMu.RLock()
-	t, ok := s.txs[dot]
+	rec, ok := s.txs[dot]
 	s.txMu.RUnlock()
 	if !ok {
 		return nil, nil, ErrUnknownTx
 	}
-	mask := updateShards(t)
+	mask := updateShards(rec.Transaction)
 	s.lockShards(&mask)
 	s.txMu.Lock()
-	if t, ok = s.txs[dot]; !ok { // dropped by a concurrent Advance
+	if rec, ok = s.txs[dot]; !ok { // dropped by a concurrent Advance
 		s.txMu.Unlock()
 		s.unlockShards(&mask)
 		return nil, nil, ErrUnknownTx
 	}
-	return t, func() {
+	return rec.Transaction, func() {
 		s.txMu.Unlock()
 		s.unlockShards(&mask)
 	}, nil
@@ -428,6 +463,15 @@ func (s *Store) Contains(dot vclock.Dot) bool {
 	return ok
 }
 
+// GroupVisible reports whether the store holds the transaction dot marked
+// group-visible (see ApplyGroupVisible).
+func (s *Store) GroupVisible(dot vclock.Dot) bool {
+	s.txMu.RLock()
+	defer s.txMu.RUnlock()
+	rec, ok := s.txs[dot]
+	return ok && rec.groupVisible
+}
+
 // Has reports whether the store holds any state for the object.
 func (s *Store) Has(id txn.ObjectID) bool {
 	sh := s.shardFor(id)
@@ -468,7 +512,7 @@ func (s *Store) Seed(id txn.ObjectID, base crdt.Object, at vclock.Vector, folded
 // appends itself. The caller holds the shard lock for id.
 func (s *Store) reattachLocked(id txn.ObjectID, obj *object, skip vclock.Dot) {
 	type pending struct {
-		t   *txn.Transaction
+		t   *record
 		idx int
 	}
 	var todo []pending

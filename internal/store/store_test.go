@@ -134,19 +134,89 @@ func TestPromoteMakesVisible(t *testing.T) {
 	}
 }
 
-func TestExtraVisible(t *testing.T) {
+func TestGroupVisibleMark(t *testing.T) {
 	s := New("peer1")
 	remote := incTx("peer2", 1, vclock.Vector{0}, 0, 0, 5)
 	if err := s.Apply(remote); err != nil {
 		t.Fatal(err)
 	}
-	// Invisible by vector, visible through the group visibility log.
+	// Invisible by vector until the group orders it.
 	if got := readCounter(t, s, vclock.Vector{0}, ReadOptions{}); got != 0 {
 		t.Fatalf("unexpected visibility: %d", got)
 	}
-	opts := ReadOptions{ExtraVisible: map[vclock.Dot]bool{remote.Dot: true}}
-	if got := readCounter(t, s, vclock.Vector{0}, opts); got != 5 {
-		t.Fatalf("visibility log ignored: %d", got)
+	if s.GroupVisible(remote.Dot) {
+		t.Fatal("Apply marked the transaction group-visible")
+	}
+	// The group's delivery of the same dot marks the journalled entry and
+	// absorbs the commit stamp it carries.
+	again := incTx("peer2", 1, vclock.Vector{0}, 0, 7, 5)
+	if err := s.ApplyGroupVisible(again); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("re-delivery = %v, want ErrDuplicate", err)
+	}
+	if got := readCounter(t, s, vclock.Vector{0}, ReadOptions{}); got != 5 {
+		t.Fatalf("group-visible mark ignored: %d", got)
+	}
+	if cur, _ := s.Transaction(remote.Dot); cur.Commit[0] != 7 {
+		t.Fatalf("re-delivery's stamp not absorbed: %v", cur.Commit)
+	}
+	// Marked on arrival: readable at the empty cut at once, exactly once.
+	if err := s.ApplyGroupVisible(incTx("peer2", 2, vclock.Vector{0}, 0, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := readCounter(t, s, vclock.Vector{0}, ReadOptions{}); got != 7 {
+		t.Fatalf("marked-on-arrival read = %d, want 7", got)
+	}
+}
+
+// TestGroupVisibleMarkLifetime follows the mark through the operations that
+// rebuild or truncate a journal: it survives Seed (reattach), stays with an
+// entry Advance cannot fold, and is released together with the dot.
+func TestGroupVisibleMarkLifetime(t *testing.T) {
+	s := New("peer1")
+	s.SetCacheMode(true)
+	sym := incTx("peer2", 1, vclock.Vector{0}, 0, 0, 5) // symbolic: no cut covers it
+	con := incTx("peer2", 2, vclock.Vector{0}, 0, 3, 2) // concrete at {3}
+	for _, tx := range []*txn.Transaction{sym, con} {
+		// The cache does not hold the object yet: recorded, not journalled.
+		if err := s.ApplyGroupVisible(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Seed(counterID, crdt.NewCounter(), vclock.Vector{0})
+	if got := readCounter(t, s, vclock.Vector{0}, ReadOptions{}); got != 7 {
+		t.Fatalf("after Seed = %d, want 7 (marks survive reattach)", got)
+	}
+
+	// Advance with dots kept: the covered entry folds, the symbolic one stays
+	// in the journal, still marked.
+	if err := s.Advance(vclock.Vector{3}, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.JournalLen(counterID); got != 1 {
+		t.Fatalf("journal after Advance = %d, want 1", got)
+	}
+	if got := readCounter(t, s, vclock.Vector{0}, ReadOptions{}); got != 7 {
+		t.Fatalf("after Advance = %d, want 7 (uncovered entry keeps its mark)", got)
+	}
+	if !s.GroupVisible(sym.Dot) || !s.GroupVisible(con.Dot) {
+		t.Fatal("kept dots lost their marks")
+	}
+
+	// Once a cut covers it, releasing the dot releases the mark.
+	if err := s.Promote(sym.Dot, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(vclock.Vector{4}, false); err != nil {
+		t.Fatal(err)
+	}
+	if s.Contains(sym.Dot) || s.GroupVisible(sym.Dot) {
+		t.Fatal("released dot kept its mark")
+	}
+	if !s.GroupVisible(con.Dot) {
+		t.Fatal("a dot folded by an earlier keep-dots Advance was released")
+	}
+	if got := readCounter(t, s, vclock.Vector{4}, ReadOptions{}); got != 7 {
+		t.Fatalf("after release = %d, want 7", got)
 	}
 }
 
@@ -269,6 +339,92 @@ func TestMultiUpdateTransactionAtomicity(t *testing.T) {
 		}
 		if va.(int64) != tt.wantA || vb.(int64) != tt.wantB {
 			t.Fatalf("at %v: a=%v b=%v, want %d/%d", tt.at, va, vb, tt.wantA, tt.wantB)
+		}
+	}
+}
+
+// TestReadSeedAgreesWithState checks the collaborative-cache seed read: over
+// a journal mixing cut-visible, marked-and-uncovered, marked-and-covered and
+// unmarked symbolic entries, a group-visible entry the returned coverage does
+// not admit is declared folded iff the returned state contains its effect —
+// and a store seeded from the three results, then handed every transaction
+// again, ends up with each effect exactly once.
+func TestReadSeedAgreesWithState(t *testing.T) {
+	// Each transaction adds its own bit, so a state names the effects in it.
+	type tx struct {
+		seq    uint64
+		ts     uint64 // commit timestamp at DC 0; 0 = symbolic
+		marked bool
+	}
+	txs := []tx{
+		{seq: 1, ts: 1},               // folded into the base below
+		{seq: 2, ts: 2, marked: true}, // cut-visible and marked
+		{seq: 3, ts: 3},               // cut-visible
+		{seq: 4, marked: true},        // marked, symbolic: no cut covers it
+		{seq: 5, ts: 9, marked: true}, // marked, concrete above every cut read here
+		{seq: 6},                      // unmarked symbolic: in no seed
+		{seq: 7, ts: 8},               // unmarked, above the cuts read here
+	}
+	build := func(x tx) *txn.Transaction { return incTx("peer", x.seq, vclock.Vector{0}, 0, x.ts, 1<<x.seq) }
+	deliver := func(s *Store, x tx) {
+		t.Helper()
+		apply := s.Apply
+		if x.marked {
+			apply = s.ApplyGroupVisible
+		}
+		if err := apply(build(x)); err != nil && !errors.Is(err, ErrDuplicate) {
+			t.Fatal(err)
+		}
+	}
+	src := New("parent")
+	for _, x := range txs {
+		deliver(src, x)
+	}
+	if err := src.Advance(vclock.Vector{1}, true); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, at := range []vclock.Vector{{0}, {1}, {2}, {3}, {8}, {9}} {
+		state, coverage, folded, err := src.ReadSeed(counterID, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := state.(*crdt.Counter).Total()
+		declared := make(map[vclock.Dot]bool)
+		for _, d := range folded {
+			if declared[d] {
+				t.Fatalf("at %v: %s declared twice", at, d)
+			}
+			declared[d] = true
+		}
+		for _, x := range txs {
+			b := build(x)
+			inState := got&(1<<x.seq) != 0
+			if want := x.marked || b.VisibleAt(coverage); inState != want {
+				t.Fatalf("at %v: tx %d in state = %v, want %v (coverage %v)", at, x.seq, inState, want, coverage)
+			}
+			if b.VisibleAt(coverage) {
+				continue
+			}
+			if declared[b.Dot] != inState {
+				t.Fatalf("at %v: tx %d declared folded = %v, in state = %v", at, x.seq, declared[b.Dot], inState)
+			}
+		}
+
+		// Round trip: the seeded cache hears of every transaction again (the
+		// group's log replays, the DC pushes) and must count each once.
+		dst := New("member")
+		dst.SetCacheMode(true)
+		dst.Seed(counterID, state, coverage, folded...)
+		for _, x := range txs {
+			deliver(dst, tx{seq: x.seq, ts: x.ts, marked: true})
+		}
+		var all int64
+		for _, x := range txs {
+			all |= 1 << x.seq
+		}
+		if got := readCounter(t, dst, vclock.Vector{9}, ReadOptions{}); got != all {
+			t.Fatalf("at %v: seeded store after re-delivery = %b, want %b", at, got, all)
 		}
 	}
 }
