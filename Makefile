@@ -28,10 +28,14 @@ test-race:
 # store's mark and seed read, the materialisation cache under them, and a
 # member joining, being evicted, re-subscribing, migrating and leaving while
 # the group commits — run it after any change to store.entryVisible,
-# edge.ApplyGroupTx or the seeding in group.Parent.
+# edge.ApplyGroupTx or the seeding in group.Parent. The third runs the EPaxos
+# seeded schedules and the group's consensus driver — concurrent handlers,
+# listeners that commit, per-member order, the PSI wait — the same way; run it
+# after any change to internal/epaxos or group's driver.
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
+	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
 
 vet:
 	$(GO) vet ./...

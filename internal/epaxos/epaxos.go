@@ -4,8 +4,8 @@
 // with respect to each other, and commits on the fast path (one round trip)
 // when no concurrent interference is detected.
 //
-// Commands here are transactions; two commands interfere when they update a
-// common object. The agreed execution order is the group's *visibility
+// Commands here are transactions; two commands interfere when they share an
+// interference key. The agreed execution order is the group's *visibility
 // order*: the sequence in which transactions become visible within the SI
 // zone and are shipped to the connected DC by a sync point.
 //
@@ -15,12 +15,19 @@
 // recovery of another replica's stalled instances (EPaxos §4.7) is not
 // implemented: a peer group that loses a member simply waits for it or
 // reforms via the membership layer, which matches Colony's group semantics.
+//
+// A Replica is the core algorithm only: a single-threaded state machine with
+// no goroutines, clock or network. The caller serialises every call
+// (Propose, HandleMessage, Tick, SetPeers). Its outputs are synchronous: the
+// send and exec callbacks run inside those calls, in order, on the caller's
+// goroutine, and must not call back into the replica. Time is whatever the
+// caller's Tick says it is, so any interleaving of messages can be replayed
+// from a seed.
 package epaxos
 
 import (
-	"sort"
-	"sync"
-	"time"
+	"cmp"
+	"slices"
 
 	"colony/internal/wire"
 )
@@ -35,12 +42,15 @@ type InstanceID = wire.EPaxosInstanceID
 // (a *txn.Transaction in Colony).
 type Command = wire.EPaxosCommand
 
+// retryTicks is how many Ticks an instance this replica leads may sit without
+// moving before its current phase is sent again.
+const retryTicks = 4
+
 // status is the lifecycle of an instance.
 type status int
 
 const (
-	statusNone status = iota
-	statusPreAccepted
+	statusPreAccepted status = iota + 1
 	statusAccepted
 	statusCommitted
 	statusExecuted
@@ -50,25 +60,27 @@ const (
 type instance struct {
 	id     InstanceID
 	cmd    Command
-	deps   map[InstanceID]bool
+	deps   []InstanceID // sorted; replaced, never modified (messages share it)
 	seq    uint64
 	status status
 
 	// Leader-side bookkeeping.
-	leading      bool
-	replies      int
-	depsChanged  bool
-	acceptOKs    int
-	lastAttempt  time.Time
-	replySet     map[string]bool
-	acceptedFrom map[string]bool
-	commitAcked  map[string]bool
+	leading     bool
+	depsChanged bool
+	movedAt     uint64          // tick of the last progress or resend
+	replied     map[string]bool // peers that answered the current phase
+	commitAcked map[string]bool
+
+	// Execution search state, valid while mark equals Replica.epoch.
+	mark, blocked uint64
+	index, low    int
+	onStack       bool
 }
 
 // Messages exchanged between replicas. The group layer routes them. The
 // concrete types live in the wire package (tags 26-31) so consensus traffic
 // is encodable across processes; the aliases keep handler type switches and
-// constructors here unchanged.
+// constructors here unchanged. Dependency lists travel sorted.
 type (
 	// PreAccept is phase one, sent by the command leader.
 	PreAccept = wire.EPaxosPreAccept
@@ -86,124 +98,134 @@ type (
 )
 
 // Transport sends a protocol message to a peer replica; implementations are
-// free to drop messages (the leader retries).
+// free to drop messages (the leader retries on Tick).
 type Transport func(to string, msg any)
 
 // ExecuteFn consumes commands in the agreed visibility order.
 type ExecuteFn func(Command)
 
-// Replica is one EPaxos participant.
+// Replica is one EPaxos participant. It is not safe for concurrent use.
 type Replica struct {
-	name string
-
-	mu        sync.Mutex
+	name      string
 	peers     []string
 	send      Transport
 	exec      ExecuteFn
 	instances map[InstanceID]*instance
 	nextSlot  uint64
-	// keyLast tracks, per interference key, the most recent instance
-	// touching it; depending on it transitively covers older ones.
-	keyLast  map[string]InstanceID
+	ticks     uint64
+	epoch     uint64 // execution searches run
+	// keyLast maps an interference key to, per command leader, the highest
+	// slot of that leader's instances on the key. A leader's own instances on
+	// a key depend on each other in slot order, so the highest covers the
+	// older ones. One entry per key across all leaders would not: that
+	// instance may have committed on the fast path without a dependency on an
+	// earlier one from another leader, and the two would then be unordered.
+	keyLast map[string]map[string]uint64
+	// leading holds the instances this replica leads that may still need a
+	// resend, by slot; pending the committed instances not yet executed.
+	leading  map[uint64]*instance
+	pending  map[InstanceID]*instance
 	executed map[string]bool // command IDs already executed
-	waiters  map[string][]chan struct{}
 }
 
 // NewReplica creates a replica named name. Peers lists the other replicas;
 // send delivers protocol messages; exec receives commands in visibility
-// order (called without the replica lock held).
+// order.
 func NewReplica(name string, peers []string, send Transport, exec ExecuteFn) *Replica {
-	r := &Replica{
+	return &Replica{
 		name:      name,
 		peers:     append([]string(nil), peers...),
 		send:      send,
 		exec:      exec,
 		instances: make(map[InstanceID]*instance),
-		keyLast:   make(map[string]InstanceID),
+		keyLast:   make(map[string]map[string]uint64),
+		leading:   make(map[uint64]*instance),
+		pending:   make(map[InstanceID]*instance),
 		executed:  make(map[string]bool),
-		waiters:   make(map[string][]chan struct{}),
 	}
-	return r
 }
 
 // SetPeers replaces the peer set (membership change).
 func (r *Replica) SetPeers(peers []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.peers = append([]string(nil), peers...)
 }
 
-// Name returns the replica's name.
-func (r *Replica) Name() string { return r.name }
+// quorum is the majority of the full group (peers + self).
+func (r *Replica) quorum() int { return (len(r.peers)+1)/2 + 1 }
 
-// quorumLocked is the majority of the full group (peers + self).
-func (r *Replica) quorumLocked() int { return (len(r.peers)+1)/2 + 1 }
-
-// fastQuorumLocked is the EPaxos fast-path quorum size F + ⌊(F+1)/2⌋ (with
+// fastQuorum is the EPaxos fast-path quorum size F + ⌊(F+1)/2⌋ (with
 // N = 2F+1), never below a majority. A fast commit needs this many replicas
 // (including the leader) to agree on the initial attributes.
-func (r *Replica) fastQuorumLocked() int {
+func (r *Replica) fastQuorum() int {
 	n := len(r.peers) + 1
 	f := (n - 1) / 2
-	fq := f + (f+1)/2
-	if q := r.quorumLocked(); fq < q {
-		fq = q
-	}
-	return fq
+	return max(f+(f+1)/2, r.quorum())
 }
 
 // Propose starts agreement on cmd with this replica as leader and returns
-// the instance id. Commitment and execution proceed asynchronously; use
-// WaitExecuted to block (the PSI commit variant).
+// the instance id. Commitment and execution proceed as replies arrive.
 func (r *Replica) Propose(cmd Command) InstanceID {
-	r.mu.Lock()
 	r.nextSlot++
 	id := InstanceID{Replica: r.name, Slot: r.nextSlot}
-	deps, seq := r.interferenceLocked(cmd.Keys)
-	inst := &instance{
-		id: id, cmd: cmd, deps: deps, seq: seq,
-		status: statusPreAccepted, leading: true,
-		replySet: make(map[string]bool), acceptedFrom: make(map[string]bool),
-		lastAttempt: time.Now(),
-	}
-	r.instances[id] = inst
-	r.registerKeysLocked(cmd.Keys, id)
-	peers := append([]string(nil), r.peers...)
-	msg := PreAccept{Inst: id, Cmd: cmd, Deps: depsSlice(deps), Seq: seq}
-	single := len(peers) == 0
-	r.mu.Unlock()
-
-	if single {
-		// Singleton group: commit instantly.
-		r.commit(id, cmd, deps, seq)
+	deps, seq := r.interference(cmd.Keys, "")
+	inst := r.record(id, cmd, deps, seq, statusPreAccepted)
+	inst.leading, inst.movedAt, inst.replied = true, r.ticks, make(map[string]bool)
+	r.leading[id.Slot] = inst
+	if len(r.peers) == 0 {
+		r.commit(inst) // singleton group: commit instantly
 		return id
 	}
-	for _, p := range peers {
-		r.send(p, msg)
-	}
+	r.broadcast(r.peers, PreAccept{Inst: id, Cmd: cmd, Deps: deps, Seq: seq})
 	return id
 }
 
-// interferenceLocked computes the dependencies and sequence number for a
-// command at this replica.
-func (r *Replica) interferenceLocked(keys []string) (map[InstanceID]bool, uint64) {
-	deps := make(map[InstanceID]bool)
+// interference computes the dependencies (sorted) and sequence number of a
+// command on keys at this replica: the highest known instance of every
+// leader on every key. A replica other than the command's leader passes that
+// leader as skip and leaves its instances out: the leader's later commands
+// already depend on this one, and a dependency back on them would only make
+// a cycle.
+func (r *Replica) interference(keys []string, skip string) ([]InstanceID, uint64) {
+	var deps []InstanceID
 	var seq uint64
 	for _, k := range keys {
-		if last, ok := r.keyLast[k]; ok {
-			deps[last] = true
-			if li := r.instances[last]; li != nil && li.seq > seq {
-				seq = li.seq
+		for leader, slot := range r.keyLast[k] {
+			if leader == skip {
+				continue
 			}
+			id := InstanceID{Replica: leader, Slot: slot}
+			deps = append(deps, id)
+			seq = max(seq, r.instances[id].seq)
 		}
 	}
-	return deps, seq + 1
+	slices.SortFunc(deps, compareIDs)
+	return slices.Compact(deps), seq + 1
 }
 
-// registerKeysLocked records the instance as the latest toucher of its keys.
-func (r *Replica) registerKeysLocked(keys []string, id InstanceID) {
-	for _, k := range keys {
-		r.keyLast[k] = id
+// record installs attributes for an instance (creating it if unknown) and
+// registers it as its leader's latest toucher of its keys.
+func (r *Replica) record(id InstanceID, cmd Command, deps []InstanceID, seq uint64, st status) *instance {
+	inst := r.instances[id]
+	if inst == nil {
+		inst = &instance{id: id}
+		r.instances[id] = inst
+	}
+	inst.cmd, inst.deps, inst.seq, inst.status = cmd, deps, seq, st
+	for _, k := range cmd.Keys {
+		last := r.keyLast[k]
+		if last == nil {
+			last = make(map[string]uint64)
+			r.keyLast[k] = last
+		}
+		last[id.Replica] = max(last[id.Replica], id.Slot)
+	}
+	return inst
+}
+
+// broadcast sends msg to each of to.
+func (r *Replica) broadcast(to []string, msg any) {
+	for _, p := range to {
+		r.send(p, msg)
 	}
 }
 
@@ -230,192 +252,88 @@ func (r *Replica) HandleMessage(from string, msg any) bool {
 }
 
 // onPreAccept merges the leader's view with local interference and replies.
+// A repeated PreAccept gets the attributes recorded the first time.
 func (r *Replica) onPreAccept(from string, m PreAccept) {
-	r.mu.Lock()
-	localDeps, localSeq := r.interferenceLocked(m.Cmd.Keys)
-	merged := make(map[InstanceID]bool, len(m.Deps)+len(localDeps))
-	for _, d := range m.Deps {
-		merged[d] = true
-	}
-	changed := false
-	for d := range localDeps {
-		if d != m.Inst && !merged[d] {
-			merged[d] = true
-			changed = true
-		}
-	}
-	seq := m.Seq
-	if localSeq > seq {
-		seq, changed = localSeq, true
-	}
 	inst := r.instances[m.Inst]
 	if inst == nil {
-		inst = &instance{id: m.Inst}
-		r.instances[m.Inst] = inst
+		local, localSeq := r.interference(m.Cmd.Keys, m.Inst.Replica)
+		deps, _ := mergeDeps(m.Deps, local, m.Inst)
+		inst = r.record(m.Inst, m.Cmd, deps, max(m.Seq, localSeq), statusPreAccepted)
 	}
-	if inst.status < statusPreAccepted {
-		inst.cmd, inst.deps, inst.seq, inst.status = m.Cmd, merged, seq, statusPreAccepted
-		r.registerKeysLocked(m.Cmd.Keys, m.Inst)
-	}
-	reply := PreAcceptOK{Inst: m.Inst, From: r.name, Deps: depsSlice(merged), Seq: seq, Changed: changed}
-	r.mu.Unlock()
-	r.send(from, reply)
+	changed := inst.seq != m.Seq || len(inst.deps) != len(m.Deps)
+	r.send(from, PreAcceptOK{Inst: m.Inst, From: r.name, Deps: inst.deps, Seq: inst.seq, Changed: changed})
 }
 
 // onPreAcceptOK gathers replies at the leader and decides fast vs slow path.
 func (r *Replica) onPreAcceptOK(m PreAcceptOK) {
-	r.mu.Lock()
 	inst := r.instances[m.Inst]
-	if inst == nil || !inst.leading || inst.status != statusPreAccepted {
-		r.mu.Unlock()
+	if inst == nil || !inst.leading || inst.status != statusPreAccepted || inst.replied[m.From] {
 		return
 	}
-	if inst.replySet[m.From] {
-		r.mu.Unlock()
-		return
-	}
-	inst.replySet[m.From] = true
-	inst.replies++
-	for _, d := range m.Deps {
-		if d != inst.id && !inst.deps[d] {
-			inst.deps[d] = true
-			inst.depsChanged = true
-		}
+	inst.replied[m.From] = true
+	if deps, added := mergeDeps(inst.deps, m.Deps, inst.id); added {
+		inst.deps, inst.depsChanged = deps, true
 	}
 	if m.Seq > inst.seq {
-		inst.seq = m.Seq
-		inst.depsChanged = true
+		inst.seq, inst.depsChanged = m.Seq, true
 	}
 	if m.Changed {
 		inst.depsChanged = true
 	}
-	total := len(r.peers)
-	quorum := r.quorumLocked()
-	fastQ := r.fastQuorumLocked()
-	var (
-		doCommit bool
-		doAccept bool
-	)
+	replies := len(inst.replied)
 	switch {
-	case !inst.depsChanged && (inst.replies >= fastQ-1 || inst.replies == total):
+	case !inst.depsChanged && (replies >= r.fastQuorum()-1 || replies == len(r.peers)):
 		// Fast path: a fast quorum agreed with the initial attributes.
-		doCommit = true
-	case inst.depsChanged && inst.replies >= quorum-1:
+		r.commit(inst)
+	case inst.depsChanged && replies >= r.quorum()-1:
 		// Slow path: run the Accept round with the merged attributes.
-		doAccept = true
-		inst.status = statusAccepted
-		inst.acceptOKs = 0
-	}
-	id, cmd, deps, seq := inst.id, inst.cmd, cloneDeps(inst.deps), inst.seq
-	peers := append([]string(nil), r.peers...)
-	r.mu.Unlock()
-
-	if doCommit {
-		r.commit(id, cmd, deps, seq)
-	} else if doAccept {
-		msg := Accept{Inst: id, Cmd: cmd, Deps: depsSlice(deps), Seq: seq}
-		for _, p := range peers {
-			r.send(p, msg)
-		}
+		inst.status, inst.movedAt, inst.replied = statusAccepted, r.ticks, make(map[string]bool)
+		r.broadcast(r.peers, Accept{Inst: inst.id, Cmd: inst.cmd, Deps: inst.deps, Seq: inst.seq})
 	}
 }
 
 // onAccept adopts the leader's final attributes.
 func (r *Replica) onAccept(from string, m Accept) {
-	r.mu.Lock()
-	inst := r.instances[m.Inst]
-	if inst == nil {
-		inst = &instance{id: m.Inst}
-		r.instances[m.Inst] = inst
+	if inst := r.instances[m.Inst]; inst == nil || inst.status < statusAccepted {
+		r.record(m.Inst, m.Cmd, m.Deps, m.Seq, statusAccepted)
 	}
-	if inst.status < statusAccepted {
-		inst.cmd, inst.seq, inst.status = m.Cmd, m.Seq, statusAccepted
-		inst.deps = make(map[InstanceID]bool, len(m.Deps))
-		for _, d := range m.Deps {
-			inst.deps[d] = true
-		}
-		r.registerKeysLocked(m.Cmd.Keys, m.Inst)
-	}
-	r.mu.Unlock()
 	r.send(from, AcceptOK{Inst: m.Inst, From: r.name})
 }
 
 // onAcceptOK counts slow-path acknowledgements at the leader.
 func (r *Replica) onAcceptOK(m AcceptOK) {
-	r.mu.Lock()
 	inst := r.instances[m.Inst]
-	if inst == nil || !inst.leading || inst.status != statusAccepted {
-		r.mu.Unlock()
+	if inst == nil || !inst.leading || inst.status != statusAccepted || inst.replied[m.From] {
 		return
 	}
-	if inst.acceptedFrom[m.From] {
-		r.mu.Unlock()
-		return
-	}
-	inst.acceptedFrom[m.From] = true
-	inst.acceptOKs++
-	ready := inst.acceptOKs >= r.quorumLocked()-1
-	id, cmd, deps, seq := inst.id, inst.cmd, cloneDeps(inst.deps), inst.seq
-	r.mu.Unlock()
-	if ready {
-		r.commit(id, cmd, deps, seq)
+	inst.replied[m.From] = true
+	if len(inst.replied) >= r.quorum()-1 {
+		r.commit(inst)
 	}
 }
 
-// commit finalises an instance locally and broadcasts the decision.
-func (r *Replica) commit(id InstanceID, cmd Command, deps map[InstanceID]bool, seq uint64) {
-	r.mu.Lock()
-	inst := r.instances[id]
-	if inst == nil {
-		inst = &instance{id: id}
-		r.instances[id] = inst
-	}
-	if inst.status >= statusCommitted {
-		r.mu.Unlock()
-		return
-	}
-	inst.cmd, inst.deps, inst.seq, inst.status = cmd, deps, seq, statusCommitted
-	peers := append([]string(nil), r.peers...)
-	leading := inst.leading
-	msg := Commit{Inst: id, Cmd: cmd, Deps: depsSlice(deps), Seq: seq}
-	r.mu.Unlock()
-
-	if leading {
-		for _, p := range peers {
-			r.send(p, msg)
-		}
-	}
-	r.tryExecute()
+// commit finalises an instance this replica leads and broadcasts the
+// decision.
+func (r *Replica) commit(inst *instance) {
+	inst.status, inst.movedAt, inst.replied = statusCommitted, r.ticks, nil
+	r.pending[inst.id] = inst
+	r.broadcast(r.peers, Commit{Inst: inst.id, Cmd: inst.cmd, Deps: inst.deps, Seq: inst.seq})
+	r.executeFrom(inst)
 }
 
 // onCommit installs a commit decided elsewhere.
 func (r *Replica) onCommit(from string, m Commit) {
 	r.send(from, CommitAck{Inst: m.Inst, From: r.name})
-	r.mu.Lock()
-	inst := r.instances[m.Inst]
-	if inst == nil {
-		inst = &instance{id: m.Inst}
-		r.instances[m.Inst] = inst
-	}
-	if inst.status >= statusCommitted {
-		r.mu.Unlock()
-		r.tryExecute()
+	if inst := r.instances[m.Inst]; inst != nil && inst.status >= statusCommitted {
 		return
 	}
-	inst.cmd, inst.seq, inst.status = m.Cmd, m.Seq, statusCommitted
-	inst.deps = make(map[InstanceID]bool, len(m.Deps))
-	for _, d := range m.Deps {
-		inst.deps[d] = true
-	}
-	r.registerKeysLocked(m.Cmd.Keys, m.Inst)
-	r.mu.Unlock()
-	r.tryExecute()
+	inst := r.record(m.Inst, m.Cmd, m.Deps, m.Seq, statusCommitted)
+	r.pending[m.Inst] = inst
+	r.executeFrom(inst)
 }
 
 // onCommitAck records that a peer holds the commit.
 func (r *Replica) onCommitAck(m CommitAck) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	inst := r.instances[m.Inst]
 	if inst == nil || !inst.leading {
 		return
@@ -426,250 +344,193 @@ func (r *Replica) onCommitAck(m CommitAck) {
 	inst.commitAcked[m.From] = true
 }
 
-// RetryPending re-drives pre-accepted instances this replica leads whose
-// quorum never answered (lost messages, temporary disconnection). The owner
-// calls it periodically.
-func (r *Replica) RetryPending(olderThan time.Duration) {
-	r.mu.Lock()
-	now := time.Now()
-	type resend struct {
-		msg any
-		to  []string
+// Tick advances the replica's clock by one step. An instance this replica
+// leads that has not moved for retryTicks ticks gets its current phase sent
+// again — the PreAccept or Accept to every peer, the Commit to the peers that
+// have not acknowledged it — which recovers lost messages and peers that
+// were briefly unreachable. The owner calls it periodically.
+func (r *Replica) Tick() {
+	r.ticks++
+	slots := make([]uint64, 0, len(r.leading))
+	for s := range r.leading {
+		slots = append(slots, s)
 	}
-	var msgs []resend
-	peers := append([]string(nil), r.peers...)
-	for _, inst := range r.instances {
-		if !inst.leading || now.Sub(inst.lastAttempt) < olderThan {
-			continue
-		}
-		switch inst.status {
-		case statusPreAccepted:
-			inst.lastAttempt = now
-			msgs = append(msgs, resend{msg: PreAccept{Inst: inst.id, Cmd: inst.cmd, Deps: depsSlice(inst.deps), Seq: inst.seq}, to: peers})
-		case statusAccepted:
-			inst.lastAttempt = now
-			msgs = append(msgs, resend{msg: Accept{Inst: inst.id, Cmd: inst.cmd, Deps: depsSlice(inst.deps), Seq: inst.seq}, to: peers})
-		case statusCommitted, statusExecuted:
-			// Re-deliver the commit to peers that have not acknowledged it.
-			var missing []string
-			for _, p := range peers {
+	slices.Sort(slots)
+	for _, s := range slots {
+		inst := r.leading[s]
+		to := r.peers
+		if inst.status >= statusCommitted {
+			to = nil
+			for _, p := range r.peers {
 				if !inst.commitAcked[p] {
-					missing = append(missing, p)
+					to = append(to, p)
 				}
 			}
-			if len(missing) > 0 {
-				inst.lastAttempt = now
-				msgs = append(msgs, resend{msg: Commit{Inst: inst.id, Cmd: inst.cmd, Deps: depsSlice(inst.deps), Seq: inst.seq}, to: missing})
+			if len(to) == 0 {
+				delete(r.leading, s)
+				continue
 			}
 		}
-	}
-	r.mu.Unlock()
-	for _, m := range msgs {
-		for _, p := range m.to {
-			r.send(p, m.msg)
+		if r.ticks-inst.movedAt < retryTicks {
+			continue
 		}
-	}
-}
-
-// Executed reports whether the command with the given ID has been executed
-// locally.
-func (r *Replica) Executed(cmdID string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.executed[cmdID]
-}
-
-// WaitExecuted blocks until the command executes locally or the timeout
-// expires; it implements the PSI (consensus on the critical path) commit
-// variant.
-func (r *Replica) WaitExecuted(cmdID string, timeout time.Duration) bool {
-	r.mu.Lock()
-	if r.executed[cmdID] {
-		r.mu.Unlock()
-		return true
-	}
-	ch := make(chan struct{})
-	r.waiters[cmdID] = append(r.waiters[cmdID], ch)
-	r.mu.Unlock()
-	select {
-	case <-ch:
-		return true
-	case <-time.After(timeout):
-		return false
+		inst.movedAt = r.ticks
+		switch inst.status {
+		case statusPreAccepted:
+			r.broadcast(to, PreAccept{Inst: inst.id, Cmd: inst.cmd, Deps: inst.deps, Seq: inst.seq})
+		case statusAccepted:
+			r.broadcast(to, Accept{Inst: inst.id, Cmd: inst.cmd, Deps: inst.deps, Seq: inst.seq})
+		default:
+			r.broadcast(to, Commit{Inst: inst.id, Cmd: inst.cmd, Deps: inst.deps, Seq: inst.seq})
+		}
 	}
 }
 
 // --- execution ---
 
-// tryExecute runs every committed instance whose dependency closure is
-// committed, in dependency order, breaking strongly connected components by
-// (seq, instance id).
-func (r *Replica) tryExecute() {
-	for {
-		r.mu.Lock()
-		batch := r.findExecutableLocked()
-		if len(batch) == 0 {
-			r.mu.Unlock()
+// executeFrom runs what the commit of inst makes executable. If one of its
+// dependencies is not committed, that is nothing: whatever inst's commit could
+// unblock reaches that dependency too.
+func (r *Replica) executeFrom(inst *instance) {
+	for _, id := range inst.deps {
+		if d := r.instances[id]; d == nil || d.status < statusCommitted {
 			return
 		}
-		var cmds []Command
-		var wake []chan struct{}
-		for _, inst := range batch {
-			inst.status = statusExecuted
-			if inst.cmd.ID != "" && !r.executed[inst.cmd.ID] {
-				r.executed[inst.cmd.ID] = true
-				cmds = append(cmds, inst.cmd)
-				wake = append(wake, r.waiters[inst.cmd.ID]...)
-				delete(r.waiters, inst.cmd.ID)
-			}
-		}
-		exec := r.exec
-		r.mu.Unlock()
-		for _, c := range cmds {
-			if exec != nil {
-				exec(c)
-			}
-		}
-		for _, ch := range wake {
-			close(ch)
+	}
+	r.execute()
+}
+
+// execute runs, in dependency order, every committed instance whose
+// dependency closure is committed, and hands each command to exec once. It
+// is Tarjan's algorithm over the committed, unexecuted instances only (as
+// roots, in id order), so its cost does not grow with history. Tarjan emits
+// each SCC after every SCC it reaches, so the SCC runs at once if every
+// dependency outside it is executed — possibly earlier in this pass — and is
+// blocked otherwise: by an uncommitted or unknown instance, or a blocked SCC,
+// which so blocks everything that depends on it.
+func (r *Replica) execute() {
+	r.epoch++
+	roots := make([]InstanceID, 0, len(r.pending))
+	for id := range r.pending {
+		roots = append(roots, id)
+	}
+	slices.SortFunc(roots, compareIDs)
+	s := &search{r: r}
+	for _, id := range roots {
+		if in := r.pending[id]; in != nil && in.mark != r.epoch {
+			s.visit(in)
 		}
 	}
 }
 
-// findExecutableLocked computes the executable prefix of the committed
-// dependency graph: SCCs in topological order, cut at the first component
-// with a dependency that is neither executed nor scheduled earlier in the
-// prefix (i.e. an uncommitted or unknown instance). Within an SCC, commands
-// run in (seq, instance id) order — identical at every replica, which is
-// what makes the visibility order a total order for interfering commands.
-func (r *Replica) findExecutableLocked() []*instance {
-	// Standard Tarjan over committed-but-unexecuted instances. Edges to
-	// executed deps are skipped; edges to uncommitted/unknown deps are not
-	// traversed (the post-check below stops the prefix there). Tarjan emits
-	// each SCC only after every SCC it depends on, so emission order is a
-	// valid execution order.
-	var (
-		index   = make(map[InstanceID]int)
-		low     = make(map[InstanceID]int)
-		onStack = make(map[InstanceID]bool)
-		stack   []InstanceID
-		next    int
-		sccs    [][]*instance
-	)
-	var visit func(v InstanceID)
-	visit = func(v InstanceID) {
-		inst := r.instances[v]
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for d := range inst.deps {
-			di := r.instances[d]
-			if di == nil || di.status != statusCommitted {
-				continue // executed (fine) or uncommitted (post-check cuts)
-			}
-			if _, seen := index[d]; !seen {
-				visit(d)
-				if low[d] < low[v] {
-					low[v] = low[d]
-				}
-			} else if onStack[d] && index[d] < low[v] {
-				low[v] = index[d]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []*instance
-			for {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[top] = false
-				comp = append(comp, r.instances[top])
-				if top == v {
-					break
-				}
-			}
-			sccs = append(sccs, comp)
-		}
-	}
-	for id, inst := range r.instances {
-		if inst.status == statusCommitted {
-			if _, seen := index[id]; !seen {
-				visit(id)
-			}
-		}
-	}
-	if len(sccs) == 0 {
-		return nil
-	}
+// search is one pass of Tarjan's algorithm; its per-instance state lives on
+// the instances, valid while their mark equals the replica's epoch.
+type search struct {
+	r     *Replica
+	next  int
+	stack []*instance
+}
 
-	// Accept components in emission order when all external dependencies
-	// are satisfied (executed already, or accepted earlier in this pass).
-	// Components with unsatisfied dependencies are skipped, and so —
-	// transitively — is everything that depends on them.
-	done := make(map[InstanceID]bool)
-	var out []*instance
-	for _, comp := range sccs {
-		inComp := make(map[InstanceID]bool, len(comp))
-		for _, in := range comp {
-			inComp[in.id] = true
+func (s *search) visit(v *instance) {
+	r := s.r
+	v.mark, v.index, v.low, v.onStack = r.epoch, s.next, s.next, true
+	s.next++
+	s.stack = append(s.stack, v)
+	for _, id := range v.deps {
+		d := r.instances[id]
+		if d == nil || d.status != statusCommitted {
+			continue // executed (fine) or uncommitted (run blocks on it)
 		}
-		ok := true
-		for _, in := range comp {
-			for d := range in.deps {
-				if inComp[d] || done[d] {
-					continue
-				}
-				if di := r.instances[d]; di != nil && di.status == statusExecuted {
-					continue
-				}
-				ok = false
-				break
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		sort.Slice(comp, func(i, j int) bool {
-			if comp[i].seq != comp[j].seq {
-				return comp[i].seq < comp[j].seq
-			}
-			if comp[i].id.Replica != comp[j].id.Replica {
-				return comp[i].id.Replica < comp[j].id.Replica
-			}
-			return comp[i].id.Slot < comp[j].id.Slot
-		})
-		for _, in := range comp {
-			done[in.id] = true
-			out = append(out, in)
+		if d.mark != r.epoch {
+			s.visit(d)
+			v.low = min(v.low, d.low)
+		} else if d.onStack {
+			v.low = min(v.low, d.index)
 		}
 	}
-	return out
+	if v.low != v.index {
+		return
+	}
+	i := len(s.stack) - 1
+	for s.stack[i] != v {
+		i--
+	}
+	comp := slices.Clone(s.stack[i:])
+	s.stack = s.stack[:i]
+	for _, in := range comp {
+		in.onStack = false
+	}
+	r.run(comp)
+}
+
+// run executes an SCC just emitted by the search, or marks it blocked. A
+// committed dependency outside the SCC was emitted before it, so it is
+// executed by now unless it was blocked.
+func (r *Replica) run(comp []*instance) {
+	for _, in := range comp {
+		for _, id := range in.deps {
+			d := r.instances[id]
+			if d == nil || d.status < statusCommitted || d.status == statusCommitted && d.blocked == r.epoch {
+				for _, in := range comp {
+					in.blocked = r.epoch
+				}
+				return
+			}
+		}
+	}
+	orderComponent(comp)
+	for _, in := range comp {
+		in.status = statusExecuted
+		delete(r.pending, in.id)
+		if in.cmd.ID != "" && !r.executed[in.cmd.ID] {
+			r.executed[in.cmd.ID] = true
+			if r.exec != nil {
+				r.exec(in.cmd)
+			}
+		}
+	}
+}
+
+// orderComponent sorts an SCC into execution order: by (seq, instance id),
+// then each leader's commands take that leader's positions in slot order, so
+// a leader's interfering commands execute in the order it proposed them.
+// The order is a function of the component alone, so it is identical at
+// every replica — which is what makes the visibility order a total order
+// for interfering commands.
+func orderComponent(comp []*instance) {
+	if len(comp) < 2 {
+		return
+	}
+	slices.SortFunc(comp, func(a, b *instance) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), compareIDs(a.id, b.id))
+	})
+	own := make(map[string][]*instance)
+	for _, in := range comp {
+		own[in.id.Replica] = append(own[in.id.Replica], in)
+	}
+	for _, l := range own {
+		slices.SortFunc(l, func(a, b *instance) int { return cmp.Compare(a.id.Slot, b.id.Slot) })
+	}
+	for i, in := range comp {
+		l := own[in.id.Replica]
+		comp[i], own[in.id.Replica] = l[0], l[1:]
+	}
 }
 
 // --- helpers ---
 
-func depsSlice(m map[InstanceID]bool) []InstanceID {
-	out := make([]InstanceID, 0, len(m))
-	for d := range m {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Replica != out[j].Replica {
-			return out[i].Replica < out[j].Replica
-		}
-		return out[i].Slot < out[j].Slot
-	})
-	return out
+func compareIDs(a, b InstanceID) int {
+	return cmp.Or(cmp.Compare(a.Replica, b.Replica), cmp.Compare(a.Slot, b.Slot))
 }
 
-func cloneDeps(m map[InstanceID]bool) map[InstanceID]bool {
-	out := make(map[InstanceID]bool, len(m))
-	for d := range m {
-		out[d] = true
+// mergeDeps returns the sorted union of a (sorted, without self) and b,
+// leaving out self, and whether b added anything. a is returned unchanged
+// when nothing was added and is never modified.
+func mergeDeps(a, b []InstanceID, self InstanceID) ([]InstanceID, bool) {
+	out := slices.DeleteFunc(slices.Concat(a, b), func(id InstanceID) bool { return id == self })
+	slices.SortFunc(out, compareIDs)
+	if out = slices.Compact(out); len(out) == len(a) {
+		return a, false
 	}
-	return out
+	return out, true
 }

@@ -78,12 +78,16 @@ type (
 	VisEntry = wire.GroupVisEntry
 )
 
-// interferenceKeys renders a transaction's updated objects as EPaxos keys.
+// interferenceKeys renders a transaction's updated objects as EPaxos keys,
+// plus one key for its origin node: a node's own transactions then always
+// interfere, so every replica executes them — and the sync point uplinks
+// them — in the order the node proposed them. (An origin key that happens to
+// equal an object key only adds interference, which is always safe.)
 func interferenceKeys(t *txn.Transaction) []string {
 	objs := t.Objects()
-	keys := make([]string, len(objs))
+	keys := make([]string, len(objs), len(objs)+1)
 	for i, id := range objs {
 		keys[i] = id.String()
 	}
-	return keys
+	return append(keys, "origin:"+t.Origin)
 }

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"colony/internal/edge"
-	"colony/internal/epaxos"
-	"colony/internal/obs"
 	"colony/internal/txn"
 	"colony/internal/vclock"
 	"colony/internal/wire"
@@ -41,19 +39,15 @@ type Member struct {
 	node *edge.Node
 	cfg  MemberConfig
 
+	consensus *driver
+
 	mu         sync.Mutex
-	replica    *epaxos.Replica
 	sessionKey []byte
 	vislogLen  int // entries adopted from the parent's log (sync cursor)
 	// pendingOwn tracks this node's transactions without a concrete commit
 	// yet, in order; they are re-proposed after migrating to another group.
 	pendingOwn []*txn.Transaction
 	memberEvs  []func([]string)
-
-	// EPaxos round counters (nil-safe; shared deployment-wide by name).
-	obsProposed *obs.Counter
-	obsExecuted *obs.Counter
-	obsMsgs     *obs.Counter
 
 	stop chan struct{}
 	done chan struct{}
@@ -84,13 +78,7 @@ func Join(node *edge.Node, cfg MemberConfig) (*Member, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	reg := node.Obs()
-	m.obsProposed = reg.Counter("group.epaxos_proposed")
-	m.obsExecuted = reg.Counter("group.epaxos_executed")
-	m.obsMsgs = reg.Counter("group.epaxos_msgs")
-	m.replica = epaxos.NewReplica(node.Name(), nil,
-		func(to string, msg any) { m.obsMsgs.Inc(); _ = node.Send(to, msg) },
-		m.onExecute)
+	m.consensus = newDriver(node, cfg.SyncInterval, node.ApplyGroupTx)
 	node.SetHooks(edge.Hooks{
 		Extra:  m.handle,
 		Commit: m.onLocalCommit,
@@ -99,7 +87,7 @@ func Join(node *edge.Node, cfg MemberConfig) (*Member, error) {
 
 	ack, err := m.join(cfg.Parent)
 	if err != nil {
-		m.detachHooks()
+		m.detach()
 		return nil, err
 	}
 	m.applyMembership(ack.Members)
@@ -109,7 +97,7 @@ func Join(node *edge.Node, cfg MemberConfig) (*Member, error) {
 	// Re-point the node's subscription at the parent: interest-set
 	// subscriptions and resume replay now flow through the group.
 	if err := node.Migrate(cfg.Parent); err != nil {
-		m.detachHooks()
+		m.detach()
 		return nil, err
 	}
 	go m.loop()
@@ -155,7 +143,7 @@ func (m *Member) leave(requeue bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CallTimeout)
 	_, _ = m.node.Call(ctx, m.cfg.Parent, LeaveReq{Node: m.node.Name()})
 	cancel()
-	m.detachHooks()
+	m.detach()
 	if !requeue {
 		return
 	}
@@ -167,11 +155,12 @@ func (m *Member) leave(requeue bool) {
 	}
 }
 
-// detachHooks restores the plain edge-node behaviour. Transactions that
-// became group-visible remain readable — the store keeps their marks
-// (rollback freedom).
-func (m *Member) detachHooks() {
+// detach restores the plain edge-node behaviour and stops consensus.
+// Transactions that became group-visible remain readable — the store keeps
+// their marks (rollback freedom).
+func (m *Member) detach() {
 	m.node.SetHooks(edge.Hooks{})
+	m.consensus.close()
 }
 
 // Node returns the underlying edge node.
@@ -201,22 +190,17 @@ func (m *Member) VisibilityLogLen() int {
 	return m.vislogLen
 }
 
-// loop drives consensus retries (every tick) and reconciliation with the
-// parent (every tenth tick — normal distribution is push-based via VisEntry
-// and PromoteMsg; the pull is the recovery path after missed pushes).
+// loop reconciles with the parent every ten sync intervals (normal
+// distribution is push-based via VisEntry and PromoteMsg; the pull is the
+// recovery path after missed pushes).
 func (m *Member) loop() {
 	defer close(m.done)
-	ticker := time.NewTicker(m.cfg.SyncInterval)
+	ticker := time.NewTicker(10 * m.cfg.SyncInterval)
 	defer ticker.Stop()
-	tick := 0
 	for {
 		select {
 		case <-ticker.C:
-			m.replica.RetryPending(4 * m.cfg.SyncInterval)
-			tick++
-			if tick%10 == 0 {
-				m.syncWithParent()
-			}
+			m.syncWithParent()
 		case <-m.stop:
 			return
 		}
@@ -256,7 +240,7 @@ func (m *Member) syncWithParent() {
 
 // handle processes group traffic addressed to this member.
 func (m *Member) handle(from string, msg any) any {
-	if m.replica.HandleMessage(from, msg) {
+	if m.consensus.handle(from, msg) {
 		return nil
 	}
 	switch ev := msg.(type) {
@@ -288,7 +272,7 @@ func (m *Member) applyMembership(all []string) {
 			peers = append(peers, name)
 		}
 	}
-	m.replica.SetPeers(peers)
+	m.consensus.setPeers(peers)
 	m.mu.Lock()
 	evs := make([]func([]string), len(m.memberEvs))
 	copy(evs, m.memberEvs)
@@ -320,25 +304,11 @@ func (m *Member) onLocalCommit(t *txn.Transaction) {
 	m.mu.Lock()
 	m.pendingOwn = append(m.pendingOwn, t)
 	m.mu.Unlock()
-	m.obsProposed.Inc()
-	m.replica.Propose(epaxos.Command{
-		ID:      t.Dot.String(),
-		Keys:    interferenceKeys(t),
-		Payload: t.Clone(),
-	})
+	var wait time.Duration
 	if m.cfg.Variant == VariantPSI {
-		m.replica.WaitExecuted(t.Dot.String(), m.cfg.PSITimeout)
+		wait = m.cfg.PSITimeout
 	}
-}
-
-// onExecute consumes the member's own EPaxos execution order.
-func (m *Member) onExecute(cmd epaxos.Command) {
-	t, ok := cmd.Payload.(*txn.Transaction)
-	if !ok {
-		return
-	}
-	m.obsExecuted.Inc()
-	m.node.ApplyGroupTx(t)
+	m.consensus.propose(t, wait)
 }
 
 // clearPending drops a now-concrete transaction from the re-propose list.
@@ -383,12 +353,7 @@ func (m *Member) MigrateTo(parent string) (*Member, error) {
 	pending := m.pendingLocked()
 	m.mu.Unlock()
 	for _, t := range pending {
-		next.obsProposed.Inc()
-		next.replica.Propose(epaxos.Command{
-			ID:      t.Dot.String(),
-			Keys:    interferenceKeys(t),
-			Payload: t.Clone(),
-		})
+		next.consensus.propose(t, 0)
 	}
 	return next, nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"colony/internal/edge"
-	"colony/internal/epaxos"
 	"colony/internal/obs"
 	"colony/internal/transport"
 	"colony/internal/txn"
@@ -37,8 +36,8 @@ type ParentConfig struct {
 // group's collaborative cache and DC subscription (§5.1.2–5.1.3), acts as
 // the group's default sync point, and participates in the group's EPaxos.
 type Parent struct {
-	node    *edge.Node
-	replica *epaxos.Replica
+	node      *edge.Node
+	consensus *driver
 
 	mu         sync.Mutex
 	members    map[string]bool
@@ -46,18 +45,10 @@ type Parent struct {
 	vislog     []vclock.Dot                     // group visibility order; the transactions are in the node's store
 	remoteLog  []*txn.Transaction               // stable remote txs, for member resume (bounded)
 	sessionKey []byte
-
-	// EPaxos round counters (nil-safe; shared deployment-wide by name).
-	obsProposed *obs.Counter
-	obsExecuted *obs.Counter
-	obsMsgs     *obs.Counter
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewParent creates a group parent on net, attaches its DC-facing edge node,
-// and starts its maintenance loop. Call Connect once, then Close when done.
+// and starts its consensus. Call Connect once, then Close when done.
 func NewParent(netw transport.Network, cfg ParentConfig) *Parent {
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 25 * time.Millisecond
@@ -68,8 +59,6 @@ func NewParent(netw transport.Network, cfg ParentConfig) *Parent {
 		members:    make(map[string]bool),
 		interest:   make(map[string]map[txn.ObjectID]bool),
 		sessionKey: key,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
 	p.node = edge.New(netw, edge.Config{
 		Name: cfg.Name, Actor: cfg.Actor, DC: cfg.DC,
@@ -77,18 +66,12 @@ func NewParent(netw transport.Network, cfg ParentConfig) *Parent {
 		AutoAdvanceThreshold: cfg.AutoAdvanceThreshold,
 		Obs:                  cfg.Obs,
 	})
-	p.obsProposed = cfg.Obs.Counter("group.epaxos_proposed")
-	p.obsExecuted = cfg.Obs.Counter("group.epaxos_executed")
-	p.obsMsgs = cfg.Obs.Counter("group.epaxos_msgs")
-	p.replica = epaxos.NewReplica(cfg.Name, nil,
-		func(to string, msg any) { p.obsMsgs.Inc(); _ = p.node.Send(to, msg) },
-		p.onExecute)
+	p.consensus = newDriver(p.node, cfg.RetryInterval, p.onExecute)
 	p.node.SetHooks(edge.Hooks{
 		Extra: p.handle,
 		Push:  p.onPush,
 		Ack:   p.onAck,
 	})
-	go p.loop(cfg.RetryInterval)
 	return p
 }
 
@@ -97,12 +80,7 @@ func (p *Parent) Connect() error { return p.node.Connect() }
 
 // Close stops the parent.
 func (p *Parent) Close() {
-	select {
-	case <-p.stop:
-	default:
-		close(p.stop)
-	}
-	<-p.done
+	p.consensus.close()
 	p.node.Close()
 }
 
@@ -130,24 +108,9 @@ func (p *Parent) VisibilityLogLen() int {
 	return len(p.vislog)
 }
 
-// loop drives consensus retries.
-func (p *Parent) loop(interval time.Duration) {
-	defer close(p.done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			p.replica.RetryPending(4 * interval)
-		case <-p.stop:
-			return
-		}
-	}
-}
-
 // handle processes group traffic addressed to the parent.
 func (p *Parent) handle(from string, msg any) any {
-	if p.replica.HandleMessage(from, msg) {
+	if p.consensus.handle(from, msg) {
 		return nil
 	}
 	switch m := msg.(type) {
@@ -181,7 +144,7 @@ func (p *Parent) onJoin(m JoinReq) any {
 	key := p.sessionKey
 	p.mu.Unlock()
 
-	p.replica.SetPeers(members)
+	p.consensus.setPeers(members)
 	ev := MemberEvent{Members: all}
 	for _, peer := range members {
 		if peer != m.Node {
@@ -198,7 +161,7 @@ func (p *Parent) onLeave(m LeaveReq) {
 	delete(p.interest, m.Node)
 	members, all := p.membershipLocked()
 	p.mu.Unlock()
-	p.replica.SetPeers(members)
+	p.consensus.setPeers(members)
 	ev := MemberEvent{Members: all}
 	for _, peer := range members {
 		_ = p.node.Send(peer, ev)
@@ -373,12 +336,7 @@ func (p *Parent) onAck(ack wire.EdgeCommitAck) {
 // group-visible at the parent, is appended to the visibility log, and — if
 // it does not yet have a concrete commit — queued for the DC in visibility
 // order (§5.1.3–5.1.4).
-func (p *Parent) onExecute(cmd epaxos.Command) {
-	src, ok := cmd.Payload.(*txn.Transaction)
-	if !ok {
-		return
-	}
-	p.obsExecuted.Inc()
+func (p *Parent) onExecute(src *txn.Transaction) {
 	p.node.ApplyGroupTx(src)
 	// Read it back from the store: a concurrent redelivery may already have
 	// contributed commit stamps.
@@ -405,10 +363,5 @@ func (p *Parent) onExecute(cmd epaxos.Command) {
 // Submit lets the parent itself (when co-located with an application)
 // propose a transaction to the group's consensus.
 func (p *Parent) Submit(t *txn.Transaction) {
-	p.obsProposed.Inc()
-	p.replica.Propose(epaxos.Command{
-		ID:      t.Dot.String(),
-		Keys:    interferenceKeys(t),
-		Payload: t.Clone(),
-	})
+	p.consensus.propose(t, 0)
 }
