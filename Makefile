@@ -31,11 +31,16 @@ test-race:
 # edge.ApplyGroupTx or the seeding in group.Parent. The third runs the EPaxos
 # seeded schedules and the group's consensus driver — concurrent handlers,
 # listeners that commit, per-member order, the PSI wait — the same way; run it
-# after any change to internal/epaxos or group's driver.
+# after any change to internal/epaxos or group's driver. The fourth covers the
+# per-history costs kept flat: the TCP write loop's flush-on-drain, the DC's
+# anti-entropy resend from a peer's position, and the RGA's slot index; run it
+# after any change to tcp's writeLoop, dc.recordLocked/antiEntropyLocked or
+# crdt/rga.go.
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
+	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA' ./internal/transport/tcp ./internal/dc ./internal/crdt
 
 vet:
 	$(GO) vet ./...

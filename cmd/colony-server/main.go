@@ -73,7 +73,6 @@ func run(args []string) error {
 		peersF   = fs.String("peers", "", "comma-separated dcN=host:port pairs for the other DCs (mesh mode)")
 		index    = fs.Int("index", 0, "this DC's index in vector timestamps (mesh mode)")
 		workload = fs.Int("workload", 0, "commit this many counter increments after boot, for convergence checks (mesh mode)")
-		cork     = fs.Duration("flushdelay", 200*time.Microsecond, "TCP write-loop cork window: idle time to wait for more frames before flushing (mesh mode; 0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,8 +92,8 @@ func run(args []string) error {
 			listen: *listen, peers: *peersF, index: *index,
 			shards: *shards, k: *k, workload: *workload,
 			metrics: *metrics, every: *every, datadir: *datadir,
-			syncWrites: *syncw, flushDelay: *cork,
-			autoAdvance: *adv, partial: *partial, buckets: bootBuckets,
+			syncWrites: *syncw, autoAdvance: *adv,
+			partial: *partial, buckets: bootBuckets,
 		})
 	}
 
@@ -245,7 +244,6 @@ type meshOptions struct {
 	every       time.Duration
 	datadir     string
 	syncWrites  bool
-	flushDelay  time.Duration
 	autoAdvance int
 	partial     bool
 	buckets     []string
@@ -283,10 +281,7 @@ func runMesh(o meshOptions) error {
 	}
 
 	reg := obs.New()
-	mesh, err := tcp.New(tcp.Config{
-		Name: name, Listen: o.listen, Peers: addrs, Obs: reg,
-		FlushDelay: o.flushDelay,
-	})
+	mesh, err := tcp.New(tcp.Config{Name: name, Listen: o.listen, Peers: addrs, Obs: reg})
 	if err != nil {
 		return err
 	}

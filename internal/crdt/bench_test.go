@@ -61,6 +61,35 @@ func BenchmarkRGATypingBurstIndexed1k(b *testing.B)   { benchTypingBurstIndexed(
 func BenchmarkRGATypingBurstIndexed10k(b *testing.B)  { benchTypingBurstIndexed(b, 10_000) }
 func BenchmarkRGATypingBurstIndexed100k(b *testing.B) { benchTypingBurstIndexed(b, 100_000) }
 
+// --- mid-document insert ---
+//
+// One iteration is one insert at the middle of an owned document that grows
+// from n elements (rebuilt outside the timer once it doubles): the shape of
+// several typists editing one shared document, where most inserts move a
+// long tail.
+
+func benchInsertMidDocument(b *testing.B, n int) {
+	var r *crdt.RGA
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			b.StopTimer()
+			r = buildFlatRGA(b, n)
+			b.StartTimer()
+		}
+		op := r.PrepareInsertAt(r.Len()/2, "y")
+		// A Lamport tag above every existing one, as a live typist's is: the
+		// new element lands right after its anchor, so the insert, not the
+		// sibling scan, is what is measured.
+		m := crdt.Meta{Dot: vclock.Dot{Node: "t", Seq: uint64(n + i + 1)}}
+		if err := r.Apply(m, op); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRGAInsertMidDocument1k(b *testing.B)  { benchInsertMidDocument(b, 1_000) }
+func BenchmarkRGAInsertMidDocument10k(b *testing.B) { benchInsertMidDocument(b, 10_000) }
+
 // --- cached-read benchmark ---
 
 // BenchmarkStoreCachedRGARead measures the store's snapshot hit path: a

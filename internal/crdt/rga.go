@@ -2,6 +2,8 @@ package crdt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -23,12 +25,14 @@ type RGAOp struct {
 // anchor it was inserted after (zero Tag = head), and its payload. Elements
 // — including tombstones — are stored in document order, which is the
 // pre-order traversal of the conceptual RGA tree with siblings in
-// descending tag order.
+// descending tag order. slot is the element's entry in RGA.pos, valid while
+// the index is.
 type rgaElem struct {
 	id        Tag
 	after     Tag
 	value     string
 	tombstone bool
+	slot      int32
 }
 
 // rgaCursor memoises one (order position, live index) correspondence point.
@@ -50,14 +54,18 @@ type rgaCursor struct {
 //
 // The kernel is a flat order-indexed array rather than a pointer tree:
 // traversal is iterative (no recursion, however deep the edit chain), the
-// index map resolves anchors in O(1), and appends — the typing pattern —
-// are O(1) amortised.
+// index resolves anchors in O(1), and appends — the typing pattern — are O(1)
+// amortised. A mid-document insert shifts the tail of order and of pos, two
+// flat arrays; no map entry changes but the new element's.
 type RGA struct {
 	order []rgaElem
-	// index maps element id -> position in order. nil means stale: an owned
-	// mutator rebuilds it on demand, and Seal rebuilds it eagerly so sealed
-	// snapshots always carry a valid, read-only index.
-	index map[Tag]int
+	// index maps element id -> a stable slot, and pos maps slot -> position
+	// in order, so a shift rewrites pos entries instead of hashing tags. nil
+	// index means stale (pos with it): an owned mutator rebuilds both on
+	// demand, and Seal rebuilds them eagerly so sealed snapshots always carry
+	// a valid, read-only index.
+	index map[Tag]int32
+	pos   []int32
 	// gone records compacted tombstones: id -> the anchor the element was
 	// inserted after. A late operation referencing a compacted element
 	// resurrects it (as a tombstone, at its original deterministic position)
@@ -65,7 +73,7 @@ type RGA struct {
 	gone   map[Tag]Tag
 	live   int
 	sealed bool
-	// shared marks order/index/gone as shared with a sealed snapshot.
+	// shared marks order/index/pos/gone as shared with a sealed snapshot.
 	shared bool
 	cursor rgaCursor
 }
@@ -75,7 +83,7 @@ var _ Compactor = (*RGA)(nil)
 
 // NewRGA returns an empty sequence.
 func NewRGA() *RGA {
-	return &RGA{index: make(map[Tag]int)}
+	return &RGA{index: make(map[Tag]int32)}
 }
 
 // Kind implements Object.
@@ -100,22 +108,26 @@ func (r *RGA) unshare() {
 	} else {
 		r.gone = nil
 	}
-	r.index = nil
+	r.index, r.pos = nil, nil
 	r.shared = false
 	cowCopies.Add(1)
 }
 
 // ensureIndex rebuilds the position index after an unshare or a compaction
-// dropped it. Must only be called on an owned (unshared, unsealed) RGA.
+// dropped it, renumbering slots to match positions. Must only be called on an
+// owned (unshared, unsealed) RGA.
 func (r *RGA) ensureIndex() {
 	if r.index != nil {
 		return
 	}
-	idx := make(map[Tag]int, len(r.order))
-	for i, e := range r.order {
-		idx[e.id] = i
+	idx := make(map[Tag]int32, len(r.order))
+	pos := make([]int32, len(r.order))
+	for i := range r.order {
+		idx[r.order[i].id] = int32(i)
+		pos[i] = int32(i)
+		r.order[i].slot = int32(i)
 	}
-	r.index = idx
+	r.index, r.pos = idx, pos
 }
 
 // lookup returns the order position of id. While the containers are shared
@@ -125,8 +137,11 @@ func (r *RGA) lookup(id Tag) (int, bool) {
 	if r.index == nil {
 		r.ensureIndex()
 	}
-	pos, ok := r.index[id]
-	return pos, ok
+	slot, ok := r.index[id]
+	if !ok {
+		return 0, false
+	}
+	return int(r.pos[slot]), true
 }
 
 // Apply implements Object.
@@ -222,7 +237,7 @@ func (r *RGA) insertPos(after, id Tag) (pos, liveSkipped, anchorPos int) {
 	anchorPos = -1
 	start := 0
 	if after != (Tag{}) {
-		anchorPos = r.index[after]
+		anchorPos, _ = r.lookup(after)
 		start = anchorPos + 1
 	}
 	var skipping map[Tag]bool
@@ -250,17 +265,19 @@ func (r *RGA) insertPos(after, id Tag) (pos, liveSkipped, anchorPos int) {
 	return i, liveSkipped, anchorPos
 }
 
-// insertAt splices e into order at pos and patches the index (callers hold
-// an owned RGA with ensureIndex done). An append is O(1); a mid-order
-// insert additionally shifts the index entries of the tail.
+// insertAt splices e into order at pos under a fresh slot (callers hold an
+// owned RGA with ensureIndex done). An append is O(1); a mid-order insert
+// additionally moves the tail one place, in order and in pos.
 func (r *RGA) insertAt(pos int, e rgaElem) {
+	e.slot = int32(len(r.pos))
+	r.index[e.id] = e.slot
+	r.pos = append(r.pos, int32(pos))
 	r.order = append(r.order, rgaElem{})
 	copy(r.order[pos+1:], r.order[pos:])
 	r.order[pos] = e
 	for i := pos + 1; i < len(r.order); i++ {
-		r.index[r.order[i].id] = i
+		r.pos[r.order[i].slot]++
 	}
-	r.index[e.id] = pos
 }
 
 // resurrect re-inserts the compacted tombstone t (and, transitively, any
@@ -275,7 +292,7 @@ func (r *RGA) resurrect(t Tag) {
 		if a == (Tag{}) {
 			break
 		}
-		if _, present := r.index[a]; present {
+		if _, present := r.lookup(a); present {
 			break
 		}
 		if _, compacted := r.gone[a]; !compacted {
@@ -287,7 +304,7 @@ func (r *RGA) resurrect(t Tag) {
 		id := chain[i]
 		after := r.gone[id]
 		if after != (Tag{}) {
-			if _, present := r.index[after]; !present {
+			if _, present := r.lookup(after); !present {
 				after = Tag{}
 			}
 		}
@@ -345,7 +362,7 @@ func (r *RGA) CompactTombstones() int {
 		kept = append(kept, r.order[i])
 	}
 	r.order = kept
-	r.index = nil
+	r.index, r.pos = nil, nil
 	r.cursor = rgaCursor{}
 	return removable
 }
@@ -398,10 +415,8 @@ func (r *RGA) Clone() Object {
 	}
 	copy(cp.order, r.order)
 	if r.index != nil {
-		cp.index = make(map[Tag]int, len(r.index))
-		for t, p := range r.index {
-			cp.index[t] = p
-		}
+		cp.index = maps.Clone(r.index)
+		cp.pos = slices.Clone(r.pos)
 	}
 	if len(r.gone) > 0 {
 		cp.gone = make(map[Tag]Tag, len(r.gone))
@@ -434,6 +449,7 @@ func (r *RGA) Fork() Object {
 	return &RGA{
 		order:  r.order,
 		index:  r.index,
+		pos:    r.pos,
 		gone:   r.gone,
 		live:   r.live,
 		shared: true,

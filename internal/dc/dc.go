@@ -12,6 +12,8 @@ package dc
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,9 +155,13 @@ type DC struct {
 	state   vclock.Vector
 	peers   map[int]string
 	log     []*txn.Transaction
-	replLog []*txn.Transaction // every applied tx, masked or not, for anti-entropy
-	byDot   map[vclock.Dot]*txn.Transaction
-	subs    map[string]*subscription
+	replLog []*txn.Transaction // every applied tx, masked or not, for RecheckVisibility
+	// own holds the recorded transactions this DC stamped, ordered by that
+	// stamp, so anti-entropy resumes at a peer's position instead of walking
+	// the whole history.
+	own   []ownTx
+	byDot map[vclock.Dot]*txn.Transaction
+	subs  map[string]*subscription
 	// visible decides whether a transaction may become visible (the ACL
 	// check hook, paper §6.4); nil admits everything.
 	visible func(*txn.Transaction) bool
@@ -808,6 +814,16 @@ func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
 func (d *DC) recordLocked(t *txn.Transaction) {
 	d.byDot[t.Dot] = t
 	d.replLog = append(d.replLog, t)
+	if ts, ours := t.Commit[d.cfg.Index]; ours {
+		// Records arrive nearly in stamp order — concurrent commitAt callers
+		// can swap neighbours between sequencing and recording — so the
+		// insertion point is found from the tail.
+		i := len(d.own)
+		for i > 0 && d.own[i-1].ts > ts {
+			i--
+		}
+		d.own = slices.Insert(d.own, i, ownTx{ts: ts, t: t})
+	}
 	if !d.passesVisibilityLocked(t) {
 		d.masked[t.Dot] = t
 		return
@@ -828,30 +844,36 @@ func (d *DC) passesVisibilityLocked(t *txn.Transaction) bool {
 	return true
 }
 
+// ownTx is one entry of DC.own: a recorded transaction and this DC's stamp
+// on it.
+type ownTx struct {
+	ts uint64
+	t  *txn.Transaction
+}
+
+// antiEntropyMax bounds one anti-entropy round; the next heartbeat continues.
+const antiEntropyMax = 256
+
 // antiEntropyLocked finds own-accepted transactions the heartbeat sender is
 // missing, so commits broadcast into a partition are retransmitted after the
 // partition heals. Duplicates on the receiving side are filtered by dot. The
-// resends ride one ReplBatch: the state vector and send stamp are built once
-// per round, not once per resent transaction (the old path cloned the state
-// up to 256 times per heartbeat).
+// search starts at the sender's position in d.own, so a round costs
+// O(log history + resent), not O(history). The resends ride one ReplBatch:
+// the state vector and send stamp are built once per round.
 func (d *DC) antiEntropyLocked(m wire.ReplHeartbeat) (wire.ReplBatch, string) {
 	peer := d.peers[m.From]
 	if peer == "" {
 		return wire.ReplBatch{}, ""
 	}
-	var txs []*txn.Transaction
-	for _, t := range d.replLog {
-		ts, ours := t.Commit[d.cfg.Index]
-		if !ours || ts <= m.State.Get(d.cfg.Index) {
-			continue
-		}
-		txs = append(txs, t.Clone())
-		if len(txs) >= 256 { // bound each round; the next heartbeat continues
-			break
-		}
-	}
-	if len(txs) == 0 {
+	known := m.State.Get(d.cfg.Index)
+	i := sort.Search(len(d.own), func(i int) bool { return d.own[i].ts > known })
+	missing := d.own[i:min(len(d.own), i+antiEntropyMax)]
+	if len(missing) == 0 {
 		return wire.ReplBatch{}, peer
+	}
+	txs := make([]*txn.Transaction, len(missing))
+	for j, o := range missing {
+		txs[j] = o.t.Clone()
 	}
 	// Anti-entropy resends are scoped like the live stream: the receiver's
 	// WantSeq guard plus the next round's resend make dropped batches

@@ -461,8 +461,8 @@ func (d *DC) resumeLocked(sub *subscription, m wire.Subscribe) (gen uint64, from
 // sendRangeLocked is the one repair path: it sends sub a direct sealed frame
 // with the transactions of d.log[from, idx) that touch its signature — idx
 // and stable being the scan frontier and its cut (fanout.frontier) — at most
-// 256 of them, the bound antiEntropyLocked puts on a round; the receiver asks
-// again from its new cursor. The frame carries the cut unless the range was
+// antiEntropyMax of them, the bound of an anti-entropy round; the receiver
+// asks again from its new cursor. The frame carries the cut unless the range was
 // cut short of the frontier the cut belongs to. With missed set (a resume),
 // a reply that carries transactions also moves a tree child out of its
 // subtree: its relay did not reach it. Called with d.mu held.
@@ -475,7 +475,7 @@ func (d *DC) sendRangeLocked(sub *subscription, from, idx int, stable vclock.Vec
 	keep := func(u txn.Update) bool { return sh.buckets[u.Object.Bucket] }
 	var txs []*txn.Transaction
 	to := from
-	for ; to < idx && len(txs) < 256; to++ {
+	for ; to < idx && len(txs) < antiEntropyMax; to++ {
 		if ft := d.log[to].RestrictShared(keep); ft != nil {
 			txs = append(txs, ft)
 		}

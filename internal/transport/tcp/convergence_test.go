@@ -14,20 +14,17 @@ import (
 
 var benchID = txn.ObjectID{Bucket: "bench", Key: "ctr"}
 
-// tcpDCs builds n real DCs, one per TCP mesh, fully cross-wired on loopback,
-// with the write-loop cork at colony-server's default. This is the in-process
-// version of a multi-process colony-server deployment: every replication
-// frame crosses a real socket through the binary codec.
+// tcpDCs builds n real DCs, one per TCP mesh, fully cross-wired on loopback.
+// This is the in-process version of a multi-process colony-server
+// deployment: every replication frame crosses a real socket through the
+// binary codec.
 func tcpDCs(t testing.TB, n int) []*dc.DC {
 	t.Helper()
 	peers := make(map[int]string, n)
 	meshes := make([]*tcp.Mesh, n)
 	for i := 0; i < n; i++ {
 		peers[i] = fmt.Sprintf("dc%d", i)
-		m, err := tcp.New(tcp.Config{
-			Name: peers[i], Listen: "127.0.0.1:0",
-			FlushDelay: 200 * time.Microsecond,
-		})
+		m, err := tcp.New(tcp.Config{Name: peers[i], Listen: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatal(err)
 		}

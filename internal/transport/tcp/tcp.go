@@ -80,7 +80,6 @@ const (
 	maxFrame         = 64 << 20 // hard cap on a single frame, corrupt-length guard
 	maxPooledBuf     = 1 << 20  // don't keep giant one-off buffers alive in the pool
 	handshakeTimeout = 5 * time.Second
-	corkMaxBytes     = 32 << 10 // stop extending a cork window past this much buffered data
 )
 
 // Mesh errors. Loss in flight is still silent (a frame queued on a
@@ -116,16 +115,8 @@ type Config struct {
 	OutboxDepth int
 	// InboxDepth is the per-node inbound queue (default 4096).
 	InboxDepth int
-	// FlushDelay corks each connection's write loop: after draining the
-	// outbox, the writer holds the buffered frames for up to this much idle
-	// time, coalescing any frames that arrive meanwhile into one flush
-	// (restarting the idle clock on each arrival). A steady trickle of
-	// small frames — the replication workload's common case — then costs a
-	// few flush syscalls instead of one per frame, at the price of up to
-	// FlushDelay added latency on the last frame of a burst. corkMaxBytes
-	// cuts a window short once enough is buffered that the next syscall is
-	// already well amortised. Zero disables corking (flush after every
-	// drain).
+	// Deprecated: FlushDelay is ignored; the write loop flushes as soon as
+	// its queue drains.
 	FlushDelay time.Duration
 }
 
@@ -704,8 +695,8 @@ func (nd *node) SendMulti(to []string, msg any) []error {
 
 // SendEach implements transport.Conn. Unlike SendMulti there is no shared
 // encoded body to refcount — every message is its own envelope — so each
-// pair takes the plain Send path; the per-conn write loop (and its FlushDelay
-// cork) still coalesces the burst into few syscalls.
+// pair takes the plain Send path; the per-conn write loop still coalesces
+// whatever of the burst queues up behind one flush into the next.
 func (nd *node) SendEach(to []string, msgs []any) []error {
 	var errs []error
 	for i, dst := range to {
@@ -855,6 +846,11 @@ func (c *conn) enqueue(f frame) error {
 	}
 }
 
+// writeLoop writes queued frames and flushes as soon as the queue drains. A
+// burst still coalesces: everything queued while one flush is in the kernel
+// is drained into the buffer before the next, so the syscall count follows
+// the arrival pattern rather than the frame count, and a lone frame never
+// waits for a timer.
 func (c *conn) writeLoop() {
 	defer c.m.wg.Done()
 	bw := bufio.NewWriterSize(c.c, 64<<10)
@@ -887,57 +883,17 @@ func (c *conn) writeLoop() {
 	for {
 		select {
 		case f := <-c.outbox:
-			if !write(f) || !drain() {
+			if !write(f) || !drain() || bw.Flush() != nil {
 				c.close()
 				return
 			}
-			if d := c.m.cfg.FlushDelay; d > 0 {
-				if !c.cork(bw, write, drain, d) {
-					return // cork closed the connection
-				}
-			}
-			if bw.Flush() != nil {
-				c.close()
-				return
-			}
-			// net.flushes against net.sent is the corking A/B's measure:
-			// how many frames each writev to the socket carries.
+			// net.flushes against net.sent: how many frames each write to
+			// the socket carries.
 			c.m.count("net.flushes", 1)
 		case <-c.done:
 			return
 		}
 	}
-}
-
-// cork holds the pending flush open for up to idle of quiet time, writing
-// (and greedily draining) frames that arrive in the window. Each arrival
-// restarts the idle clock, so a steady trickle of small frames coalesces
-// into one flush instead of one per frame. Two things bound the window: the
-// bufio.Writer's own capacity (a full buffer writes through regardless), and
-// corkMaxBytes, which ends the window once the next syscall is already well
-// amortised so a sustained stream cannot stretch tail latency indefinitely.
-// Returns false once the connection is closed or broken.
-func (c *conn) cork(bw *bufio.Writer, write func(frame) bool, drain func() bool, idle time.Duration) bool {
-	timer := time.NewTimer(idle)
-	defer timer.Stop()
-	for bw.Buffered() < corkMaxBytes {
-		select {
-		case f := <-c.outbox:
-			if !write(f) || !drain() {
-				c.close()
-				return false
-			}
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timer.Reset(idle)
-		case <-timer.C:
-			return true
-		case <-c.done:
-			return false
-		}
-	}
-	return true
 }
 
 func (c *conn) readLoop() {

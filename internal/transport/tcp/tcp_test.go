@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"colony/internal/bin"
+	"colony/internal/obs"
 	"colony/internal/transport"
 	"colony/internal/vclock"
 	"colony/internal/wire"
@@ -497,16 +498,16 @@ func TestCloseReapsOrphanInboundConns(t *testing.T) {
 	}
 }
 
-// TestFlushDelayCork exercises the write-loop cork: with FlushDelay set, the
-// writer holds buffered frames for an idle window to coalesce a trickle of
-// small sends into few flushes. Everything must still arrive, and a call —
-// whose round trip crosses two corked write loops — must complete within the
-// idle bound rather than stalling behind it.
-func TestFlushDelayCork(t *testing.T) {
-	newCorked := func(name string) *Mesh {
+// TestWriteLoopFlushesOnDrain: the write loop flushes as soon as its queue
+// drains. A burst still coalesces — frames queued while one flush runs share
+// the next — and arrives complete and in order; a lone call's round trip
+// waits for no timer in either direction, whatever the (ignored) FlushDelay.
+func TestWriteLoopFlushesOnDrain(t *testing.T) {
+	reg := obs.New()
+	newMeshWith := func(name string, r *obs.Registry) *Mesh {
 		m, err := New(Config{
-			Name: name, Listen: "127.0.0.1:0",
-			FlushDelay: 2 * time.Millisecond,
+			Name: name, Listen: "127.0.0.1:0", Obs: r,
+			FlushDelay: time.Second,
 		})
 		if err != nil {
 			t.Fatalf("new mesh %s: %v", name, err)
@@ -514,42 +515,46 @@ func TestFlushDelayCork(t *testing.T) {
 		t.Cleanup(func() { m.Close() })
 		return m
 	}
-	ma := newCorked("procA")
-	mb := newCorked("procB")
+	ma := newMeshWith("procA", reg)
+	mb := newMeshWith("procB", nil)
 
 	var sb sink
 	mb.AddNode("b", sb.handler)
 	a := ma.AddNode("a", nil)
 	ma.SetPeer("b", mb.Addr())
 
-	// A burst of small frames: the cork coalesces them, none may be lost.
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := a.Send("b", wire.ReplHeartbeat{From: i}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	waitFor(t, "corked frames delivered", func() bool { return sb.len() >= n })
+	waitFor(t, "burst delivered", func() bool { return sb.len() >= n })
 	for i := 0; i < n; i++ {
 		hb, ok := sb.msg(i).(wire.ReplHeartbeat)
 		if !ok || hb.From != i {
 			t.Fatalf("frame %d: got %#v, want heartbeat From=%d", i, sb.msg(i), i)
 		}
 	}
+	// The writer counts a flush after it returns, which can be after the
+	// reader delivered what it carried.
+	waitFor(t, "flush counted", func() bool { return reg.Counter("net.flushes").Value() > 0 })
+	sent, flushes := reg.Counter("net.sent").Value(), reg.Counter("net.flushes").Value()
+	if sent != n || flushes >= sent {
+		t.Fatalf("net.sent = %d, net.flushes = %d: want %d frames in fewer flushes", sent, flushes, n)
+	}
 
-	// Round trip over two corked writers: each direction pays at most one
-	// idle window, so the call finishes promptly.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
 	v, err := a.Call(ctx, "b", wire.ReplHeartbeat{From: 42})
 	if err != nil {
-		t.Fatalf("call through cork: %v", err)
+		t.Fatalf("call: %v", err)
 	}
 	if ack, ok := v.(wire.EdgeCommitAck); !ok || ack.DCIndex != 42 {
 		t.Fatalf("call reply: got %#v, want ack DCIndex=42", v)
 	}
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("corked call took %v, idle cork should flush in ~ms", el)
+	if el := time.Since(start); el >= 250*time.Millisecond {
+		t.Fatalf("lone call took %v: a write loop held its frame instead of flushing on drain", el)
 	}
 }
