@@ -35,12 +35,17 @@ test-race:
 # per-history costs kept flat: the TCP write loop's flush-on-drain, the DC's
 # anti-entropy resend from a peer's position, and the RGA's slot index; run it
 # after any change to tcp's writeLoop, dc.recordLocked/antiEntropyLocked or
-# crdt/rga.go.
+# crdt/rga.go. The fifth covers durability and folding: the group-commit WAL
+# (batching, torn tails, corrupt records, append after a crash), the store's
+# background fold and its re-fold request, and the DC's stable cut met with
+# its own state; run it after any change to internal/wal, store/advance.go or
+# dc.Stable.
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
 	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA' ./internal/transport/tcp ./internal/dc ./internal/crdt
+	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable' ./internal/wal ./internal/store ./internal/dc
 
 vet:
 	$(GO) vet ./...
@@ -48,8 +53,10 @@ vet:
 check: build vet test test-race
 
 # The continuous-integration gate: static checks, racy packages under the
-# race detector, then everything else.
+# race detector, then everything else, then 15 s of fuzzing the WAL's replay
+# (torn tails, corrupt records, foreign files).
 ci: vet test-race build test
+	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=15s ./internal/wal
 
 # Read-path microbenchmarks: materialisation cache on/off over journal
 # depths, parallel readers over shards, incremental advancing-cut reads.

@@ -15,6 +15,7 @@ import (
 	"colony/internal/obs"
 	"colony/internal/security"
 	"colony/internal/simnet"
+	"colony/internal/transport"
 )
 
 // LatencyProfile models the network classes of the paper's testbed (§7.2):
@@ -65,8 +66,11 @@ type ClusterConfig struct {
 	// DefaultAllow is the ACL default (default true).
 	DenyByDefault bool
 	// ServiceTime and Workers model each DC's finite request-processing
-	// capacity (see dc.Config); zero disables. ServiceTime is wall-clock
-	// (pre-scale it when the experiment scales latencies).
+	// capacity: a client-facing request (commit acceptance, fetch,
+	// subscription, migrated transaction) occupies one of Workers slots
+	// (default 2×ShardsPerDC) for ServiceTime, a replication batch for
+	// ServiceTime/4. Zero disables. ServiceTime is wall-clock (pre-scale it
+	// when the experiment scales latencies).
 	ServiceTime time.Duration
 	Workers     int
 	// AutoAdvanceThreshold bounds per-object journal growth on every DC
@@ -138,6 +142,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		sessions: security.NewSessionManager(),
 		policy:   acl.NewPolicy(!cfg.DenyByDefault),
 	}
+	var dcNet transport.Network = net.Transport()
+	if cfg.ServiceTime > 0 {
+		if cfg.Workers <= 0 {
+			cfg.Workers = 2 * cfg.ShardsPerDC
+		}
+		dcNet = capacityNetwork{Network: dcNet, service: cfg.ServiceTime, workers: cfg.Workers}
+	}
 	peers := make(map[int]string, cfg.DCs)
 	for i := 0; i < cfg.DCs; i++ {
 		peers[i] = fmt.Sprintf("dc%d", i)
@@ -147,18 +158,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.DataDir != "" {
 			dataDir = filepath.Join(cfg.DataDir, peers[i])
 		}
-		d, err := dc.New(net.Transport(), dc.Config{
-			Index:       i,
-			Name:        peers[i],
-			NumDCs:      cfg.DCs,
-			Shards:      cfg.ShardsPerDC,
-			K:           cfg.K,
-			Heartbeat:   cfg.Heartbeat,
-			ServiceTime: cfg.ServiceTime,
-			Workers:     cfg.Workers,
-			Obs:         cfg.Obs,
-			DataDir:     dataDir,
-			SyncWrites:  cfg.SyncWrites,
+		d, err := dc.New(dcNet, dc.Config{
+			Index:      i,
+			Name:       peers[i],
+			NumDCs:     cfg.DCs,
+			Shards:     cfg.ShardsPerDC,
+			K:          cfg.K,
+			Heartbeat:  cfg.Heartbeat,
+			Obs:        cfg.Obs,
+			DataDir:    dataDir,
+			SyncWrites: cfg.SyncWrites,
 
 			PartialRepl: cfg.PartialRepl,
 			Buckets:     cfg.DCBuckets[i],

@@ -67,14 +67,6 @@ type Config struct {
 	// group-commit writer, so N concurrent committers share one fsync. Only
 	// meaningful with DataDir set.
 	SyncWrites bool
-	// ServiceTime and Workers model the DC's finite capacity for
-	// client-facing requests (commit acceptance, fetches, subscriptions,
-	// migrated transactions): each such request occupies one of Workers
-	// slots for ServiceTime. Zero disables the model (unit tests). The
-	// benchmark harness uses it so saturation behaves like a real server
-	// rather than an infinitely fast simulator.
-	ServiceTime time.Duration
-	Workers     int
 	// PartialRepl enables interest-scoped replication (ROADMAP item 4): the
 	// DC holds only the buckets in its interest set, advertises that set to
 	// peers via BucketVec gossip, and receives payload-stripped stubs for
@@ -167,8 +159,7 @@ type DC struct {
 	visible func(*txn.Transaction) bool
 	masked  map[vclock.Dot]*txn.Transaction
 
-	capacity chan struct{} // nil when the service-time model is off
-	journal  *wal.Log      // nil when persistence is off
+	journal *wal.Log // nil when persistence is off
 
 	// walMu guards the sticky WAL error (see LastWALError); WAL failures
 	// must not take the DC down mid-protocol, but they must be observable.
@@ -314,12 +305,6 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		}
 		coord.SetAutoAdvance(p)
 	}
-	if cfg.ServiceTime > 0 {
-		if cfg.Workers <= 0 {
-			cfg.Workers = 2 * cfg.Shards
-		}
-		d.capacity = make(chan struct{}, cfg.Workers)
-	}
 	d.cfg = cfg
 	if cfg.PartialRepl {
 		d.initPartial()
@@ -329,11 +314,8 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 			return nil, fmt.Errorf("dc: recover %s: %w", cfg.Name, err)
 		}
 		logFile, err := wal.OpenWithOptions(cfg.DataDir, cfg.Name+".wal", wal.Options{
-			// Appends batch behind a single group-commit writer with the
-			// wal package's own batch defaults.
-			GroupCommit: true,
-			OnError:     d.noteWALError,
-			Obs:         cfg.Obs,
+			OnError: d.noteWALError,
+			Obs:     cfg.Obs,
 		})
 		if err != nil {
 			return nil, err
@@ -546,8 +528,13 @@ func (d *DC) State() vclock.Vector {
 	return d.state.Clone()
 }
 
-// Stable returns the current K-stable cut (the edge-visible frontier).
-func (d *DC) Stable() vclock.Vector { return d.mesh.KStable(d.cfg.K) }
+// Stable returns the current K-stable cut (the edge-visible frontier) met
+// with this DC's own applied state: K peers may hold a transaction this DC
+// has not received, and a fold at a cut covering it would make the store
+// skip it on arrival. Every cut the DC hands out or folds at comes from here.
+func (d *DC) Stable() vclock.Vector {
+	return vclock.GLB(d.mesh.KStable(d.cfg.K), d.mesh.Known(d.cfg.Index))
+}
 
 // heartbeatLoop gossips the state vector so stability advances during quiet
 // periods.
@@ -588,25 +575,6 @@ func (d *DC) heartbeatLoop() {
 
 // handle dispatches incoming network messages.
 func (d *DC) handle(from string, msg any) any {
-	switch msg.(type) {
-	case wire.EdgeCommit, wire.Subscribe, wire.FetchObject, wire.MigratedTx:
-		if d.capacity != nil {
-			d.capacity <- struct{}{}
-			time.Sleep(d.cfg.ServiceTime)
-			defer func() { <-d.capacity }()
-		}
-	case wire.ReplBatch:
-		// Applying replicated traffic costs a fraction of a client request;
-		// this is what keeps N DCs from scaling capacity N× for write-heavy
-		// workloads. The cost is per frame, not per transaction — coalesced
-		// batches amortise the receive overhead, which is exactly the win
-		// the batching sender buys.
-		if d.capacity != nil {
-			d.capacity <- struct{}{}
-			time.Sleep(d.cfg.ServiceTime / 4)
-			defer func() { <-d.capacity }()
-		}
-	}
 	switch m := msg.(type) {
 	case wire.ReplBatch:
 		d.receiveReplicated(m)
@@ -919,7 +887,7 @@ func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
 	// Duplicate (e.g. re-sent after migration): re-ack with the stamps this
 	// DC already knows; the dot filter keeps effects exactly-once.
 	if prev, ok := d.byDot[t.Dot]; ok {
-		ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.mesh.KStable(d.cfg.K)}
+		ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
 		ack.DCIndex, ack.Ts = stampOf(prev.Commit)
 		d.mu.Unlock()
 		return ack
@@ -942,7 +910,7 @@ func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
 			// Raced with replication of the same dot; fall through to re-ack.
 			d.mu.Lock()
 			prev, ok := d.byDot[t.Dot]
-			ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.mesh.KStable(d.cfg.K)}
+			ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
 			if ok {
 				ack.DCIndex, ack.Ts = stampOf(prev.Commit)
 			}
@@ -955,7 +923,7 @@ func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
 		return wire.EdgeCommitNack{Dot: t.Dot}
 	}
 	d.obsEdgeCommits.Inc()
-	ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.mesh.KStable(d.cfg.K)}
+	ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
 	ack.DCIndex, ack.Ts = stampOf(stamps)
 	return ack
 }
@@ -1077,7 +1045,7 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 	// brought up to that cut first: the position handed back is then the
 	// frontier the seeds cover, and everything past it reaches the subscriber
 	// as frames.
-	seedCut := d.mesh.KStable(d.cfg.K)
+	seedCut := d.Stable()
 	var ack wire.SubscribeAck
 	if !d.closed {
 		// (Re)place in the interest shard matching the possibly-extended
@@ -1149,7 +1117,7 @@ func (d *DC) fetchObject(requester string, id txn.ObjectID, at vclock.Vector) an
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cut := d.mesh.KStable(d.cfg.K)
+	cut := d.Stable()
 	if at.LEQ(d.state) {
 		// An empty At (a client with no state yet) correctly gets the
 		// initial cut: serving anything newer could tear the client's
@@ -1212,7 +1180,7 @@ func (d *DC) notifySubscribersLocked(broadcast bool) {
 	if len(d.subs) == 0 {
 		return
 	}
-	d.fan.scan(d.mesh.KStable(d.cfg.K), broadcast)
+	d.fan.scan(d.Stable(), broadcast)
 }
 
 // --- migrated transactions (paper §3.9) ---

@@ -483,6 +483,62 @@ func TestHeartbeatAdvancesStability(t *testing.T) {
 	}, "stability never advanced via heartbeats")
 }
 
+// TestStableCutNeverExceedsAppliedState: two peers report transactions this
+// DC has not received yet, so the K-th largest known vector runs ahead of its
+// own state. Neither a fold nor a cut handed to a subscriber may claim them:
+// a fold at that cut would make the store skip them as already folded when
+// they arrive.
+func TestStableCutNeverExceedsAppliedState(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	defer net.Close()
+	d, err := New(net.Transport(), Config{Index: 0, Name: "dc0", NumDCs: 3, Shards: 2, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	inc := crdt.Op{Counter: &crdt.CounterOp{Delta: 1}}
+	tx := d.Begin("alice")
+	tx.Update(xID, crdt.KindCounter, inc)
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// dc1 committed n increments on top of ours; dc1 and dc2 both have them.
+	const n = 5
+	ahead := d.State().Set(1, n)
+	d.mesh.ObservePeer(1, ahead)
+	d.mesh.ObservePeer(2, ahead)
+	if s := d.Stable(); !s.LEQ(d.State()) {
+		t.Errorf("Stable() = %v exceeds state %v", s, d.State())
+	}
+	ack, ok := d.subscribe(wire.Subscribe{Node: "e", Objects: []txn.ObjectID{xID}}).(wire.SubscribeAck)
+	if !ok {
+		t.Fatal("subscribe returned no ack")
+	}
+	if !ack.Stable.LEQ(d.State()) {
+		t.Errorf("subscribe ack cut %v exceeds state %v", ack.Stable, d.State())
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := wire.ReplBatch{From: 1, State: ahead}
+	for i := uint64(1); i <= n; i++ {
+		r := &txn.Transaction{
+			Dot:      vclock.Dot{Node: "dc1", Seq: 100 + i},
+			Origin:   "dc1",
+			Snapshot: ahead.Clone().Set(1, i-1),
+			Commit:   vclock.CommitStamps{1: i},
+		}
+		r.AppendUpdate(xID, crdt.KindCounter, inc)
+		batch.Txs = append(batch.Txs, r)
+	}
+	d.receiveReplicated(batch)
+	if got := counterValue(t, d, d.State()); got != 1+n {
+		t.Fatalf("counter = %d after the replicated increments, want %d", got, 1+n)
+	}
+}
+
 func TestAutoAdvanceBoundsShardJournals(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()

@@ -114,7 +114,7 @@ func newFanout(d *DC) *fanout {
 		d:        d,
 		shards:   make(map[string]*pushShard),
 		byBucket: make(map[string]map[*pushShard]bool),
-		stable:   d.mesh.KStable(d.cfg.K),
+		stable:   d.Stable(),
 		boot:     uint64(time.Now().UnixNano()),
 	}
 	f.gen.Store(f.boot)

@@ -12,6 +12,9 @@ import (
 	"colony/internal/wire"
 )
 
+// psiTimeout bounds a PSI-variant commit's wait for consensus.
+const psiTimeout = 5 * time.Second
+
 // MemberConfig configures a member's group attachment.
 type MemberConfig struct {
 	// Parent is the group parent's node name.
@@ -23,9 +26,6 @@ type MemberConfig struct {
 	// SyncInterval paces consensus retries and visibility-log
 	// reconciliation with the parent (default 25ms).
 	SyncInterval time.Duration
-	// PSITimeout bounds the wait for consensus in the PSI variant (default
-	// 5s).
-	PSITimeout time.Duration
 	// MaxPending bounds the member's transactions awaiting a concrete DC
 	// commit (0 = unbounded); commits block when the bound is reached —
 	// back-pressure mirroring edge.Config.MaxUnacked.
@@ -68,9 +68,6 @@ func Join(node *edge.Node, cfg MemberConfig) (*Member, error) {
 	}
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = 25 * time.Millisecond
-	}
-	if cfg.PSITimeout <= 0 {
-		cfg.PSITimeout = 5 * time.Second
 	}
 	m := &Member{
 		node: node,
@@ -306,7 +303,7 @@ func (m *Member) onLocalCommit(t *txn.Transaction) {
 	m.mu.Unlock()
 	var wait time.Duration
 	if m.cfg.Variant == VariantPSI {
-		wait = m.cfg.PSITimeout
+		wait = psiTimeout
 	}
 	m.consensus.propose(t, wait)
 }

@@ -39,30 +39,46 @@ type AdvancePolicy struct {
 func (s *Store) SetAutoAdvance(p AdvancePolicy) { s.policy = p }
 
 // maybeAutoAdvance fires the background advancement when the longest journal
-// an Apply just touched exceeds the policy threshold. Triggers coalesce: at
-// most one advancement runs at a time, and applies that arrive while one is
-// running re-trigger on their next threshold crossing. Journals therefore
-// stay bounded by the threshold plus the writes in flight during one fold.
+// an Apply just touched exceeds the policy threshold. At most one fold runs at
+// a time; an Apply that finds one running leaves a re-fold request, which the
+// running fold picks up before it exits (autoAdvance), so no trigger is lost.
+// Journals therefore stay bounded by the threshold plus the writes in flight
+// during one fold.
 func (s *Store) maybeAutoAdvance(longest int) {
 	p := s.policy
 	if p.JournalThreshold <= 0 || (p.Cut == nil && p.CutFor == nil) || longest <= p.JournalThreshold {
 		return
 	}
-	if !s.advancing.CompareAndSwap(false, true) {
-		return
+	s.refold.Store(true)
+	if s.advancing.CompareAndSwap(false, true) {
+		go s.autoAdvance(p)
 	}
-	go func() {
-		defer s.advancing.Store(false)
-		if p.CutFor != nil {
-			_ = s.AdvanceBuckets(p.CutFor)
+}
+
+// autoAdvance is the background fold. It folds again while a re-fold request
+// is pending or, with a store-wide Cut, while the longest journal is still
+// over the threshold and the cut has moved since the last fold. A request is
+// set before the running flag is tested, so one that lands after the loop's
+// last check is seen by the re-check after the running flag clears.
+func (s *Store) autoAdvance(p AdvancePolicy) {
+	var last vclock.Vector
+	for {
+		for s.refold.CompareAndSwap(true, false) ||
+			(p.CutFor == nil && s.MaxJournalLen() > p.JournalThreshold && !p.Cut().LEQ(last)) {
+			if p.CutFor != nil {
+				_ = s.AdvanceBuckets(p.CutFor)
+				continue
+			}
+			if cut := p.Cut(); len(cut) > 0 {
+				_ = s.Advance(cut, p.KeepDots)
+				last = cut
+			}
+		}
+		s.advancing.Store(false)
+		if !s.refold.Load() || !s.advancing.CompareAndSwap(false, true) {
 			return
 		}
-		cut := p.Cut()
-		if len(cut) == 0 {
-			return
-		}
-		_ = s.Advance(cut, p.KeepDots)
-	}()
+	}
 }
 
 // Advance folds every journal entry visible at cut into each object's base

@@ -144,9 +144,11 @@ type Store struct {
 	readCacheOff bool
 
 	// policy drives automatic base advancement; advancing coalesces
-	// concurrent triggers into one background fold.
+	// concurrent triggers into one background fold, and refold asks that
+	// fold to run again (see autoAdvance).
 	policy    AdvancePolicy
 	advancing atomic.Bool
+	refold    atomic.Bool
 
 	// Instrumentation handles, resolved once by SetObs. All are nil-safe
 	// no-ops when no registry is attached, so the hot read path pays one

@@ -80,6 +80,8 @@ const (
 	maxFrame         = 64 << 20 // hard cap on a single frame, corrupt-length guard
 	maxPooledBuf     = 1 << 20  // don't keep giant one-off buffers alive in the pool
 	handshakeTimeout = 5 * time.Second
+	dialTimeout      = 2 * time.Second // bounds connection establishment
+	outboxDepth      = 1024            // per-connection outbound frame queue
 )
 
 // Mesh errors. Loss in flight is still silent (a frame queued on a
@@ -109,10 +111,6 @@ type Config struct {
 	// Obs receives net.sent/net.delivered/net.dropped counters (and their
 	// _units variants) compatible with simnet's. Nil disables metrics.
 	Obs *obs.Registry
-	// DialTimeout bounds connection establishment (default 2s).
-	DialTimeout time.Duration
-	// OutboxDepth is the per-connection outbound frame queue (default 1024).
-	OutboxDepth int
 	// InboxDepth is the per-node inbound queue (default 4096).
 	InboxDepth int
 	// Deprecated: FlushDelay is ignored; the write loop flushes as soon as
@@ -258,20 +256,6 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
-func (m *Mesh) dialTimeout() time.Duration {
-	if m.cfg.DialTimeout > 0 {
-		return m.cfg.DialTimeout
-	}
-	return 2 * time.Second
-}
-
-func (m *Mesh) outboxDepth() int {
-	if m.cfg.OutboxDepth > 0 {
-		return m.cfg.OutboxDepth
-	}
-	return 1024
-}
-
 func (m *Mesh) inboxDepth() int {
 	if m.cfg.InboxDepth > 0 {
 		return m.cfg.InboxDepth
@@ -317,7 +301,7 @@ func (m *Mesh) connFor(to string) (*conn, error) {
 	}
 	m.mu.Unlock()
 
-	nc, err := net.DialTimeout("tcp", addr, m.dialTimeout())
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: dial %s (%s): %w", to, addr, err)
 	}
@@ -353,7 +337,7 @@ func (m *Mesh) newConnLocked(nc net.Conn, br *bufio.Reader, addr, peer string) *
 		br:     br,
 		peer:   peer,
 		addr:   addr,
-		outbox: make(chan frame, m.outboxDepth()),
+		outbox: make(chan frame, outboxDepth),
 		done:   make(chan struct{}),
 	}
 	m.live[c] = true

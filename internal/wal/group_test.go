@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,56 +10,50 @@ import (
 	"colony/internal/txn"
 )
 
-// TestGroupCommitSharesFsyncs runs concurrent durable appends through the
-// group-commit writer and checks that they share fsync batches instead of
-// paying one fsync each.
+// TestGroupCommitSharesFsyncs stalls the writer on its lock while durable
+// appends queue behind it: once released, the queued appends must share
+// fsyncs instead of paying one each.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
-	l, err := OpenWithOptions(dir, "gc.wal", Options{
-		GroupCommit: true,
-		SyncEvery:   64,
-		// A linger interval makes batch formation deterministic enough to
-		// assert on: every committer that arrives within the window joins the
-		// open batch.
-		SyncInterval: 5 * time.Millisecond,
-		Obs:          reg,
-	})
+	l, err := OpenWithOptions(dir, "gc.wal", Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, perWriter = 8, 10
+	const writers = 8
+	l.mu.Lock()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if err := l.AppendWait(sampleTx(uint64(w*perWriter + i + 1))); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := l.AppendWait(sampleTx(uint64(w + 1))); err != nil {
+				t.Error(err)
 			}
 		}(w)
 	}
+	// The writer takes at most one request before it blocks on l.mu; the
+	// rest wait in the queue.
+	for len(l.reqCh) < writers-1 {
+		time.Sleep(time.Millisecond)
+	}
+	l.mu.Unlock()
 	wg.Wait()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	appends := reg.Counter("wal.appends").Value()
-	fsyncs := reg.Counter("wal.fsyncs").Value()
-	if appends != writers*perWriter {
-		t.Fatalf("appends = %d, want %d", appends, writers*perWriter)
+	if appends := reg.Counter("wal.appends").Value(); appends != writers {
+		t.Fatalf("appends = %d, want %d", appends, writers)
 	}
-	if fsyncs == 0 || fsyncs*2 > appends {
-		t.Fatalf("fsyncs = %d for %d appends: group commit not batching", fsyncs, appends)
+	if fsyncs := reg.Counter("wal.fsyncs").Value(); fsyncs == 0 || fsyncs > 3 {
+		t.Fatalf("fsyncs = %d for %d queued appends: group commit not batching", fsyncs, writers)
 	}
 	n := 0
 	if err := Replay(dir, "gc.wal", func(*txn.Transaction) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != writers*perWriter {
-		t.Fatalf("replayed %d, want %d", n, writers*perWriter)
+	if n != writers {
+		t.Fatalf("replayed %d, want %d", n, writers)
 	}
 }
 
@@ -70,7 +63,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 // flush).
 func TestGroupCommitAppendWaitDurableWithoutClose(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenWithOptions(dir, "durable.wal", Options{GroupCommit: true})
+	l, err := OpenWithOptions(dir, "durable.wal", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +87,7 @@ func TestGroupCommitAppendWaitDurableWithoutClose(t *testing.T) {
 // fsynced prefix, in order.
 func TestGroupCommitCrashMidBatchKeepsPrefix(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenWithOptions(dir, "crash.wal", Options{GroupCommit: true})
+	l, err := OpenWithOptions(dir, "crash.wal", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,18 +96,9 @@ func TestGroupCommitCrashMidBatchKeepsPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash mid-append of record 5: a truncated JSON line hits the file with
-	// no fsync and the process dies — no Close, no writer shutdown.
-	f, err := os.OpenFile(filepath.Join(dir, "crash.wal"), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"node":"dc0","seq":5,"ori`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Crash mid-append of record 5: half of it hits the file with no fsync
+	// and the process dies — no Close, no writer shutdown.
+	appendTorn(t, filepath.Join(dir, "crash.wal"), sampleTx(5))
 	var seqs []uint64
 	if err := Replay(dir, "crash.wal", func(tx *txn.Transaction) error {
 		seqs = append(seqs, tx.Dot.Seq)
@@ -137,7 +121,7 @@ func TestGroupCommitCrashMidBatchKeepsPrefix(t *testing.T) {
 // before Close must all reach the file.
 func TestGroupCommitCloseDrainsAcceptedAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenWithOptions(dir, "drain.wal", Options{GroupCommit: true, SyncEvery: 8})
+	l, err := OpenWithOptions(dir, "drain.wal", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +157,6 @@ func TestGroupCommitSurfacesWriteErrors(t *testing.T) {
 		observed []error
 	)
 	l, err := OpenWithOptions(t.TempDir(), "err.wal", Options{
-		GroupCommit: true,
 		OnError: func(e error) {
 			mu.Lock()
 			observed = append(observed, e)

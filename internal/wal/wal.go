@@ -1,155 +1,101 @@
 // Package wal provides the durable transaction log behind a data centre
 // (paper §6.3: "Cloud nodes (DCs and PoPs) have secondary storage and
-// persist their data to it"). Committed transactions are appended as JSON
-// lines; on restart, the DC replays the log in order — which is a causal
-// order, because transactions are appended as they are applied — and
-// reconstructs its state. Far-edge nodes deliberately have no WAL (the paper
-// assumes no disk at the far edge; they repopulate their caches from the
-// group or the DC on reconnection).
+// persist their data to it"). On restart, the DC replays the log in order —
+// which is a causal order, because transactions are appended as they are
+// applied — and reconstructs its state. Far-edge nodes deliberately have no
+// WAL (the paper assumes no disk at the far edge; they repopulate their
+// caches from the group or the DC on reconnection).
+//
+// # File format
+//
+// A log file is an 8-byte magic followed by records, each
+//
+//	uvarint len | crc32c(body), 4 bytes little-endian | body (len bytes)
+//
+// where body is the transaction in the wire codec (wire.AppendTx), the same
+// bytes it has on every socket. Replay reads a missing file, an empty one or
+// a strict prefix of the magic as an empty log; a short or checksum-failed
+// final record as a torn tail (a crash mid-append), which ends the replay;
+// and a bad record with bytes after it as corruption, which is an error. A
+// file that does not start with the magic — a JSON-lines log written by an
+// older build — is refused with an error, never replayed as empty.
+//
+// # Writing
+//
+// One writer goroutine owns the file. Append, AppendWait and Sync queue
+// requests for it; it takes whatever is queued (at most batchMax records),
+// writes it with one write and one fsync, and releases every waiter in the
+// batch: N concurrent durable appends cost one fsync, and a crash loses at
+// most a suffix of the log.
 package wal
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
+	"strings"
 	"sync"
 	"time"
 
-	"colony/internal/crdt"
 	"colony/internal/obs"
 	"colony/internal/txn"
-	"colony/internal/vclock"
+	"colony/internal/wire"
 )
 
-// record is the on-disk form of one transaction. Commit stamps become a
-// string-keyed map (JSON object keys must be strings).
-type record struct {
-	Node     string            `json:"node"`
-	Seq      uint64            `json:"seq"`
-	Origin   string            `json:"origin"`
-	Actor    string            `json:"actor,omitempty"`
-	Snapshot []uint64          `json:"snapshot"`
-	Commit   map[string]uint64 `json:"commit"`
-	Updates  []recordUpdate    `json:"updates"`
-}
+const (
+	// magic opens every log file; its last byte is the format version.
+	magic = "colnyWL\x01"
+	// batchMax caps the records one write and fsync cover.
+	batchMax = 64
+)
 
-type recordUpdate struct {
-	Bucket string          `json:"bucket"`
-	Key    string          `json:"key"`
-	Kind   uint8           `json:"kind"`
-	Seq    int             `json:"useq"`
-	Op     json.RawMessage `json:"op"`
-}
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	errClosed  = errors.New("wal: closed")
+)
 
-// encode converts a transaction to its disk record.
-func encode(t *txn.Transaction) (record, error) {
-	r := record{
-		Node:     t.Dot.Node,
-		Seq:      t.Dot.Seq,
-		Origin:   t.Origin,
-		Actor:    t.Actor,
-		Snapshot: append([]uint64(nil), t.Snapshot...),
-		Commit:   make(map[string]uint64, len(t.Commit)),
-	}
-	for dc, ts := range t.Commit {
-		r.Commit[strconv.Itoa(dc)] = ts
-	}
-	for _, u := range t.Updates {
-		op, err := json.Marshal(u.Op)
-		if err != nil {
-			return record{}, fmt.Errorf("wal: encode op: %w", err)
-		}
-		r.Updates = append(r.Updates, recordUpdate{
-			Bucket: u.Object.Bucket, Key: u.Object.Key,
-			Kind: uint8(u.Kind), Seq: u.Seq, Op: op,
-		})
-	}
-	return r, nil
-}
-
-// decode converts a disk record back to a transaction.
-func decode(r record) (*txn.Transaction, error) {
-	t := &txn.Transaction{
-		Dot:      vclock.Dot{Node: r.Node, Seq: r.Seq},
-		Origin:   r.Origin,
-		Actor:    r.Actor,
-		Snapshot: vclock.Vector(r.Snapshot),
-		Commit:   make(vclock.CommitStamps, len(r.Commit)),
-	}
-	for dcStr, ts := range r.Commit {
-		dc, err := strconv.Atoi(dcStr)
-		if err != nil {
-			return nil, fmt.Errorf("wal: bad commit key %q: %w", dcStr, err)
-		}
-		t.Commit[dc] = ts
-	}
-	for _, u := range r.Updates {
-		var op crdt.Op
-		if err := json.Unmarshal(u.Op, &op); err != nil {
-			return nil, fmt.Errorf("wal: decode op: %w", err)
-		}
-		t.Updates = append(t.Updates, txn.Update{
-			Object: txn.ObjectID{Bucket: u.Bucket, Key: u.Key},
-			Kind:   crdt.Kind(u.Kind),
-			Op:     op,
-			Seq:    u.Seq,
-		})
-	}
-	return t, nil
-}
-
-// Options tunes the log's durability pipeline.
+// Options configures a log.
 type Options struct {
-	// GroupCommit enables the group-commit pipeline: a single writer
-	// goroutine batches appends from concurrent committers and fsyncs once
-	// per batch, so N concurrent durable appends cost one fsync instead of
-	// N. Without it the log behaves as before: buffered appends, fsync only
-	// on explicit Sync or Close.
+	// Deprecated: ignored. Every log group-commits.
 	GroupCommit bool
-	// SyncEvery caps the number of appends coalesced into one fsync batch
-	// (default 64).
-	SyncEvery int
-	// SyncInterval, when positive, lets the writer wait up to this long to
-	// fill a batch after its first append; zero fsyncs whatever is
-	// immediately pending (lowest latency, still batches under load).
-	SyncInterval time.Duration
-	// OnError observes asynchronous append/flush/fsync errors — the ones a
-	// fire-and-forget Append cannot return to its caller. May be called from
+	// OnError observes asynchronous write/fsync errors — the ones a
+	// fire-and-forget Append cannot return to its caller. It is called from
 	// the writer goroutine.
 	OnError func(error)
 	// Obs, when non-nil, records wal.fsyncs, wal.appends, wal.batch_txs and
-	// wal.flush_ns for the group-commit pipeline.
+	// wal.flush_ns.
 	Obs *obs.Registry
 }
 
-// appendReq is one transaction queued for the group-commit writer. done is
-// nil for fire-and-forget appends; otherwise it receives the batch outcome
-// once the batch is flushed and fsynced.
-type appendReq struct {
-	data []byte
+// request is one operation queued for the writer: a record body to append
+// (nil for a Sync barrier) and, for a caller that waits, where to report the
+// outcome of the fsync that covers it.
+type request struct {
+	body []byte
 	done chan error
 }
 
 // Log is an append-only transaction log backed by one file.
 type Log struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	path string
-	err  error // sticky: first asynchronous write/sync failure
+	// mu guards f and err. The writer holds it for a whole batch, so holding
+	// it stalls the writer while requests queue behind it.
+	mu  sync.Mutex
+	f   *os.File
+	err error // sticky: the first write/fsync failure; no batch is written after it
 
-	opts     Options
 	onErr    func(error)
-	reqCh    chan appendReq
-	flushCh  chan chan error
+	reqCh    chan request
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	doneCh   chan struct{}
+
+	// batch and buf are the writer's scratch, reused across batches.
+	batch []request
+	buf   []byte
 
 	// Instrumentation handles (nil-safe no-ops without a registry).
 	obsFsyncs  *obs.Counter
@@ -158,213 +104,150 @@ type Log struct {
 	obsFlushNs *obs.Histogram
 }
 
-// Open creates (or opens for append) the log at dir/name with default
-// options (no group commit).
-func Open(dir, name string) (*Log, error) {
-	return OpenWithOptions(dir, name, Options{})
-}
-
-// OpenWithOptions creates (or opens for append) the log at dir/name and, if
-// requested, starts its group-commit writer.
+// OpenWithOptions opens the log at dir/name for appending, creating it if
+// needed, and starts its writer. A file holding none or only part of the
+// magic is (re)initialised; a torn final record is cut off, so new records
+// follow the last intact one.
 func OpenWithOptions(dir, name string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
 	}
 	path := filepath.Join(dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 64
+	if err := trimToIntact(f, path); err != nil {
+		f.Close()
+		return nil, err
 	}
-	l := &Log{f: f, w: bufio.NewWriter(f), path: path, opts: opts, onErr: opts.OnError}
+	l := &Log{
+		f:     f,
+		onErr: opts.OnError,
+		// Room for four batches, so committers rarely block on a fsync.
+		reqCh:  make(chan request, 4*batchMax),
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
+	}
 	l.obsFsyncs = opts.Obs.Counter("wal.fsyncs")
 	l.obsAppends = opts.Obs.Counter("wal.appends")
 	l.obsBatch = opts.Obs.Histogram("wal.batch_txs")
 	l.obsFlushNs = opts.Obs.Histogram("wal.flush_ns")
-	if opts.GroupCommit {
-		l.reqCh = make(chan appendReq, 4*opts.SyncEvery)
-		l.flushCh = make(chan chan error)
-		l.stopCh = make(chan struct{})
-		l.doneCh = make(chan struct{})
-		go l.writerLoop()
-	}
+	go l.writerLoop()
 	return l, nil
 }
 
-// marshal converts a transaction to its JSON line (without the newline).
-func marshal(t *txn.Transaction) ([]byte, error) {
-	r, err := encode(t)
+// trimToIntact cuts f, the log at path, back to its intact prefix: the magic
+// (written whole if the file holds none or only part of it) followed by
+// every record before a torn tail. It does not fsync: the first batch's fsync
+// makes the cut and the magic durable with it, and until then the file
+// replays the same with or without them.
+func trimToIntact(f *os.File, path string) error {
+	data, err := io.ReadAll(f)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("wal: read %s: %w", path, err)
 	}
-	data, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("wal: marshal: %w", err)
-	}
-	return data, nil
-}
-
-// Append records one transaction without waiting for durability. With group
-// commit the append is queued for the writer (errors surface via OnError and
-// Err); without it the write lands in the buffer (call Sync for fsync
-// semantics, or rely on Close).
-func (l *Log) Append(t *txn.Transaction) error {
-	data, err := marshal(t)
-	if err != nil {
+	n, err := replay(path, data, nil)
+	if err != nil || (n > 0 && n == len(data)) {
 		return err
 	}
-	l.obsAppends.Inc()
-	if l.reqCh != nil {
-		select {
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		default:
-		}
-		select {
-		case l.reqCh <- appendReq{data: data}:
-			return nil
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		}
+	err = f.Truncate(int64(n))
+	if err == nil && n == 0 {
+		_, err = f.WriteString(magic)
 	}
-	return l.writeDirect(data)
+	if err != nil {
+		return fmt.Errorf("wal: trim %s: %w", path, err)
+	}
+	return nil
 }
 
-// AppendWait records one transaction and returns only once its batch is
-// durable (flushed and fsynced). With group commit the wait piggybacks on
-// the writer's next batch fsync; without it the append is followed by an
-// immediate Sync.
-func (l *Log) AppendWait(t *txn.Transaction) error {
-	data, err := marshal(t)
-	if err != nil {
-		return err
+// Append queues one transaction without waiting for durability. A write or
+// fsync failure surfaces through OnError and Err.
+func (l *Log) Append(t *txn.Transaction) error { return l.submit(t, false) }
+
+// AppendWait appends one transaction and returns once the batch holding it
+// is written and fsynced.
+func (l *Log) AppendWait(t *txn.Transaction) error { return l.submit(t, true) }
+
+// Sync returns once everything appended before it is durable.
+func (l *Log) Sync() error { return l.submit(nil, true) }
+
+// submit queues t's record — or, for a nil t, a barrier that writes nothing —
+// for the writer and, if wait is set, returns the outcome of the fsync that
+// covers it.
+func (l *Log) submit(t *txn.Transaction, wait bool) error {
+	var r request
+	if t != nil {
+		body, err := wire.AppendTx(nil, t)
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		r.body = body
+		l.obsAppends.Inc()
 	}
-	l.obsAppends.Inc()
-	if l.reqCh != nil {
+	if wait {
+		r.done = make(chan error, 1)
+	}
+	select {
+	case <-l.stopCh:
+		return errClosed
+	default:
+	}
+	select {
+	case l.reqCh <- r:
+	case <-l.stopCh:
+		return errClosed
+	}
+	if !wait {
+		return nil
+	}
+	select {
+	case err := <-r.done:
+		return err
+	case <-l.doneCh:
+		// The writer stopped. Its shutdown drain committed everything queued
+		// before Close; a request that raced Close was never written.
 		select {
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		default:
-		}
-		done := make(chan error, 1)
-		select {
-		case l.reqCh <- appendReq{data: data, done: done}:
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		}
-		select {
-		case err := <-done:
+		case err := <-r.done:
 			return err
-		case <-l.doneCh:
-			// Writer shut down mid-wait; the stop path flushed everything it
-			// had accepted, so report the sticky state.
-			return l.Err()
+		default:
+			return errClosed
 		}
 	}
-	if err := l.writeDirect(data); err != nil {
-		return err
-	}
-	return l.Sync()
 }
 
-// writeDirect appends one line under the log lock (non-group-commit mode).
-func (l *Log) writeDirect(data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.w == nil {
-		return errors.New("wal: closed")
-	}
-	if err := l.writeLineLocked(data); err != nil {
-		l.noteErrLocked(err)
-		return err
-	}
-	return nil
-}
-
-// writeLineLocked writes one record line into the buffer. Caller holds l.mu.
-func (l *Log) writeLineLocked(data []byte) error {
-	if _, err := l.w.Write(data); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	return nil
-}
-
-// noteErrLocked records the first failure stickily and reports it to the
-// OnError observer. Caller holds l.mu.
-func (l *Log) noteErrLocked(err error) {
-	if l.err == nil {
-		l.err = err
-	}
-	if l.onErr != nil {
-		// Release the lock around the callback? The callback only records
-		// counters; keep it cheap and non-reentrant.
-		l.onErr(err)
-	}
-}
-
-// Err returns the first asynchronous write/flush/fsync failure, if any — the
-// errors a fire-and-forget Append cannot return. Once set it never clears.
+// Err returns the first write/fsync failure, if any — the errors a
+// fire-and-forget Append cannot return. Once set it never clears, and no
+// later batch is written: the file stays a readable prefix.
 func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
 }
 
-// writerLoop is the group-commit writer: it collects runs of queued appends
-// and makes each run durable with a single flush+fsync, then releases every
-// waiter in the batch.
+// writerLoop commits batches until Close, then drains the queue so every
+// request accepted before Close reaches the file.
 func (l *Log) writerLoop() {
 	defer close(l.doneCh)
 	for {
 		select {
+		case r := <-l.reqCh:
+			l.commitBatch(r)
 		case <-l.stopCh:
-			// Keep draining until the queue is empty so every accepted
-			// append reaches the file before Close flushes it.
-			for {
-				batch := l.drainPending(nil)
-				if len(batch) == 0 {
-					return
-				}
-				l.commitBatch(batch)
+			select {
+			case r := <-l.reqCh:
+				l.commitBatch(r)
+			default:
+				return
 			}
-		case ch := <-l.flushCh:
-			ch <- l.flushSync()
-		case r := <-l.reqCh:
-			batch := l.fillBatch([]appendReq{r})
-			l.commitBatch(batch)
 		}
 	}
 }
 
-// fillBatch grows a batch up to SyncEvery entries, waiting at most
-// SyncInterval (greedy drain when the interval is zero).
-func (l *Log) fillBatch(batch []appendReq) []appendReq {
-	if l.opts.SyncInterval <= 0 {
-		return l.drainPending(batch)
-	}
-	timer := time.NewTimer(l.opts.SyncInterval)
-	defer timer.Stop()
-	for len(batch) < l.opts.SyncEvery {
-		select {
-		case r := <-l.reqCh:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-l.stopCh:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drainPending appends every immediately available request, up to SyncEvery.
-func (l *Log) drainPending(batch []appendReq) []appendReq {
-	for len(batch) < l.opts.SyncEvery {
+// drainPending appends every immediately queued request to batch, up to
+// batchMax.
+func (l *Log) drainPending(batch []request) []request {
+	for len(batch) < batchMax {
 		select {
 		case r := <-l.reqCh:
 			batch = append(batch, r)
@@ -375,141 +258,124 @@ func (l *Log) drainPending(batch []appendReq) []appendReq {
 	return batch
 }
 
-// commitBatch writes, flushes and fsyncs one batch, then signals waiters.
-func (l *Log) commitBatch(batch []appendReq) {
-	if len(batch) == 0 {
-		return
-	}
+// commitBatch writes first and whatever is queued behind it with one write
+// and one fsync, then reports the outcome to every waiter. A batch of
+// barriers only writes nothing: every earlier batch was fsynced before it.
+func (l *Log) commitBatch(first request) {
 	start := time.Now()
 	l.mu.Lock()
-	var err error
-	if l.w == nil {
-		err = errors.New("wal: closed")
-	} else {
-		for _, r := range batch {
-			if err = l.writeLineLocked(r.data); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			if err = l.w.Flush(); err == nil {
-				err = l.f.Sync()
-			}
+	l.batch = l.drainPending(append(l.batch[:0], first))
+	l.buf = l.buf[:0]
+	records := 0
+	for _, r := range l.batch {
+		if r.body != nil {
+			l.buf = appendRecord(l.buf, r.body)
+			records++
 		}
 	}
-	if err != nil {
-		l.noteErrLocked(err)
+	err := l.err
+	if err == nil && records > 0 {
+		if _, err = l.f.Write(l.buf); err != nil {
+			err = fmt.Errorf("wal: write: %w", err)
+		} else if err = l.f.Sync(); err != nil {
+			err = fmt.Errorf("wal: fsync: %w", err)
+		}
+		l.err = err
 	}
 	l.mu.Unlock()
-	if err == nil {
+	if err != nil && l.onErr != nil {
+		l.onErr(err)
+	}
+	if err == nil && records > 0 {
 		l.obsFsyncs.Inc()
-		l.obsBatch.Observe(int64(len(batch)))
+		l.obsBatch.Observe(int64(records))
 		l.obsFlushNs.Observe(int64(time.Since(start)))
 	}
-	for _, r := range batch {
+	for _, r := range l.batch {
 		if r.done != nil {
 			r.done <- err
 		}
 	}
 }
 
-// flushSync flushes buffers and fsyncs the file (writer goroutine or
-// non-group-commit callers).
-func (l *Log) flushSync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.w == nil {
-		return errors.New("wal: closed")
-	}
-	if err := l.w.Flush(); err != nil {
-		l.noteErrLocked(err)
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		l.noteErrLocked(err)
-		return err
-	}
-	return nil
-}
-
-// Sync makes everything appended so far durable. With group commit the
-// request is serialised through the writer so it cannot race a batch write.
-func (l *Log) Sync() error {
-	if l.reqCh != nil {
-		ch := make(chan error, 1)
-		select {
-		case l.flushCh <- ch:
-			return <-ch
-		case <-l.doneCh:
-			// Writer already stopped (Close ran); its stop path flushed.
-			return l.Err()
-		}
-	}
-	return l.flushSync()
-}
-
-// Close stops the group-commit writer (flushing and fsyncing everything it
-// accepted), then flushes and closes the file.
+// Close stops the writer, which first commits everything already queued,
+// then closes the file. A second Close is a no-op.
 func (l *Log) Close() error {
-	if l.stopCh != nil {
-		l.stopOnce.Do(func() { close(l.stopCh) })
-		<-l.doneCh
-	}
+	l.stopOnce.Do(func() { close(l.stopCh) })
+	<-l.doneCh
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.w == nil {
+	if l.f == nil {
 		return nil
 	}
-	flushErr := l.w.Flush()
-	closeErr := l.f.Close()
-	l.w, l.f = nil, nil
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
+	err := l.f.Close()
+	l.f = nil
+	return err
+}
+
+// appendRecord frames one record body: uvarint length, CRC-32C, body.
+func appendRecord(buf, body []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(body)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	return append(buf, body...)
 }
 
 // Replay streams the transactions recorded at dir/name, in append order, to
-// fn. A missing file is an empty log. A truncated final line (crash during
-// append) is tolerated and ends the replay.
+// fn. A missing file is an empty log; see the package comment for torn tails,
+// corruption and logs from an older build.
 func Replay(dir, name string, fn func(*txn.Transaction) error) error {
-	f, err := os.Open(filepath.Join(dir, name))
+	path := filepath.Join(dir, name)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("wal: open for replay: %w", err)
+		return fmt.Errorf("wal: read for replay: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil {
-			// A torn tail write is expected after a crash; anything mid-file
-			// is corruption worth surfacing.
-			if isLastLine(sc) {
-				return nil
-			}
-			return fmt.Errorf("wal: corrupt record: %w", err)
-		}
-		t, err := decode(r)
-		if err != nil {
-			return err
-		}
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("wal: replay: %w", err)
-	}
-	return nil
+	_, err = replay(path, data, fn)
+	return err
 }
 
-// isLastLine reports whether the scanner has no further content.
-func isLastLine(sc *bufio.Scanner) bool { return !sc.Scan() }
+// replay walks the records in data, the contents of the log at path, and,
+// unless fn is nil, decodes each one and passes it to fn. It returns the
+// length of data's intact prefix: 0 for an empty log (no magic, or part of
+// it), otherwise everything before a torn final record.
+func replay(path string, data []byte, fn func(*txn.Transaction) error) (int, error) {
+	if !strings.HasPrefix(magic, string(data[:min(len(data), len(magic))])) {
+		return 0, fmt.Errorf("wal: %s does not start with the WAL magic "+
+			"(a JSON-lines log written by an older build?); refusing to replay it", path)
+	}
+	if len(data) < len(magic) {
+		return 0, nil
+	}
+	off := len(magic)
+	for off < len(data) {
+		n, k := binary.Uvarint(data[off:])
+		if k < 0 {
+			return off, fmt.Errorf("wal: %s: corrupt record length at offset %d", path, off)
+		}
+		start := off + k + 4
+		if k == 0 || start > len(data) || n > uint64(len(data)-start) {
+			return off, nil // short final record: torn tail
+		}
+		end := start + int(n)
+		body := data[start:end]
+		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[off+k:]) {
+			if end == len(data) {
+				return off, nil // checksum-failed final record: torn tail
+			}
+			return off, fmt.Errorf("wal: %s: corrupt record at offset %d (checksum mismatch)", path, off)
+		}
+		if fn != nil {
+			t, err := wire.DecodeTx(body)
+			if err != nil {
+				return off, fmt.Errorf("wal: %s: record at offset %d: %w", path, off, err)
+			}
+			if err := fn(t); err != nil {
+				return off, err
+			}
+		}
+		off = end
+	}
+	return off, nil
+}

@@ -9,6 +9,7 @@ import (
 	"colony/internal/crdt"
 	"colony/internal/txn"
 	"colony/internal/vclock"
+	"colony/internal/wire"
 )
 
 func sampleTx(seq uint64) *txn.Transaction {
@@ -26,9 +27,36 @@ func sampleTx(seq uint64) *txn.Transaction {
 	return t
 }
 
+// record returns t's framed record, as the writer puts it in the file.
+func record(t testing.TB, tx *txn.Transaction) []byte {
+	t.Helper()
+	body, err := wire.AppendTx(nil, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return appendRecord(nil, body)
+}
+
+// appendTorn appends the first half of tx's record to the file at path: an
+// append cut short by a crash.
+func appendTorn(t *testing.T, path string, tx *txn.Transaction) {
+	t.Helper()
+	rec := record(t, tx)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec[:len(rec)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAppendAndReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, "test.wal")
+	l, err := OpenWithOptions(dir, "test.wal", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +107,7 @@ func TestReplayMissingFileIsEmpty(t *testing.T) {
 
 func TestReplayToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, "torn.wal")
+	l, err := OpenWithOptions(dir, "torn.wal", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +117,8 @@ func TestReplayToleratesTornTail(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a truncated JSON line at the tail.
-	f, err := os.OpenFile(filepath.Join(dir, "torn.wal"), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"node":"dc0","seq":2,"ori`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Simulate a crash mid-append: the first half of a record at the tail.
+	appendTorn(t, filepath.Join(dir, "torn.wal"), sampleTx(2))
 
 	n := 0
 	if err := Replay(dir, "torn.wal", func(*txn.Transaction) error {
@@ -114,7 +133,7 @@ func TestReplayToleratesTornTail(t *testing.T) {
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
-	l, err := Open(t.TempDir(), "x.wal")
+	l, err := OpenWithOptions(t.TempDir(), "x.wal", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +150,10 @@ func TestAppendAfterCloseFails(t *testing.T) {
 
 func TestAppendOnExistingLogExtends(t *testing.T) {
 	dir := t.TempDir()
-	l1, _ := Open(dir, "ext.wal")
+	l1, _ := OpenWithOptions(dir, "ext.wal", Options{})
 	_ = l1.Append(sampleTx(1))
 	_ = l1.Close()
-	l2, _ := Open(dir, "ext.wal")
+	l2, _ := OpenWithOptions(dir, "ext.wal", Options{})
 	_ = l2.Append(sampleTx(2))
 	_ = l2.Close()
 	n := 0

@@ -26,11 +26,12 @@ import (
 // Two deliberate choices:
 //
 //   - CRDT *operations* (crdt.Op, inside transaction updates) are embedded
-//     as length-prefixed JSON blobs. Op is documented as a tagged union
-//     encoded with encoding/json, and the WAL already persists ops that way;
-//     the codec reuses the one canonical op encoding instead of inventing a
-//     second. Everything around the blob — vectors, dots, stamps, strings —
-//     is binary varints.
+//     as length-prefixed JSON blobs: Op is documented as a tagged union
+//     encoded with encoding/json, and the codec reuses that one canonical op
+//     encoding instead of inventing a second. Everything around the blob —
+//     vectors, dots, stamps, strings — is binary varints. The transaction
+//     encoding (AppendTx/DecodeTx) is also the WAL's record body, so a
+//     transaction has one byte form on disk and on every socket.
 //   - CRDT *state* (wire.ObjectState.Object) uses crdt.MarshalState, the
 //     deterministic binary state codec. Encoding is read-pure on sealed
 //     snapshots, so shipping a subscribe ack never copies or unseals the
@@ -66,7 +67,7 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendUvarint(buf, uint64(len(v.Txs)))
 		var err error
 		for _, t := range v.Txs {
-			if buf, err = appendTx(buf, t); err != nil {
+			if buf, err = AppendTx(buf, t); err != nil {
 				return nil, err
 			}
 		}
@@ -77,7 +78,7 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendVarint(buf, int64(v.From))
 		return appendVector(buf, v.State), nil
 	case EdgeCommit:
-		return appendTx(buf, v.Tx)
+		return AppendTx(buf, v.Tx)
 	case EdgeCommitAck:
 		buf = appendDot(buf, v.Dot)
 		buf = bin.AppendVarint(buf, int64(v.DCIndex))
@@ -118,7 +119,7 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendUvarint(buf, uint64(len(v.Txs)))
 		var err error
 		for _, t := range v.Txs {
-			if buf, err = appendTx(buf, t); err != nil {
+			if buf, err = AppendTx(buf, t); err != nil {
 				return nil, err
 			}
 		}
@@ -139,7 +140,7 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendUvarint(buf, uint64(len(v.Txs)))
 		var err error
 		for _, t := range v.Txs {
-			if buf, err = appendTx(buf, t); err != nil {
+			if buf, err = AppendTx(buf, t); err != nil {
 				return nil, err
 			}
 		}
@@ -169,14 +170,14 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendUvarint(buf, uint64(len(v.Entries)))
 		var err error
 		for _, t := range v.Entries {
-			if buf, err = appendTx(buf, t); err != nil {
+			if buf, err = AppendTx(buf, t); err != nil {
 				return nil, err
 			}
 		}
 		return appendVector(buf, v.Stable), nil
 	case GroupVisEntry:
 		buf = bin.AppendVarint(buf, int64(v.Index))
-		return appendTx(buf, v.Tx)
+		return AppendTx(buf, v.Tx)
 	case EPaxosPreAccept:
 		buf = appendInstanceID(buf, v.Inst)
 		var err error
@@ -673,7 +674,7 @@ func appendCommand(buf []byte, c EPaxosCommand) ([]byte, error) {
 	case nil:
 		return bin.AppendBool(buf, false), nil
 	case *txn.Transaction:
-		return appendTx(buf, p)
+		return AppendTx(buf, p)
 	default:
 		return nil, fmt.Errorf("%w: epaxos command payload %T", ErrNotEncodable, c.Payload)
 	}
@@ -687,9 +688,12 @@ func readCommand(r *bin.Reader) EPaxosCommand {
 	return c
 }
 
-// appendTx encodes one transaction: dot, origin, actor, snapshot, commit
-// stamps, then the update log. A nil transaction encodes as a presence 0.
-func appendTx(buf []byte, t *txn.Transaction) ([]byte, error) {
+// AppendTx appends the encoding of one transaction to buf: dot, origin,
+// actor, snapshot, commit stamps, then the update log. It is the only
+// transaction encoding in the repository — every message that carries a
+// transaction embeds it, and the WAL stores it as its record body. A nil
+// transaction encodes as a presence 0.
+func AppendTx(buf []byte, t *txn.Transaction) ([]byte, error) {
 	if t == nil {
 		return bin.AppendBool(buf, false), nil
 	}
@@ -712,6 +716,18 @@ func appendTx(buf []byte, t *txn.Transaction) ([]byte, error) {
 		buf = bin.AppendBytes(buf, op)
 	}
 	return buf, nil
+}
+
+// DecodeTx decodes exactly one transaction encoded by AppendTx. Like
+// DecodeMessage it rejects trailing bytes; it also rejects the nil
+// encoding. The result owns all its memory.
+func DecodeTx(data []byte) (*txn.Transaction, error) {
+	r := bin.NewReader(data)
+	t := readTx(r)
+	if t == nil || !r.Complete() {
+		return nil, fmt.Errorf("%w: transaction (%d bytes)", ErrMalformed, len(data))
+	}
+	return t, nil
 }
 
 // readTx decodes one transaction; malformed op blobs latch the reader's
