@@ -33,8 +33,10 @@ test-race:
 # listeners that commit, per-member order, the PSI wait — the same way; run it
 # after any change to internal/epaxos or group's driver. The fourth covers the
 # per-history costs kept flat: the TCP write loop's flush-on-drain, the DC's
-# anti-entropy resend from a peer's position, and the RGA's slot index; run it
-# after any change to tcp's writeLoop, dc.recordLocked/antiEntropyLocked or
+# anti-entropy resend from a peer's position, the DC's masking rule against
+# its scan reference and the visibility recheck, and the RGA's slot index; run
+# it after any change to tcp's writeLoop, the DC's history or visibility code
+# (recordLocked, maskLocked, RecheckVisibility, antiEntropyLocked) or
 # crdt/rga.go. The fifth covers durability and folding: the group-commit WAL
 # (batching, torn tails, corrupt records, append after a crash), the store's
 # background fold and its re-fold request, and the DC's stable cut met with
@@ -44,7 +46,7 @@ test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
-	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA' ./internal/transport/tcp ./internal/dc ./internal/crdt
+	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA|Masking|Recheck' ./internal/transport/tcp ./internal/dc ./internal/crdt
 	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable' ./internal/wal ./internal/store ./internal/dc
 
 vet:

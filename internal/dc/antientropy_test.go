@@ -54,9 +54,11 @@ func resendTo(d *DC, known uint64) (wire.ReplBatch, string) {
 // TestAntiEntropyResendsFromPeerPosition: a round resends exactly this DC's
 // own transactions above the peer's position, in stamp order, at most
 // antiEntropyMax of them — with other DCs' transactions interleaved in the
-// history and own ones recorded out of stamp order.
+// history, own ones recorded out of stamp order, and some of them masked here
+// (each peer applies its own visibility, so they are resent all the same).
 func TestAntiEntropyResendsFromPeerPosition(t *testing.T) {
 	d := aeDC(t)
+	d.SetVisibilityCheck(func(tx *txn.Transaction) bool { return tx.Actor != "mallory" })
 	const n = 600
 	rng := rand.New(rand.NewSource(1))
 	stamps := make([]uint64, n)
@@ -73,11 +75,17 @@ func TestAntiEntropyResendsFromPeerPosition(t *testing.T) {
 	d.mu.Lock()
 	for i, ts := range stamps {
 		tx := aeTx(0, ts)
+		if i%5 == 0 {
+			tx.Actor = "mallory"
+		}
 		own = append(own, tx)
 		d.recordLocked(tx)
 		d.recordLocked(aeTx(1+i%2, uint64(i+1))) // replicated from a peer
 	}
 	d.mu.Unlock()
+	if got := d.MaskedCount(); got != n/5 {
+		t.Fatalf("%d own records masked, want %d", got, n/5)
+	}
 	sort.Slice(own, func(i, j int) bool { return own[i].Commit[0] < own[j].Commit[0] })
 
 	for _, known := range []uint64{0, 1, 299, n - 10, n - 1, n, n + 5} {

@@ -146,18 +146,25 @@ type DC struct {
 	seq     uint64
 	state   vclock.Vector
 	peers   map[int]string
-	log     []*txn.Transaction
-	replLog []*txn.Transaction // every applied tx, masked or not, for RecheckVisibility
-	// own holds the recorded transactions this DC stamped, ordered by that
+	// hist is the DC's history: every transaction it has recorded, once, in
+	// record order, with visibility a mark on the record. The push stream's
+	// [Lo, Hi) ranges are positions in it.
+	hist []histRec
+	// byDot maps a dot to its position in hist (the duplicate filter).
+	byDot map[vclock.Dot]int
+	// own holds the positions of the records this DC stamped, ordered by that
 	// stamp, so anti-entropy resumes at a peer's position instead of walking
 	// the whole history.
-	own   []ownTx
-	byDot map[vclock.Dot]*txn.Transaction
-	subs  map[string]*subscription
+	own  []int
+	subs map[string]*subscription
 	// visible decides whether a transaction may become visible (the ACL
 	// check hook, paper §6.4); nil admits everything.
 	visible func(*txn.Transaction) bool
-	masked  map[vclock.Dot]*txn.Transaction
+	// maskRoots[i] holds the records the check itself masked that carry a
+	// stamp in component i, sorted by that stamp; nMasked counts every
+	// masked record.
+	maskRoots [][]maskRoot
+	nMasked   int
 
 	journal *wal.Log // nil when persistence is off
 
@@ -172,6 +179,8 @@ type DC struct {
 	outboxes  map[int]*replOutbox
 	replDepth atomic.Int64
 	pushDepth atomic.Int64
+	// histLen mirrors len(hist) for the dc.history_len gauge.
+	histLen atomic.Int64
 	// pipeStop stops the replication senders; pipeWG waits for them and for
 	// the shard workers (stopped via fan.stop).
 	pipeStop chan struct{}
@@ -248,14 +257,14 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		mesh:          replication.NewMesh(cfg.Index, cfg.NumDCs),
 		state:         vclock.NewVector(cfg.NumDCs),
 		peers:         make(map[int]string),
-		byDot:         make(map[vclock.Dot]*txn.Transaction),
+		byDot:         make(map[vclock.Dot]int),
 		subs:          make(map[string]*subscription),
-		masked:        make(map[vclock.Dot]*txn.Transaction),
 		outboxes:      make(map[int]*replOutbox),
 		pipeStop:      make(chan struct{}),
 		stopHeartbeat: make(chan struct{}),
 		heartbeatDone: make(chan struct{}),
 	}
+	d.resetMaskLocked()
 	if cfg.Obs != nil {
 		d.obsEdgeCommits = cfg.Obs.Counter("dc.edge_commits")
 		d.obsEdgeNacks = cfg.Obs.Counter("dc.edge_nacks")
@@ -280,6 +289,9 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		})
 		cfg.Obs.RegisterGauge("dc.push_outbox_depth", obs.AggSum, func() int64 {
 			return d.pushDepth.Load()
+		})
+		cfg.Obs.RegisterGauge("dc.history_len", obs.AggSum, func() int64 {
+			return d.histLen.Load()
 		})
 		cfg.Obs.RegisterGauge("dc.push_shards", obs.AggSum, func() int64 {
 			return d.fanShards.Load()
@@ -356,6 +368,15 @@ func (d *DC) SetPeers(peers map[int]string) {
 		d.pipeWG.Add(1)
 		go d.runReplSender(o)
 	}
+}
+
+// peerNamesLocked lists the peers' network names. Called with d.mu held.
+func (d *DC) peerNamesLocked() []string {
+	peers := make([]string, 0, len(d.peers))
+	for _, p := range d.peers {
+		peers = append(peers, p)
+	}
+	return peers
 }
 
 // runReplSender drains one peer's outbox: it blocks for the first pending
@@ -444,11 +465,6 @@ func (d *DC) recover() error {
 			return err
 		}
 		d.mu.Lock()
-		d.lamport.Witness(t.Dot.Seq)
-		d.state = t.Commit.JoinInto(d.state, t.Snapshot)
-		if ts, ok := t.Commit[d.cfg.Index]; ok && ts > d.seq {
-			d.seq = ts
-		}
 		d.recordLocked(t)
 		d.mu.Unlock()
 		d.mesh.ObserveSelf(d.state)
@@ -456,36 +472,21 @@ func (d *DC) recover() error {
 	})
 }
 
-// persist appends a locally accepted transaction to the write-ahead log.
-// With SyncWrites it returns only after the append's group-commit batch is
-// durable (one shared fsync per batch); otherwise it is fire-and-forget. An
-// I/O error must not take the DC down mid-protocol, so failures are counted
-// (dc.wal_errors) and kept via LastWALError instead of propagating.
-func (d *DC) persist(t *txn.Transaction) {
+// persist appends a transaction to the write-ahead log. Under SyncWrites a
+// local one returns only once its group-commit batch is durable (one shared
+// fsync per batch). A replicated one (local false) never waits: it is
+// recoverable from its origin DC via anti-entropy, and the apply path calls
+// this holding d.mu, where an fsync wait would stall commits. I/O errors must
+// not take the DC down mid-protocol: they are counted (dc.wal_errors) and
+// kept via LastWALError instead of propagating.
+func (d *DC) persist(t *txn.Transaction, local bool) {
 	if d.journal == nil {
 		return
 	}
-	var err error
-	if d.cfg.SyncWrites {
-		err = d.journal.AppendWait(t)
+	if local && d.cfg.SyncWrites {
+		d.noteWALError(d.journal.AppendWait(t))
 	} else {
-		err = d.journal.Append(t)
-	}
-	if err != nil {
-		d.noteWALError(err)
-	}
-}
-
-// persistReplicated appends a peer-replicated transaction. It never waits
-// for durability, even under SyncWrites: replicated transactions are
-// recoverable from their origin DC via anti-entropy, and the apply path
-// calls this while holding d.mu, where an fsync wait would stall commits.
-func (d *DC) persistReplicated(t *txn.Transaction) {
-	if d.journal == nil {
-		return
-	}
-	if err := d.journal.Append(t); err != nil {
-		d.noteWALError(err)
+		d.noteWALError(d.journal.Append(t))
 	}
 }
 
@@ -558,10 +559,7 @@ func (d *DC) heartbeatLoop() {
 			}
 			d.mu.Lock()
 			msg := wire.ReplHeartbeat{From: d.cfg.Index, State: d.state.Clone()}
-			peers := make([]string, 0, len(d.peers))
-			for _, p := range d.peers {
-				peers = append(peers, p)
-			}
+			peers := d.peerNamesLocked()
 			d.notifySubscribersLocked(true)
 			d.mu.Unlock()
 			for _, p := range peers {
@@ -738,85 +736,117 @@ func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
 	stamps, err := d.coord.Commit(t, func(maxPrepare uint64) (int, uint64) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		if maxPrepare > d.seq {
-			d.seq = maxPrepare
-		}
-		d.seq++
+		d.seq = max(d.seq, maxPrepare) + 1
 		return d.cfg.Index, d.seq
 	})
 	if err != nil {
 		return nil, err
 	}
 	t.Commit = stamps
-	d.persist(t)
+	d.persist(t, true)
 	d.mu.Lock()
-	d.lamport.Witness(t.Dot.Seq)
-	d.state = t.Commit.JoinInto(d.state, t.Snapshot)
 	d.recordLocked(t)
 	d.mesh.ObserveSelf(d.state)
-	var (
-		outs []*replOutbox
-		cp   *txn.Transaction
-	)
-	if len(d.outboxes) > 0 {
-		// One clone shared by every peer's batch (the wire contract treats
-		// in-flight transactions as immutable), collected under d.mu so a
-		// concurrent SetPeers cannot race the map.
+	// One clone shared by every peer's batch (the wire contract treats
+	// in-flight transactions as immutable); the outboxes are collected under
+	// d.mu so a concurrent SetPeers cannot race the map.
+	outs := make([]*replOutbox, 0, len(d.outboxes))
+	for _, o := range d.outboxes {
+		outs = append(outs, o)
+	}
+	var cp *txn.Transaction
+	if len(outs) > 0 {
 		cp = t.Clone()
-		outs = make([]*replOutbox, 0, len(d.outboxes))
-		for _, o := range d.outboxes {
-			outs = append(outs, o)
-		}
 	}
 	d.notifySubscribersLocked(false)
 	d.mu.Unlock()
-	if cp != nil {
-		d.enqueueRepl(outs, cp)
-	}
+	d.enqueueRepl(outs, cp)
 	return stamps.Clone(), nil
 }
 
-// recordLocked appends the transaction to the causal log and the dot index,
-// applying the masking rule: a transaction failing the visibility check, or
-// depending on a masked transaction, is masked.
+// histRec is one record of the DC's history: a transaction and whether the
+// masking rule withholds it from subscribers.
+type histRec struct {
+	t      *txn.Transaction
+	masked bool
+}
+
+// recordLocked is how a committed transaction enters the DC (commit,
+// replication, WAL replay): it witnesses the dot, joins the state vector,
+// appends the transaction to the history, marked by the masking rule, and
+// indexes the record by dot and, when this DC stamped it, by stamp — moving
+// the sequencer up to that stamp.
 func (d *DC) recordLocked(t *txn.Transaction) {
-	d.byDot[t.Dot] = t
-	d.replLog = append(d.replLog, t)
+	d.lamport.Witness(t.Dot.Seq)
+	d.state = t.Commit.JoinInto(d.state, t.Snapshot)
+	pos := len(d.hist)
+	d.byDot[t.Dot] = pos
 	if ts, ours := t.Commit[d.cfg.Index]; ours {
+		d.seq = max(d.seq, ts)
 		// Records arrive nearly in stamp order — concurrent commitAt callers
 		// can swap neighbours between sequencing and recording — so the
 		// insertion point is found from the tail.
 		i := len(d.own)
-		for i > 0 && d.own[i-1].ts > ts {
+		for i > 0 && d.ownStampLocked(i-1) > ts {
 			i--
 		}
-		d.own = slices.Insert(d.own, i, ownTx{ts: ts, t: t})
+		d.own = slices.Insert(d.own, i, pos)
 	}
-	if !d.passesVisibilityLocked(t) {
-		d.masked[t.Dot] = t
-		return
-	}
-	d.log = append(d.log, t)
+	d.hist = append(d.hist, histRec{t: t, masked: d.maskLocked(t)})
+	d.histLen.Store(int64(len(d.hist)))
 }
 
-// passesVisibilityLocked applies the ACL hook plus transitive masking.
-func (d *DC) passesVisibilityLocked(t *txn.Transaction) bool {
-	if d.visible != nil && !d.visible(t) {
-		return false
-	}
-	for _, m := range d.masked {
-		if m.Commit.VisibleAt(m.Snapshot, t.Snapshot) {
-			return false // depends on a masked transaction
-		}
-	}
-	return true
+// ownStampLocked is this DC's stamp on the i-th record of d.own.
+func (d *DC) ownStampLocked(i int) uint64 {
+	return d.hist[d.own[i]].t.Commit[d.cfg.Index]
 }
 
-// ownTx is one entry of DC.own: a recorded transaction and this DC's stamp
-// on it.
-type ownTx struct {
+// maskRoot is a record the visibility check masked, with its stamp in the
+// component whose list holds it.
+type maskRoot struct {
 	ts uint64
 	t  *txn.Transaction
+}
+
+// maskLocked applies the masking rule to t, given every record before it: t
+// is masked if it fails the visibility check or depends on a masked record.
+// Every masked record depends on a root (one the check masked), so only roots
+// are tested, per component in stamp order, stopping at the first stamped
+// above t's snapshot: with no root at or below the snapshot the test costs
+// O(NumDCs), however many records are masked. A root at or below it is tested
+// whole — a DC's state can cover an edge commit's stamp before a lower stamp
+// whose dependencies it lacks — but the first is normally t's ancestor.
+func (d *DC) maskLocked(t *txn.Transaction) bool {
+	if d.visible != nil && !d.visible(t) {
+		d.nMasked++
+		for i, ts := range t.Commit {
+			roots := d.maskRoots[i]
+			j := len(roots)
+			for j > 0 && roots[j-1].ts > ts {
+				j--
+			}
+			d.maskRoots[i] = slices.Insert(roots, j, maskRoot{ts: ts, t: t})
+		}
+		return true
+	}
+	for i, roots := range d.maskRoots {
+		for _, r := range roots {
+			if r.ts > t.Snapshot.Get(i) {
+				break
+			}
+			if r.t.VisibleAt(t.Snapshot) {
+				d.nMasked++
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// resetMaskLocked forgets every mask: no record is masked.
+func (d *DC) resetMaskLocked() {
+	d.nMasked = 0
+	d.maskRoots = make([][]maskRoot, d.cfg.NumDCs)
 }
 
 // antiEntropyMax bounds one anti-entropy round; the next heartbeat continues.
@@ -834,14 +864,15 @@ func (d *DC) antiEntropyLocked(m wire.ReplHeartbeat) (wire.ReplBatch, string) {
 		return wire.ReplBatch{}, ""
 	}
 	known := m.State.Get(d.cfg.Index)
-	i := sort.Search(len(d.own), func(i int) bool { return d.own[i].ts > known })
+	i := sort.Search(len(d.own), func(i int) bool { return d.ownStampLocked(i) > known })
 	missing := d.own[i:min(len(d.own), i+antiEntropyMax)]
 	if len(missing) == 0 {
 		return wire.ReplBatch{}, peer
 	}
+	// Masked records go too: each peer applies its own visibility.
 	txs := make([]*txn.Transaction, len(missing))
-	for j, o := range missing {
-		txs[j] = o.t.Clone()
+	for j, pos := range missing {
+		txs[j] = d.hist[pos].t.Clone()
 	}
 	// Anti-entropy resends are scoped like the live stream: the receiver's
 	// WantSeq guard plus the next round's resend make dropped batches
@@ -857,17 +888,14 @@ func (d *DC) antiEntropyLocked(m wire.ReplHeartbeat) (wire.ReplBatch, string) {
 // transaction normally carries exactly one concrete stamp, but when it
 // carries several (snapshot joins folded in), map iteration order must not
 // decide — re-acking the same dot twice has to name the same coordinate.
-func stampOf(stamps vclock.CommitStamps) (int, uint64) {
-	found := false
-	var dc int
-	var ts uint64
+func stampOf(stamps vclock.CommitStamps) (dc int, ts uint64) {
+	dc = -1
 	for idx, t := range stamps {
-		if !found || idx < dc {
-			found = true
+		if dc < 0 || idx < dc {
 			dc, ts = idx, t
 		}
 	}
-	return dc, ts
+	return max(dc, 0), ts
 }
 
 // acceptEdgeTx handles an asynchronously committed edge transaction.
@@ -886,9 +914,9 @@ func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
 	}
 	// Duplicate (e.g. re-sent after migration): re-ack with the stamps this
 	// DC already knows; the dot filter keeps effects exactly-once.
-	if prev, ok := d.byDot[t.Dot]; ok {
+	if pos, ok := d.byDot[t.Dot]; ok {
 		ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
-		ack.DCIndex, ack.Ts = stampOf(prev.Commit)
+		ack.DCIndex, ack.Ts = stampOf(d.hist[pos].t.Commit)
 		d.mu.Unlock()
 		return ack
 	}
@@ -909,10 +937,10 @@ func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
 		if errors.Is(err, store.ErrDuplicate) {
 			// Raced with replication of the same dot; fall through to re-ack.
 			d.mu.Lock()
-			prev, ok := d.byDot[t.Dot]
+			pos, ok := d.byDot[t.Dot]
 			ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
 			if ok {
-				ack.DCIndex, ack.Ts = stampOf(prev.Commit)
+				ack.DCIndex, ack.Ts = stampOf(d.hist[pos].t.Commit)
 			}
 			d.mu.Unlock()
 			if ok {
@@ -953,7 +981,7 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 		return
 	}
 	// Clone non-duplicates: the sender's record (and other recipients') must
-	// not share mutable state with this DC's log. Duplicate or partially
+	// not share mutable state with this DC's history. Duplicate or partially
 	// overlapping batches (anti-entropy rounds racing the live stream) are
 	// filtered by dot here and again after admission.
 	incoming := make([]*txn.Transaction, 0, len(m.Txs))
@@ -974,9 +1002,7 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 		if err := d.coord.ApplyCommitted(t); err != nil && !errors.Is(err, store.ErrDuplicate) {
 			continue // skip malformed transaction, keep the DC alive
 		}
-		d.persistReplicated(t)
-		d.lamport.Witness(t.Dot.Seq)
-		d.state = t.Commit.JoinInto(d.state, t.Snapshot)
+		d.persist(t, false)
 		d.recordLocked(t)
 	}
 	d.mesh.ObserveSelf(d.state)
@@ -1164,10 +1190,10 @@ func (d *DC) materializeLocked(id txn.ObjectID, at vclock.Vector) wire.ObjectSta
 	return wire.ObjectState{ID: id, Kind: obj.Kind(), Object: obj, Vec: at.Clone()}
 }
 
-// notifySubscribersLocked propagates the newly K-stable suffix of the log to
-// subscribers, in causal (log) order. The scan stops at the first
-// not-yet-stable transaction so pushes never reorder causally related
-// updates.
+// notifySubscribersLocked propagates the newly K-stable visible suffix of the
+// history to subscribers, in causal (record) order. The scan stops at the
+// first not-yet-stable visible transaction so pushes never reorder causally
+// related updates.
 //
 // The whole subscriber population costs one fanout scan: each new
 // transaction is routed to the interest shards whose bucket set it touches,
@@ -1239,25 +1265,21 @@ func (d *DC) runMigrated(m wire.MigratedTx) any {
 // transaction against the current check — called after a security-policy
 // change, since ACL updates can retroactively mask (or unmask) versions
 // (paper §5.3: the policy exposes "a variable-size window" of the TCC+
-// store). The rebuilt log is a new generation of the push stream.
+// store). Records are re-marked in place, in record order, and the push
+// stream starts a new generation.
 func (d *DC) RecheckVisibility() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.masked = make(map[vclock.Dot]*txn.Transaction)
-	d.log = d.log[:0]
-	for _, t := range d.replLog {
-		if d.passesVisibilityLocked(t) {
-			d.log = append(d.log, t)
-		} else {
-			d.masked[t.Dot] = t
-		}
+	d.resetMaskLocked()
+	for i := range d.hist {
+		d.hist[i].masked = d.maskLocked(d.hist[i].t)
 	}
 	// Retroactively unmasked transactions were never delivered, and queued
 	// shard segments may hold transactions the new policy masks: the fan-out
-	// starts a new log generation from index zero and the rescan below
+	// starts a new generation from position zero and the rescan below
 	// re-routes everything still visible. Every subscriber refuses the new
-	// generation's frames, resumes, and is replayed the log from the start
-	// (it deduplicates by dot).
+	// generation's frames, resumes, and is replayed the history from the
+	// start (it deduplicates by dot).
 	d.fan.reset()
 	d.notifySubscribersLocked(false)
 }
@@ -1285,14 +1307,14 @@ func (d *DC) MaxJournalLen() int {
 func (d *DC) LogLen() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.log)
+	return len(d.hist) - d.nMasked
 }
 
 // MaskedCount reports how many transactions the visibility check has masked.
 func (d *DC) MaskedCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.masked)
+	return d.nMasked
 }
 
 // ReadAt materialises an object at an arbitrary cut (used by tests and the

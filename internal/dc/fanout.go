@@ -13,15 +13,16 @@
 // filtering exact: all members of a shard have identical bucket interest, so
 // a shared frame can never leak a bucket a member did not subscribe to, and
 // every subscriber belongs to exactly one shard, so its push stream stays in
-// log (causal) order without cross-shard coordination.
+// record (causal) order without cross-shard coordination.
 //
 // The DC keeps no per-subscriber delivery state. Every frame says which
-// slice of the visible log it covers — [Lo, Hi) of log generation Gen, each
-// shard's frames forming one gap-free chain — and the *receiver* holds the
-// cursor (wire.PushCursor): it integrates a frame only when it connects, and
-// on a gap or after silence asks for [cursor, …) with a resume-subscribe. The
-// flush is therefore filter once, seal once, send, forget; the one repair
-// path is the range reply (sendRangeLocked), served straight from d.log.
+// slice of the DC's history it covers — positions [Lo, Hi) of generation Gen,
+// masked records skipped, each shard's frames forming one gap-free chain —
+// and the *receiver* holds the cursor (wire.PushCursor): it integrates a
+// frame only when it connects, and on a gap or after silence asks for
+// [cursor, …) with a resume-subscribe. The flush is therefore filter once,
+// seal once, send, forget; the one repair path is the range reply
+// (sendRangeLocked), served straight from d.hist.
 package dc
 
 import (
@@ -41,8 +42,8 @@ import (
 // configurable.
 const pushShardWorkers = 4
 
-// pushSeg is one scanned run of the DC log routed to a shard: the
-// transactions in log range [lo, hi) that touch the shard's buckets
+// pushSeg is one scanned run of the DC history routed to a shard: the
+// visible transactions at positions [lo, hi) that touch the shard's buckets
 // (unfiltered — the flush restricts update lists once per shard), plus the
 // stable cut that made the range visible. A segment without transactions is a
 // pure stability advance: the next frame extends the shard's range to hi and
@@ -65,7 +66,7 @@ type pushShard struct {
 	segs     []pushSeg
 	queued   bool
 	inflight bool
-	// next is the log index the shard's next frame starts at — the Hi of its
+	// next is the position the shard's next frame starts at — the Hi of its
 	// previous frame, or the scan frontier when the shard was created. No
 	// transaction in [next, first queued segment) touches the shard's
 	// buckets (the scan would have routed it), so consecutive frames chain
@@ -83,12 +84,13 @@ type pushShard struct {
 type fanout struct {
 	d *DC
 
-	// gen is the log generation every frame and cursor is stamped with. It is
-	// seeded from the boot time — recover rebuilds d.log in WAL order, which
+	// gen is the generation every frame and cursor is stamped with. It is
+	// seeded from the boot time — recover rebuilds d.hist in WAL order, which
 	// is not admission order, so a cursor from a previous incarnation is
 	// meaningless and must never match — and bumped whenever
-	// RecheckVisibility rebuilds d.log and shifts every index. boot is the
-	// seed: a generation in [boot, gen) is an earlier log of this incarnation.
+	// RecheckVisibility re-marks d.hist, which may unmask records below every
+	// cursor. boot is the seed: a generation in [boot, gen) is an earlier
+	// marking of this incarnation's history.
 	gen  atomic.Uint64
 	boot uint64
 
@@ -101,8 +103,8 @@ type fanout struct {
 	byBucket map[string]map[*pushShard]bool
 	nextID   uint64
 	dirty    []*pushShard
-	// idx is the scan frontier over d.log (every index below it has been
-	// routed); stable the cut handed out at the last scan; bcast the cut
+	// idx is the scan frontier over d.hist (every visible record below it has
+	// been routed); stable the cut handed out at the last scan; bcast the cut
 	// last broadcast to every shard (heartbeat stability advance).
 	idx    int
 	stable vclock.Vector
@@ -231,9 +233,10 @@ func (f *fanout) dirtyLocked(sh *pushShard) {
 	f.cond.Signal()
 }
 
-// scan routes the newly K-stable suffix of d.log to the interest shards: one
-// pass over the new transactions, one segment append per touched shard —
-// O(new txs + touched shards), independent of the subscriber count. With
+// scan routes the newly K-stable visible suffix of d.hist to the interest
+// shards: one pass over the new records, skipping masked ones and stopping at
+// the first visible one not yet stable, one segment append per touched shard
+// — O(new records + touched shards), independent of the subscriber count. With
 // broadcast set (heartbeat / gossip receipt) a pure stability advance is
 // fanned to every shard as an empty segment; between broadcasts, shards
 // learn new cuts only from the segments that carry their transactions, which
@@ -249,8 +252,11 @@ func (f *fanout) scan(stable vclock.Vector, broadcast bool) {
 	lo := f.idx
 	idx := lo
 	var segs map[*pushShard]*pushSeg
-	for idx < len(d.log) {
-		t := d.log[idx]
+	for ; idx < len(d.hist); idx++ {
+		if d.hist[idx].masked {
+			continue
+		}
+		t := d.hist[idx].t
 		if !t.VisibleAt(stable) {
 			break
 		}
@@ -273,7 +279,6 @@ func (f *fanout) scan(stable vclock.Vector, broadcast bool) {
 				}
 			}
 		}
-		idx++
 	}
 	f.idx = idx
 	f.stable = stable
@@ -295,12 +300,12 @@ func (f *fanout) scan(stable vclock.Vector, broadcast bool) {
 	}
 }
 
-// reset abandons the current log generation (RecheckVisibility rebuilt
-// d.log): the scan frontier and every shard's chain return to zero and queued
-// segments are discarded — the caller rescans, re-routing everything still
-// visible. Receivers refuse the new generation's frames and resume; theirs is
-// an earlier generation of this incarnation, so they are served from index
-// zero (resumeLocked). Called with d.mu held.
+// reset abandons the current generation (RecheckVisibility re-marked d.hist):
+// the scan frontier and every shard's chain return to position zero and
+// queued segments are discarded — the caller rescans, re-routing everything
+// still visible. Receivers refuse the new generation's frames and resume;
+// theirs is an earlier generation of this incarnation, so they are served
+// from position zero (resumeLocked). Called with d.mu held.
 func (f *fanout) reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -353,11 +358,8 @@ func (d *DC) runShardWorker() {
 
 		f.mu.Lock()
 		sh.inflight = false
-		if len(sh.segs) > 0 && !sh.queued && len(sh.subs) > 0 {
-			sh.queued = true
-			f.dirty = append(f.dirty, sh)
-			d.fanDirty.Add(1)
-			f.cond.Signal()
+		if len(sh.segs) > 0 && len(sh.subs) > 0 {
+			f.dirtyLocked(sh)
 		}
 		f.mu.Unlock()
 	}
@@ -403,20 +405,18 @@ func (d *DC) flushShard(sh *pushShard, segs []pushSeg, plans []treeSend, direct 
 	}
 }
 
-// logIdxAtLocked returns the length of the visible log's prefix that is
-// visible at cut — where the stream of a subscriber that holds exactly cut
-// continues. A linear scan, so it serves only the paths that have no cursor
-// to go by: a resume from another generation and a fetch below the stable
-// cut. Called with d.mu held.
+// logIdxAtLocked returns the position of the first visible record of d.hist
+// that cut does not cover — where the stream of a subscriber that holds
+// exactly cut continues. A linear scan, so it serves only the paths that have
+// no cursor to go by: a resume from another generation and a fetch below the
+// stable cut. Called with d.mu held.
 func (d *DC) logIdxAtLocked(cut vclock.Vector) int {
-	idx := 0
-	for _, t := range d.log {
-		if !t.VisibleAt(cut) {
-			break
+	for i, r := range d.hist {
+		if !r.masked && !r.t.VisibleAt(cut) {
+			return i
 		}
-		idx++
 	}
-	return idx
+	return len(d.hist)
 }
 
 // frontier returns the scan frontier and the cut that goes with it. Both move
@@ -434,7 +434,7 @@ func (f *fanout) frontier() (idx int, stable vclock.Vector) {
 // current generation continues at the reported cursor, and the range reply
 // goes out before the ack. A resume from any other generation gets the
 // position only — the subscriber adopts it from the ack and asks again,
-// exactly: from zero if its generation is an earlier log of this incarnation
+// exactly: from zero if its generation is an earlier one of this incarnation
 // (a visibility recheck may have unmasked transactions anywhere), else from
 // what Since does not cover (a restart, or a subscriber arriving from another
 // DC). Called with d.mu held.
@@ -459,11 +459,12 @@ func (d *DC) resumeLocked(sub *subscription, m wire.Subscribe) (gen uint64, from
 }
 
 // sendRangeLocked is the one repair path: it sends sub a direct sealed frame
-// with the transactions of d.log[from, idx) that touch its signature — idx
-// and stable being the scan frontier and its cut (fanout.frontier) — at most
-// antiEntropyMax of them, the bound of an anti-entropy round; the receiver
-// asks again from its new cursor. The frame carries the cut unless the range was
-// cut short of the frontier the cut belongs to. With missed set (a resume),
+// with the visible transactions of d.hist[from, idx) that touch its
+// signature — idx and stable being the scan frontier and its cut
+// (fanout.frontier) — at most antiEntropyMax of them, the bound of an
+// anti-entropy round; the receiver asks again from its new cursor. The frame
+// carries the cut unless the range was cut short of the frontier the cut
+// belongs to. With missed set (a resume),
 // a reply that carries transactions also moves a tree child out of its
 // subtree: its relay did not reach it. Called with d.mu held.
 func (d *DC) sendRangeLocked(sub *subscription, from, idx int, stable vclock.Vector, missed bool) {
@@ -476,8 +477,10 @@ func (d *DC) sendRangeLocked(sub *subscription, from, idx int, stable vclock.Vec
 	var txs []*txn.Transaction
 	to := from
 	for ; to < idx && len(txs) < antiEntropyMax; to++ {
-		if ft := d.log[to].RestrictShared(keep); ft != nil {
-			txs = append(txs, ft)
+		if r := d.hist[to]; !r.masked {
+			if ft := r.t.RestrictShared(keep); ft != nil {
+				txs = append(txs, ft)
+			}
 		}
 	}
 	if to < idx {

@@ -171,10 +171,7 @@ func (d *DC) gossipBuckets() {
 	}
 	msg := d.bucketVec()
 	d.mu.Lock()
-	peers := make([]string, 0, len(d.peers))
-	for _, p := range d.peers {
-		peers = append(peers, p)
-	}
+	peers := d.peerNamesLocked()
 	d.mu.Unlock()
 	for _, p := range peers {
 		_ = d.node.Send(p, msg) // best effort; periodic gossip re-covers
@@ -372,10 +369,7 @@ func (d *DC) backfillBucket(bucket string, st *bucketState) error {
 func (d *DC) probeBucketViews() {
 	msg := d.bucketVec()
 	d.mu.Lock()
-	peers := make([]string, 0, len(d.peers))
-	for _, p := range d.peers {
-		peers = append(peers, p)
-	}
+	peers := d.peerNamesLocked()
 	d.mu.Unlock()
 	for _, p := range peers {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -459,7 +453,10 @@ func (d *DC) DropBucket(bucket string) error {
 		return fmt.Errorf("dc %s: bucket %s not live", d.cfg.Name, bucket)
 	}
 	d.bmu.Unlock()
-	if sub := d.subscriberInterestIn(bucket); sub != "" {
+	d.mu.Lock()
+	sub := d.interestInLocked(bucket)
+	d.mu.Unlock()
+	if sub != "" {
 		// Cheap pre-check so the common veto never pins peers; the
 		// authoritative re-check below is atomic with the flip.
 		return fmt.Errorf("dc %s: bucket %s still has subscriber interest (%s)", d.cfg.Name, bucket, sub)
@@ -483,19 +480,12 @@ func (d *DC) DropBucket(bucket string) error {
 	// critical section (bmu nests inside; subscribe() registers interest under
 	// d.mu too, so the two serialise).
 	d.mu.Lock()
-	for _, sub := range d.subs {
-		for id := range sub.interest {
-			if id.Bucket == bucket {
-				d.mu.Unlock()
-				abort()
-				return fmt.Errorf("dc %s: bucket %s still has subscriber interest (%s)", d.cfg.Name, bucket, sub.node)
-			}
-		}
+	if sub := d.interestInLocked(bucket); sub != "" {
+		d.mu.Unlock()
+		abort()
+		return fmt.Errorf("dc %s: bucket %s still has subscriber interest (%s)", d.cfg.Name, bucket, sub)
 	}
-	peers := make([]string, 0, len(d.peers))
-	for _, p := range d.peers {
-		peers = append(peers, p)
-	}
+	peers := d.peerNamesLocked()
 	d.bmu.Lock()
 	st = d.buckets[bucket]
 	if st == nil || st.status != bucketLive {
@@ -537,11 +527,9 @@ func (d *DC) DropBucket(bucket string) error {
 	return nil
 }
 
-// subscriberInterestIn returns the node name of a subscriber with registered
-// interest in the bucket, or "" when none has any.
-func (d *DC) subscriberInterestIn(bucket string) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// interestInLocked returns the node name of a subscriber with registered
+// interest in the bucket, or "" when none has any. Called with d.mu held.
+func (d *DC) interestInLocked(bucket string) string {
 	for _, sub := range d.subs {
 		for id := range sub.interest {
 			if id.Bucket == bucket {
@@ -749,12 +737,6 @@ func (d *DC) bucketCutFor(bucket string) vclock.Vector {
 	return cut
 }
 
-// BucketStable returns the per-bucket K-stable cut (exposed for tests and
-// the benchmark harness).
-func (d *DC) BucketStable(bucket string) vclock.Vector {
-	return d.mesh.KStableBucket(bucket, d.cfg.K)
-}
-
 // ScopesKnown reports whether this DC has learned every peer's bucket
 // interest vector. Until the first BucketVec gossip round completes, peers
 // are treated as universal subscribers and replication conservatively ships
@@ -797,15 +779,11 @@ func (d *DC) ResidentStats() (buckets, objects int, bytes int64) {
 
 // bucketsOf collects the distinct buckets a transaction's updates touch.
 func bucketsOf(updates []txn.Update) []string {
-	seen := make(map[string]bool, 2)
-	var out []string
-	for _, u := range updates {
-		if !seen[u.Object.Bucket] {
-			seen[u.Object.Bucket] = true
-			out = append(out, u.Object.Bucket)
-		}
+	ids := make([]txn.ObjectID, len(updates))
+	for i, u := range updates {
+		ids[i] = u.Object
 	}
-	return out
+	return bucketsOfIDs(ids)
 }
 
 // bucketsOfIDs collects the distinct buckets of a set of object ids.

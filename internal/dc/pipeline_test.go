@@ -176,8 +176,8 @@ func TestPerPeerBatchesApplyInSendOrder(t *testing.T) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	last := uint64(0)
-	for i, tr := range d.log {
-		ts := tr.Commit[0]
+	for i, r := range d.hist {
+		ts := r.t.Commit[0]
 		if ts <= last {
 			t.Fatalf("apply order broken at %d: ts %d after %d", i, ts, last)
 		}
@@ -286,6 +286,10 @@ func TestPipelineObsExposed(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool {
 		return counterValue(t, dcs[1], dcs[1].State()) == 10
 	}, "traffic never replicated")
+	// Both DCs record all ten: the history-length gauge sums them.
+	waitFor(t, 2*time.Second, func() bool {
+		return reg.Snapshot().Gauges["dc.history_len"] == 20
+	}, "dc.history_len never reached 20")
 
 	snap := reg.Snapshot()
 	if _, ok := snap.Gauges["dc.repl_outbox_depth"]; !ok {

@@ -10,11 +10,11 @@
 // forgets it. DC egress then scales with the subtree count, not the
 // subscriber count.
 //
-// Nothing comes back. Every frame carries the log range it covers and every
-// receiver holds its own cursor (see fanout.go), so a child its relay did not
-// reach — relay crashed, link down, child table stale — sees the gap at the
-// next frame, or hears nothing, and resumes from the DC directly; the range
-// reply that serves it also moves it out of the subtree that failed it
+// Nothing comes back. Every frame carries the history range it covers and
+// every receiver holds its own cursor (see fanout.go), so a child its relay
+// did not reach — relay crashed, link down, child table stale — sees the gap
+// at the next frame, or hears nothing, and resumes from the DC directly; the
+// range reply that serves it also moves it out of the subtree that failed it
 // (moveOut). The DC's only reaction to its own send errors is structural: a
 // root whose link refuses a TreeAssign or a TreePush is demoted.
 //
@@ -29,7 +29,11 @@
 // are a follow-on.
 package dc
 
-import "colony/internal/wire"
+import (
+	"slices"
+
+	"colony/internal/wire"
+)
 
 // treeDegree bounds a multicast subtree: one relay root plus at most
 // treeDegree children. Fixed at the value every deployment ran with while it
@@ -86,19 +90,9 @@ func (f *fanout) detachTreeLocked(sh *pushShard, sub *subscription) {
 		return
 	}
 	sub.tree = nil
-	for i, s := range tr.members {
-		if s == sub {
-			tr.members = append(tr.members[:i], tr.members[i+1:]...)
-			break
-		}
-	}
+	tr.members = slices.DeleteFunc(tr.members, func(s *subscription) bool { return s == sub })
 	if len(tr.members) == 0 {
-		for i, t := range sh.trees {
-			if t == tr {
-				sh.trees = append(sh.trees[:i], sh.trees[i+1:]...)
-				break
-			}
-		}
+		sh.trees = slices.DeleteFunc(sh.trees, func(t *pushTree) bool { return t == tr })
 		return
 	}
 	if tr.root == sub {

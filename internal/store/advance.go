@@ -97,6 +97,7 @@ func (s *Store) autoAdvance(p AdvancePolicy) {
 // proceed; cut must be stable (every future read vector dominates it), which
 // also makes the shard-by-shard fold invisible to readers.
 func (s *Store) Advance(cut vclock.Vector, keepDots bool) error {
+	cut = cut.Clone() // base vectors may share it; the caller may not
 	var folded []vclock.Dot
 	for si := range s.shards {
 		sh := &s.shards[si]
@@ -148,7 +149,10 @@ func foldLocked(obj *object, cut vclock.Vector) (folded []vclock.Dot, err error)
 		fork.Seal()
 		obj.base = fork
 	}
-	obj.baseVec = obj.baseVec.Join(cut)
+	// Copy-on-write: ReadSeed hands the current vector out, and its reader
+	// uses it after the shard lock is released. LUB never mutates either
+	// operand, and cut is the fold's own copy, so objects may share it.
+	obj.baseVec = vclock.LUB(obj.baseVec, cut)
 	// The base moved and journal indices shifted; drop the memoised
 	// materialisation.
 	obj.cache = nil
@@ -171,7 +175,7 @@ func (s *Store) AdvanceBuckets(cutFor func(bucket string) vclock.Vector) error {
 		for id, obj := range sh.objects {
 			cut, ok := cuts[id.Bucket]
 			if !ok {
-				cut = cutFor(id.Bucket)
+				cut = cutFor(id.Bucket).Clone() // shared by base vectors, as in Advance
 				cuts[id.Bucket] = cut
 			}
 			if len(cut) == 0 {

@@ -95,8 +95,10 @@ type entry struct {
 
 // object is the stored form of one database object.
 type object struct {
-	kind    crdt.Kind
-	base    crdt.Object
+	kind crdt.Kind
+	base crdt.Object
+	// baseVec is copy-on-write: once installed it is never mutated, so a
+	// reader may keep it after the shard lock is released (ReadSeed).
 	baseVec vclock.Vector
 	// folded lists transactions whose effects are baked into the base even
 	// though they are not covered by baseVec — symbolic group transactions

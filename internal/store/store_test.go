@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"colony/internal/crdt"
@@ -427,4 +428,46 @@ func TestReadSeedAgreesWithState(t *testing.T) {
 			t.Fatalf("at %v: seeded store after re-delivery = %b, want %b", at, got, all)
 		}
 	}
+}
+
+// TestReadSeedCoverageSurvivesAdvance: a seed read's coverage is handed on —
+// to Seed on another store — after the shard lock is released, while folds
+// keep advancing the same object's base. A fold installs a fresh base vector
+// and never writes into one a seed read has returned, so the coverage still
+// names exactly the state it came with.
+func TestReadSeedCoverageSurvivesAdvance(t *testing.T) {
+	const n = 200
+	src := New("parent")
+	for i := uint64(1); i <= n; i++ {
+		if err := src.Apply(incTx("peer", i, vclock.Vector{i - 1}, 0, i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Advance(vclock.Vector{1}, true); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint64(2); i <= n; i++ {
+			if err := src.Advance(vclock.Vector{i}, true); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		// The base dominates the cut read at, so the coverage is the base's.
+		state, coverage, folded, err := src.ReadSeed(counterID, vclock.Vector{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := New("member")
+		dst.Seed(counterID, state, coverage, folded...)
+		if got, want := state.(*crdt.Counter).Total(), int64(coverage.Get(0)); got != want {
+			t.Fatalf("seed state holds %d increments, its coverage claims %d", got, want)
+		}
+	}
+	wg.Wait()
 }

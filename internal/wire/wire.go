@@ -267,8 +267,8 @@ type FetchObject struct {
 // PushTxs streams newly K-stable transactions (filtered to the receiver's
 // interest set) plus the sender's stable vector, in causal order.
 //
-// A DC's frames are sequenced: Txs holds every transaction of the DC's
-// visible log range [Lo, Hi) (log generation Gen) that touches the
+// A DC's frames are sequenced: Txs holds every visible transaction of the
+// DC's history positions [Lo, Hi) (generation Gen) that touches the
 // receiver's buckets, and the receiver integrates the frame only when it
 // connects to its PushCursor. Gen 0 marks an unsequenced frame (a group
 // parent forwarding to its members), applied on arrival and deduplicated by
