@@ -38,16 +38,19 @@ test-race:
 # it after any change to tcp's writeLoop, the DC's history or visibility code
 # (recordLocked, maskLocked, RecheckVisibility, antiEntropyLocked) or
 # crdt/rga.go. The fifth covers durability and folding: the group-commit WAL
-# (batching, torn tails, corrupt records, append after a crash), the store's
-# background fold and its re-fold request, and the DC's stable cut met with
-# its own state; run it after any change to internal/wal, store/advance.go or
-# dc.Stable.
+# (batching, torn tails, corrupt records, append after a crash, completions),
+# the store's background fold and its re-fold request, the DC's stable cut met
+# with its own state, and the durable ack as an event — Deferred replies on
+# every substrate, edge commits sharing fsyncs over real TCP, acked ⇒ logged,
+# duplicates and stamp-ordered records; run it after any change to
+# internal/wal, store/advance.go, dc.Stable, the DC's commitAt or a
+# substrate's reply path.
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
 	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA|Masking|Recheck' ./internal/transport/tcp ./internal/dc ./internal/crdt
-	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable' ./internal/wal ./internal/store ./internal/dc
+	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable|Deferred|AppendThen|ShareFsync|AckImpliesLogged' ./internal/wal ./internal/store ./internal/dc ./internal/transport ./internal/transport/tcp
 
 vet:
 	$(GO) vet ./...

@@ -258,40 +258,71 @@ func (c *Coordinator) Shard(id txn.ObjectID) *Shard {
 	return c.shards[c.ring.Lookup(id)]
 }
 
-// Commit runs the ClockSI 2PC for t: prepare on every involved shard,
-// decide the commit timestamp via assign (which receives the largest prepare
-// timestamp and returns the DC index and final timestamp — the DC sequencer
-// guarantees monotonicity), then commit everywhere. On any prepare failure
-// the transaction aborts cleanly.
+// Commit runs the ClockSI 2PC for t: Prepare, decide the commit timestamp
+// via assign (which receives the largest prepare timestamp and returns the
+// DC index and final timestamp — the DC sequencer guarantees monotonicity),
+// then commit everywhere.
 func (c *Coordinator) Commit(t *txn.Transaction, assign func(maxPrepare uint64) (int, uint64)) (vclock.CommitStamps, error) {
+	p, err := c.Prepare(t)
+	if err != nil {
+		return nil, err
+	}
+	dcIdx, ts := assign(p.MaxPrepare)
+	stamps := vclock.CommitStamps{dcIdx: ts}
+	if err := p.Commit(stamps); err != nil {
+		return nil, err
+	}
+	return stamps, nil
+}
+
+// Prepared is a transaction prepared on every shard it involves, waiting
+// for its commit stamps.
+type Prepared struct {
+	dot    vclock.Dot
+	shards []*Shard
+	// MaxPrepare is the largest prepare timestamp: the commit timestamp must
+	// be above it.
+	MaxPrepare uint64
+}
+
+// Prepare is phase one of the 2PC for t: it prepares t's partition on every
+// involved shard. On any failure the transaction aborts cleanly; a dot
+// already held or prepared fails with store.ErrDuplicate.
+func (c *Coordinator) Prepare(t *txn.Transaction) (*Prepared, error) {
 	parts := c.ring.Partition(t)
-	prepared := make([]*Shard, 0, len(parts))
-	var maxPrepare uint64
+	p := &Prepared{dot: t.Dot, shards: make([]*Shard, 0, len(parts))}
 	for name, part := range parts {
 		shard := c.shards[name]
 		ts, err := shard.Prepare(part)
 		if err != nil {
-			for _, p := range prepared {
-				p.Abort(t.Dot)
+			for _, s := range p.shards {
+				s.Abort(t.Dot)
 			}
 			if errors.Is(err, store.ErrDuplicate) {
 				return nil, err
 			}
 			return nil, fmt.Errorf("%w: prepare on %s: %v", ErrAborted, name, err)
 		}
-		prepared = append(prepared, shard)
-		if ts > maxPrepare {
-			maxPrepare = ts
+		p.shards = append(p.shards, shard)
+		p.MaxPrepare = max(p.MaxPrepare, ts)
+	}
+	return p, nil
+}
+
+// Commit is phase two: it commits the transaction at stamps on every
+// involved shard. A shard whose store rejects its partition fails the
+// commit and aborts the partitions not yet committed; those already
+// committed stay.
+func (p *Prepared) Commit(stamps vclock.CommitStamps) error {
+	for i, shard := range p.shards {
+		if err := shard.Commit(p.dot, stamps); err != nil {
+			for _, s := range p.shards[i+1:] {
+				s.Abort(p.dot)
+			}
+			return fmt.Errorf("clocksi: commit phase on %s: %w", shard.Name(), err)
 		}
 	}
-	dcIdx, ts := assign(maxPrepare)
-	stamps := vclock.CommitStamps{dcIdx: ts}
-	for _, shard := range prepared {
-		if err := shard.Commit(t.Dot, stamps); err != nil {
-			return nil, fmt.Errorf("clocksi: commit phase on %s: %w", shard.Name(), err)
-		}
-	}
-	return stamps, nil
+	return nil
 }
 
 // ApplyCommitted routes an externally committed transaction to the involved

@@ -202,6 +202,36 @@ func TestAbortReleasesPrepares(t *testing.T) {
 	}
 }
 
+// TestCommitPhaseFailureReleasesPrepares: a shard whose store rejects its
+// partition in the commit phase (an update of a register as a counter)
+// fails the commit, and no shard is left holding a prepare. The shards are
+// visited in map order, so the failing shard is tried at every position
+// over the rounds.
+func TestCommitPhaseFailureReleasesPrepares(t *testing.T) {
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	for round := 0; round < 8; round++ {
+		c := newCoordinator(t, 4)
+		reg := &txn.Transaction{Dot: vclock.Dot{Node: "dc1", Seq: 1}, Origin: "dc1",
+			Snapshot: vclock.Vector{0, 0}, Commit: vclock.CommitStamps{1: 1}}
+		reg.AppendUpdate(txn.ObjectID{Bucket: "b", Key: "k0"}, crdt.KindLWWRegister, crdt.Op{LWW: &crdt.LWWRegisterOp{Value: "v"}})
+		if err := c.ApplyCommitted(reg); err != nil {
+			t.Fatal(err)
+		}
+		tx := counterTx("dc0", 1, vclock.Vector{0, 0}, keys...)
+		if _, err := c.Commit(tx, func(mp uint64) (int, uint64) { return 0, mp + 1 }); !errors.Is(err, crdt.ErrKindMismatch) {
+			t.Fatalf("round %d: commit = %v, want a kind mismatch", round, err)
+		}
+		for name, s := range c.shards {
+			if got := s.PreparedCount(); got != 0 {
+				t.Fatalf("round %d: shard %s still holds %d prepares after the failed commit", round, name, got)
+			}
+		}
+	}
+}
+
 func TestApplyCommittedIdempotent(t *testing.T) {
 	c := newCoordinator(t, 3)
 	tx := counterTx("dc1", 1, vclock.Vector{0, 0}, "a", "b", "c")

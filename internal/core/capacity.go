@@ -12,7 +12,9 @@ import (
 // like a real server rather than an infinitely fast simulator. Each node gets
 // workers service slots; a client-facing request (commit acceptance, fetch,
 // subscription, migrated transaction) occupies one for service, and the slot
-// stays held while the node's handler runs.
+// stays held while the node's handler runs. A handler's reply, including a
+// *transport.Deferred, passes through untouched: a deferred reply's wait
+// holds no slot.
 type capacityNetwork struct {
 	transport.Network
 	service time.Duration

@@ -62,10 +62,14 @@ type Config struct {
 	// appended to a write-ahead log under this directory and replayed on
 	// restart. Empty disables persistence (unit tests, far-edge nodes).
 	DataDir string
-	// SyncWrites makes commit acknowledgement wait until the transaction's
-	// WAL append is durable (flushed and fsynced). The wait piggybacks on the
-	// group-commit writer, so N concurrent committers share one fsync. Only
-	// meaningful with DataDir set.
+	// SyncWrites makes a commit wait until its WAL record is durable
+	// (written and fsynced) before it is recorded, visible or acknowledged:
+	// acked ⇒ durable, visible ⇒ durable. The wait blocks no dispatcher. The
+	// DC sequences the commit, queues its record and moves on; the
+	// group-commit flush that covers the record completes it, so commits in
+	// flight together share one fsync. After a WAL write or fsync failure
+	// (LastWALError) commits still complete, so their acks are no longer
+	// durable. Only meaningful with DataDir set.
 	SyncWrites bool
 	// PartialRepl enables interest-scoped replication (ROADMAP item 4): the
 	// DC holds only the buckets in its interest set, advertises that set to
@@ -152,6 +156,10 @@ type DC struct {
 	hist []histRec
 	// byDot maps a dot to its position in hist (the duplicate filter).
 	byDot map[vclock.Dot]int
+	// unrecorded holds the dots this DC has committed but not yet recorded
+	// (their completion waits for durability): the replication receive path
+	// must not record them a second time.
+	unrecorded map[vclock.Dot]struct{}
 	// own holds the positions of the records this DC stamped, ordered by that
 	// stamp, so anti-entropy resumes at a peer's position instead of walking
 	// the whole history.
@@ -167,6 +175,13 @@ type DC struct {
 	nMasked   int
 
 	journal *wal.Log // nil when persistence is off
+
+	// completions carries durable commits from the WAL writer to the
+	// completion goroutine (SyncWrites only); inflight counts commits
+	// between their closed check and their completion, so Close waits for
+	// them before it stops anything they use.
+	completions completionQueue
+	inflight    sync.WaitGroup
 
 	// walMu guards the sticky WAL error (see LastWALError); WAL failures
 	// must not take the DC down mid-protocol, but they must be observable.
@@ -258,6 +273,7 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		state:         vclock.NewVector(cfg.NumDCs),
 		peers:         make(map[int]string),
 		byDot:         make(map[vclock.Dot]int),
+		unrecorded:    make(map[vclock.Dot]struct{}),
 		subs:          make(map[string]*subscription),
 		outboxes:      make(map[int]*replOutbox),
 		pipeStop:      make(chan struct{}),
@@ -335,6 +351,11 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		d.journal = logFile
 	}
 	d.fan = newFanout(d)
+	if d.journal != nil && cfg.SyncWrites {
+		d.completions.wake = make(chan struct{}, 1)
+		d.pipeWG.Add(1)
+		go d.runCompletions()
+	}
 	for i := 0; i < pushShardWorkers; i++ {
 		d.pipeWG.Add(1)
 		go d.runShardWorker()
@@ -412,16 +433,13 @@ func (d *DC) runReplSender(o *replOutbox) {
 }
 
 // enqueueRepl fans a committed transaction out to every peer outbox. A full
-// outbox back-pressures the committer (blocking send) instead of dropping;
-// pipeStop keeps a blocked committer from deadlocking against Close.
+// outbox back-pressures the committer (blocking send) instead of dropping.
+// It runs only inside a commit's completion, and Close waits for those
+// before it stops the senders, so a blocked send is always drained.
 func (d *DC) enqueueRepl(outs []*replOutbox, cp *txn.Transaction) {
 	for _, o := range outs {
-		select {
-		case o.ch <- cp:
-			d.replDepth.Add(1)
-		case <-d.pipeStop:
-			return
-		}
+		o.ch <- cp
+		d.replDepth.Add(1)
 	}
 }
 
@@ -435,8 +453,9 @@ func (d *DC) SetVisibilityCheck(check func(*txn.Transaction) bool) {
 	d.visible = check
 }
 
-// Close stops the DC's background work (heartbeat, replication senders,
-// shard workers) and flushes the write-ahead log.
+// Close refuses new commits, waits for the ones in flight to complete, stops
+// the DC's background work (heartbeat, replication senders, shard workers,
+// completions) and flushes the write-ahead log.
 func (d *DC) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -446,6 +465,7 @@ func (d *DC) Close() {
 	d.closed = true
 	journal := d.journal
 	d.mu.Unlock()
+	d.inflight.Wait()
 	close(d.stopHeartbeat)
 	<-d.heartbeatDone
 	close(d.pipeStop)
@@ -472,20 +492,13 @@ func (d *DC) recover() error {
 	})
 }
 
-// persist appends a transaction to the write-ahead log. Under SyncWrites a
-// local one returns only once its group-commit batch is durable (one shared
-// fsync per batch). A replicated one (local false) never waits: it is
-// recoverable from its origin DC via anti-entropy, and the apply path calls
-// this holding d.mu, where an fsync wait would stall commits. I/O errors must
-// not take the DC down mid-protocol: they are counted (dc.wal_errors) and
-// kept via LastWALError instead of propagating.
-func (d *DC) persist(t *txn.Transaction, local bool) {
-	if d.journal == nil {
-		return
-	}
-	if local && d.cfg.SyncWrites {
-		d.noteWALError(d.journal.AppendWait(t))
-	} else {
+// persist queues a replicated transaction for the write-ahead log without
+// waiting: it is recoverable from its origin DC via anti-entropy, and the
+// apply path calls this holding d.mu. I/O errors must not take the DC down
+// mid-protocol: they are counted (dc.wal_errors) and kept via LastWALError
+// instead of propagating.
+func (d *DC) persist(t *txn.Transaction) {
+	if d.journal != nil {
 		d.noteWALError(d.journal.Append(t))
 	}
 }
@@ -687,7 +700,8 @@ func (t *Tx) Update(id txn.ObjectID, kind crdt.Kind, op crdt.Op) {
 	t.updates = append(t.updates, txn.Update{Object: id, Kind: kind, Op: op, Seq: len(t.updates)})
 }
 
-// Commit runs the ClockSI 2PC and replicates the transaction. Read-only
+// Commit runs the ClockSI 2PC and replicates the transaction; under
+// SyncWrites it returns once the transaction is durable. Read-only
 // transactions commit trivially. The returned stamps are the concrete commit
 // descriptor.
 func (t *Tx) Commit() (vclock.CommitStamps, error) {
@@ -722,46 +736,161 @@ func (d *DC) commitLocal(t *txn.Transaction) (vclock.CommitStamps, error) {
 	if err := d.EnsureBuckets(bucketsOf(t.Updates)...); err != nil {
 		return nil, err
 	}
-	return d.commitAt(t)
+	type result struct {
+		stamps vclock.CommitStamps
+		err    error
+	}
+	res := make(chan result, 1)
+	d.commitAt(t, func(stamps vclock.CommitStamps, err error) { res <- result{stamps, err} })
+	r := <-res
+	return r.stamps, r.err
 }
 
-// commitAt runs the 2PC for a transaction (local or edge-originated),
-// assigning the commit timestamp from the DC sequencer, then records and
-// replicates it. The replication leg is a per-peer outbox enqueue (the
-// senders build and ship coalesced batches) and the push leg is a fan-out
-// scan that routes the newly stable suffix to interest shards drained by the
-// shard workers, so the commit critical path holds d.mu only for the
-// bookkeeping writes.
-func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
-	stamps, err := d.coord.Commit(t, func(maxPrepare uint64) (int, uint64) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.seq = max(d.seq, maxPrepare) + 1
-		return d.cfg.Index, d.seq
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Commit = stamps
-	d.persist(t, true)
+// pendingCommit is one commit between its stamp and its completion.
+type pendingCommit struct {
+	t *txn.Transaction
+	// done receives the commit's stamps once it is recorded.
+	done func(vclock.CommitStamps, error)
+	// walErr is the outcome of the fsync that covers the commit's record.
+	walErr error
+}
+
+// commitAt commits a transaction (local or edge-originated) and calls done
+// with its stamps once it is recorded — never with d.mu held. It runs in two
+// halves. The first, on the caller's goroutine, is the ClockSI 2PC: after
+// the prepare, one d.mu section draws the stamp from the DC sequencer, runs
+// the commit phase and, once that has succeeded, queues the transaction's
+// WAL record — so the log holds exactly the commits that took effect, in
+// stamp order. The second, the completion (complete), records the
+// transaction, replicates it, pushes it and calls done. Under SyncWrites the
+// completion waits for the fsync that covers the record, and commitAt
+// returns without waiting: the WAL writer hands the commit to the
+// completion goroutine, which completes commits in WAL order — so in stamp
+// order — and a dispatcher that sequenced one is free for the next, which
+// shares its fsync. Otherwise the completion runs inline, before commitAt
+// returns. A commit that fails is reported to done at once.
+func (d *DC) commitAt(t *txn.Transaction, done func(vclock.CommitStamps, error)) {
 	d.mu.Lock()
-	d.recordLocked(t)
-	d.mesh.ObserveSelf(d.state)
-	// One clone shared by every peer's batch (the wire contract treats
-	// in-flight transactions as immutable); the outboxes are collected under
-	// d.mu so a concurrent SetPeers cannot race the map.
+	if d.closed {
+		d.mu.Unlock()
+		done(nil, ErrClosed)
+		return
+	}
+	d.inflight.Add(1)
+	d.mu.Unlock()
+	fail := func(err error) {
+		done(nil, err)
+		d.inflight.Done()
+	}
+	prep, err := d.coord.Prepare(t)
+	if err != nil {
+		fail(err)
+		return
+	}
+	d.mu.Lock()
+	d.seq = max(d.seq, prep.MaxPrepare) + 1
+	t.Commit = vclock.CommitStamps{d.cfg.Index: d.seq}
+	if err := prep.Commit(t.Commit); err != nil {
+		d.mu.Unlock()
+		fail(err)
+		return
+	}
+	p := &pendingCommit{t: t, done: done}
+	d.unrecorded[t.Dot] = struct{}{}
+	durable := d.journal != nil && d.cfg.SyncWrites
+	switch {
+	case durable:
+		d.journal.AppendThen(t, func(err error) {
+			p.walErr = err
+			d.completions.push(p)
+		})
+	case d.journal != nil:
+		d.noteWALError(d.journal.Append(t))
+	}
+	d.mu.Unlock()
+	if !durable {
+		d.complete([]*pendingCommit{p})
+	}
+}
+
+// complete is the second half of commitAt for a run of commits, in stamp
+// order: one d.mu section records them, observes the new state and routes
+// the newly stable suffix to the push shards; then each is cloned into the
+// peers' replication outboxes and reported to its caller.
+func (d *DC) complete(run []*pendingCommit) {
+	d.mu.Lock()
+	// The outboxes are collected under d.mu so a concurrent SetPeers cannot
+	// race the map.
 	outs := make([]*replOutbox, 0, len(d.outboxes))
 	for _, o := range d.outboxes {
 		outs = append(outs, o)
 	}
-	var cp *txn.Transaction
-	if len(outs) > 0 {
-		cp = t.Clone()
+	// One clone per commit, shared by every peer's batch (the wire contract
+	// treats in-flight transactions as immutable).
+	clones := make([]*txn.Transaction, len(run))
+	for i, p := range run {
+		delete(d.unrecorded, p.t.Dot)
+		d.recordLocked(p.t)
+		if len(outs) > 0 {
+			clones[i] = p.t.Clone()
+		}
 	}
+	d.mesh.ObserveSelf(d.state)
 	d.notifySubscribersLocked(false)
 	d.mu.Unlock()
-	d.enqueueRepl(outs, cp)
-	return stamps.Clone(), nil
+	for i, p := range run {
+		d.noteWALError(p.walErr)
+		d.enqueueRepl(outs, clones[i])
+		p.done(p.t.Commit.Clone(), nil)
+		d.inflight.Done()
+	}
+}
+
+// completionQueue is the unbounded FIFO from the WAL writer to the
+// completion goroutine. push never blocks: a writer that waited on the
+// completion goroutine, which takes d.mu, could deadlock against
+// receiveReplicated, which appends to the WAL under d.mu.
+type completionQueue struct {
+	mu   sync.Mutex
+	q    []*pendingCommit
+	wake chan struct{} // capacity 1: one wake-up covers everything queued
+}
+
+func (c *completionQueue) push(p *pendingCommit) {
+	c.mu.Lock()
+	c.q = append(c.q, p)
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take removes and returns everything queued.
+func (c *completionQueue) take() []*pendingCommit {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	q := c.q
+	c.q = nil
+	return q
+}
+
+// runCompletions completes durable commits in the order the WAL made them
+// durable, each run under one d.mu section. A commit reaches the queue once
+// its record is fsynced. Close waits for every commit in flight before it
+// stops this goroutine.
+func (d *DC) runCompletions() {
+	defer d.pipeWG.Done()
+	for {
+		select {
+		case <-d.pipeStop:
+			return
+		case <-d.completions.wake:
+		}
+		for run := d.completions.take(); len(run) > 0; run = d.completions.take() {
+			d.complete(run)
+		}
+	}
 }
 
 // histRec is one record of the DC's history: a transaction and whether the
@@ -783,9 +912,10 @@ func (d *DC) recordLocked(t *txn.Transaction) {
 	d.byDot[t.Dot] = pos
 	if ts, ours := t.Commit[d.cfg.Index]; ours {
 		d.seq = max(d.seq, ts)
-		// Records arrive nearly in stamp order — concurrent commitAt callers
-		// can swap neighbours between sequencing and recording — so the
-		// insertion point is found from the tail.
+		// Records arrive nearly in stamp order — this DC's commits complete
+		// in stamp order under SyncWrites, but concurrent inline completions
+		// can swap neighbours, and anti-entropy and replay feed any order —
+		// so the insertion point is found from the tail.
 		i := len(d.own)
 		for i > 0 && d.ownStampLocked(i-1) > ts {
 			i--
@@ -914,9 +1044,7 @@ func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
 	}
 	// Duplicate (e.g. re-sent after migration): re-ack with the stamps this
 	// DC already knows; the dot filter keeps effects exactly-once.
-	if pos, ok := d.byDot[t.Dot]; ok {
-		ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
-		ack.DCIndex, ack.Ts = stampOf(d.hist[pos].t.Commit)
+	if ack, ok := d.recordedAckLocked(t.Dot); ok {
 		d.mu.Unlock()
 		return ack
 	}
@@ -931,29 +1059,48 @@ func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
 	d.lamport.Witness(t.Dot.Seq)
 	d.mu.Unlock()
 
-	cp := t.Clone()
-	stamps, err := d.commitAt(cp)
-	if err != nil {
-		if errors.Is(err, store.ErrDuplicate) {
-			// Raced with replication of the same dot; fall through to re-ack.
-			d.mu.Lock()
-			pos, ok := d.byDot[t.Dot]
-			ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
-			if ok {
-				ack.DCIndex, ack.Ts = stampOf(d.hist[pos].t.Commit)
-			}
-			d.mu.Unlock()
-			if ok {
-				return ack
-			}
+	// The reply is sent when the commit completes; the dispatcher moves on.
+	reply := transport.NewDeferred()
+	d.commitAt(t.Clone(), func(stamps vclock.CommitStamps, err error) {
+		reply.Resolve(d.edgeCommitReply(t.Dot, stamps, err))
+	})
+	return reply
+}
+
+// edgeCommitReply answers an edge commit once commitAt has completed it.
+func (d *DC) edgeCommitReply(dot vclock.Dot, stamps vclock.CommitStamps, err error) any {
+	if errors.Is(err, store.ErrDuplicate) {
+		// The dot is already in the store: replication of the same dot got
+		// there first (re-ack with its stamps), or an earlier copy of this
+		// commit is still waiting for durability (nack; the edge retries and
+		// is then re-acked).
+		d.mu.Lock()
+		ack, ok := d.recordedAckLocked(dot)
+		d.mu.Unlock()
+		if ok {
+			return ack
 		}
+	}
+	if err != nil {
 		d.obsEdgeNacks.Inc()
-		return wire.EdgeCommitNack{Dot: t.Dot}
+		return wire.EdgeCommitNack{Dot: dot}
 	}
 	d.obsEdgeCommits.Inc()
-	ack := wire.EdgeCommitAck{Dot: t.Dot, Stable: d.Stable()}
+	ack := wire.EdgeCommitAck{Dot: dot, Stable: d.Stable()}
 	ack.DCIndex, ack.Ts = stampOf(stamps)
 	return ack
+}
+
+// recordedAckLocked re-acks a dot this DC has recorded, naming the stamp it
+// was recorded with.
+func (d *DC) recordedAckLocked(dot vclock.Dot) (wire.EdgeCommitAck, bool) {
+	pos, ok := d.byDot[dot]
+	if !ok {
+		return wire.EdgeCommitAck{}, false
+	}
+	ack := wire.EdgeCommitAck{Dot: dot, Stable: d.Stable()}
+	ack.DCIndex, ack.Ts = stampOf(d.hist[pos].t.Commit)
+	return ack, true
 }
 
 // --- replication receive path ---
@@ -986,23 +1133,20 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 	// filtered by dot here and again after admission.
 	incoming := make([]*txn.Transaction, 0, len(m.Txs))
 	for _, t := range m.Txs {
-		if t == nil {
-			continue
-		}
-		if _, dup := d.byDot[t.Dot]; dup {
+		if t == nil || d.knownLocked(t.Dot) {
 			continue
 		}
 		incoming = append(incoming, t.Clone())
 	}
 	ready := d.mesh.AdmitBatch(incoming, d.state)
 	for _, t := range ready {
-		if _, dup := d.byDot[t.Dot]; dup {
+		if d.knownLocked(t.Dot) {
 			continue
 		}
 		if err := d.coord.ApplyCommitted(t); err != nil && !errors.Is(err, store.ErrDuplicate) {
 			continue // skip malformed transaction, keep the DC alive
 		}
-		d.persist(t, false)
+		d.persist(t)
 		d.recordLocked(t)
 	}
 	d.mesh.ObserveSelf(d.state)
@@ -1014,6 +1158,14 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 	if len(ready) > 0 && ackTo != "" {
 		_ = d.node.Send(ackTo, ack)
 	}
+}
+
+// knownLocked reports whether this DC has recorded dot, or committed it and
+// is waiting to record it.
+func (d *DC) knownLocked(dot vclock.Dot) bool {
+	_, recorded := d.byDot[dot]
+	_, committed := d.unrecorded[dot]
+	return recorded || committed
 }
 
 // --- edge subscriptions and pushes ---

@@ -32,7 +32,8 @@ var (
 )
 
 // Handler processes one incoming message on a node. The returned value is
-// sent back to the caller for Call-style requests and discarded for Send.
+// sent back to the caller for Call-style requests and discarded for Send; a
+// *transport.Deferred is sent once it is resolved.
 // Handlers run on delivery goroutines and may block; slow handlers delay
 // later deliveries to the same node only if they share a link.
 type Handler func(from string, msg any) any
@@ -592,11 +593,12 @@ func (nd *Node) Call(ctx context.Context, to string, msg any) (any, error) {
 func (nd *Node) dispatch(from string, msg any) {
 	switch m := msg.(type) {
 	case callMsg:
-		reply := nd.invoke(from, m.payload)
 		// Best effort: the reply takes the reverse link; loss or partition
 		// surfaces as a caller timeout.
-		_ = nd.net.schedule(nd.name, from, unitsOf(reply), func(dst *Node) {
-			dst.dispatch(nd.name, replyMsg{id: m.id, payload: reply})
+		transport.Reply(nd.invoke(from, m.payload), func(reply any) {
+			_ = nd.net.schedule(nd.name, from, unitsOf(reply), func(dst *Node) {
+				dst.dispatch(nd.name, replyMsg{id: m.id, payload: reply})
+			})
 		})
 	case replyMsg:
 		nd.mu.Lock()

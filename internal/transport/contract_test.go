@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,12 +20,21 @@ import (
 // edge and group layers rely on must hold whether messages cross a simulated
 // link or a real socket. Messages are wire types so the same suite is valid
 // on the encoding substrate.
-func TestConnContract(t *testing.T) {
+func TestConnContract(t *testing.T) { eachSubstrate(t, runConnContract) }
+
+// TestConnContractDeferred runs the Deferred reply contract over every
+// transport implementation: a DC answers an edge commit with a Deferred that
+// its durable completion resolves.
+func TestConnContractDeferred(t *testing.T) { eachSubstrate(t, runDeferredContract) }
+
+// eachSubstrate runs a contract suite, as subtests, over simnet, one TCP mesh
+// delivering to itself and two TCP meshes on loopback sockets.
+func eachSubstrate(t *testing.T, run func(t *testing.T, netA, netB transport.Network)) {
 	t.Run("simnet", func(t *testing.T) {
 		net := simnet.New(simnet.Config{})
 		t.Cleanup(func() { net.Close() })
 		tr := net.Transport()
-		runConnContract(t, tr, tr)
+		run(t, tr, tr)
 	})
 	t.Run("tcp-loopback", func(t *testing.T) {
 		m, err := tcp.New(tcp.Config{Name: "proc"})
@@ -32,7 +42,7 @@ func TestConnContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { m.Close() })
-		runConnContract(t, m, m)
+		run(t, m, m)
 	})
 	t.Run("tcp-remote", func(t *testing.T) {
 		ma, err := tcp.New(tcp.Config{Name: "procA", Listen: "127.0.0.1:0"})
@@ -47,7 +57,7 @@ func TestConnContract(t *testing.T) {
 		t.Cleanup(func() { mb.Close() })
 		ma.SetPeer("b", mb.Addr())
 		ma.SetPeer("b2", mb.Addr())
-		runConnContract(t, ma, mb)
+		run(t, ma, mb)
 	})
 }
 
@@ -186,5 +196,97 @@ func runConnContract(t *testing.T, netA, netB transport.Network) {
 	// Send to an unknown destination: local refusal.
 	if err := a.Send("ghost", hb); err == nil {
 		t.Fatal("send to unknown destination accepted")
+	}
+}
+
+// runDeferredContract registers sender "a" on netA and receiver "b" on netB,
+// whose handler answers every heartbeat with a *transport.Deferred: From 1
+// resolved inside the handler, any other From parked for the test to
+// resolve. It checks that a Deferred answers a Call once resolved, whether
+// before or after the handler returned; that a Deferred returned to a Send is
+// dropped; and that an open Deferred does not hold up the next message.
+func runDeferredContract(t *testing.T, netA, netB transport.Network) {
+	var handled atomic.Int64
+	parked := make(chan *transport.Deferred, 4)
+	netB.AddNode("b", func(from string, msg any) any {
+		handled.Add(1)
+		hb, ok := msg.(wire.ReplHeartbeat)
+		if !ok {
+			return nil
+		}
+		d := transport.NewDeferred()
+		if hb.From == 1 {
+			d.Resolve(wire.EdgeCommitAck{DCIndex: hb.From})
+		} else {
+			parked <- d
+		}
+		return d
+	})
+	// Nothing is ever sent to a: replies reach Call, not the handler.
+	var strays atomic.Int64
+	a := netA.AddNode("a", func(string, any) any { strays.Add(1); return nil })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	nextParked := func() *transport.Deferred {
+		t.Helper()
+		select {
+		case d := <-parked:
+			return d
+		case <-ctx.Done():
+			t.Fatal("handler never parked its Deferred")
+			return nil
+		}
+	}
+	type result struct {
+		reply any
+		err   error
+	}
+	call := func(from int) <-chan result {
+		done := make(chan result, 1)
+		go func() {
+			reply, err := a.Call(ctx, "b", wire.ReplHeartbeat{From: from})
+			done <- result{reply, err}
+		}()
+		return done
+	}
+	wantAck := func(r result, from int) {
+		t.Helper()
+		if ack, ok := r.reply.(wire.EdgeCommitAck); r.err != nil || !ok || ack.DCIndex != from {
+			t.Fatalf("reply %#v (err %v), want EdgeCommitAck{DCIndex: %d}", r.reply, r.err, from)
+		}
+	}
+
+	// Resolved inside the handler, before it returns.
+	wantAck(<-call(1), 1)
+
+	// Resolved after the handler returned; while it is open, the handler of
+	// the next message from the same sender runs.
+	pending := call(2)
+	open := nextParked()
+	before := handled.Load()
+	if err := a.Send("b", wire.ReplHeartbeat{From: 3}); err != nil {
+		t.Fatalf("send behind an open Deferred: %v", err)
+	}
+	sendParked := nextParked()
+	if handled.Load() != before+1 {
+		t.Fatalf("handled %d messages behind the open Deferred, want 1", handled.Load()-before)
+	}
+	select {
+	case r := <-pending:
+		t.Fatalf("call returned %#v (err %v) before its Deferred was resolved", r.reply, r.err)
+	default:
+	}
+	open.Resolve(wire.EdgeCommitAck{DCIndex: 2})
+	wantAck(<-pending, 2)
+
+	// Returned to a Send: resolving it sends nothing, and the next Call gets
+	// its own reply.
+	sendParked.Resolve(wire.EdgeCommitAck{DCIndex: 3})
+	pending = call(4)
+	nextParked().Resolve(wire.EdgeCommitAck{DCIndex: 4})
+	wantAck(<-pending, 4)
+	if n := strays.Load(); n != 0 {
+		t.Fatalf("sender's handler received %d messages, want none", n)
 	}
 }

@@ -528,7 +528,7 @@ func (nd *node) run() {
 			nd.m.count("net.delivered", 1)
 			nd.m.count("net.delivered_units", int64(in.units))
 			if in.reply != nil {
-				in.reply(reply)
+				transport.Reply(reply, in.reply)
 			}
 		case <-nd.done:
 			return

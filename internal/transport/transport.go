@@ -20,7 +20,10 @@
 // dropped in flight still returns nil — only *local* refusal (unknown
 // destination, closed transport, a full outbound queue) is reported as an
 // error. Handlers for one sender run serially in send order; the returned
-// value, if non-nil, answers a pending Call.
+// value, if non-nil, answers a pending Call. A handler whose reply waits on
+// something slow (a DC's fsync) returns a Deferred instead: the substrate
+// dispatches the next message at once and sends the reply when it is
+// resolved.
 //
 // # Backpressure and close
 //
@@ -35,14 +38,72 @@ package transport
 import (
 	"context"
 	"errors"
+	"sync"
 )
 
 // Handler processes one inbound message from the named sender. A non-nil
 // return value is sent back as the reply if the message arrived as a Call;
-// for plain Sends it is discarded. Handlers for one sender are invoked
+// for plain Sends it is discarded. A *Deferred return value stands for a
+// reply that is not known yet: the substrate sends whatever it is resolved
+// to, once, as the Call's reply (a Send drops it), and runs the next
+// handler without waiting for it. Handlers for one sender are invoked
 // serially in send order (FIFO per link); handlers for different senders may
 // run concurrently, so shared state needs the node's own locking.
 type Handler func(from string, msg any) any
+
+// Deferred is a handler's reply that is resolved after the handler returns —
+// or before, on a path that turned out not to wait. The handler hands the
+// work on, returns the Deferred, and whoever finishes the work calls
+// Resolve.
+type Deferred struct {
+	mu       sync.Mutex
+	v        any
+	resolved bool
+	send     func(any)
+}
+
+// NewDeferred returns an unresolved reply.
+func NewDeferred() *Deferred { return &Deferred{} }
+
+// Resolve sets the reply and, if a substrate is waiting for it, sends it.
+// Only the first call counts.
+func (d *Deferred) Resolve(v any) {
+	d.mu.Lock()
+	if d.resolved {
+		d.mu.Unlock()
+		return
+	}
+	d.v, d.resolved = v, true
+	send := d.send
+	d.mu.Unlock()
+	if send != nil {
+		send(v)
+	}
+}
+
+// Then has send called once with the resolved reply: now if Resolve already
+// ran, otherwise from Resolve. Substrates call it at most once per Deferred.
+func (d *Deferred) Then(send func(any)) {
+	d.mu.Lock()
+	if !d.resolved {
+		d.send = send
+		d.mu.Unlock()
+		return
+	}
+	v := d.v
+	d.mu.Unlock()
+	send(v)
+}
+
+// Reply is how a substrate answers a Call with its handler's return value v:
+// send(v) at once or, for a Deferred, once it is resolved.
+func Reply(v any, send func(any)) {
+	if d, ok := v.(*Deferred); ok {
+		d.Then(send)
+		return
+	}
+	send(v)
+}
 
 // Conn is one node's endpoint on a transport: the handle dc, edge and group
 // layers hold to reach their peers. *simnet.Node satisfies it directly.

@@ -22,11 +22,16 @@
 //
 // # Writing
 //
-// One writer goroutine owns the file. Append, AppendWait and Sync queue
-// requests for it; it takes whatever is queued (at most batchMax records),
-// writes it with one write and one fsync, and releases every waiter in the
-// batch: N concurrent durable appends cost one fsync, and a crash loses at
-// most a suffix of the log.
+// One writer goroutine owns the file. Append, AppendThen, AppendWait and
+// Sync queue requests for it; it takes whatever is queued (at most batchMax
+// records), writes it with one write and one fsync, and then reports the
+// outcome to each request of the batch in append order. That report is the
+// request's completion: a callback for AppendThen, which runs on the writer
+// goroutine, and a wake-up for AppendWait and Sync, which are AppendThen
+// with a caller that blocks. So a caller that must not block — a DC
+// sequencing edge commits on its dispatcher — queues its record and moves
+// on, N durable appends in flight cost one fsync, and a crash loses at most
+// a suffix of the log.
 package wal
 
 import (
@@ -72,11 +77,11 @@ type Options struct {
 }
 
 // request is one operation queued for the writer: a record body to append
-// (nil for a Sync barrier) and, for a caller that waits, where to report the
-// outcome of the fsync that covers it.
+// (nil for a Sync barrier) and, unless it is fire-and-forget, the completion
+// that receives the outcome of the fsync covering it.
 type request struct {
 	body []byte
-	done chan error
+	done func(error)
 }
 
 // Log is an append-only transaction log backed by one file.
@@ -87,11 +92,15 @@ type Log struct {
 	f   *os.File
 	err error // sticky: the first write/fsync failure; no batch is written after it
 
-	onErr    func(error)
-	reqCh    chan request
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
+	onErr func(error)
+	reqCh chan request
+	// closeMu orders submissions against Close: a request is queued under
+	// its read lock only while closed is unset, so every request accepted
+	// before Close is in reqCh when the writer's shutdown drain runs.
+	closeMu sync.RWMutex
+	closed  bool
+	stopCh  chan struct{}
+	doneCh  chan struct{}
 
 	// batch and buf are the writer's scratch, reused across batches.
 	batch []request
@@ -163,57 +172,61 @@ func trimToIntact(f *os.File, path string) error {
 
 // Append queues one transaction without waiting for durability. A write or
 // fsync failure surfaces through OnError and Err.
-func (l *Log) Append(t *txn.Transaction) error { return l.submit(t, false) }
+func (l *Log) Append(t *txn.Transaction) error { return l.submit(t, nil) }
+
+// AppendThen queues one transaction and calls fn exactly once with the
+// outcome of the fsync that covers it. fn runs on the writer goroutine after
+// the batch holding t is written and fsynced, in append order; it must not
+// block on anything that waits for this log (an append, Sync, Close). If t
+// cannot be queued — the log is closed, or t has no wire encoding — fn runs
+// with that error before AppendThen returns.
+func (l *Log) AppendThen(t *txn.Transaction, fn func(error)) {
+	if err := l.submit(t, fn); err != nil {
+		fn(err)
+	}
+}
 
 // AppendWait appends one transaction and returns once the batch holding it
 // is written and fsynced.
-func (l *Log) AppendWait(t *txn.Transaction) error { return l.submit(t, true) }
+func (l *Log) AppendWait(t *txn.Transaction) error { return l.wait(t) }
 
 // Sync returns once everything appended before it is durable.
-func (l *Log) Sync() error { return l.submit(nil, true) }
+func (l *Log) Sync() error { return l.wait(nil) }
 
-// submit queues t's record — or, for a nil t, a barrier that writes nothing —
-// for the writer and, if wait is set, returns the outcome of the fsync that
-// covers it.
-func (l *Log) submit(t *txn.Transaction, wait bool) error {
-	var r request
+// wait queues t's record — or, for a nil t, a barrier that writes nothing —
+// and blocks on its completion.
+func (l *Log) wait(t *txn.Transaction) error {
+	done := make(chan error, 1)
+	if err := l.submit(t, func(err error) { done <- err }); err != nil {
+		return err
+	}
+	return <-done
+}
+
+// submit queues t's record (nil t: a barrier) with its completion for the
+// writer. An accepted request's completion always runs: the writer's
+// shutdown drain covers everything accepted before Close.
+func (l *Log) submit(t *txn.Transaction, done func(error)) error {
+	r := request{done: done}
 	if t != nil {
 		body, err := wire.AppendTx(nil, t)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		r.body = body
+	}
+	l.closeMu.RLock()
+	defer l.closeMu.RUnlock()
+	if l.closed {
+		return errClosed
+	}
+	if t != nil {
 		l.obsAppends.Inc()
 	}
-	if wait {
-		r.done = make(chan error, 1)
-	}
-	select {
-	case <-l.stopCh:
-		return errClosed
-	default:
-	}
-	select {
-	case l.reqCh <- r:
-	case <-l.stopCh:
-		return errClosed
-	}
-	if !wait {
-		return nil
-	}
-	select {
-	case err := <-r.done:
-		return err
-	case <-l.doneCh:
-		// The writer stopped. Its shutdown drain committed everything queued
-		// before Close; a request that raced Close was never written.
-		select {
-		case err := <-r.done:
-			return err
-		default:
-			return errClosed
-		}
-	}
+	// The send may wait for room while holding the read lock: the writer
+	// never takes closeMu, so it keeps draining until Close has the lock.
+	l.reqCh <- r
+	return nil
 }
 
 // Err returns the first write/fsync failure, if any — the errors a
@@ -259,8 +272,9 @@ func (l *Log) drainPending(batch []request) []request {
 }
 
 // commitBatch writes first and whatever is queued behind it with one write
-// and one fsync, then reports the outcome to every waiter. A batch of
-// barriers only writes nothing: every earlier batch was fsynced before it.
+// and one fsync, then runs every completion in the batch, in append order. A
+// batch of barriers only writes nothing: every earlier batch was fsynced
+// before it.
 func (l *Log) commitBatch(first request) {
 	start := time.Now()
 	l.mu.Lock()
@@ -293,15 +307,21 @@ func (l *Log) commitBatch(first request) {
 	}
 	for _, r := range l.batch {
 		if r.done != nil {
-			r.done <- err
+			r.done(err)
 		}
 	}
 }
 
-// Close stops the writer, which first commits everything already queued,
-// then closes the file. A second Close is a no-op.
+// Close stops the writer, which first commits everything already queued and
+// runs its completions, then closes the file. A second Close is a no-op.
 func (l *Log) Close() error {
-	l.stopOnce.Do(func() { close(l.stopCh) })
+	l.closeMu.Lock()
+	stop := !l.closed
+	l.closed = true
+	l.closeMu.Unlock()
+	if stop {
+		close(l.stopCh)
+	}
 	<-l.doneCh
 	l.mu.Lock()
 	defer l.mu.Unlock()
