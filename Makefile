@@ -59,9 +59,11 @@ check: build vet test test-race
 
 # The continuous-integration gate: static checks, racy packages under the
 # race detector, then everything else, then 15 s of fuzzing the WAL's replay
-# (torn tails, corrupt records, foreign files).
+# (torn tails, corrupt records, foreign files) and 15 s of fuzzing the wire
+# codec's decoder (hostile counts, truncated bodies, retired tags).
 ci: vet test-race build test
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=15s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=15s ./internal/wire
 
 # Read-path microbenchmarks: materialisation cache on/off over journal
 # depths, parallel readers over shards, incremental advancing-cut reads.

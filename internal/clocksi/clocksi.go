@@ -193,14 +193,6 @@ func (s *Shard) Seed(id txn.ObjectID, base crdt.Object, at vclock.Vector, folded
 	s.store.Seed(id, base, at, folded...)
 }
 
-// EvictBucket drops every object of one bucket from the shard's store,
-// returning the number of objects dropped.
-func (s *Shard) EvictBucket(bucket string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.EvictBucket(bucket)
-}
-
 // ObjectsInBucket lists the shard's resident objects of one bucket.
 func (s *Shard) ObjectsInBucket(bucket string) []txn.ObjectID {
 	s.mu.Lock()
@@ -392,16 +384,6 @@ func (c *Coordinator) AdvanceBuckets(cutFor func(bucket string) vclock.Vector) e
 // (bucket backfill).
 func (c *Coordinator) Seed(id txn.ObjectID, base crdt.Object, at vclock.Vector, folded ...vclock.Dot) {
 	c.Shard(id).Seed(id, base, at, folded...)
-}
-
-// EvictBucket drops one bucket's objects from every shard, returning the
-// total number of objects dropped.
-func (c *Coordinator) EvictBucket(bucket string) int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.EvictBucket(bucket)
-	}
-	return n
 }
 
 // ObjectsInBucket lists the resident objects of one bucket across the shards.

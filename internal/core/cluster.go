@@ -84,7 +84,7 @@ type ClusterConfig struct {
 	// write path shares one fsync across a group-commit batch (see
 	// dc.Config). Only meaningful with DataDir.
 	SyncWrites bool
-	// PartialRepl enables interest-scoped replication (ROADMAP item 4): each
+	// PartialRepl enables interest-scoped replication (DESIGN §4h): each
 	// DC holds only its interest set's buckets, receives payload-stripped
 	// stubs for the rest, and backfills buckets on demand.
 	PartialRepl bool
@@ -92,9 +92,6 @@ type ClusterConfig struct {
 	// start empty and acquire buckets purely on demand). Ignored unless
 	// PartialRepl is set.
 	DCBuckets map[int][]string
-	// EvictAfter drops a DC's live buckets untouched for this long (see
-	// dc.Config.EvictAfter); 0 disables. Ignored unless PartialRepl is set.
-	EvictAfter time.Duration
 	// Obs is the deployment's instrumentation registry. Nil creates a fresh
 	// registry, so every deployment is always observable via Cluster.Obs();
 	// supply one to aggregate several clusters into a single exposition.
@@ -171,7 +168,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 			PartialRepl: cfg.PartialRepl,
 			Buckets:     cfg.DCBuckets[i],
-			EvictAfter:  cfg.EvictAfter,
 
 			AutoAdvanceThreshold: cfg.AutoAdvanceThreshold,
 		})

@@ -71,21 +71,16 @@ type Config struct {
 	// (LastWALError) commits still complete, so their acks are no longer
 	// durable. Only meaningful with DataDir set.
 	SyncWrites bool
-	// PartialRepl enables interest-scoped replication (ROADMAP item 4): the
+	// PartialRepl enables interest-scoped replication (DESIGN §4h): the
 	// DC holds only the buckets in its interest set, advertises that set to
 	// peers via BucketVec gossip, and receives payload-stripped stubs for
-	// everything else. Buckets are acquired on demand (backfill) and may be
-	// evicted when cold.
+	// everything else. Buckets are acquired on demand (backfill) and kept
+	// for the DC's lifetime.
 	PartialRepl bool
 	// Buckets is the boot-time interest set (live immediately, no backfill —
 	// at genesis every bucket is empty everywhere). Additional buckets join
 	// on demand via EnsureBuckets. Ignored unless PartialRepl is set.
 	Buckets []string
-	// EvictAfter drops live buckets untouched for this long (cold-bucket
-	// eviction, checked on the heartbeat worker; a drop is vetoed while the
-	// bucket has local subscriber interest or no other live replica).
-	// 0 disables eviction. Ignored unless PartialRepl is set.
-	EvictAfter time.Duration
 	// Obs, when non-nil, instruments the DC (edge commit acceptance, push
 	// batch sizes, inter-DC propagation latency) and its storage shards.
 	Obs *obs.Registry
@@ -235,7 +230,6 @@ type DC struct {
 	obsStubTxs      *obs.Counter
 	obsSkipped      *obs.Counter
 	obsBackfills    *obs.Counter
-	obsEvictions    *obs.Counter
 	obsPushBatch    *obs.Histogram
 	obsReplBatch    *obs.Histogram
 	obsReplLat      *obs.Histogram
@@ -295,7 +289,6 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		d.obsStubTxs = cfg.Obs.Counter("dc.repl_stub_txs")
 		d.obsSkipped = cfg.Obs.Counter("dc.repl_skipped_buckets")
 		d.obsBackfills = cfg.Obs.Counter("dc.backfills")
-		d.obsEvictions = cfg.Obs.Counter("dc.bucket_evictions")
 		d.obsPushBatch = cfg.Obs.Histogram("dc.push_batch_txs")
 		d.obsReplBatch = cfg.Obs.Histogram("dc.repl_batch_txs")
 		d.obsReplLat = cfg.Obs.Histogram("dc.repl_propagation_ns")
@@ -568,7 +561,6 @@ func (d *DC) heartbeatLoop() {
 					// the change broadcast.
 					d.gossipBuckets()
 				}
-				d.sweepIdleBuckets()
 			}
 			d.mu.Lock()
 			msg := wire.ReplHeartbeat{From: d.cfg.Index, State: d.state.Clone()}
@@ -617,14 +609,6 @@ func (d *DC) handle(from string, msg any) any {
 		return d.handleBucketVec(m)
 	case wire.BackfillReq:
 		return d.serveBackfill(m)
-	case wire.BucketDrop:
-		d.mesh.DropBucket(m.From, m.Seq, m.Bucket)
-		// The dropper confirmed a survivor before evicting; if it was us, the
-		// pin has served its purpose.
-		d.releaseDropPin(m.From, m.Bucket)
-		return nil
-	case wire.DropQuery:
-		return d.handleDropQuery(m)
 	default:
 		return nil
 	}
@@ -1173,39 +1157,19 @@ func (d *DC) knownLocked(dot vclock.Dot) bool {
 // subscribe registers or extends an interest set and returns base versions
 // of the requested objects at the subscriber's stable cut.
 func (d *DC) subscribe(m wire.Subscribe) any {
-	buckets := bucketsOfIDs(m.Objects)
-	for attempt := 0; ; attempt++ {
-		if d.partial {
-			// The requested buckets must be live here before interest
-			// registers: serving a seed for a bucket this DC does not hold
-			// would hand the subscriber "empty at cut" for state that exists
-			// elsewhere. A failed backfill fails the subscribe; the edge
-			// retries.
-			if err := d.EnsureBuckets(buckets...); err != nil {
-				return nil
-			}
-		}
-		ack := d.subscribeRegister(m)
-		// Re-validate liveness *after* the interest registered: a DropBucket
-		// racing between the ensure above and the registration tombstones the
-		// bucket and evicts the seed we just materialised. Now that the
-		// interest is on record, the drop's atomic veto (same d.mu the
-		// registration held) refuses any further drop, so one re-ensure —
-		// which waits out the trailing eviction and re-backfills — settles it.
-		if !d.partial || d.bucketsLive(buckets) {
-			return ack
-		}
-		if attempt >= 3 {
-			return nil // persistent churn; let the edge retry from scratch
-		}
+	// In partial mode the requested buckets must be live here before
+	// interest registers: serving a seed for a bucket this DC does not hold
+	// would hand the subscriber "empty at cut" for state that exists
+	// elsewhere. A live bucket stays live, so nothing can undo the ensure
+	// before the registration below. A failed backfill fails the subscribe;
+	// the edge retries.
+	if err := d.EnsureBuckets(bucketsOfIDs(m.Objects)...); err != nil {
+		return nil
 	}
-}
-
-// subscribeRegister is subscribe's registration critical section: it installs
-// or extends the subscription, registers interest, places it in its interest
-// shard, decides where its push stream continues (resumeLocked — which also
-// serves a resume's range reply) and materialises the seeds, all under d.mu.
-func (d *DC) subscribeRegister(m wire.Subscribe) any {
+	// Registration is one d.mu section: install or extend the subscription,
+	// register interest, place it in its interest shard, decide where its
+	// push stream continues (resumeLocked — which also serves a resume's
+	// range reply) and materialise the seeds.
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sub := d.subs[m.Node]
@@ -1244,7 +1208,7 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 		// seed/advance floor: a backfilled or per-bucket-advanced base may
 		// hold effects above the global stable cut, and the advertised vector
 		// must cover everything the state contains.
-		ack.Objects = append(ack.Objects, d.materializeLocked(id, d.seedCutFor(id.Bucket, seedCut)))
+		ack.Objects = append(ack.Objects, d.materialize(id, d.seedCutFor(id.Bucket, seedCut)))
 	}
 	return ack
 }
@@ -1326,15 +1290,15 @@ func (d *DC) fetchObject(requester string, id txn.ObjectID, at vclock.Vector) an
 			}
 		}
 	}
-	return d.materializeLocked(id, cut)
+	return d.materialize(id, cut)
 }
 
-// materializeLocked materialises the object state at the given cut. The
-// store hands back a sealed snapshot shared with its materialisation cache,
-// so fanning the same state out to many subscribers costs no copies; the
-// receiving side seeds its own store from it (Seed clones) or reads it
-// immutably.
-func (d *DC) materializeLocked(id txn.ObjectID, at vclock.Vector) wire.ObjectState {
+// materialize materialises the object state at the given cut. It reads only
+// the coordinator, so the caller need not hold d.mu. The store hands back a
+// sealed snapshot shared with its materialisation cache, so fanning the same
+// state out to many subscribers costs no copies; the receiving side seeds
+// its own store from it (Seed clones) or reads it immutably.
+func (d *DC) materialize(id txn.ObjectID, at vclock.Vector) wire.ObjectState {
 	obj, err := d.coord.Read(id, at, store.ReadOptions{})
 	if err != nil {
 		return wire.ObjectState{ID: id, Vec: at.Clone()}

@@ -1,17 +1,17 @@
 package dc
 
 // This file implements interest-scoped (partial) replication at the DC layer
-// (ROADMAP item 4; Fisheye-style proximity scoping over the PR 4 snapshot
-// path). A partially replicating DC holds only the buckets in its interest
-// set; peers learn that set through BucketVec gossip and strip the update
-// payload from replicated transactions for buckets the destination does not
-// hold ("stubs"). Stubs keep the causal metadata — dot, snapshot, commit —
-// so the receiver's state vector, dot filter and stability lattice advance
-// exactly as under full replication; only the effects are elided. Buckets are
+// (DESIGN §4h; Fisheye-style proximity scoping over the snapshot path). A
+// partially replicating DC holds only the buckets in its interest set; peers
+// learn that set through BucketVec gossip and strip the update payload from
+// replicated transactions for buckets the destination does not hold
+// ("stubs"). Stubs keep the causal metadata — dot, snapshot, commit — so the
+// receiver's state vector, dot filter and stability lattice advance exactly
+// as under full replication; only the effects are elided. Buckets are
 // acquired with a backfill protocol (snapshot seed at a consistent cut, then
-// journal catch-up) and released with drop + tombstone; per-bucket
-// K-stability lets each bucket's base versions advance at the frontier of
-// only the replicas that hold it.
+// journal catch-up) and never given up: the bucket table only grows.
+// Per-bucket K-stability lets each bucket's base versions advance at the
+// frontier of only the replicas that hold it.
 //
 // Safety rests on two invariants rather than on message ordering:
 //
@@ -40,11 +40,12 @@ import (
 	"colony/internal/wire"
 )
 
-// bucket lifecycle states.
+// bucket lifecycle states. A bucket absent from the table is not held; a
+// failed backfill returns a pending bucket to absent, and a live bucket stays
+// live for the DC's lifetime.
 const (
 	bucketPending = iota // backfilling: peers send full payloads, no reads served
 	bucketLive           // resident: serves reads and backfills, counts toward stability
-	bucketDropped        // tombstone: evicted; re-subscribing requires a full backfill
 )
 
 // bucketState is one bucket's lifecycle record. All fields are guarded by
@@ -57,34 +58,15 @@ type bucketState struct {
 	// materialise at ≥ this cut so a seeded base can never secretly include
 	// effects above the advertised vector (which would double-apply on push).
 	cut vclock.Vector
-	// lastTouch drives cold-bucket eviction.
-	lastTouch time.Time
-	// ready is closed when the bucket turns live; concurrent EnsureBuckets
-	// calls block on it instead of racing a second backfill.
+	// ready is closed when the backfill ends; concurrent EnsureBuckets calls
+	// block on it instead of racing a second backfill.
 	ready chan struct{}
 	// err records a failed backfill for the waiters on ready.
 	err error
-	// pins records peers this DC has voted Hold for in a DropQuery, with the
-	// lease expiry: a pinned bucket refuses to drop until the pinner's
-	// BucketDrop arrives (or the lease expires, covering a dropper that died
-	// mid-drop). The pin is what makes the drop protocol's survivor
-	// confirmation atomic enough: the confirmed survivor cannot itself drop
-	// between its vote and the asker's eviction.
-	pins map[int]time.Time
-	// evicting is non-nil from the moment a drop flips the bucket to
-	// tombstoned until its objects are actually evicted from the store; a
-	// concurrent ensureBucket waits on it so a fresh backfill can never be
-	// clobbered by the trailing eviction of the previous incarnation.
-	evicting chan struct{}
 }
 
-// dropPinTTL bounds a DropQuery Hold vote: a dropper that confirmed this DC
-// as the surviving replica but then died never sends its BucketDrop, and the
-// pin must not veto local drops forever.
-const dropPinTTL = 30 * time.Second
-
-// ensurePartialLocked initialises the partial-replication state; called from
-// New (cfg validation already done).
+// initPartial initialises the partial-replication state; called from New
+// (cfg validation already done).
 func (d *DC) initPartial() {
 	d.partial = true
 	d.buckets = make(map[string]*bucketState)
@@ -92,7 +74,7 @@ func (d *DC) initPartial() {
 		// Boot-time buckets go straight to live: at genesis every bucket is
 		// empty everywhere, so there is nothing to backfill. A restarting DC
 		// re-plays its WAL first (recover), which restores the effects.
-		d.buckets[b] = &bucketState{status: bucketLive, lastTouch: time.Now()}
+		d.buckets[b] = &bucketState{status: bucketLive}
 	}
 	d.bucketSeq = 1
 	d.wantFloor = 1
@@ -102,32 +84,12 @@ func (d *DC) initPartial() {
 
 // bucketResident is the store-level residency filter: only live buckets
 // materialise objects from remote transactions. Pending buckets rely on the
-// backfill seed plus reattach (the transaction record is kept either way);
-// dropped buckets are tombstoned until re-ensured.
+// backfill seed plus reattach (the transaction record is kept either way).
 func (d *DC) bucketResident(bucket string) bool {
 	d.bmu.Lock()
 	defer d.bmu.Unlock()
 	st := d.buckets[bucket]
 	return st != nil && st.status == bucketLive
-}
-
-// bucketsLive reports whether every named bucket is currently live here.
-// Subscribe uses it to re-validate after registering interest: a drop that
-// raced the registration leaves the bucket tombstoned, and the seed just
-// materialised for the subscriber is stale.
-func (d *DC) bucketsLive(buckets []string) bool {
-	if !d.partial {
-		return true
-	}
-	d.bmu.Lock()
-	defer d.bmu.Unlock()
-	for _, b := range buckets {
-		st := d.buckets[b]
-		if st == nil || st.status != bucketLive {
-			return false
-		}
-	}
-	return true
 }
 
 // publishBucketsLocked pushes the local interest set into the mesh's view
@@ -191,9 +153,9 @@ func (d *DC) handleBucketVec(m wire.BucketVec) any {
 }
 
 // EnsureBuckets makes every named bucket live at this DC, backfilling absent
-// or tombstoned ones from a peer replica and waiting out concurrent
-// backfills. It must be called without d.mu held (backfills are blocking
-// network calls). A no-op on fully replicating DCs.
+// ones from a peer replica and waiting out concurrent backfills. It must be
+// called without d.mu held (backfills are blocking network calls). A no-op on
+// fully replicating DCs.
 func (d *DC) EnsureBuckets(buckets ...string) error {
 	if !d.partial {
 		return nil
@@ -211,11 +173,10 @@ func (d *DC) ensureBucket(bucket string) error {
 	d.bmu.Lock()
 	st := d.buckets[bucket]
 	if st != nil && st.status == bucketLive {
-		st.lastTouch = time.Now()
 		d.bmu.Unlock()
 		return nil
 	}
-	if st != nil && st.status == bucketPending {
+	if st != nil {
 		ready := st.ready
 		d.bmu.Unlock()
 		<-ready
@@ -224,22 +185,13 @@ func (d *DC) ensureBucket(bucket string) error {
 		d.bmu.Unlock()
 		return err
 	}
-	if st != nil && st.evicting != nil {
-		// A drop tombstoned the bucket but its store eviction is still in
-		// flight; wait it out before backfilling, or the trailing eviction
-		// would wipe the freshly seeded objects.
-		ch := st.evicting
-		d.bmu.Unlock()
-		<-ch
-		return d.ensureBucket(bucket)
-	}
-	// Absent or tombstoned: this call owns the backfill. Mark pending and
-	// bump the interest-set version *before* reading the state vector — the
-	// floor bump guarantees any batch scoped against the older set (which may
-	// have stubbed this bucket) is rejected on arrival, and from this point
-	// peers that see the new set send full payloads. Everything committed
-	// before the bump is ≤ the C_min read below, so the seed covers it.
-	st = &bucketState{status: bucketPending, lastTouch: time.Now(), ready: make(chan struct{})}
+	// Absent: this call owns the backfill. Mark pending and bump the
+	// interest-set version *before* reading the state vector — the floor bump
+	// guarantees any batch scoped against the older set (which may have
+	// stubbed this bucket) is rejected on arrival, and from this point peers
+	// that see the new set send full payloads. Everything committed before
+	// the bump is ≤ the C_min read below, so the seed covers it.
+	st = &bucketState{status: bucketPending, ready: make(chan struct{})}
 	d.buckets[bucket] = st
 	d.bucketSeq++
 	d.wantFloor = d.bucketSeq
@@ -251,21 +203,20 @@ func (d *DC) ensureBucket(bucket string) error {
 
 	d.bmu.Lock()
 	if err != nil {
+		// Back to absent: the waiters hold st and read err; a later ensure
+		// starts a fresh backfill.
+		err = fmt.Errorf("dc %s: backfill %s: %w", d.cfg.Name, bucket, err)
 		st.err = err
-		st.status = bucketDropped // tombstone; a later ensure retries
+		delete(d.buckets, bucket)
 	} else {
 		st.status = bucketLive
-		st.lastTouch = time.Now()
 	}
 	d.bucketSeq++ // live (or aborted): either way the set changed again
 	d.publishBucketsLocked()
 	close(st.ready)
 	d.bmu.Unlock()
 	d.gossipBuckets()
-	if err != nil {
-		return fmt.Errorf("dc %s: backfill %s: %w", d.cfg.Name, bucket, err)
-	}
-	return nil
+	return err
 }
 
 // backfillBucket pulls a consistent snapshot of one bucket from a peer
@@ -338,8 +289,8 @@ func (d *DC) backfillBucket(bucket string, st *bucketState) error {
 		}
 		// No candidate at all, or every candidate answered "not live here":
 		// possibly genesis — a bucket that has never been written anywhere (a
-		// bucket with effects always has a live holder; DropBucket's confirmed
-		// survivor makes a holderless bucket-with-effects unreachable).
+		// bucket with effects always has a live holder: the DC that wrote it
+		// ensured it first, and a live bucket is never given up).
 		// Partial peers with no BucketVec seen yet are asked like everyone
 		// else and answer NotLive truthfully, so a fresh all-partial mesh can
 		// still create its first bucket — it just pays genesisConfirm probe
@@ -424,205 +375,9 @@ func (d *DC) serveBackfill(m wire.BackfillReq) any {
 	}
 	resp := wire.BackfillResp{Bucket: m.Bucket, At: at, OK: true}
 	for _, id := range d.coord.ObjectsInBucket(m.Bucket) {
-		resp.Objects = append(resp.Objects, d.materializeLocked(id, at))
+		resp.Objects = append(resp.Objects, d.materialize(id, at))
 	}
 	return resp
-}
-
-// DropBucket unsubscribes this DC from a bucket: its objects are evicted and
-// the bucket is tombstoned (reads refuse until a re-ensure backfills it).
-// The drop is refused while any local subscriber still has interest in the
-// bucket, while no other replica *synchronously confirms* it holds the bucket
-// live (the gossip view alone over-counts: universal peers may hold nothing,
-// and two holders sweeping the same cold bucket concurrently would each see
-// the other live and both drop, losing the last copies), or while a peer's
-// own drop has pinned this DC as its confirmed survivor. The subscriber
-// check and the status flip happen atomically under d.mu — a concurrent
-// subscribe() either registers its interest first (and vetoes the drop) or
-// finds the bucket tombstoned when it re-validates after registering, and
-// re-backfills. Peers are told via BucketDrop so the bucket's stability stops
-// counting this DC immediately.
-func (d *DC) DropBucket(bucket string) error {
-	if !d.partial {
-		return fmt.Errorf("dc %s: not partially replicating", d.cfg.Name)
-	}
-	d.bmu.Lock()
-	st := d.buckets[bucket]
-	if st == nil || st.status != bucketLive {
-		d.bmu.Unlock()
-		return fmt.Errorf("dc %s: bucket %s not live", d.cfg.Name, bucket)
-	}
-	d.bmu.Unlock()
-	d.mu.Lock()
-	sub := d.interestInLocked(bucket)
-	d.mu.Unlock()
-	if sub != "" {
-		// Cheap pre-check so the common veto never pins peers; the
-		// authoritative re-check below is atomic with the flip.
-		return fmt.Errorf("dc %s: bucket %s still has subscriber interest (%s)", d.cfg.Name, bucket, sub)
-	}
-
-	// Confirm a surviving replica before touching anything: a Hold vote pins
-	// the bucket at the voter until our BucketDrop arrives, so the survivor
-	// cannot itself drop out from under us. Blocking network calls — no locks
-	// held. Every abort past this point must release the pins it placed.
-	if err := d.confirmSurvivor(bucket); err != nil {
-		return fmt.Errorf("dc %s: %w", d.cfg.Name, err)
-	}
-	abort := func() {
-		msg := wire.DropQuery{From: d.cfg.Index, Bucket: bucket, Release: true}
-		for _, peer := range d.backfillCandidates(bucket) {
-			_ = d.node.Send(peer, msg) // best effort; the lease TTL backstops
-		}
-	}
-
-	// Atomic veto + flip: interest check and tombstoning under one d.mu
-	// critical section (bmu nests inside; subscribe() registers interest under
-	// d.mu too, so the two serialise).
-	d.mu.Lock()
-	if sub := d.interestInLocked(bucket); sub != "" {
-		d.mu.Unlock()
-		abort()
-		return fmt.Errorf("dc %s: bucket %s still has subscriber interest (%s)", d.cfg.Name, bucket, sub)
-	}
-	peers := d.peerNamesLocked()
-	d.bmu.Lock()
-	st = d.buckets[bucket]
-	if st == nil || st.status != bucketLive {
-		d.bmu.Unlock()
-		d.mu.Unlock()
-		abort()
-		return fmt.Errorf("dc %s: bucket %s not live", d.cfg.Name, bucket)
-	}
-	now := time.Now()
-	for pinner, until := range st.pins {
-		if now.Before(until) {
-			d.bmu.Unlock()
-			d.mu.Unlock()
-			abort()
-			return fmt.Errorf("dc %s: bucket %s pinned as dc %d's drop survivor", d.cfg.Name, bucket, pinner)
-		}
-	}
-	st.status = bucketDropped
-	st.cut = nil
-	st.pins = nil
-	st.evicting = make(chan struct{})
-	d.bucketSeq++ // a removal: wantFloor stays (removals cannot lose effects)
-	seq := d.bucketSeq
-	d.publishBucketsLocked()
-	d.bmu.Unlock()
-	d.mu.Unlock()
-
-	d.coord.EvictBucket(bucket)
-	d.obsEvictions.Inc()
-	d.bmu.Lock()
-	ch := st.evicting
-	st.evicting = nil
-	d.bmu.Unlock()
-	close(ch) // waiting ensures (re-subscribes) may backfill now
-	msg := wire.BucketDrop{From: d.cfg.Index, Seq: seq, Bucket: bucket}
-	for _, p := range peers {
-		_ = d.node.Send(p, msg)
-	}
-	return nil
-}
-
-// interestInLocked returns the node name of a subscriber with registered
-// interest in the bucket, or "" when none has any. Called with d.mu held.
-func (d *DC) interestInLocked(bucket string) string {
-	for _, sub := range d.subs {
-		for id := range sub.interest {
-			if id.Bucket == bucket {
-				return sub.node
-			}
-		}
-	}
-	return ""
-}
-
-// confirmSurvivor asks the replicas believed to hold a bucket live whether
-// one of them really does, returning nil once a peer votes Hold (and has
-// pinned the bucket for us). Universal peers that actually hold nothing vote
-// false; fully replicating DCs always vote true (they never drop). No vote at
-// all — every candidate unreachable, lagging, or not actually live — refuses
-// the drop: this DC may hold the last copy.
-func (d *DC) confirmSurvivor(bucket string) error {
-	for _, peer := range d.backfillCandidates(bucket) {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		reply, err := d.node.Call(ctx, peer, wire.DropQuery{From: d.cfg.Index, Bucket: bucket})
-		cancel()
-		if err != nil {
-			continue
-		}
-		if v, ok := reply.(wire.DropVote); ok && v.Hold {
-			return nil
-		}
-	}
-	return fmt.Errorf("no live replica confirmed holding %s: refusing to drop what may be the last copy", bucket)
-}
-
-// handleDropQuery answers a peer's survivor confirmation. Voting Hold pins
-// the bucket against our own drop until the asker's BucketDrop arrives (or
-// the lease expires), so a confirmed survivor stays one. Two holders sweeping
-// the same bucket concurrently thus pin each other and both refuse — safe,
-// and the next sweep retries after the pins clear.
-func (d *DC) handleDropQuery(m wire.DropQuery) any {
-	if m.Release {
-		// The asker's drop aborted after confirmation; clear its pin instead
-		// of waiting out the lease.
-		d.releaseDropPin(m.From, m.Bucket)
-		return nil
-	}
-	if !d.partial {
-		// Fully replicating: holds everything, drops nothing. No pin needed.
-		return wire.DropVote{Bucket: m.Bucket, Hold: true}
-	}
-	d.bmu.Lock()
-	defer d.bmu.Unlock()
-	st := d.buckets[m.Bucket]
-	if st == nil || st.status != bucketLive {
-		return wire.DropVote{Bucket: m.Bucket, Hold: false}
-	}
-	if st.pins == nil {
-		st.pins = make(map[int]time.Time)
-	}
-	st.pins[m.From] = time.Now().Add(dropPinTTL)
-	return wire.DropVote{Bucket: m.Bucket, Hold: true}
-}
-
-// releaseDropPin clears a peer's survivor pin once its BucketDrop announces
-// the drop completed; this DC's own sweep may consider the bucket again.
-func (d *DC) releaseDropPin(from int, bucket string) {
-	if !d.partial {
-		return
-	}
-	d.bmu.Lock()
-	if st := d.buckets[bucket]; st != nil {
-		delete(st.pins, from)
-	}
-	d.bmu.Unlock()
-}
-
-// sweepIdleBuckets evicts live buckets untouched for cfg.EvictAfter,
-// bounding the resident set by the working set rather than the keyspace.
-// DropBucket's own safety checks (another live replica, no subscriber
-// interest) veto each candidate individually.
-func (d *DC) sweepIdleBuckets() {
-	if !d.partial || d.cfg.EvictAfter <= 0 {
-		return
-	}
-	cutoff := time.Now().Add(-d.cfg.EvictAfter)
-	d.bmu.Lock()
-	var idle []string
-	for b, st := range d.buckets {
-		if st.status == bucketLive && st.lastTouch.Before(cutoff) {
-			idle = append(idle, b)
-		}
-	}
-	d.bmu.Unlock()
-	for _, b := range idle {
-		_ = d.DropBucket(b) // veto (interest, last replica) is fine
-	}
 }
 
 // scopeBatch rewrites an outgoing replication batch for one destination:
@@ -709,9 +464,9 @@ func (d *DC) seedCutFor(bucket string, base vclock.Vector) vclock.Vector {
 // frontier. The meet keeps the fold at or below what this DC has actually
 // applied: with few holders the k-th-largest can exceed our own vector, and
 // advancing baseVec past it would make later applies of covered transactions
-// no-ops (lost effects). Pending and tombstoned buckets return nil (no
-// fold). The cut is joined into the bucket's floor *before* the fold uses
-// it, so the floor over-estimates the base content even mid-advance.
+// no-ops (lost effects). Pending and absent buckets return nil (no fold).
+// The cut is joined into the bucket's floor *before* the fold uses it, so
+// the floor over-estimates the base content even mid-advance.
 //
 // Called under store shard locks, so it must not take d.mu (d.mu → shard
 // lock is an existing order); the mesh's self view stands in for d.state —
@@ -730,9 +485,7 @@ func (d *DC) bucketCutFor(bucket string) vclock.Vector {
 		return nil
 	}
 	d.bmu.Lock()
-	if st.status == bucketLive {
-		st.cut = st.cut.Join(cut)
-	}
+	st.cut = st.cut.Join(cut) // live stays live: no re-check needed
 	d.bmu.Unlock()
 	return cut
 }

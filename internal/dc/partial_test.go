@@ -1,7 +1,6 @@
 package dc
 
 import (
-	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"colony/internal/obs"
 	"colony/internal/simnet"
 	"colony/internal/txn"
-	"colony/internal/wire"
 )
 
 // partialCluster builds n partially replicating DCs, with per-DC boot
@@ -186,60 +184,6 @@ func TestPartialSubscribeBackfillRacesLiveCommits(t *testing.T) {
 	}
 }
 
-// TestPartialUnsubscribeResubscribeRoundTrip drops a bucket, lets more
-// commits land elsewhere, then resubscribes and checks the backfilled state
-// is exact. Also asserts the drop guards: the last replica refuses, and the
-// tombstoned bucket really was evicted. Run under -race via make ci.
-func TestPartialUnsubscribeResubscribeRoundTrip(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	dcs := partialCluster(t, net, 3, 2, map[int][]string{
-		0: {"b"},
-		1: {"b"},
-		2: {"b"},
-	}, nil)
-
-	id := txn.ObjectID{Bucket: "b", Key: "k"}
-	commit := func(d *DC, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			tx := d.Begin("w")
-			tx.Update(id, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
-			if _, err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	commit(dcs[0], 10)
-	for _, d := range dcs {
-		waitCounter(t, d, id, 10)
-	}
-
-	if err := dcs[2].DropBucket("b"); err != nil {
-		t.Fatal(err)
-	}
-	if b, _, _ := dcs[2].ResidentStats(); b != 0 {
-		t.Fatalf("dc2 resident buckets after drop = %d, want 0", b)
-	}
-
-	// More effects land while DC2 is out.
-	commit(dcs[0], 7)
-	waitCounter(t, dcs[1], id, 17)
-
-	// Resubscribe: the tombstone must not block the new backfill, and the
-	// state must include both the pre-drop and missed effects exactly once.
-	if err := dcs[2].EnsureBuckets("b"); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, dcs[2], id, 17)
-
-	// New commits keep flowing to the resubscribed DC.
-	commit(dcs[1], 3)
-	for _, d := range dcs {
-		waitCounter(t, d, id, 20)
-	}
-}
-
 // TestPartialGenesisBucket: the first commit to a bucket nobody in an
 // all-partial mesh has ever held must succeed — every replica candidate
 // answers NotLive, which the subscriber treats as genesis (live, empty)
@@ -266,102 +210,8 @@ func TestPartialGenesisBucket(t *testing.T) {
 	waitCounter(t, dcs[1], id, 1)
 }
 
-// TestPartialDropGuards: a DC holding the only replica of a bucket must
-// refuse to drop it.
-func TestPartialDropGuards(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	dcs := partialCluster(t, net, 3, 2, map[int][]string{
-		0: {"solo"},
-		1: {},
-		2: {},
-	}, nil)
-	if err := dcs[0].DropBucket("solo"); err == nil {
-		t.Fatal("dropping the last replica must fail")
-	}
-}
-
-// TestPartialConcurrentDropLastCopies: two DCs holding the only copies of a
-// bucket sweep it concurrently. Each must synchronously confirm a surviving
-// replica (a DropVote that pins the voter), so at most one drop can succeed
-// — under the old gossip-view-only veto both saw the other live and both
-// dropped, losing the last copies. Run under -race via make ci.
-func TestPartialConcurrentDropLastCopies(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	dcs := partialCluster(t, net, 3, 2, map[int][]string{
-		0: {"cold"},
-		1: {"cold"},
-		2: {},
-	}, nil)
-
-	id := txn.ObjectID{Bucket: "cold", Key: "k"}
-	tx := dcs[0].Begin("w")
-	tx.Update(id, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 7}})
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, dcs[0], id, 7)
-	waitCounter(t, dcs[1], id, 7)
-
-	// Repeat the race a few times: each round both holders try to drop at
-	// once; whatever survives re-ensures for the next round.
-	for round := 0; round < 5; round++ {
-		errs := make([]error, 2)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = dcs[i].DropBucket("cold")
-			}(i)
-		}
-		wg.Wait()
-		if errs[0] == nil && errs[1] == nil {
-			t.Fatalf("round %d: both last-copy holders dropped concurrently", round)
-		}
-		// At least one copy must have survived with the full state: any DC can
-		// re-ensure and read the counter.
-		for i := 0; i < 2; i++ {
-			if err := dcs[i].EnsureBuckets("cold"); err != nil {
-				t.Fatalf("round %d: re-ensure at dc%d: %v", round, i, err)
-			}
-			waitCounter(t, dcs[i], id, 7)
-		}
-	}
-}
-
-// TestPartialDropSubscriberVeto: a bucket with registered edge-subscriber
-// interest refuses to drop — the subscriber would silently degrade to
-// stub-only delivery.
-func TestPartialDropSubscriberVeto(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	dcs := partialCluster(t, net, 3, 2, map[int][]string{
-		0: {"s"},
-		1: {"s"},
-		2: {},
-	}, nil)
-
-	edge := net.AddNode("edgeA", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	id := txn.ObjectID{Bucket: "s", Key: "k"}
-	if _, err := edge.Call(ctx, "dc0", wire.Subscribe{Node: "edgeA", Objects: []txn.ObjectID{id}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dcs[0].DropBucket("s"); err == nil {
-		t.Fatal("drop must refuse while a subscriber holds interest in the bucket")
-	}
-	// The uninterested holder can still drop (dc0 remains as its survivor).
-	if err := dcs[1].DropBucket("s"); err != nil {
-		t.Fatalf("drop at the interest-free holder: %v", err)
-	}
-}
-
-// TestPartialMetricsExposed drives a backfill and an eviction through a
-// partial cluster and asserts the interest-scoping series appear on the
-// /metrics exposition.
+// TestPartialMetricsExposed drives a backfill through a partial cluster and
+// asserts the interest-scoping series appear on the /metrics exposition.
 func TestPartialMetricsExposed(t *testing.T) {
 	reg := obs.New()
 	net := simnet.New(simnet.Config{Obs: reg})
@@ -384,9 +234,6 @@ func TestPartialMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCounter(t, dcs[2], id, 5)
-	if err := dcs[2].DropBucket("m"); err != nil {
-		t.Fatal(err)
-	}
 
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -396,7 +243,6 @@ func TestPartialMetricsExposed(t *testing.T) {
 		"store_resident_bytes",
 		"# TYPE dc_backfills counter",
 		"dc_backfills 1",
-		"dc_bucket_evictions 1",
 		"dc_repl_skipped_buckets",
 		"dc_repl_stub_txs",
 		"dc_repl_full_txs",
@@ -407,45 +253,54 @@ func TestPartialMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestPartialIdleEviction: with EvictAfter set, an untouched live bucket is
-// swept and its state survives at the remaining replicas.
-func TestPartialIdleEviction(t *testing.T) {
+// TestPartialBackfillFailureRetries: a backfill that finds no reachable
+// holder fails every caller waiting on it and leaves the bucket absent —
+// neither live nor pending in the DC's advertisement — so the next ensure
+// after the partition heals starts a fresh backfill and reads the full state.
+func TestPartialBackfillFailureRetries(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
 	dcs := partialCluster(t, net, 3, 2, map[int][]string{
-		0: {"e"},
-		1: {"e"},
-		2: {"e"},
-	}, func(cfg *Config) {
-		if cfg.Index == 2 {
-			cfg.EvictAfter = 50 * time.Millisecond
-		}
-	})
+		0: {"b"},
+		1: {},
+		2: {},
+	}, nil)
 
-	id := txn.ObjectID{Bucket: "e", Key: "k"}
-	tx := dcs[0].Begin("w")
-	tx.Update(id, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range dcs {
-		waitCounter(t, d, id, 1)
+	id := txn.ObjectID{Bucket: "b", Key: "k"}
+	for i := 0; i < 5; i++ {
+		tx := dcs[0].Begin("w")
+		tx.Update(id, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if b, _, _ := dcs[2].ResidentStats(); b == 0 {
-			break
+	net.Partition("dc0", "dc2")
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = dcs[2].EnsureBuckets("b")
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("ensure %d succeeded with the only holder partitioned away", i)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("idle bucket never evicted")
+	}
+	bv := dcs[2].bucketVec()
+	for _, b := range append(bv.Live, bv.Pending...) {
+		if b == "b" {
+			t.Fatalf("failed backfill left b in the advertisement: live %v, pending %v", bv.Live, bv.Pending)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The evicted DC can still read on demand (reload path).
-	if err := dcs[2].EnsureBuckets("e"); err != nil {
-		t.Fatal(err)
+	net.Heal("dc0", "dc2")
+	if err := dcs[2].EnsureBuckets("b"); err != nil {
+		t.Fatalf("ensure after heal: %v", err)
 	}
-	waitCounter(t, dcs[2], id, 1)
+	waitCounter(t, dcs[2], id, 5)
 }

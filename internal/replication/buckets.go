@@ -25,7 +25,8 @@ type bucketView struct {
 // SetBuckets installs a DC's advertised bucket sets at version seq. Stale
 // advertisements (seq lower than the recorded one) are ignored, so gossip may
 // arrive out of order. The local DC records its own sets through the same
-// path. Returns true when the view changed.
+// path, and a full advertisement is the only way a DC's view changes.
+// Returns true when the view changed.
 func (m *Mesh) SetBuckets(dc int, seq uint64, live, pending []string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -43,29 +44,6 @@ func (m *Mesh) SetBuckets(dc int, seq uint64, live, pending []string) bool {
 		v.pending[b] = true
 	}
 	m.buckets[dc] = v
-	return true
-}
-
-// DropBucket removes one bucket from a DC's view at version seq, without
-// needing the full set re-advertised. The delta applies only when it is
-// contiguous with the recorded view (seq == recorded seq + 1): a gap means an
-// intermediate advertisement — possibly a bucket *addition* — was lost in
-// best-effort gossip, and fast-forwarding the seq over it would stamp this
-// view current while missing a live bucket. A sender scoping against such a
-// view would stub that bucket with a WantSeq the receiver accepts, silently
-// losing effects. Non-contiguous (and stale) drops are therefore ignored;
-// the periodic full BucketVec gossip re-syncs the view, which SetBuckets
-// accepts at any forward seq because it carries the complete sets.
-func (m *Mesh) DropBucket(dc int, seq uint64, bucket string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.buckets[dc]
-	if v == nil || seq != v.seq+1 {
-		return false
-	}
-	v.seq = seq
-	delete(v.live, bucket)
-	delete(v.pending, bucket)
 	return true
 }
 
@@ -112,9 +90,9 @@ func (m *Mesh) Replicas(bucket string) []int {
 // KStableBucket computes the K-stable cut for one bucket: componentwise the
 // k-th largest value over the state vectors of only the DCs that hold the
 // bucket live (universal DCs count). This is the partial-replication
-// refinement of KStable — a DC that dropped the bucket can neither serve it
-// nor retard its stability. k is clamped to [1, live replica count]; a bucket
-// nobody holds yields a nil (zero) cut.
+// refinement of KStable — a DC that does not hold the bucket can neither
+// serve it nor retard its stability. k is clamped to [1, live replica
+// count]; a bucket nobody holds yields a nil (zero) cut.
 func (m *Mesh) KStableBucket(bucket string, k int) vclock.Vector {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -7,8 +7,8 @@ import (
 	"colony/internal/vclock"
 )
 
-// TestBucketViewVersioning: advertisements apply in seq order; stale
-// full-set and drop announcements are ignored, so gossip may reorder.
+// TestBucketViewVersioning: advertisements apply in seq order; stale ones
+// are ignored, so gossip may reorder.
 func TestBucketViewVersioning(t *testing.T) {
 	m := NewMesh(0, 3)
 	if !m.SetBuckets(1, 2, []string{"a", "b"}, nil) {
@@ -25,54 +25,6 @@ func TestBucketViewVersioning(t *testing.T) {
 	}
 	if !m.Wants(1, "a") || m.Wants(1, "c") {
 		t.Fatal("view reflects a stale advertisement")
-	}
-
-	// A drop advances the seq without re-advertising the full set.
-	if m.DropBucket(1, 2, "a") {
-		t.Fatal("stale drop must be ignored")
-	}
-	if !m.DropBucket(1, 3, "a") {
-		t.Fatal("fresh drop rejected")
-	}
-	if m.Wants(1, "a") || !m.Wants(1, "b") {
-		t.Fatal("drop removed the wrong bucket")
-	}
-}
-
-// TestBucketDropGapIgnored: a drop whose seq is not contiguous with the
-// recorded view must be ignored — the gap means a lost intermediate
-// advertisement (possibly a bucket addition), and fast-forwarding the seq
-// over it would stamp the view current while missing a live bucket, making
-// senders stub effects the DC actually needs. Recovery comes from the full
-// BucketVec re-advertisement, which carries the complete sets.
-func TestBucketDropGapIgnored(t *testing.T) {
-	m := NewMesh(0, 3)
-	m.SetBuckets(1, 2, []string{"a", "b"}, nil)
-
-	// seq 3 (adding "c") was lost in gossip; the drop of "a" at seq 4 arrives.
-	if m.DropBucket(1, 4, "a") {
-		t.Fatal("non-contiguous drop must be ignored")
-	}
-	if got := m.BucketSeq(1); got != 2 {
-		t.Fatalf("BucketSeq after gap drop = %d, want 2 (unchanged)", got)
-	}
-	if !m.Wants(1, "a") {
-		t.Fatal("gap drop mutated the view")
-	}
-
-	// The periodic full advertisement re-syncs across the gap.
-	if !m.SetBuckets(1, 4, []string{"b", "c"}, nil) {
-		t.Fatal("full re-advertisement rejected")
-	}
-	if m.Wants(1, "a") || !m.Wants(1, "c") {
-		t.Fatal("re-sync did not install the complete set")
-	}
-	// And the next contiguous drop applies again.
-	if !m.DropBucket(1, 5, "c") {
-		t.Fatal("contiguous drop after re-sync rejected")
-	}
-	if m.Wants(1, "c") || !m.Wants(1, "b") {
-		t.Fatal("post-resync drop removed the wrong bucket")
 	}
 }
 

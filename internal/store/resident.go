@@ -2,8 +2,8 @@ package store
 
 // This file is the store side of partial replication (paper §4.2 generalised
 // to DCs): a resident filter bounding which buckets the store materialises,
-// bucket-granular eviction, and residency accounting for the
-// store.resident_buckets / store.resident_bytes gauges.
+// and residency accounting for the store.resident_buckets /
+// store.resident_bytes gauges.
 
 import (
 	"colony/internal/crdt"
@@ -19,27 +19,6 @@ import (
 // everything. Must be installed before the store is shared, but the filter
 // itself may consult evolving state (the DC's bucket table does).
 func (s *Store) SetResident(f func(bucket string) bool) { s.resident = f }
-
-// EvictBucket drops every object of one bucket (subscribe-set shrink or
-// cold-bucket eviction), returning the number of objects dropped. Transaction
-// records and journals referenced by other buckets are untouched; a later
-// re-subscribe re-seeds the bucket via backfill and reattaches any still
-// recorded transactions above the seed cut.
-func (s *Store) EvictBucket(bucket string) int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id := range sh.objects {
-			if id.Bucket == bucket {
-				delete(sh.objects, id)
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
 
 // ObjectsInBucket returns the ids of every resident object of one bucket, in
 // unspecified order (backfill serving iterates these).

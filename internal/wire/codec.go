@@ -245,17 +245,6 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		}
 		buf = bin.AppendBool(buf, v.OK)
 		return bin.AppendBool(buf, v.NotLive), nil
-	case BucketDrop:
-		buf = bin.AppendVarint(buf, int64(v.From))
-		buf = bin.AppendUvarint(buf, v.Seq)
-		return bin.AppendString(buf, v.Bucket), nil
-	case DropQuery:
-		buf = bin.AppendVarint(buf, int64(v.From))
-		buf = bin.AppendString(buf, v.Bucket)
-		return bin.AppendBool(buf, v.Release), nil
-	case DropVote:
-		buf = bin.AppendString(buf, v.Bucket)
-		return bin.AppendBool(buf, v.Hold), nil
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrNotEncodable, m)
 	}
@@ -470,15 +459,6 @@ func DecodeMessage(data []byte) (Message, error) {
 		v.OK = r.Bool()
 		v.NotLive = r.Bool()
 		m = v
-	case TagBucketDrop:
-		v := BucketDrop{From: int(r.Varint())}
-		v.Seq = r.Uvarint()
-		v.Bucket = r.String()
-		m = v
-	case TagDropQuery:
-		m = DropQuery{From: int(r.Varint()), Bucket: r.String(), Release: r.Bool()}
-	case TagDropVote:
-		m = DropVote{Bucket: r.String(), Hold: r.Bool()}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
 	}

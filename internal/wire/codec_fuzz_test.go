@@ -37,9 +37,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{byte(TagBucketVec), 0x02, 0x01, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{byte(TagBackfillReq), 0x04, 'r', 'o', 'o', 'm'})
 	f.Add([]byte{byte(TagBackfillResp), 0x00, 0x00, 0xff, 0xff, 0x0f})
+	// The retired drop-protocol tags (35–37), truncated and as an old peer
+	// sent them: the decoder must reject them.
 	f.Add([]byte{byte(TagBucketDrop), 0x02, 0x03})
 	f.Add([]byte{byte(TagDropQuery), 0x02, 0x01, 'b', 0x00})
 	f.Add([]byte{byte(TagDropVote), 0x01, 'b', 0x01})
+	f.Add(retiredBucketDropFrame)
+	f.Add(retiredDropQueryFrame)
+	f.Add(retiredDropVoteFrame)
 	f.Add([]byte{byte(TagMigratedTx), 0x01, 'e', 0x00, 0x00, 0xff, 0xff, 0x0f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -93,9 +93,6 @@ func goldenMessages() map[string]Message {
 		"backfill_req": BackfillReq{Bucket: "rooms", At: vclock.Vector{3, 1, 4}},
 		"backfill_resp": BackfillResp{Bucket: "rooms", At: vclock.Vector{7, 0, 2},
 			Objects: []ObjectState{sampleObjectState()}, OK: true},
-		"bucket_drop": BucketDrop{From: 2, Seq: 5, Bucket: "stats"},
-		"drop_query":  DropQuery{From: 1, Bucket: "stats"},
-		"drop_vote":   DropVote{Bucket: "stats", Hold: true},
 		"tree_assign": TreeAssign{From: "dc1", Shard: 7, Epoch: 3,
 			Children: []string{"edge-2", "edge-3", "edge-4"}},
 		"tree_push": TreePush{From: "dc1", Shard: 7, Epoch: 3,
@@ -138,6 +135,15 @@ var retiredReplTxFrame = []byte{byte(TagReplTx), 0x02, 0x01, 0x06, 'e', 'd', 'g'
 // epoch, seq, one failed child, dropped.
 var retiredTreeAckFrame = []byte{byte(TagTreeAck), 0x06, 'e', 'd', 'g', 'e', '-', '1', 0x07, 0x03, 0x0c,
 	0x01, 0x06, 'e', 'd', 'g', 'e', '-', '3', 0x01}
+
+// The bucket drop protocol's frames with the retired tags 35–37, each the
+// last golden encoding of its message, all for bucket "stats": a drop by DC
+// 2 at interest-set version 5, a survivor query from DC 1, and a Hold vote.
+var (
+	retiredBucketDropFrame = []byte{byte(TagBucketDrop), 0x04, 0x05, 0x05, 's', 't', 'a', 't', 's'}
+	retiredDropQueryFrame  = []byte{byte(TagDropQuery), 0x02, 0x05, 's', 't', 'a', 't', 's', 0x00}
+	retiredDropVoteFrame   = []byte{byte(TagDropVote), 0x05, 's', 't', 'a', 't', 's', 0x01}
+)
 
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden_"+name+".hex")
@@ -277,8 +283,7 @@ func TestEncodeNilAndEmpty(t *testing.T) {
 		GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
 		EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
 		EPaxosAcceptOK{}, EPaxosCommit{}, EPaxosCommitAck{},
-		BucketVec{}, BackfillReq{}, BackfillResp{}, BucketDrop{},
-		DropQuery{}, DropVote{},
+		BucketVec{}, BackfillReq{}, BackfillResp{},
 	} {
 		b, err := EncodeMessage(nil, zero)
 		if err != nil {
@@ -378,10 +383,14 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 	if _, err := DecodeMessage([]byte{0xee}); !errors.Is(err, ErrUnknownTag) {
 		t.Errorf("unknown tag: err = %v, want ErrUnknownTag", err)
 	}
-	// Tags 1 and 17 are retired: a frame carrying one — bare, or with the
-	// body an old peer would have sent — is rejected, never decoded into a
-	// zero-valued message or silently ignored.
-	for _, frame := range [][]byte{{byte(TagReplTx)}, retiredReplTxFrame, {byte(TagTreeAck)}, retiredTreeAckFrame} {
+	// Tags 1, 17 and 35–37 are retired: a frame carrying one — bare, or with
+	// the body an old peer would have sent — is rejected, never decoded into
+	// a zero-valued message or silently ignored.
+	for _, frame := range [][]byte{
+		{byte(TagReplTx)}, retiredReplTxFrame, {byte(TagTreeAck)}, retiredTreeAckFrame,
+		{byte(TagBucketDrop)}, retiredBucketDropFrame, {byte(TagDropQuery)}, retiredDropQueryFrame,
+		{byte(TagDropVote)}, retiredDropVoteFrame,
+	} {
 		if m, err := DecodeMessage(frame); !errors.Is(err, ErrUnknownTag) || m != nil {
 			t.Errorf("retired tag frame %x: got %v, %v, want nil, ErrUnknownTag", frame, m, err)
 		}

@@ -59,9 +59,14 @@ const (
 	TagBucketVec    Tag = 32
 	TagBackfillReq  Tag = 33
 	TagBackfillResp Tag = 34
-	TagBucketDrop   Tag = 35
-	TagDropQuery    Tag = 36
-	TagDropVote     Tag = 37
+	// TagBucketDrop, TagDropQuery and TagDropVote are retired: they carried
+	// the bucket drop protocol (BucketDrop, DropQuery, DropVote), which
+	// nothing sends since a partial DC keeps every bucket it acquires. The
+	// numbers stay declared so they are never reused; the decoder rejects
+	// them as unknown tags.
+	TagBucketDrop Tag = 35
+	TagDropQuery  Tag = 36
+	TagDropVote   Tag = 37
 )
 
 // Message unifies every wire message: a stable codec tag plus the logical
@@ -89,8 +94,7 @@ var _ = []Message{
 	GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
 	EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
 	EPaxosAcceptOK{}, EPaxosCommit{}, EPaxosCommitAck{},
-	BucketVec{}, BackfillReq{}, BackfillResp{}, BucketDrop{},
-	DropQuery{}, DropVote{},
+	BucketVec{}, BackfillReq{}, BackfillResp{},
 }
 
 // Tag implements Message.
@@ -292,21 +296,3 @@ func (BackfillResp) Tag() Tag { return TagBackfillResp }
 
 // Units implements Message.
 func (BackfillResp) Units() int { return 1 }
-
-// Tag implements Message.
-func (BucketDrop) Tag() Tag { return TagBucketDrop }
-
-// Units implements Message.
-func (BucketDrop) Units() int { return 1 }
-
-// Tag implements Message.
-func (DropQuery) Tag() Tag { return TagDropQuery }
-
-// Units implements Message.
-func (DropQuery) Units() int { return 1 }
-
-// Tag implements Message.
-func (DropVote) Tag() Tag { return TagDropVote }
-
-// Units implements Message.
-func (DropVote) Units() int { return 1 }

@@ -118,47 +118,6 @@ type BackfillResp struct {
 	NotLive bool
 }
 
-// BucketDrop announces that a DC has unsubscribed from a bucket and evicted
-// its objects: peers must stop counting it toward the bucket's K-stability
-// and stop expecting it to serve backfills. Seq is the sender's bucket-set
-// version after the drop (same counter BucketVec carries); stale
-// announcements are ignored.
-type BucketDrop struct {
-	From   int
-	Seq    uint64
-	Bucket string
-}
-
-// DropQuery asks a peer DC whether it holds a bucket live, as the synchronous
-// half of the drop protocol's last-replica veto. The gossip view alone cannot
-// answer this: a universal peer (no BucketVec ever seen) counts as a replica
-// there while possibly holding nothing, and two holders sweeping the same
-// cold bucket concurrently would each see the other live and both drop,
-// losing the last copies. Sent as a Call; the reply is DropVote. A Hold=true
-// vote is a commitment: the voter pins the bucket against its own drop until
-// the asker's BucketDrop arrives (or a liveness lease expires), so the
-// confirmed survivor cannot vanish between the vote and the drop.
-//
-// With Release set the query is the undo: the asker's drop aborted after
-// confirmation (a subscriber veto, or a pin of its own), and the pins it
-// placed should be cleared rather than left to expire. Sent best-effort (no
-// reply expected); the lease TTL backstops lost releases.
-type DropQuery struct {
-	From    int // asker's DC index
-	Bucket  string
-	Release bool
-}
-
-// DropVote answers a DropQuery. Hold is true only when the voter holds the
-// bucket live right now and has pinned it for the asker (fully replicating
-// DCs hold everything and never drop, so they always vote Hold without a
-// pin). A false vote — not live, still pending, or tombstoned — means the
-// asker must find its surviving replica elsewhere or refuse the drop.
-type DropVote struct {
-	Bucket string
-	Hold   bool
-}
-
 // --- edge ↔ DC ---
 
 // EdgeCommit asks the connected DC to assign a concrete commit timestamp to
