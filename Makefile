@@ -42,15 +42,18 @@ test-race:
 # the store's background fold and its re-fold request, the DC's stable cut met
 # with its own state, and the durable ack as an event — Deferred replies on
 # every substrate, edge commits sharing fsyncs over real TCP, acked ⇒ logged,
-# duplicates and stamp-ordered records; run it after any change to
-# internal/wal, store/advance.go, dc.Stable, the DC's commitAt or a
-# substrate's reply path.
+# duplicates and stamp-ordered records — and the edge's uplink flights: a
+# flight stamped in dot order, stopped at its first failure, a backlog
+# drained in one flight, a DC restart and a migration with a flight in
+# flight; run it after any change to internal/wal, store/advance.go,
+# dc.Stable, the DC's commitAt or acceptEdgeTx, the edge's drainUnacked or
+# a substrate's reply path.
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
 	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA|Masking|Recheck' ./internal/transport/tcp ./internal/dc ./internal/crdt
-	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable|Deferred|AppendThen|ShareFsync|AckImpliesLogged' ./internal/wal ./internal/store ./internal/dc ./internal/transport ./internal/transport/tcp
+	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable|Deferred|AppendThen|ShareFsync|AckImpliesLogged|EdgeFlight|InlineCommits|SequencedTwice' ./internal/wal ./internal/store ./internal/dc ./internal/edge ./internal/transport ./internal/transport/tcp
 
 vet:
 	$(GO) vet ./...

@@ -11,7 +11,8 @@ import (
 // capacity the paper-figure experiments model (§7), so saturation behaves
 // like a real server rather than an infinitely fast simulator. Each node gets
 // workers service slots; a client-facing request (commit acceptance, fetch,
-// subscription, migrated transaction) occupies one for service, and the slot
+// subscription, migrated transaction) occupies one for service — an edge's
+// commit flight for service per transaction — and the slot
 // stays held while the node's handler runs. A handler's reply, including a
 // *transport.Deferred, passes through untouched: a deferred reply's wait
 // holds no slot.
@@ -29,8 +30,12 @@ func (n capacityNetwork) AddNode(name string, h transport.Handler) transport.Con
 	slots := make(chan struct{}, n.workers)
 	return n.Network.AddNode(name, func(from string, msg any) any {
 		var cost time.Duration
-		switch msg.(type) {
-		case wire.EdgeCommit, wire.Subscribe, wire.FetchObject, wire.MigratedTx:
+		switch m := msg.(type) {
+		case wire.EdgeCommit:
+			// Accepting an uplink flight costs one request per transaction:
+			// batching saves round trips, not DC capacity.
+			cost = n.service * time.Duration(m.Units())
+		case wire.Subscribe, wire.FetchObject, wire.MigratedTx:
 			cost = n.service
 		case wire.ReplBatch:
 			// Applying replicated traffic costs a fraction of a client

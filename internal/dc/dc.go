@@ -171,11 +171,13 @@ type DC struct {
 
 	journal *wal.Log // nil when persistence is off
 
-	// completions carries durable commits from the WAL writer to the
-	// completion goroutine (SyncWrites only); inflight counts commits
-	// between their closed check and their completion, so Close waits for
-	// them before it stops anything they use.
+	// completions carries commits, in stamp order, to their completion:
+	// under SyncWrites from the WAL writer to the completion goroutine,
+	// otherwise from commitAt to whichever committer holds completing;
+	// inflight counts commits between their closed check and their
+	// completion, so Close waits for them before it stops anything they use.
 	completions completionQueue
+	completing  sync.Mutex
 	inflight    sync.WaitGroup
 
 	// walMu guards the sticky WAL error (see LastWALError); WAL failures
@@ -231,6 +233,7 @@ type DC struct {
 	obsSkipped      *obs.Counter
 	obsBackfills    *obs.Counter
 	obsPushBatch    *obs.Histogram
+	obsEdgeBatch    *obs.Histogram
 	obsReplBatch    *obs.Histogram
 	obsReplLat      *obs.Histogram
 	obsShardFanout  *obs.Histogram
@@ -290,6 +293,7 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		d.obsSkipped = cfg.Obs.Counter("dc.repl_skipped_buckets")
 		d.obsBackfills = cfg.Obs.Counter("dc.backfills")
 		d.obsPushBatch = cfg.Obs.Histogram("dc.push_batch_txs")
+		d.obsEdgeBatch = cfg.Obs.Histogram("dc.edge_batch_txs")
 		d.obsReplBatch = cfg.Obs.Histogram("dc.repl_batch_txs")
 		d.obsReplLat = cfg.Obs.Histogram("dc.repl_propagation_ns")
 		d.obsShardFanout = cfg.Obs.Histogram("dc.push_shard_fanout")
@@ -595,7 +599,7 @@ func (d *DC) handle(from string, msg any) any {
 		}
 		return nil
 	case wire.EdgeCommit:
-		return d.acceptEdgeTx(m.Tx)
+		return d.acceptEdgeTx(m)
 	case wire.Subscribe:
 		return d.subscribe(m)
 	case wire.Unsubscribe:
@@ -751,8 +755,11 @@ type pendingCommit struct {
 // returns without waiting: the WAL writer hands the commit to the
 // completion goroutine, which completes commits in WAL order — so in stamp
 // order — and a dispatcher that sequenced one is free for the next, which
-// shares its fsync. Otherwise the completion runs inline, before commitAt
-// returns. A commit that fails is reported to done at once.
+// shares its fsync. Otherwise the commit joins the same queue in the d.mu
+// section that stamped it, and commitAt drains the queue before it returns,
+// so concurrent committers still record in stamp order: a record must not
+// move the state vector past a lower stamp still awaiting its record. A
+// commit that fails is reported to done at once.
 func (d *DC) commitAt(t *txn.Transaction, done func(vclock.CommitStamps, error)) {
 	d.mu.Lock()
 	if d.closed {
@@ -790,10 +797,25 @@ func (d *DC) commitAt(t *txn.Transaction, done func(vclock.CommitStamps, error))
 		})
 	case d.journal != nil:
 		d.noteWALError(d.journal.Append(t))
+		fallthrough
+	default:
+		d.completions.push(p)
 	}
 	d.mu.Unlock()
 	if !durable {
-		d.complete([]*pendingCommit{p})
+		d.completeQueued()
+	}
+}
+
+// completeQueued completes every queued commit, in stamp order, for commitAt
+// without SyncWrites. A committer may complete another's commit; that one
+// then waits here for the run to finish, so either way its completion has
+// run when commitAt returns.
+func (d *DC) completeQueued() {
+	d.completing.Lock()
+	defer d.completing.Unlock()
+	for run := d.completions.take(); len(run) > 0; run = d.completions.take() {
+		d.complete(run)
 	}
 }
 
@@ -896,10 +918,9 @@ func (d *DC) recordLocked(t *txn.Transaction) {
 	d.byDot[t.Dot] = pos
 	if ts, ours := t.Commit[d.cfg.Index]; ours {
 		d.seq = max(d.seq, ts)
-		// Records arrive nearly in stamp order — this DC's commits complete
-		// in stamp order under SyncWrites, but concurrent inline completions
-		// can swap neighbours, and anti-entropy and replay feed any order —
-		// so the insertion point is found from the tail.
+		// This DC's commits complete in stamp order, but anti-entropy and
+		// replay feed any order, so the insertion point is found from the
+		// tail.
 		i := len(d.own)
 		for i > 0 && d.ownStampLocked(i-1) > ts {
 			i--
@@ -934,12 +955,7 @@ func (d *DC) maskLocked(t *txn.Transaction) bool {
 	if d.visible != nil && !d.visible(t) {
 		d.nMasked++
 		for i, ts := range t.Commit {
-			roots := d.maskRoots[i]
-			j := len(roots)
-			for j > 0 && roots[j-1].ts > ts {
-				j--
-			}
-			d.maskRoots[i] = slices.Insert(roots, j, maskRoot{ts: ts, t: t})
+			d.addMaskRootLocked(i, ts, t)
 		}
 		return true
 	}
@@ -955,6 +971,16 @@ func (d *DC) maskLocked(t *txn.Transaction) bool {
 		}
 	}
 	return false
+}
+
+// addMaskRootLocked files masked record t under its stamp ts in component i.
+func (d *DC) addMaskRootLocked(i int, ts uint64, t *txn.Transaction) {
+	roots := d.maskRoots[i]
+	j := len(roots)
+	for j > 0 && roots[j-1].ts > ts {
+		j--
+	}
+	d.maskRoots[i] = slices.Insert(roots, j, maskRoot{ts: ts, t: t})
 }
 
 // resetMaskLocked forgets every mask: no record is masked.
@@ -1000,8 +1026,9 @@ func (d *DC) antiEntropyLocked(m wire.ReplHeartbeat) (wire.ReplBatch, string) {
 // stampOf picks the concrete commit coordinate advertised in an
 // EdgeCommitAck: the stamp of the lowest DC index present. A committed
 // transaction normally carries exactly one concrete stamp, but when it
-// carries several (snapshot joins folded in), map iteration order must not
-// decide — re-acking the same dot twice has to name the same coordinate.
+// carries several (snapshot joins folded in, or a peer's stamp absorbed),
+// map iteration order must not decide — re-acking the same record twice has
+// to name the same coordinate.
 func stampOf(stamps vclock.CommitStamps) (dc int, ts uint64) {
 	dc = -1
 	for idx, t := range stamps {
@@ -1012,79 +1039,161 @@ func stampOf(stamps vclock.CommitStamps) (dc int, ts uint64) {
 	return max(dc, 0), ts
 }
 
-// acceptEdgeTx handles an asynchronously committed edge transaction.
-func (d *DC) acceptEdgeTx(t *txn.Transaction) any {
-	if err := d.EnsureBuckets(bucketsOf(t.Updates)...); err != nil {
+// edgeFlight is the outcome of one EdgeCommit: acks[i] answers the flight's
+// i-th transaction, and the first n were sequenced (or re-acked). pending
+// counts the completions still to run plus one held by acceptEdgeTx while
+// it walks the flight; whoever releases the last resolves reply.
+type edgeFlight struct {
+	acks    []wire.EdgeCommitAck
+	n       int
+	pending atomic.Int32
+	reply   *transport.Deferred
+}
+
+// release drops one hold on the flight; the last answers the edge with one
+// ack covering the sequenced prefix.
+func (f *edgeFlight) release(d *DC) {
+	if f.pending.Add(-1) != 0 {
+		return
+	}
+	ack := f.acks[0]
+	ack.Stable = d.Stable()
+	if f.n > 1 {
+		ack.Next = f.acks[1:f.n]
+	}
+	f.reply.Resolve(ack)
+}
+
+// acceptEdgeTx handles an edge's uplink flight: asynchronously committed
+// edge transactions, in the edge's commit order (paper §3.7). Every bucket
+// the flight touches is made live first. Then each transaction in turn
+// passes the duplicate and causal-compatibility checks and goes through
+// commitAt, so the whole flight joins the same WAL group commit; a follower's
+// snapshot is joined with its predecessor's commit vector, stamped a moment
+// earlier on this goroutine, so it depends on everything before it. The walk
+// stops at the first transaction that fails: its successors are not
+// sequenced, and the edge re-sends them. One reply, sent once the last
+// completion has run, acknowledges the sequenced prefix; a flight whose head
+// fails gets that head's nack.
+func (d *DC) acceptEdgeTx(m wire.EdgeCommit) any {
+	flight := append([]*txn.Transaction{m.Tx}, m.Next...)
+	if i := slices.Index(flight, nil); i >= 0 {
+		flight = flight[:i] // a malformed flight ends at its first hole
+	}
+	if len(flight) == 0 {
+		return nil
+	}
+	d.obsEdgeBatch.Observe(int64(len(flight)))
+	var ids []txn.ObjectID
+	for _, t := range flight {
+		for _, u := range t.Updates {
+			ids = append(ids, u.Object)
+		}
+	}
+	if err := d.EnsureBuckets(bucketsOfIDs(ids)...); err != nil {
 		// No replica could serve a backfill for a touched bucket; the edge
 		// retries against this DC or migrates to another.
 		d.obsEdgeNacks.Inc()
-		return wire.EdgeCommitNack{Dot: t.Dot}
+		return wire.EdgeCommitNack{Dot: flight[0].Dot}
 	}
-	d.mu.Lock()
-	if d.closed {
+	f := &edgeFlight{acks: make([]wire.EdgeCommitAck, len(flight)), reply: transport.NewDeferred()}
+	f.pending.Store(1)
+	var refused any        // the reply for the first transaction not sequenced
+	var prev vclock.Vector // the commit vector of the transaction before t
+	for i, t := range flight {
+		d.mu.Lock()
+		if d.closed {
+			d.mu.Unlock()
+			d.obsEdgeNacks.Inc()
+			refused = wire.EdgeCommitNack{Dot: t.Dot}
+			break
+		}
+		// Duplicate (e.g. re-sent after migration or a lost ack): re-ack
+		// with the stamp this DC recorded; the dot filter keeps effects
+		// exactly-once.
+		if ack, cv, ok := d.recordedAckLocked(t.Dot); ok {
+			f.acks[i], prev = ack, cv
+			d.mu.Unlock()
+			f.n = i + 1
+			continue
+		}
+		// Causal compatibility: the edge's dependencies must all be visible
+		// here, otherwise the edge node is incompatible with this DC (§3.8).
+		if !t.Snapshot.LEQ(d.state) {
+			missing := d.state.Clone()
+			d.mu.Unlock()
+			d.obsEdgeNacks.Inc()
+			refused = wire.EdgeCommitNack{Dot: t.Dot, Missing: missing}
+			break
+		}
+		d.lamport.Witness(t.Dot.Seq)
 		d.mu.Unlock()
-		d.obsEdgeNacks.Inc()
-		return wire.EdgeCommitNack{Dot: t.Dot}
-	}
-	// Duplicate (e.g. re-sent after migration): re-ack with the stamps this
-	// DC already knows; the dot filter keeps effects exactly-once.
-	if ack, ok := d.recordedAckLocked(t.Dot); ok {
-		d.mu.Unlock()
-		return ack
-	}
-	// Causal compatibility: the edge's dependencies must all be visible
-	// here, otherwise the edge node is incompatible with this DC (§3.8).
-	if !t.Snapshot.LEQ(d.state) {
-		missing := d.state.Clone()
-		d.mu.Unlock()
-		d.obsEdgeNacks.Inc()
-		return wire.EdgeCommitNack{Dot: t.Dot, Missing: missing}
-	}
-	d.lamport.Witness(t.Dot.Seq)
-	d.mu.Unlock()
 
-	// The reply is sent when the commit completes; the dispatcher moves on.
-	reply := transport.NewDeferred()
-	d.commitAt(t.Clone(), func(stamps vclock.CommitStamps, err error) {
-		reply.Resolve(d.edgeCommitReply(t.Dot, stamps, err))
-	})
-	return reply
+		cp := t.Clone()
+		cp.Snapshot = cp.Snapshot.Join(prev)
+		var failed error
+		f.pending.Add(1)
+		// A commit that fails is reported at once, on this goroutine; one
+		// that succeeds completes once recorded, maybe on another goroutine.
+		d.commitAt(cp, func(stamps vclock.CommitStamps, err error) {
+			if err != nil {
+				failed = err
+			} else {
+				d.obsEdgeCommits.Inc()
+				f.acks[i] = stampAck(t.Dot, stamps)
+			}
+			f.release(d)
+		})
+		if failed != nil {
+			refused = d.refuseEdgeTx(t.Dot, failed)
+			break
+		}
+		prev, _ = cp.Commit.Vector(cp.Snapshot)
+		f.n = i + 1
+	}
+	if f.n == 0 {
+		return refused
+	}
+	f.release(d)
+	return f.reply
 }
 
-// edgeCommitReply answers an edge commit once commitAt has completed it.
-func (d *DC) edgeCommitReply(dot vclock.Dot, stamps vclock.CommitStamps, err error) any {
+// stampAck acknowledges dot with the stamp stampOf picks from stamps.
+func stampAck(dot vclock.Dot, stamps vclock.CommitStamps) wire.EdgeCommitAck {
+	ack := wire.EdgeCommitAck{Dot: dot}
+	ack.DCIndex, ack.Ts = stampOf(stamps)
+	return ack
+}
+
+// refuseEdgeTx answers an edge commit that commitAt failed.
+func (d *DC) refuseEdgeTx(dot vclock.Dot, err error) any {
 	if errors.Is(err, store.ErrDuplicate) {
 		// The dot is already in the store: replication of the same dot got
 		// there first (re-ack with its stamps), or an earlier copy of this
 		// commit is still waiting for durability (nack; the edge retries and
 		// is then re-acked).
 		d.mu.Lock()
-		ack, ok := d.recordedAckLocked(dot)
+		ack, _, ok := d.recordedAckLocked(dot)
 		d.mu.Unlock()
 		if ok {
+			ack.Stable = d.Stable()
 			return ack
 		}
 	}
-	if err != nil {
-		d.obsEdgeNacks.Inc()
-		return wire.EdgeCommitNack{Dot: dot}
-	}
-	d.obsEdgeCommits.Inc()
-	ack := wire.EdgeCommitAck{Dot: dot, Stable: d.Stable()}
-	ack.DCIndex, ack.Ts = stampOf(stamps)
-	return ack
+	d.obsEdgeNacks.Inc()
+	return wire.EdgeCommitNack{Dot: dot}
 }
 
-// recordedAckLocked re-acks a dot this DC has recorded, naming the stamp it
-// was recorded with.
-func (d *DC) recordedAckLocked(dot vclock.Dot) (wire.EdgeCommitAck, bool) {
+// recordedAckLocked re-acks a dot this DC has recorded, naming the stamp
+// stampAck picks from its record, and returns the record's commit vector.
+func (d *DC) recordedAckLocked(dot vclock.Dot) (wire.EdgeCommitAck, vclock.Vector, bool) {
 	pos, ok := d.byDot[dot]
 	if !ok {
-		return wire.EdgeCommitAck{}, false
+		return wire.EdgeCommitAck{}, nil, false
 	}
-	ack := wire.EdgeCommitAck{Dot: dot, Stable: d.Stable()}
-	ack.DCIndex, ack.Ts = stampOf(d.hist[pos].t.Commit)
-	return ack, true
+	rec := d.hist[pos].t
+	cv, _ := rec.Commit.Vector(rec.Snapshot)
+	return stampAck(dot, rec.Commit), cv, true
 }
 
 // --- replication receive path ---
@@ -1115,15 +1224,21 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 	// not share mutable state with this DC's history. Duplicate or partially
 	// overlapping batches (anti-entropy rounds racing the live stream) are
 	// filtered by dot here and again after admission.
+	// A copy of a recorded transaction still goes through when it carries a
+	// stamp the record lacks (absorbLocked).
 	incoming := make([]*txn.Transaction, 0, len(m.Txs))
 	for _, t := range m.Txs {
-		if t == nil || d.knownLocked(t.Dot) {
+		if t == nil || d.knownLocked(t.Dot) && !d.newStampLocked(t) {
 			continue
 		}
 		incoming = append(incoming, t.Clone())
 	}
 	ready := d.mesh.AdmitBatch(incoming, d.state)
 	for _, t := range ready {
+		if pos, ok := d.byDot[t.Dot]; ok {
+			d.absorbLocked(pos, t)
+			continue
+		}
 		if d.knownLocked(t.Dot) {
 			continue
 		}
@@ -1142,6 +1257,51 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 	if len(ready) > 0 && ackTo != "" {
 		_ = d.node.Send(ackTo, ack)
 	}
+}
+
+// newStampLocked reports whether t is a copy of a recorded transaction that
+// carries a commit stamp the record lacks.
+func (d *DC) newStampLocked(t *txn.Transaction) bool {
+	pos, ok := d.byDot[t.Dot]
+	if !ok {
+		return false
+	}
+	for i := range t.Commit {
+		if _, ok := d.hist[pos].t.Commit[i]; !ok {
+			return true
+		}
+	}
+	return false
+}
+
+// absorbLocked merges the stamps of a peer's copy of the transaction at
+// history position pos into its record, its store entry and the state
+// vector. The same edge commit can be sequenced twice — by a DC whose ack
+// was lost and by the DC the edge re-sent it to — and each DC then records
+// the copy that reached it first. Every stamp names the same transaction,
+// so a DC holding it holds what each stamp names: without the merge, its
+// state would never cover the other DC's stamp, and a later commit naming
+// that stamp in its snapshot (the edge saw it pushed) would be refused here,
+// or stay pending in admission, until that DC stamps something newer. The
+// record is replaced, not changed in place: pushes in flight share it. A
+// copy that arrives while the dot awaits its record is not merged;
+// anti-entropy re-sends it, since this state does not cover its stamp. A
+// restart forgets the merge the same way.
+func (d *DC) absorbLocked(pos int, t *txn.Transaction) {
+	rec := &d.hist[pos]
+	_ = d.coord.ApplyCommitted(t) // the store absorbs a duplicate's stamps
+	merged := rec.t.Clone()
+	for i, ts := range t.Commit {
+		if _, ok := merged.Commit[i]; ok {
+			continue
+		}
+		merged.Commit[i] = ts
+		if rec.masked {
+			d.addMaskRootLocked(i, ts, merged)
+		}
+	}
+	rec.t = merged
+	d.state = merged.Commit.JoinInto(d.state, merged.Snapshot)
 }
 
 // knownLocked reports whether this DC has recorded dot, or committed it and

@@ -91,7 +91,7 @@ func TestDeferredEdgeCommitDuplicates(t *testing.T) {
 			replies[1] = awaitReply(t, d.handle("edgeA", wire.EdgeCommit{Tx: tx.Clone()}))
 		}
 		d.mu.Lock()
-		recorded, ok := d.recordedAckLocked(tx.Dot)
+		recorded, _, ok := d.recordedAckLocked(tx.Dot)
 		d.mu.Unlock()
 		if !ok {
 			t.Fatalf("commit %d acknowledged but not recorded", seq)
@@ -113,6 +113,53 @@ func TestDeferredEdgeCommitDuplicates(t *testing.T) {
 	}
 	if n := d.LogLen(); n != commits {
 		t.Fatalf("history holds %d records for %d distinct commits", n, commits)
+	}
+}
+
+// TestInlineCommitsRecordInStampOrder: without a journal, commits complete
+// on their committers' goroutines, and concurrent ones still record in stamp
+// order — the state vector never covers a stamp that awaits its record.
+func TestInlineCommitsRecordInStampOrder(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	defer net.Close()
+	d := cluster(t, net, 1, 1)[0]
+	const workers, perWorker = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				tx := d.Begin(fmt.Sprintf("client%d", w))
+				tx.Update(xID, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
+				if _, err := tx.Commit(); err != nil {
+					t.Errorf("client %d commit %d: %v", w, k, err)
+					return
+				}
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			node := fmt.Sprintf("edge%d", w)
+			for seq := uint64(1); seq <= perWorker; seq += 2 {
+				m := edgeFlightOf(edgeInc(node, seq, 1, 1), edgeInc(node, seq+1, 1, 1))
+				if r, ok := awaitReply(t, d.handle(node, m)).(wire.EdgeCommitAck); !ok || len(r.Next) != 1 {
+					t.Errorf("%s flight at %d: reply %#v", node, seq, r)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if want := 2 * workers * perWorker; len(d.hist) != want {
+		t.Fatalf("history holds %d records, want %d", len(d.hist), want)
+	}
+	for i := 1; i < len(d.hist); i++ {
+		if prev, ts := d.hist[i-1].t.Commit[0], d.hist[i].t.Commit[0]; ts <= prev {
+			t.Fatalf("record %d carries stamp %d after %d: records out of stamp order", i, ts, prev)
+		}
 	}
 }
 

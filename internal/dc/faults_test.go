@@ -10,6 +10,7 @@ import (
 	"colony/internal/simnet"
 	"colony/internal/txn"
 	"colony/internal/vclock"
+	"colony/internal/wire"
 )
 
 // TestConvergenceUnderLossyMesh: 20% message loss on every DC↔DC link; the
@@ -163,7 +164,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 	// An edge transaction too, to cover the replicated/accepted path.
 	etx := incTxForRestart("edgeZ", 1, d1.State())
-	if reply := d1.acceptEdgeTx(etx); reply == nil {
+	if reply := d1.acceptEdgeTx(wire.EdgeCommit{Tx: etx}); reply == nil {
 		t.Fatal("edge tx not accepted")
 	}
 	stateBefore := d1.State()
@@ -197,7 +198,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 	// Duplicate filtering survives: re-accepting the edge tx re-acks, no
 	// double apply.
-	if reply := d2.acceptEdgeTx(etx.Clone()); reply == nil {
+	if reply := d2.acceptEdgeTx(wire.EdgeCommit{Tx: etx.Clone()}); reply == nil {
 		t.Fatal("re-accept failed")
 	}
 	obj, _ = d2.ReadAt(xID, d2.State())

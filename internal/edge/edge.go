@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,8 +118,9 @@ type Hooks struct {
 	// so it must not call ApplyPush); a group parent forwards stable updates
 	// to its members with it.
 	Push func(wire.PushTxs)
-	// Ack runs after every DC commit acknowledgement; a group parent (sync
-	// point) distributes concrete commit descriptors with it.
+	// Ack runs once per transaction the DC acknowledges, in queue order,
+	// before the transaction leaves the queue; a group parent (sync point)
+	// distributes concrete commit descriptors with it.
 	Ack func(wire.EdgeCommitAck)
 	// ReadFilter masks transactions from this node's reads — the edge's
 	// local ACL check (paper §6.4).
@@ -464,14 +466,11 @@ func (n *Node) ApplyGroupTx(shared *txn.Transaction) {
 func (n *Node) Promote(dot vclock.Dot, dcIdx int, ts uint64, stable vclock.Vector) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_ = n.st.Promote(dot, dcIdx, ts)
-	if t, ok := n.st.Transaction(dot); ok {
-		if cv, ok := t.CommitVector(); ok {
-			n.joinState(cv)
-			if t.Origin == n.cfg.Name {
-				n.acked = n.acked.Join(cv)
-				n.observeAckLocked(dot, cv)
-			}
+	if cv, err := n.st.Promote(dot, dcIdx, ts); err == nil {
+		n.joinState(cv)
+		if dot.Node == n.cfg.Name {
+			n.acked = n.acked.Join(cv)
+			n.observeAckLocked(dot, cv)
 		}
 	}
 	n.stable = n.stable.Join(stable)
@@ -1128,9 +1127,15 @@ func (n *Node) senderLoop() {
 	}
 }
 
-// drainUnacked sends queued transactions until the queue empties or the DC
-// stops answering. Failures back off exponentially (up to 64× the retry
-// interval) so an unreachable DC is probed, not hammered.
+// maxFlight bounds the transactions one EdgeCommit carries. It equals the
+// WAL's group-commit batch bound, so a full flight fits one fsync.
+const maxFlight = 64
+
+// drainUnacked ships queued transactions until the queue empties or the DC
+// stops answering, in flights: each Call carries every queued transaction
+// (up to maxFlight), and the DC sequences them in order. Failures back off
+// exponentially (up to 64× the retry interval) so an unreachable DC is
+// probed, not hammered.
 func (n *Node) drainUnacked() {
 	n.mu.Lock()
 	wait := n.nextTry
@@ -1145,13 +1150,25 @@ func (n *Node) drainUnacked() {
 			n.mu.Unlock()
 			return
 		}
-		head := n.unacked[0]
+		queued := slices.Clone(n.unacked[:min(len(n.unacked), maxFlight)])
 		dcName := n.connected
-		acked := n.acked.Clone()
+		deps := n.acked.Clone()
 		n.mu.Unlock()
 
-		cp, err := n.st.ResolveSnapshot(head.Dot, acked)
-		if err != nil {
+		// Resolve each snapshot against the acked commit vectors. A
+		// transaction also depends on its flight predecessors, whose commit
+		// vectors do not exist yet: deps accumulates their snapshots, and the
+		// DC joins in each predecessor's stamp as it sequences the flight.
+		flight := make([]*txn.Transaction, 0, len(queued))
+		for _, t := range queued {
+			cp, err := n.st.ResolveSnapshot(t.Dot, deps)
+			if err != nil {
+				break
+			}
+			deps = deps.Join(cp.Snapshot)
+			flight = append(flight, cp)
+		}
+		if len(flight) == 0 {
 			// The transaction vanished from the store (compaction bug);
 			// drop it rather than wedging the pipeline.
 			n.mu.Lock()
@@ -1159,8 +1176,12 @@ func (n *Node) drainUnacked() {
 			n.mu.Unlock()
 			continue
 		}
+		msg := wire.EdgeCommit{Tx: flight[0]}
+		if len(flight) > 1 {
+			msg.Next = flight[1:]
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-		reply, err := n.node.Call(ctx, dcName, wire.EdgeCommit{Tx: cp})
+		reply, err := n.node.Call(ctx, dcName, msg)
 		cancel()
 		if err != nil {
 			n.recordFailure()
@@ -1168,30 +1189,13 @@ func (n *Node) drainUnacked() {
 		}
 		switch ack := reply.(type) {
 		case wire.EdgeCommitAck:
-			n.mu.Lock()
-			n.failStreak = 0
-			n.nextTry = time.Time{}
-			ackHook := n.hooks.Ack
-			if err := n.st.Promote(ack.Dot, ack.DCIndex, ack.Ts); err == nil {
-				n.stats.txAcked.Add(1)
-				n.obsAcked.Inc()
-			}
-			if t, ok := n.st.Transaction(ack.Dot); ok {
-				if cv, ok := t.CommitVector(); ok {
-					n.acked = n.acked.Join(cv)
-					n.joinState(cv)
-					n.observeAckLocked(ack.Dot, cv)
-				}
-			}
-			n.stable = n.stable.Join(ack.Stable)
-			n.joinState(n.stable)
-			n.sweepStableLocked()
-			if len(n.unacked) > 0 && n.unacked[0].Dot == ack.Dot {
-				n.unacked = n.unacked[1:]
-			}
-			n.mu.Unlock()
-			if ackHook != nil {
-				ackHook(ack)
+			if n.integrateAcks(ack) < len(flight) {
+				// The DC stopped at a transaction it could not accept: the
+				// rest stay queued for the next attempt.
+				n.stats.txNacked.Add(1)
+				n.obsNacked.Inc()
+				n.recordFailure()
+				return
 			}
 		case wire.EdgeCommitNack:
 			// Causal incompatibility with this DC (paper §3.8): the node is
@@ -1205,6 +1209,53 @@ func (n *Node) drainUnacked() {
 			return
 		}
 	}
+}
+
+// integrateAcks applies a flight's ack — its head and Next, in order — and
+// returns how many transactions it acknowledged. Each is promoted and joins
+// its commit vector into the node's vectors; then Hooks.Ack runs once per
+// transaction, and only after its hook has returned does a transaction
+// leave the queue, so an empty queue means every hook has run.
+func (n *Node) integrateAcks(head wire.EdgeCommitAck) int {
+	acks := make([]wire.EdgeCommitAck, 0, 1+len(head.Next))
+	acks = append(acks, head)
+	for _, a := range head.Next {
+		a.Stable = head.Stable
+		acks = append(acks, a)
+	}
+	acks[0].Next = nil
+	n.mu.Lock()
+	n.failStreak = 0
+	n.nextTry = time.Time{}
+	ackHook := n.hooks.Ack
+	for _, a := range acks {
+		cv, err := n.st.Promote(a.Dot, a.DCIndex, a.Ts)
+		if err != nil {
+			continue
+		}
+		n.stats.txAcked.Add(1)
+		n.obsAcked.Inc()
+		n.acked = n.acked.Join(cv)
+		n.joinState(cv)
+		n.observeAckLocked(a.Dot, cv)
+	}
+	n.stable = n.stable.Join(head.Stable)
+	n.joinState(n.stable)
+	n.sweepStableLocked()
+	n.mu.Unlock()
+	if ackHook != nil {
+		for _, a := range acks {
+			ackHook(a)
+		}
+	}
+	n.mu.Lock()
+	for _, a := range acks {
+		if len(n.unacked) > 0 && n.unacked[0].Dot == a.Dot {
+			n.unacked = n.unacked[1:]
+		}
+	}
+	n.mu.Unlock()
+	return len(acks)
 }
 
 // recordFailure grows the commit pipeline's backoff window.

@@ -116,10 +116,10 @@ func TestReadCacheEquivalence(t *testing.T) {
 			promoted[dot] = true
 			dc := rng.Intn(3)
 			seq[dc]++
-			if err := cached.Promote(dot, dc, seq[dc]); err != nil {
+			if _, err := cached.Promote(dot, dc, seq[dc]); err != nil {
 				t.Fatal(err)
 			}
-			if err := plain.Promote(dot, dc, seq[dc]); err != nil {
+			if _, err := plain.Promote(dot, dc, seq[dc]); err != nil {
 				t.Fatal(err)
 			}
 		case 3: // the group orders a transaction the stores already journalled
@@ -219,7 +219,7 @@ func TestCachePromoteAtSameCut(t *testing.T) {
 	if got := readCounter(t, s, cut, ReadOptions{}); got != 0 {
 		t.Fatalf("read before promote = %d, want 0 (symbolic commit)", got)
 	}
-	if err := s.Promote(sym.Dot, 0, 3); err != nil {
+	if _, err := s.Promote(sym.Dot, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := readCounter(t, s, cut, ReadOptions{}); got != 7 {
@@ -340,7 +340,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 			dot := vclock.Dot{Node: "w", Seq: hi}
 			if s.Contains(dot) {
-				_ = s.Promote(dot, 1, hi)
+				_, _ = s.Promote(dot, 1, hi)
 			}
 		}
 	}()

@@ -415,19 +415,21 @@ func (s *Store) lockTxShards(dot vclock.Dot) (*txn.Transaction, func(), error) {
 }
 
 // Promote records that DC dc accepted transaction dot at timestamp ts,
-// turning a symbolic commit concrete (or adding an equivalent commit vector).
-func (s *Store) Promote(dot vclock.Dot, dc int, ts uint64) error {
+// turning a symbolic commit concrete (or adding an equivalent commit vector),
+// and returns the transaction's commit vector.
+func (s *Store) Promote(dot vclock.Dot, dc int, ts uint64) (vclock.Vector, error) {
 	t, unlock, err := s.lockTxShards(dot)
 	if err != nil {
-		return fmt.Errorf("promote %s: %w", dot, err)
+		return nil, fmt.Errorf("promote %s: %w", dot, err)
 	}
 	defer unlock()
 	stamps, err := t.Commit.Add(dc, ts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t.Commit = stamps
-	return nil
+	cv, _ := stamps.Vector(t.Snapshot)
+	return cv, nil
 }
 
 // ResolveSnapshot joins extra into the stored transaction's snapshot and

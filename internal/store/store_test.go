@@ -117,20 +117,25 @@ func TestPromoteMakesVisible(t *testing.T) {
 	if err := s.Apply(local); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Promote(local.Dot, 0, 1); err != nil {
+	cv, err := s.Promote(local.Dot, 0, 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !cv.Equal(vclock.Vector{1, 0}) {
+		t.Fatalf("commit vector = %v, want [1 0]", cv)
 	}
 	if got := readCounter(t, s, vclock.Vector{1, 0}, ReadOptions{}); got != 1 {
 		t.Fatalf("promoted tx not visible: %d", got)
 	}
 	// Equivalent commit vector from a second DC after migration.
-	if err := s.Promote(local.Dot, 1, 4); err != nil {
-		t.Fatal(err)
+	// The commit vector stays the lowest DC index's.
+	if cv, err := s.Promote(local.Dot, 1, 4); err != nil || !cv.Equal(vclock.Vector{1, 0}) {
+		t.Fatalf("second promote = %v, %v; want [1 0]", cv, err)
 	}
 	if got := readCounter(t, s, vclock.Vector{0, 4}, ReadOptions{}); got != 1 {
 		t.Fatalf("equivalent commit vector not honoured: %d", got)
 	}
-	if err := s.Promote(vclock.Dot{Node: "ghost", Seq: 1}, 0, 1); !errors.Is(err, ErrUnknownTx) {
+	if _, err := s.Promote(vclock.Dot{Node: "ghost", Seq: 1}, 0, 1); !errors.Is(err, ErrUnknownTx) {
 		t.Fatalf("promote unknown = %v", err)
 	}
 }
@@ -204,7 +209,7 @@ func TestGroupVisibleMarkLifetime(t *testing.T) {
 	}
 
 	// Once a cut covers it, releasing the dot releases the mark.
-	if err := s.Promote(sym.Dot, 0, 4); err != nil {
+	if _, err := s.Promote(sym.Dot, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Advance(vclock.Vector{4}, false); err != nil {

@@ -121,6 +121,11 @@ func TestEdgeCommitsShareFsync(t *testing.T) {
 	if fsyncs > appends/2 {
 		t.Fatalf("wal.fsyncs = %d for %d appends: concurrent edge commits do not share fsyncs", fsyncs, appends)
 	}
+	flights := f.reg.Histogram("dc.edge_batch_txs").Summarize()
+	t.Logf("%d EdgeCommit flights, %.1f transactions each", flights.Count, float64(flights.Sum)/float64(flights.Count))
+	if commits := f.reg.Counter("dc.edge_commits").Value(); flights.Sum != commits {
+		t.Fatalf("dc.edge_batch_txs sums to %d, dc.edge_commits = %d", flights.Sum, commits)
+	}
 }
 
 // TestEdgeAckImpliesLogged: by the time an edge sees a commit acknowledged,

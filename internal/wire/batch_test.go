@@ -45,8 +45,8 @@ func TestReplBatchCloneSafety(t *testing.T) {
 // TestBatchUnits pins the unit accounting the network substrate uses: a
 // replication batch stands for one logical message per payload-bearing
 // transaction (partial-replication stubs are free beyond the frame itself),
-// and a push with no transactions (pure stability advance) still counts as
-// one.
+// a push with no transactions (pure stability advance) still counts as
+// one, and an uplink flight and its ack count one per transaction.
 func TestBatchUnits(t *testing.T) {
 	var txs []*txn.Transaction
 	for seq := uint64(1); seq <= 5; seq++ {
@@ -74,5 +74,14 @@ func TestBatchUnits(t *testing.T) {
 	}
 	if got := (PushTxs{}).Units(); got != 1 {
 		t.Errorf("stability-only PushTxs units = %d, want 1", got)
+	}
+	if got := (EdgeCommit{Tx: txs[0], Next: txs[1:]}).Units(); got != 5 {
+		t.Errorf("EdgeCommit flight of 5 units = %d, want 5", got)
+	}
+	if got := (EdgeCommit{Tx: txs[0]}).Units(); got != 1 {
+		t.Errorf("single EdgeCommit units = %d, want 1", got)
+	}
+	if got := (EdgeCommitAck{Next: make([]EdgeCommitAck, 2)}).Units(); got != 3 {
+		t.Errorf("EdgeCommitAck covering 3 units = %d, want 3", got)
 	}
 }

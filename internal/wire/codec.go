@@ -78,12 +78,30 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendVarint(buf, int64(v.From))
 		return appendVector(buf, v.State), nil
 	case EdgeCommit:
-		return AppendTx(buf, v.Tx)
+		buf, err := AppendTx(buf, v.Tx)
+		if err != nil || len(v.Next) == 0 {
+			return buf, err
+		}
+		// Next is an optional trailing list, written only when non-empty: a
+		// one-transaction flight encodes as the bare transaction.
+		buf = bin.AppendUvarint(buf, uint64(len(v.Next)))
+		for _, t := range v.Next {
+			if buf, err = AppendTx(buf, t); err != nil {
+				return nil, err
+			}
+		}
+		return buf, nil
 	case EdgeCommitAck:
-		buf = appendDot(buf, v.Dot)
-		buf = bin.AppendVarint(buf, int64(v.DCIndex))
-		buf = bin.AppendUvarint(buf, v.Ts)
-		return appendVector(buf, v.Stable), nil
+		buf = appendAckStamp(buf, v)
+		buf = appendVector(buf, v.Stable)
+		if len(v.Next) == 0 {
+			return buf, nil
+		}
+		buf = bin.AppendUvarint(buf, uint64(len(v.Next)))
+		for _, a := range v.Next {
+			buf = appendAckStamp(buf, a)
+		}
+		return buf, nil
 	case EdgeCommitNack:
 		buf = appendDot(buf, v.Dot)
 		return appendVector(buf, v.Missing), nil
@@ -282,12 +300,23 @@ func DecodeMessage(data []byte) (Message, error) {
 	case TagReplHeartbeat:
 		m = ReplHeartbeat{From: int(r.Varint()), State: readVector(r)}
 	case TagEdgeCommit:
-		m = EdgeCommit{Tx: readTx(r)}
+		v := EdgeCommit{Tx: readTx(r)}
+		if n := readTrailingCount(r, 1); n > 0 {
+			v.Next = make([]*txn.Transaction, 0, n)
+			for i := 0; i < n; i++ {
+				v.Next = append(v.Next, readTx(r))
+			}
+		}
+		m = v
 	case TagEdgeCommitAck:
-		v := EdgeCommitAck{Dot: readDot(r)}
-		v.DCIndex = int(r.Varint())
-		v.Ts = r.Uvarint()
+		v := readAckStamp(r)
 		v.Stable = readVector(r)
+		if n := readTrailingCount(r, 4); n > 0 {
+			v.Next = make([]EdgeCommitAck, 0, n)
+			for i := 0; i < n; i++ {
+				v.Next = append(v.Next, readAckStamp(r))
+			}
+		}
 		m = v
 	case TagEdgeCommitNack:
 		m = EdgeCommitNack{Dot: readDot(r), Missing: readVector(r)}
@@ -503,6 +532,35 @@ func readVector(r *bin.Reader) vclock.Vector {
 		v = append(v, r.Uvarint())
 	}
 	return v
+}
+
+// readTrailingCount reads the length of an optional trailing list: zero when
+// no bytes remain, the count otherwise. A list that is present must be
+// non-empty — encoders omit an empty one — so an explicit zero is malformed.
+func readTrailingCount(r *bin.Reader, minBytes int) int {
+	if r.Remaining() == 0 {
+		return 0
+	}
+	n := r.Count(minBytes)
+	if n == 0 {
+		r.Poison()
+	}
+	return n
+}
+
+// appendAckStamp encodes the commit descriptor of one acknowledged
+// transaction: dot, DC index and timestamp.
+func appendAckStamp(buf []byte, a EdgeCommitAck) []byte {
+	buf = appendDot(buf, a.Dot)
+	buf = bin.AppendVarint(buf, int64(a.DCIndex))
+	return bin.AppendUvarint(buf, a.Ts)
+}
+
+func readAckStamp(r *bin.Reader) EdgeCommitAck {
+	a := EdgeCommitAck{Dot: readDot(r)}
+	a.DCIndex = int(r.Varint())
+	a.Ts = r.Uvarint()
+	return a
 }
 
 // appendDot encodes a transaction dot.

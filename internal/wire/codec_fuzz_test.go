@@ -46,6 +46,10 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(retiredDropQueryFrame)
 	f.Add(retiredDropVoteFrame)
 	f.Add([]byte{byte(TagMigratedTx), 0x01, 'e', 0x00, 0x00, 0xff, 0xff, 0x0f})
+	// Uplink flights whose Next list is cut short or present but empty.
+	for _, frame := range truncatedNextFrames(f) {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)

@@ -39,6 +39,15 @@ func sampleTx() *txn.Transaction {
 	return t
 }
 
+// sampleTxAt is sampleTx with dot sequence seq and no commit stamps: a
+// later transaction of the same edge's uplink flight.
+func sampleTxAt(seq uint64) *txn.Transaction {
+	t := sampleTx()
+	t.Dot.Seq = seq
+	t.Commit = nil
+	return t
+}
+
 // sampleObjectState builds an ObjectState with real CRDT state.
 func sampleObjectState() ObjectState {
 	set := crdt.NewORSet()
@@ -69,9 +78,14 @@ func goldenMessages() map[string]Message {
 	return map[string]Message{
 		"repl_batch": ReplBatch{From: 2, Txs: []*txn.Transaction{sampleTx(), sampleTx()},
 			State: vclock.Vector{1, 2}, SentAt: sentAt, WantSeq: 6},
-		"repl_heartbeat":  ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30}},
-		"edge_commit":     EdgeCommit{Tx: sampleTx()},
-		"edge_commit_ack": EdgeCommitAck{Dot: vclock.Dot{Node: "edge-7", Seq: 42}, DCIndex: 2, Ts: 10, Stable: vclock.Vector{5, 5, 10}},
+		"repl_heartbeat":    ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30}},
+		"edge_commit":       EdgeCommit{Tx: sampleTx()},
+		"edge_commit_ack":   EdgeCommitAck{Dot: vclock.Dot{Node: "edge-7", Seq: 42}, DCIndex: 2, Ts: 10, Stable: vclock.Vector{5, 5, 10}},
+		"edge_commit_batch": EdgeCommit{Tx: sampleTx(), Next: []*txn.Transaction{sampleTxAt(43), sampleTxAt(44)}},
+		"edge_commit_ack_batch": EdgeCommitAck{Dot: vclock.Dot{Node: "edge-7", Seq: 42}, DCIndex: 2, Ts: 10,
+			Stable: vclock.Vector{5, 5, 10}, Next: []EdgeCommitAck{
+				{Dot: vclock.Dot{Node: "edge-7", Seq: 43}, DCIndex: 2, Ts: 11},
+				{Dot: vclock.Dot{Node: "edge-7", Seq: 44}, DCIndex: 2, Ts: 12}}},
 		"edge_commit_nack": EdgeCommitNack{Dot: vclock.Dot{Node: "edge-9", Seq: 3},
 			Missing: vclock.Vector{1, 0, 0}},
 		"subscribe": Subscribe{Node: "edge-7",
@@ -360,8 +374,28 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A flight's Next list is an optional trailing field, so the frame
+		// cut just before it is the complete message without it — the one
+		// strict prefix that must decode, and to exactly that message.
+		bare, bareLen := withoutNext(msg), -1
+		if bare != nil {
+			b, err := EncodeMessage(nil, bare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bareLen = len(b)
+		}
 		for cut := 0; cut < len(frame); cut++ {
-			if _, err := DecodeMessage(frame[:cut]); err == nil {
+			m, err := DecodeMessage(frame[:cut])
+			if cut == bareLen {
+				if err != nil {
+					t.Errorf("%s: the frame without its Next list failed to decode: %v", name, err)
+				} else {
+					assertMessagesEqual(t, bare, m)
+				}
+				continue
+			}
+			if err == nil {
 				t.Errorf("%s: truncation at %d/%d decoded without error", name, cut, len(frame))
 			}
 		}
@@ -393,6 +427,68 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 	} {
 		if m, err := DecodeMessage(frame); !errors.Is(err, ErrUnknownTag) || m != nil {
 			t.Errorf("retired tag frame %x: got %v, %v, want nil, ErrUnknownTag", frame, m, err)
+		}
+	}
+}
+
+// withoutNext returns msg with its Next list dropped, or nil when msg has
+// none.
+func withoutNext(msg Message) Message {
+	switch v := msg.(type) {
+	case EdgeCommit:
+		if len(v.Next) > 0 {
+			v.Next = nil
+			return v
+		}
+	case EdgeCommitAck:
+		if len(v.Next) > 0 {
+			v.Next = nil
+			return v
+		}
+	}
+	return nil
+}
+
+// truncatedNextFrames are flight frames whose Next list is cut short or
+// empty: a list cut inside its first or second element, a count with no
+// elements behind it, and an explicit zero count (an encoder omits an empty
+// list). Each must be rejected as malformed.
+func truncatedNextFrames(t testing.TB) map[string][]byte {
+	t.Helper()
+	enc := func(m Message) []byte {
+		b, err := EncodeMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	golden := goldenMessages()
+	commit, ack := enc(golden["edge_commit_batch"]), enc(golden["edge_commit_ack_batch"])
+	bareCommit, bareAck := enc(golden["edge_commit"]), enc(golden["edge_commit_ack"])
+	firstTx, err := AppendTx(nil, sampleTxAt(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCount := func(frame []byte, n byte) []byte { return append(append([]byte(nil), frame...), n) }
+	return map[string][]byte{
+		"commit cut in first of Next":  commit[:len(bareCommit)+1+len(firstTx)/2],
+		"commit cut in second of Next": commit[:len(bareCommit)+1+len(firstTx)+3],
+		"commit count without Next":    withCount(bareCommit, 2),
+		"commit empty Next":            withCount(bareCommit, 0),
+		"ack cut in first of Next":     ack[:len(bareAck)+3],
+		"ack cut in last of Next":      ack[:len(ack)-1],
+		"ack count without Next":       withCount(bareAck, 1),
+		"ack empty Next":               withCount(bareAck, 0),
+	}
+}
+
+// TestDecodeTruncatedNext: a flight's Next list is read whenever bytes remain
+// after the head, so a list that is cut short or present but empty is
+// malformed — never a shorter flight.
+func TestDecodeTruncatedNext(t *testing.T) {
+	for name, frame := range truncatedNextFrames(t) {
+		if m, err := DecodeMessage(frame); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %#v, %v, want ErrMalformed", name, m, err)
 		}
 	}
 }

@@ -109,14 +109,8 @@ func (ReplHeartbeat) Units() int { return 1 }
 // Tag implements Message.
 func (EdgeCommit) Tag() Tag { return TagEdgeCommit }
 
-// Units implements Message.
-func (EdgeCommit) Units() int { return 1 }
-
 // Tag implements Message.
 func (EdgeCommitAck) Tag() Tag { return TagEdgeCommitAck }
-
-// Units implements Message.
-func (EdgeCommitAck) Units() int { return 1 }
 
 // Tag implements Message.
 func (EdgeCommitNack) Tag() Tag { return TagEdgeCommitNack }

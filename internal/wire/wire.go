@@ -120,12 +120,18 @@ type BackfillResp struct {
 
 // --- edge ↔ DC ---
 
-// EdgeCommit asks the connected DC to assign a concrete commit timestamp to
-// a locally committed edge transaction (paper §3.7). Sent as a Call; the
+// EdgeCommit asks the connected DC to assign concrete commit timestamps to
+// locally committed edge transactions (paper §3.7): Tx, then each of Next,
+// in the edge's commit order — one uplink flight. The DC sequences them in
+// that order and stops at the first it cannot accept. Sent as a Call; the
 // reply is EdgeCommitAck or EdgeCommitNack.
 type EdgeCommit struct {
-	Tx *txn.Transaction
+	Tx   *txn.Transaction
+	Next []*txn.Transaction
 }
+
+// Units implements Message: one per transaction of the flight.
+func (m EdgeCommit) Units() int { return 1 + len(m.Next) }
 
 // EdgeCommitAck carries the concrete commit descriptor back to the edge.
 type EdgeCommitAck struct {
@@ -135,7 +141,14 @@ type EdgeCommitAck struct {
 	// Stable is the DC's current K-stable vector, letting the edge advance
 	// its visibility immediately.
 	Stable vclock.Vector
+	// Next acknowledges the flight's transactions after Tx that the DC
+	// sequenced, in order: a prefix of EdgeCommit.Next. Its entries carry
+	// Dot, DCIndex and Ts only; Stable above covers them all.
+	Next []EdgeCommitAck
 }
+
+// Units implements Message: one per acknowledged transaction.
+func (a EdgeCommitAck) Units() int { return 1 + len(a.Next) }
 
 // EdgeCommitNack reports that the DC cannot accept the transaction because
 // its snapshot depends on transactions the DC has not seen (causal
