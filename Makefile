@@ -12,8 +12,8 @@ test:
 
 # The packages with concurrency-heavy code — sealed snapshots and COW forks
 # (crdt), sharded store locks and background base advancement (store), the DC
-# write pipeline, push fan-out and multicast trees (dc, edge), the event bus
-# (obs), the group-commit WAL writer (wal), both network substrates and the
+# write pipeline, push fan-out and multicast trees (dc, edge), the metric
+# registry (obs), the group-commit WAL writer (wal), both network substrates and the
 # codec they share (simnet, transport, transport/tcp, wire, bin), the
 # replication mesh (replication), the peer-group / EPaxos quorum machinery
 # (group, epaxos), and the end-to-end benchmark's tracker and decorators
@@ -25,17 +25,21 @@ test-race:
 # and the resume that repairs them — twenty times over under the race
 # detector: every review pass this code needed was a race, and "green most
 # runs" is not green. The second line does the same for group visibility: the
-# store's mark and seed read, the materialisation cache under them, and a
-# member joining, being evicted, re-subscribing, migrating and leaving while
-# the group commits — run it after any change to store.entryVisible,
-# edge.ApplyGroupTx or the seeding in group.Parent. The third runs the EPaxos
+# store's mark and seed read, the materialisation cache under them, a member
+# joining, being evicted, re-subscribing, migrating and leaving while the
+# group commits, and the parent's push stream to its members — frames in
+# position order, a lost frame, a bounded range reply, a rejoin, a migration
+# into a group cut off from its DC — run it after any change to
+# store.entryVisible, edge.ApplyGroupTx, edge.ApplyPush, or group.Parent's
+# seeding or stream. The third runs the EPaxos
 # seeded schedules and the group's consensus driver — concurrent handlers,
 # listeners that commit, per-member order, the PSI wait — the same way; run it
 # after any change to internal/epaxos or group's driver. The fourth covers the
 # per-history costs kept flat: the TCP write loop's flush-on-drain, the DC's
 # anti-entropy resend from a peer's position, the DC's masking rule against
-# its scan reference and the visibility recheck, and the RGA's slot index; run
-# it after any change to tcp's writeLoop, the DC's history or visibility code
+# its scan reference and the visibility recheck, and the RGA's slot index —
+# and tcp sends to one destination staying on one connection; run it after
+# any change to tcp's writeLoop or connFor, the DC's history or visibility code
 # (recordLocked, maskLocked, RecheckVisibility, antiEntropyLocked) or
 # crdt/rga.go. The fifth covers durability and folding: the group-commit WAL
 # (batching, torn tails, corrupt records, append after a crash, completions),
@@ -50,9 +54,9 @@ test-race:
 # a substrate's reply path.
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
-	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave' ./internal/store ./internal/group
+	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave|Stream' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
-	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA|Masking|Recheck' ./internal/transport/tcp ./internal/dc ./internal/crdt
+	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA|Masking|Recheck|SendsStay' ./internal/transport/tcp ./internal/dc ./internal/crdt
 	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable|Deferred|AppendThen|ShareFsync|AckImpliesLogged|EdgeFlight|InlineCommits|SequencedTwice' ./internal/wal ./internal/store ./internal/dc ./internal/edge ./internal/transport ./internal/transport/tcp
 
 vet:

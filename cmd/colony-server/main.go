@@ -182,8 +182,8 @@ func run(args []string) error {
 				}
 			}
 			for _, p := range parents {
-				fmt.Printf("  %s: members=%v vislog=%d\n",
-					p.Name(), p.Members(), p.VisibilityLogLen())
+				fmt.Printf("  %s: members=%v stream=%d\n",
+					p.Name(), p.Members(), p.StreamLen())
 			}
 		case <-sigs:
 			fmt.Println("\nshutting down")

@@ -90,9 +90,9 @@ type Config struct {
 	// memory on long-lived cache entries. 0 disables.
 	AutoAdvanceThreshold int
 	// Obs attaches the deployment's observability registry: the node records
-	// edge.* counters, commit→ack and commit→K-stable latency histograms,
-	// and lifecycle events, and its store records store.* metrics. Nil
-	// disables instrumentation at near-zero cost.
+	// edge.* counters and commit→ack and commit→K-stable latency histograms,
+	// and its store records store.* metrics. Nil disables instrumentation at
+	// near-zero cost.
 	Obs *obs.Registry
 }
 
@@ -115,8 +115,8 @@ type Hooks struct {
 	Extra func(from string, msg any) any
 	// Push runs after every integrated push batch, once per frame and in the
 	// order the frames were integrated (integration is serialised around it,
-	// so it must not call ApplyPush); a group parent forwards stable updates
-	// to its members with it.
+	// so it must not call ApplyPush); a group parent logs each frame into
+	// the stream it serves its members with it.
 	Push func(wire.PushTxs)
 	// Ack runs once per transaction the DC acknowledges, in queue order,
 	// before the transaction leaves the queue; a group parent (sync point)
@@ -221,7 +221,6 @@ type Node struct {
 	obsFetchMiss *obs.Counter
 	ackLat       *obs.Histogram
 	kstableLat   *obs.Histogram
-	bus          *obs.Bus
 
 	// relays are the tree-multicast child tables installed by the DC
 	// (wire.TreeAssign): on a TreePush for a (DC, shard) pair at the
@@ -293,7 +292,6 @@ func New(net transport.Network, cfg Config) *Node {
 	n.obsResyncs = cfg.Obs.Counter("edge.push_resyncs")
 	n.ackLat = cfg.Obs.Histogram("edge.commit_to_ack_ns")
 	n.kstableLat = cfg.Obs.Histogram("edge.commit_to_kstable_ns")
-	n.bus = cfg.Obs.Events()
 	if cfg.Obs != nil {
 		n.tracked = make(map[vclock.Dot]*commitTrack)
 		cfg.Obs.RegisterGauge("edge.unacked", obs.AggSum, func() int64 {
@@ -490,11 +488,7 @@ func (n *Node) observeAckLocked(dot vclock.Dot, cv vclock.Vector) {
 	}
 	tr.acked = true
 	tr.cv = cv.Clone()
-	d := time.Since(tr.at)
-	n.ackLat.Observe(int64(d))
-	if n.bus.Active() {
-		n.bus.Publish(obs.Event{Type: obs.EvTxPromoted, Node: n.cfg.Name, Dur: d})
-	}
+	n.ackLat.Observe(int64(time.Since(tr.at)))
 }
 
 // sweepStableLocked completes the lifecycle of tracked commits whose concrete
@@ -509,12 +503,8 @@ func (n *Node) sweepStableLocked() {
 		if tr.cv == nil || !tr.cv.LEQ(n.stable) {
 			continue
 		}
-		d := time.Since(tr.at)
-		n.kstableLat.Observe(int64(d))
+		n.kstableLat.Observe(int64(time.Since(tr.at)))
 		delete(n.tracked, dot)
-		if n.bus.Active() {
-			n.bus.Publish(obs.Event{Type: obs.EvTxKStable, Node: n.cfg.Name, Dur: d})
-		}
 	}
 }
 
@@ -556,18 +546,12 @@ func (n *Node) Migrate(newDC string) error {
 	}
 	since := n.stable.Clone()
 	n.mu.Unlock()
-	if n.bus.Active() {
-		n.bus.Publish(obs.Event{Type: obs.EvMigrationStarted, Node: n.cfg.Name, Peer: newDC})
-	}
 	if err := n.subscribe(newDC, ids, true, since, 3); err != nil {
 		// Roll back to the previous DC on failure; the caller may retry.
 		n.mu.Lock()
 		n.connected, n.push = old, oldPush
 		n.mu.Unlock()
 		return fmt.Errorf("edge: migrate to %s: %w", newDC, err)
-	}
-	if n.bus.Active() {
-		n.bus.Publish(obs.Event{Type: obs.EvMigrationFinished, Node: n.cfg.Name, Peer: newDC})
 	}
 	n.kickSender()
 	return nil
@@ -603,10 +587,14 @@ func (n *Node) RemoveInterest(ids ...txn.ObjectID) {
 // and resumes once more from there, exactly, declaring the rest of its
 // interest as it does.
 func (n *Node) subscribe(dc string, ids []txn.ObjectID, resume bool, since vclock.Vector, attempts int) error {
-	// A resume without any previous cut is just a fresh subscription; an
-	// empty Since would anchor the subscription (and this node's stable
-	// baseline) at the empty cut.
-	resume = resume && len(since) > 0
+	// A resume from nothing — no position, no cut, no cached object — is
+	// just a fresh subscription, whose seeds cover everything below the
+	// frontier. Anything else resumes, even with an empty Since (a stream
+	// whose cut is still zero gives none): a seed never replaces an object
+	// the node already holds, so such a node must be sent what it lacks.
+	n.mu.Lock()
+	resume = resume && (n.push.Gen != 0 || len(since) > 0 || len(n.interest) > 0)
+	n.mu.Unlock()
 	rebased, err := n.subscribeOnce(dc, ids, resume, since, attempts)
 	if err != nil || !rebased || !resume {
 		return err
@@ -683,7 +671,7 @@ func (n *Node) subscribeOnce(dc string, ids []txn.ObjectID, resume bool, since v
 		return false, nil // this node's own cursor is the authority
 	}
 	n.push = wire.PushCursor{Gen: ack.Gen, Idx: ack.Cursor}
-	return ack.Gen != 0, nil
+	return true, nil
 }
 
 // --- message handling ---
@@ -750,32 +738,31 @@ func (n *Node) relayPush(m wire.TreePush) {
 }
 
 // ApplyPush integrates a batch of stable transactions (from the connected DC
-// or, in a peer group, relayed by the sync point). Duplicates are filtered
-// by dot.
+// or, in a peer group, from the parent's stream). Duplicates are filtered by
+// dot. The transactions of a Group frame become group-visible, exactly as
+// ApplyGroupTx makes them.
 //
-// A sequenced frame (Gen != 0) is integrated only if it comes from the
-// connected DC and connects to this node's cursor. One that does not — a gap
-// (a frame was lost, or a direct frame overtook one still queued at a relay)
-// or another log generation — is refused whole: not applied, its stable cut
-// not adopted, Hooks.Push not called; the sender loop resumes from the
-// cursor. So transactions are integrated in log order, and a stable cut only
-// ever together with the in-order frame that carries it.
+// A frame is integrated only if it comes from the connected DC and connects
+// to this node's cursor. One that does not — a gap (a frame was lost, or a
+// direct frame overtook one still queued at a relay) or another log
+// generation — is refused whole: not applied, its stable cut not adopted,
+// Hooks.Push not called; the sender loop resumes from the cursor. So
+// transactions are integrated in log order, and a stable cut only ever
+// together with the in-order frame that carries it.
 func (n *Node) ApplyPush(m wire.PushTxs) {
 	n.applyMu.Lock()
 	touched := make(map[txn.ObjectID]bool)
 	n.mu.Lock()
-	if m.Gen != 0 {
-		ours := m.From == n.connected // else: the stream of a DC this node has left
-		if ours {
-			n.heard = time.Now()
-		}
-		if !ours || !n.push.Admit(m.Gen, m.Lo, m.Hi) {
-			n.resync = n.resync || ours
-			n.mu.Unlock()
-			n.applyMu.Unlock()
-			n.wake()
-			return
-		}
+	ours := m.From == n.connected // else: the stream of a DC this node has left
+	if ours {
+		n.heard = time.Now()
+	}
+	if !ours || !n.push.Admit(m.Gen, m.Lo, m.Hi) {
+		n.resync = n.resync || ours
+		n.mu.Unlock()
+		n.applyMu.Unlock()
+		n.wake()
+		return
 	}
 	for _, shared := range m.Txs {
 		// Clone before storing: the same message (and transaction pointer)
@@ -783,7 +770,11 @@ func (n *Node) ApplyPush(m wire.PushTxs) {
 		// commit stamps independently.
 		t := shared.Clone()
 		n.lamport.Witness(t.Dot.Seq)
-		if err := n.st.Apply(t); err != nil {
+		apply := n.st.Apply
+		if m.Group {
+			apply = n.st.ApplyGroupVisible
+		}
+		if err := apply(t); err != nil {
 			continue // duplicate or malformed
 		}
 		// Fire events for every touched object with a listener, cached or
@@ -798,9 +789,6 @@ func (n *Node) ApplyPush(m wire.PushTxs) {
 	fns := n.listenersFor(touched)
 	hook := n.hooks.Push
 	n.mu.Unlock()
-	if n.bus.Active() {
-		n.bus.Publish(obs.Event{Type: obs.EvPushApplied, Node: n.cfg.Name, N: int64(len(m.Txs))})
-	}
 	if hook != nil {
 		hook(m)
 	}
@@ -1046,9 +1034,6 @@ func (t *Tx) Commit() (*txn.Transaction, error) {
 	cp := tx.Clone()
 	n.mu.Unlock()
 
-	if n.bus.Active() {
-		n.bus.Publish(obs.Event{Type: obs.EvTxCommitted, Node: n.cfg.Name})
-	}
 	if hook != nil {
 		hook(cp)
 	} else {

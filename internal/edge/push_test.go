@@ -53,18 +53,17 @@ func (l *commitLog) missing(base, stable uint64, seen map[uint64]bool) (uint64, 
 	return 0, false
 }
 
-// swallowTreePush wraps the network an edge registers on so that, once drop
-// is set, every TreePush addressed to it disappears — accepted by the
-// network, never handled, no error anywhere: a relay that died holding the
-// frame.
-type swallowTreePush struct {
+// inboundFilter wraps the network an edge registers on: a message for which
+// drop reports true is accepted by the network and never handled, and no
+// error surfaces anywhere.
+type inboundFilter struct {
 	transport.Network
-	drop *atomic.Bool
+	drop func(msg any) bool
 }
 
-func (s swallowTreePush) AddNode(name string, h transport.Handler) transport.Conn {
-	return s.Network.AddNode(name, func(from string, msg any) any {
-		if _, ok := msg.(wire.TreePush); ok && s.drop.Load() {
+func (f inboundFilter) AddNode(name string, h transport.Handler) transport.Conn {
+	return f.Network.AddNode(name, func(from string, msg any) any {
+		if f.drop(msg) {
 			return nil
 		}
 		return h(from, msg)
@@ -294,6 +293,39 @@ func TestPushGapRefusedThenResumed(t *testing.T) {
 	w.checkClean(t)
 }
 
+// TestPushResumeWithoutCut: an edge subscribed while the DC's stable cut was
+// still zero, so it holds a position but no cut, and the first frame that
+// carries transactions — and the first non-zero cut — never reaches it. Every
+// later frame leaves a gap; the edge resumes from its cursor, not with a
+// plain subscribe, which would leave it at the frontier with nothing sent.
+func TestPushResumeWithoutCut(t *testing.T) {
+	var dropped atomic.Bool
+	r := newPushRig(t, 1, func(nw transport.Network) transport.Network {
+		return inboundFilter{Network: nw, drop: func(msg any) bool {
+			var txs int
+			switch m := msg.(type) {
+			case wire.PushTxs:
+				txs = len(m.Txs)
+			case wire.TreePush:
+				txs = len(m.Txs)
+			}
+			return txs > 0 && dropped.CompareAndSwap(false, true)
+		}}
+	})
+	e := r.edges[0]
+	if s := e.StableVector(); len(s) != 0 {
+		t.Fatalf("the edge holds cut %v before any commit, want none", s)
+	}
+	// Progress is watched through Hooks.Push, not read: a read would miss the
+	// cache, and the fetch re-sends the stream above the served cut.
+	w := watchPushes(e, &r.log)
+	commitAt(t, r.d, &r.log, 1)
+	waitFor(t, 2*time.Second, dropped.Load, "no frame carried the first commit")
+	commitAt(t, r.d, &r.log, 2)
+	waitFor(t, 3*time.Second, func() bool { return w.count() == 3 }, "the edge never recovered the dropped frame")
+	w.checkClean(t)
+}
+
 // TestTreeSilentRootSurvivorsResume: the subtree root swallows the frames the
 // DC hands it — the network accepted them, nothing errors, and no later frame
 // reveals a gap; the children just hear nothing. Each resumes on its own once
@@ -303,7 +335,12 @@ func TestTreeSilentRootSurvivorsResume(t *testing.T) {
 	t.Parallel()
 	var dead atomic.Bool
 	r := newPushRig(t, 5, func(nw transport.Network) transport.Network {
-		return swallowTreePush{Network: nw, drop: &dead}
+		// Once dead is set, the root swallows every TreePush: a relay that
+		// died holding the frame.
+		return inboundFilter{Network: nw, drop: func(msg any) bool {
+			_, tree := msg.(wire.TreePush)
+			return tree && dead.Load()
+		}}
 	})
 	root, survivors := r.edges[0], r.edges[1:]
 	commitAt(t, r.d, &r.log, 2)

@@ -17,18 +17,25 @@ import (
 	"colony/internal/vclock"
 )
 
-// vislogCopy returns a copy of the parent's visibility log.
-func (p *Parent) vislogCopy() []vclock.Dot {
+// executed returns the dots of the parent's group entries, in the order it
+// logged them: the group's visibility order at the parent.
+func (p *Parent) executed() []vclock.Dot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return slices.Clone(p.vislog)
+	var out []vclock.Dot
+	for _, e := range p.log {
+		if e.group {
+			out = append(out, e.dot)
+		}
+	}
+	return out
 }
 
 // TestGroupOwnTransactionsUplinkInCommitOrder: one member commits a burst of
 // transactions on disjoint objects while a second member, cut off from the
 // first, has already written the first of them. The burst's first
 // transaction then needs the slow path and the rest do not; the parent's
-// visibility log — the order its sync point uplinks in — must still list
+// group entries — in the order its sync point uplinks them — must still list
 // the burst in commit order.
 func TestGroupOwnTransactionsUplinkInCommitOrder(t *testing.T) {
 	r := newRig(t, 1, 1, 2, VariantAsync)
@@ -55,7 +62,7 @@ func TestGroupOwnTransactionsUplinkInCommitOrder(t *testing.T) {
 	r.net.Partition("peer0", "peer1")
 	t.Cleanup(func() { r.net.Heal("peer0", "peer1") })
 	other := bump(r.nodes[1], objs[0])
-	waitFor(t, 2*time.Second, func() bool { return slices.Contains(r.parent.vislogCopy(), other) },
+	waitFor(t, 2*time.Second, func() bool { return slices.Contains(r.parent.executed(), other) },
 		"the parent never executed the second member's transaction")
 
 	var want []vclock.Dot
@@ -65,7 +72,7 @@ func TestGroupOwnTransactionsUplinkInCommitOrder(t *testing.T) {
 	var got []vclock.Dot
 	waitFor(t, 3*time.Second, func() bool {
 		got = got[:0]
-		for _, dot := range r.parent.vislogCopy() {
+		for _, dot := range r.parent.executed() {
 			if dot.Node == "peer0" {
 				got = append(got, dot)
 			}
@@ -73,7 +80,7 @@ func TestGroupOwnTransactionsUplinkInCommitOrder(t *testing.T) {
 		return len(got) == burst
 	}, "the burst never became visible at the parent")
 	if !slices.Equal(got, want) {
-		t.Fatalf("the parent's visibility log lists the burst as %v, committed as %v", got, want)
+		t.Fatalf("the parent's group entries list the burst as %v, committed as %v", got, want)
 	}
 }
 

@@ -8,8 +8,9 @@
 //     misses at LAN latency;
 //   - communication with the outside: the parent acts as the group's *sync
 //     point*, shipping group-visible transactions to the connected DC in
-//     visibility order and distributing commit descriptors and stable remote
-//     updates back to the members;
+//     visibility order, distributing commit descriptors back to the members,
+//     and serving them one sequenced stream of the group's executions and
+//     the DC's updates;
 //   - the SI order: EPaxos runs among the members (and the parent), agreeing
 //     on the visibility order of the group's transactions.
 //
@@ -49,7 +50,7 @@ const (
 // --- group wire messages ---
 //
 // The message types live in the wire package (wire.GroupJoinReq and friends,
-// tags 18-25) so they have stable tags and binary codecs — peer-group traffic
+// tags 18-22) so they have stable tags and binary codecs — peer-group traffic
 // can span real TCP processes. The aliases keep this package's API and every
 // in-process type switch unchanged.
 
@@ -66,16 +67,6 @@ type (
 	// PromoteMsg distributes a concrete commit descriptor assigned by the DC
 	// for a group transaction.
 	PromoteMsg = wire.GroupPromote
-	// SyncReq asks the parent for the visibility log from index From, to
-	// recover transactions missed while disconnected.
-	SyncReq = wire.GroupSyncReq
-	// SyncAck returns the requested visibility log suffix (with current
-	// commit stamps) and the parent's stable vector.
-	SyncAck = wire.GroupSyncAck
-	// VisEntry pushes one newly group-visible transaction to a member as it
-	// executes (§5.1.2: updates are pushed in a best-effort manner); SyncReq
-	// remains as the recovery path for members that missed pushes.
-	VisEntry = wire.GroupVisEntry
 )
 
 // interferenceKeys renders a transaction's updated objects as EPaxos keys,

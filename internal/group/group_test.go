@@ -59,8 +59,8 @@ func newRig(t *testing.T, nDCs, k, nMembers int, variant CommitVariant) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Stop the member's loop with the test: under -count a leaked loop
-		// keeps ticking and retrying through every later run.
+		// Stop the member's consensus driver with the test: under -count a
+		// leaked driver keeps ticking and retrying through every later run.
 		t.Cleanup(func() { m.leave(false) })
 		r.members = append(r.members, m)
 		r.nodes = append(r.nodes, n)

@@ -23,8 +23,8 @@ type MemberConfig struct {
 	Variant CommitVariant
 	// CallTimeout bounds RPCs to the parent (default 2s).
 	CallTimeout time.Duration
-	// SyncInterval paces consensus retries and visibility-log
-	// reconciliation with the parent (default 25ms).
+	// SyncInterval paces the consensus driver's retry ticks (default 25ms);
+	// a commit held back by MaxPending re-checks at the same pace.
 	SyncInterval time.Duration
 	// MaxPending bounds the member's transactions awaiting a concrete DC
 	// commit (0 = unbounded); commits block when the bound is reached —
@@ -34,7 +34,9 @@ type MemberConfig struct {
 
 // Member attaches an edge node to a peer group: commits flow through the
 // group's EPaxos, cache misses through the collaborative cache, and the
-// member's reads see the group's visibility log (§5.1.4).
+// member's reads see every transaction the group made visible (§5.1.4) —
+// executed by its own consensus replica or received in the parent's stream,
+// which the node follows with its push cursor like a DC's.
 type Member struct {
 	node *edge.Node
 	cfg  MemberConfig
@@ -43,14 +45,12 @@ type Member struct {
 
 	mu         sync.Mutex
 	sessionKey []byte
-	vislogLen  int // entries adopted from the parent's log (sync cursor)
 	// pendingOwn tracks this node's transactions without a concrete commit
 	// yet, in order; they are re-proposed after migrating to another group.
 	pendingOwn []*txn.Transaction
 	memberEvs  []func([]string)
 
 	stop chan struct{}
-	done chan struct{}
 }
 
 // Join attaches node to the peer group managed by parent. The node's commit
@@ -73,13 +73,13 @@ func Join(node *edge.Node, cfg MemberConfig) (*Member, error) {
 		node: node,
 		cfg:  cfg,
 		stop: make(chan struct{}),
-		done: make(chan struct{}),
 	}
 	m.consensus = newDriver(node, cfg.SyncInterval, node.ApplyGroupTx)
 	node.SetHooks(edge.Hooks{
 		Extra:  m.handle,
 		Commit: m.onLocalCommit,
 		Fetch:  m.fetch,
+		Push:   m.onPush,
 	})
 
 	ack, err := m.join(cfg.Parent)
@@ -92,12 +92,12 @@ func Join(node *edge.Node, cfg MemberConfig) (*Member, error) {
 	m.sessionKey = ack.SessionKey
 	m.mu.Unlock()
 	// Re-point the node's subscription at the parent: interest-set
-	// subscriptions and resume replay now flow through the group.
+	// subscriptions and the push stream, with its resumes, now flow through
+	// the group.
 	if err := node.Migrate(cfg.Parent); err != nil {
 		m.detach()
 		return nil, err
 	}
-	go m.loop()
 	return m, nil
 }
 
@@ -133,7 +133,6 @@ func (m *Member) leave(requeue bool) {
 	default:
 		close(m.stop)
 	}
-	<-m.done
 	// Synchronous, best-effort: the node "contacts the group's parent" to
 	// leave (§5.1.1); an unreachable parent learns of the departure when the
 	// membership layer next hears from the node.
@@ -178,63 +177,6 @@ func (m *Member) OnMembershipChange(fn func([]string)) {
 	m.memberEvs = append(m.memberEvs, fn)
 }
 
-// VisibilityLogLen reports the member's sync cursor: how many entries of the
-// parent's visibility log it has adopted in order. Transactions the member
-// executed itself are visible here before the cursor passes them.
-func (m *Member) VisibilityLogLen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.vislogLen
-}
-
-// loop reconciles with the parent every ten sync intervals (normal
-// distribution is push-based via VisEntry and PromoteMsg; the pull is the
-// recovery path after missed pushes).
-func (m *Member) loop() {
-	defer close(m.done)
-	ticker := time.NewTicker(10 * m.cfg.SyncInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			m.syncWithParent()
-		case <-m.stop:
-			return
-		}
-	}
-}
-
-// syncWithParent pulls the parent's visibility log suffix, recovering
-// transactions and promotions missed while disconnected.
-func (m *Member) syncWithParent() {
-	m.mu.Lock()
-	from := m.vislogLen
-	m.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CallTimeout)
-	defer cancel()
-	reply, err := m.node.Call(ctx, m.cfg.Parent, SyncReq{Node: m.node.Name(), From: from})
-	if err != nil {
-		return
-	}
-	ack, ok := reply.(SyncAck)
-	if !ok {
-		return
-	}
-	for _, t := range ack.Entries {
-		m.node.ApplyGroupTx(t)
-		if !t.Symbolic() {
-			for dc, ts := range t.Commit {
-				m.node.Promote(t.Dot, dc, ts, ack.Stable)
-			}
-		}
-	}
-	m.mu.Lock()
-	if from+len(ack.Entries) > m.vislogLen {
-		m.vislogLen = from + len(ack.Entries)
-	}
-	m.mu.Unlock()
-}
-
 // handle processes group traffic addressed to this member.
 func (m *Member) handle(from string, msg any) any {
 	if m.consensus.handle(from, msg) {
@@ -244,20 +186,27 @@ func (m *Member) handle(from string, msg any) any {
 	case MemberEvent:
 		m.applyMembership(ev.Members)
 		return nil
-	case VisEntry:
-		m.node.ApplyGroupTx(ev.Tx)
-		m.mu.Lock()
-		if ev.Index == m.vislogLen {
-			m.vislogLen++
-		}
-		m.mu.Unlock()
-		return nil
 	case PromoteMsg:
 		m.node.Promote(ev.Dot, ev.DCIndex, ev.Ts, ev.Stable)
 		m.clearPending(ev.Dot)
 		return nil
 	default:
 		return nil
+	}
+}
+
+// onPush completes, from the parent's stream, the ack of an own transaction
+// whose PromoteMsg was lost: the frame's commit stamps are already in the
+// store, and promoting with them is a no-op for a commit already acked.
+func (m *Member) onPush(f wire.PushTxs) {
+	for _, t := range f.Txs {
+		if t.Dot.Node != m.node.Name() || t.Symbolic() {
+			continue
+		}
+		for dc, ts := range t.Commit {
+			m.node.Promote(t.Dot, dc, ts, nil)
+		}
+		m.clearPending(t.Dot)
 	}
 }
 

@@ -35,17 +35,45 @@ type ParentConfig struct {
 // Parent seeds and manages a peer group (paper §5.1.1), maintains the
 // group's collaborative cache and DC subscription (§5.1.2–5.1.3), acts as
 // the group's default sync point, and participates in the group's EPaxos.
+//
+// It pushes to its members with the DC's push-stream protocol (§4.2): one
+// log of everything it hands them — each DC frame's transactions as its
+// node integrates them, and each group execution — sent to every member as
+// sequenced frames over log positions. A member holds its own cursor,
+// refuses a frame that leaves a gap and resumes from the cursor;
+// onMemberSubscribe answers the resume as the DC does.
 type Parent struct {
 	node      *edge.Node
 	consensus *driver
+	// gen is the generation of the members' stream: a boot nonce, so a
+	// cursor into another parent or an earlier incarnation never matches.
+	gen uint64
 
-	mu         sync.Mutex
-	members    map[string]bool
-	interest   map[string]map[txn.ObjectID]bool // member → declared interest
-	vislog     []vclock.Dot                     // group visibility order; the transactions are in the node's store
-	remoteLog  []*txn.Transaction               // stable remote txs, for member resume (bounded)
+	mu       sync.Mutex
+	members  map[string]bool
+	interest map[string]map[txn.ObjectID]bool // member → declared interest
+	// log is the members' stream in position order; the transactions
+	// themselves are in the node's store, which keeps every dot it applied.
+	// It only grows: entries below any length once read never change.
+	log []logEntry
+	// stable is the cut of the last DC frame logged. It covers nothing the
+	// stream has not delivered below len(log); the node's own stable cut may
+	// (it advances before the frame is logged).
+	stable     vclock.Vector
 	sessionKey []byte
 }
+
+// logEntry is one position of the members' stream: a transaction, and
+// whether the group's consensus ordered it (a group entry, made
+// group-visible at members) or it came in a DC frame.
+type logEntry struct {
+	dot   vclock.Dot
+	group bool
+}
+
+// rangeMax bounds the transactions of one range reply, as the DC bounds an
+// anti-entropy round: the member asks again from its new cursor.
+const rangeMax = 256
 
 // NewParent creates a group parent on net, attaches its DC-facing edge node,
 // and starts its consensus. Call Connect once, then Close when done.
@@ -56,6 +84,7 @@ func NewParent(netw transport.Network, cfg ParentConfig) *Parent {
 	key := make([]byte, 32)
 	_, _ = rand.Read(key)
 	p := &Parent{
+		gen:        uint64(time.Now().UnixNano()),
 		members:    make(map[string]bool),
 		interest:   make(map[string]map[txn.ObjectID]bool),
 		sessionKey: key,
@@ -101,11 +130,12 @@ func (p *Parent) Members() []string {
 	return out
 }
 
-// VisibilityLogLen reports the length of the group's visibility log.
-func (p *Parent) VisibilityLogLen() int {
+// StreamLen reports the length of the members' stream: every transaction
+// the parent has handed its members, group executions and DC frames alike.
+func (p *Parent) StreamLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.vislog)
+	return len(p.log)
 }
 
 // handle processes group traffic addressed to the parent.
@@ -119,8 +149,6 @@ func (p *Parent) handle(from string, msg any) any {
 	case LeaveReq:
 		p.onLeave(m)
 		return nil
-	case SyncReq:
-		return p.onSync(m)
 	case wire.Subscribe:
 		return p.onMemberSubscribe(m)
 	case wire.Unsubscribe:
@@ -179,8 +207,16 @@ func (p *Parent) membershipLocked() (members []string, all []string) {
 }
 
 // onMemberSubscribe registers a member's interest, extends the parent's own
-// DC subscription to the union (§5.1.2), and returns materialised states
-// from the collaborative cache.
+// DC subscription to the union (§5.1.2), decides where the member's stream
+// continues, and returns materialised states from the collaborative cache.
+//
+// Where the stream continues follows the DC's resumeLocked: a plain
+// subscribe at the frontier, whose seeds cover everything below; a resume in
+// this generation at the member's cursor, the range reply going out before
+// the ack; a resume from any other generation — a member joining or
+// migrating in, or one that followed an earlier incarnation of this parent —
+// at the first entry its Since does not cover, a position the member adopts
+// from the ack and resumes from, exactly.
 func (p *Parent) onMemberSubscribe(m wire.Subscribe) any {
 	p.mu.Lock()
 	set := p.interest[m.Node]
@@ -199,14 +235,94 @@ func (p *Parent) onMemberSubscribe(m wire.Subscribe) any {
 		_ = p.node.AddInterest(m.Objects...)
 	}
 
-	ack := wire.SubscribeAck{Stable: p.node.StableVector()}
+	from := 0
+	if m.Resume && m.Gen != p.gen {
+		// The scan reads a copy of the log outside p.mu, so a long log does
+		// not hold up the stream; entries logged meanwhile lie above the
+		// copy's end, where the member's exact resume picks them up.
+		p.mu.Lock()
+		log := p.log
+		p.mu.Unlock()
+		from = p.firstUncovered(log, m.Since)
+	}
+	p.mu.Lock()
+	ack := wire.SubscribeAck{Gen: p.gen}
+	switch {
+	case !m.Resume:
+		ack.Cursor = len(p.log)
+		if m.Gen != p.gen {
+			// A member that adopts the frontier may adopt its cut with it.
+			ack.Stable = p.stable
+		}
+	case m.Gen == p.gen:
+		ack.Cursor = min(max(m.Cursor, 0), len(p.log))
+		if ack.Cursor < len(p.log) || !p.stable.LEQ(m.Since) {
+			p.sendRangeLocked(m.Node, ack.Cursor)
+		}
+	default:
+		ack.Cursor = from
+	}
+	p.mu.Unlock()
+	// Seeds are read after the position is taken: the store holds every
+	// logged transaction before it is logged, so they cover the stream below
+	// the position.
 	for _, id := range m.Objects {
 		ack.Objects = append(ack.Objects, p.materializeForMember(id, nil))
 	}
-	if m.Resume && !p.node.StableVector().LEQ(m.Since) {
-		p.replayRemote(m.Node, m.Since)
-	}
 	return ack
+}
+
+// firstUncovered returns the position in log of the first entry cut does
+// not cover. A group entry that is still symbolic is covered by no cut, and
+// the empty cut covers nothing. A linear scan, for the resume that has no
+// cursor to go by.
+func (p *Parent) firstUncovered(log []logEntry, cut vclock.Vector) int {
+	for i, e := range log {
+		if visible, held := p.node.Store().VisibleAt(e.dot, cut); held && !visible {
+			return i
+		}
+	}
+	return len(log)
+}
+
+// sendRangeLocked is the stream's one repair path: it sends member the
+// entries from position from on, at most rangeMax transactions, read back
+// from the store with their freshest commit stamps. Consecutive entries of
+// one kind share a frame, since a frame's Group bit covers all of it. The
+// last frame carries the stream's cut if it reaches the frontier, which the
+// cut belongs to; a reply cut short carries none. Called with p.mu held.
+func (p *Parent) sendRangeLocked(member string, from int) {
+	frame := wire.PushTxs{From: p.node.Name(), Gen: p.gen, Lo: from}
+	to, n := from, 0
+	for ; to < len(p.log) && n < rangeMax; to++ {
+		e := p.log[to]
+		if to > frame.Lo && e.group != frame.Group {
+			frame.Hi = to
+			_ = p.node.Send(member, frame)
+			frame = wire.PushTxs{From: p.node.Name(), Gen: p.gen, Lo: to}
+		}
+		frame.Group = e.group
+		if t, ok := p.node.Store().Transaction(e.dot); ok {
+			frame.Txs = append(frame.Txs, t)
+			n++
+		}
+	}
+	frame.Hi = to
+	if to == len(p.log) {
+		frame.Stable = p.stable
+	}
+	// A refused send needs no handling: the member still holds its cursor
+	// and asks again.
+	_ = p.node.Send(member, frame)
+}
+
+// sendLocked sends a frame the log has just grown by to every member, inside
+// the p.mu section that assigned its positions: frames then leave in
+// position order, whichever goroutine logged them. Called with p.mu held.
+func (p *Parent) sendLocked(frame wire.PushTxs) {
+	for member := range p.members {
+		_ = p.node.Send(member, frame)
+	}
 }
 
 // onMemberUnsubscribe shrinks a member's declared interest. The parent keeps
@@ -260,64 +376,21 @@ func (p *Parent) onMemberFetch(m wire.FetchObject) any {
 	return st
 }
 
-// onSync serves a member's visibility-log recovery request.
-func (p *Parent) onSync(m SyncReq) any {
-	p.mu.Lock()
-	from := m.From
-	if from < 0 {
-		from = 0
-	}
-	if from > len(p.vislog) {
-		from = len(p.vislog)
-	}
-	entries := make([]*txn.Transaction, 0, len(p.vislog)-from)
-	suffix := p.vislog[from:]
-	p.mu.Unlock()
-	for _, dot := range suffix {
-		// The store serves the freshest commit stamps it knows.
-		cur, ok := p.node.Store().Transaction(dot)
-		if !ok {
-			break // the member's cursor counts entries: never serve past a gap
-		}
-		entries = append(entries, cur)
-	}
-	return SyncAck{From: from, Entries: entries, Stable: p.node.StableVector()}
-}
-
-// replayRemote re-sends stable remote transactions a reconnecting member may
-// have missed.
-func (p *Parent) replayRemote(member string, since vclock.Vector) {
-	p.mu.Lock()
-	var batch []*txn.Transaction
-	for _, t := range p.remoteLog {
-		if !t.VisibleAt(since) {
-			batch = append(batch, t)
-		}
-	}
-	p.mu.Unlock()
-	if len(batch) > 0 {
-		_ = p.node.Send(member, wire.PushTxs{From: p.node.Name(), Txs: batch, Stable: p.node.StableVector()})
-	}
-}
-
-// onPush forwards stable remote updates from the DC to every member
-// (§5.1.2: the parent subscribes on behalf of its members) and records them
-// for resume replay.
+// onPush logs a DC frame the node has integrated and forwards it to every
+// member (§5.1.2: the parent subscribes on behalf of its members) with that
+// frame's own cut.
 func (p *Parent) onPush(m wire.PushTxs) {
 	p.mu.Lock()
-	p.remoteLog = append(p.remoteLog, m.Txs...)
-	// Bound the resume buffer: a member further behind than this re-syncs
-	// through fresh seeds (which are cut at or above anything dropped).
-	const remoteLogCap = 8192
-	if len(p.remoteLog) > remoteLogCap {
-		p.remoteLog = append([]*txn.Transaction(nil), p.remoteLog[len(p.remoteLog)-remoteLogCap:]...)
+	defer p.mu.Unlock()
+	lo := len(p.log)
+	for _, t := range m.Txs {
+		p.log = append(p.log, logEntry{dot: t.Dot})
 	}
-	members, _ := p.membershipLocked()
-	p.mu.Unlock()
-	fwd := wire.PushTxs{From: p.node.Name(), Txs: m.Txs, Stable: m.Stable}
-	for _, member := range members {
-		_ = p.node.Send(member, fwd)
+	if !m.Stable.LEQ(p.stable) {
+		// Replaced, never joined in place: acks and frames share it.
+		p.stable = p.stable.Clone().Join(m.Stable)
 	}
+	p.sendLocked(wire.PushTxs{From: p.node.Name(), Txs: m.Txs, Stable: m.Stable, Gen: p.gen, Lo: lo, Hi: len(p.log)})
 }
 
 // onAck distributes a DC commit descriptor for a group transaction to the
@@ -333,9 +406,9 @@ func (p *Parent) onAck(ack wire.EdgeCommitAck) {
 }
 
 // onExecute consumes the EPaxos visibility order: the transaction becomes
-// group-visible at the parent, is appended to the visibility log, and — if
-// it does not yet have a concrete commit — queued for the DC in visibility
-// order (§5.1.3–5.1.4).
+// group-visible at the parent, is logged and sent to the members as a group
+// entry, and — if it does not yet have a concrete commit — queued for the DC
+// in visibility order (§5.1.3–5.1.4).
 func (p *Parent) onExecute(src *txn.Transaction) {
 	p.node.ApplyGroupTx(src)
 	// Read it back from the store: a concurrent redelivery may already have
@@ -345,16 +418,10 @@ func (p *Parent) onExecute(src *txn.Transaction) {
 		return // the store refused it (kind mismatch): not visible here, so not logged
 	}
 	p.mu.Lock()
-	p.vislog = append(p.vislog, t.Dot)
-	idx := len(p.vislog) - 1
-	members, _ := p.membershipLocked()
+	p.log = append(p.log, logEntry{dot: t.Dot, group: true})
+	hi := len(p.log)
+	p.sendLocked(wire.PushTxs{From: p.node.Name(), Txs: []*txn.Transaction{t}, Gen: p.gen, Lo: hi - 1, Hi: hi, Group: true})
 	p.mu.Unlock()
-	// Push the new visibility entry to the members (best effort; SyncReq
-	// recovers anything lost).
-	ev := VisEntry{Index: idx, Tx: t}
-	for _, member := range members {
-		_ = p.node.Send(member, ev)
-	}
 	if t.Symbolic() {
 		p.node.EnqueueForDC(t)
 	}

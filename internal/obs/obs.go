@@ -3,17 +3,14 @@
 // system (store, edge, dc, replication, group, simnet).
 //
 // A Registry holds named metrics — atomic counters, gauges, bounded
-// log-linear histograms with p50/p95/p99 — plus a typed event bus for
-// lifecycle events (transaction committed, promoted, K-stable, push batch
-// applied, cache hit/miss, base advanced, migration, partition cut/healed).
-// Registries are *per deployment*, never process-global: each core.Cluster
+// log-linear histograms with p50/p95/p99. Registries are *per deployment*, never process-global: each core.Cluster
 // (and therefore each bench run and each test) owns its own, so concurrent
 // deployments never bleed counters into each other.
 //
 // # Disabled-path cost
 //
 // Every handle type is nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, *Bus or *Registry are no-ops. Components resolve their metric
+// *Histogram or *Registry are no-ops. Components resolve their metric
 // handles once at construction (against a possibly-nil registry) and call
 // them unconditionally on the hot path — the disabled path costs one
 // predictable nil check per call site, no map lookups, no locks, no
@@ -108,17 +105,15 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	sources  map[string]*gaugeSource
 	hists    map[string]*Histogram
-	bus      *Bus
 }
 
-// New creates an empty registry with its event bus.
+// New creates an empty registry.
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		sources:  make(map[string]*gaugeSource),
 		hists:    make(map[string]*Histogram),
-		bus:      newBus(),
 	}
 }
 
@@ -188,22 +183,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Events returns the registry's event bus; nil on a nil registry (Publish on
-// a nil bus is a no-op).
-func (r *Registry) Events() *Bus {
-	if r == nil {
-		return nil
-	}
-	return r.bus
-}
-
-// Publish emits an event on the registry's bus. Nil-safe.
-func (r *Registry) Publish(ev Event) {
-	if r != nil {
-		r.bus.Publish(ev)
-	}
 }
 
 // names returns the sorted keys of a map (snapshot/exposition determinism).

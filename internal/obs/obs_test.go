@@ -29,11 +29,6 @@ func TestNilSafety(t *testing.T) {
 	if got := r.Histogram("h").Quantile(0.5); got != 0 {
 		t.Fatalf("nil histogram quantile = %d", got)
 	}
-	r.Events().Publish(Event{Type: EvCacheHit})
-	r.Publish(Event{Type: EvCacheMiss})
-	if sub := r.Events().Subscribe(4); sub != nil {
-		t.Fatal("nil bus returned non-nil subscription")
-	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)

@@ -117,7 +117,6 @@ type Network struct {
 	obsDropped        *obs.Counter
 	obsSentUnits      *obs.Counter
 	obsDeliveredUnits *obs.Counter
-	bus               *obs.Bus
 }
 
 // link tracks the per-directed-pair state needed for FIFO delivery. Each
@@ -183,7 +182,6 @@ func New(cfg Config) *Network {
 	n.obsDropped = cfg.Obs.Counter("net.dropped")
 	n.obsSentUnits = cfg.Obs.Counter("net.sent_units")
 	n.obsDeliveredUnits = cfg.Obs.Counter("net.delivered_units")
-	n.bus = cfg.Obs.Events()
 	cfg.Obs.RegisterGauge("net.in_flight", obs.AggSum, func() int64 {
 		return n.inFlight.Load()
 	})
@@ -268,13 +266,6 @@ func (n *Network) setDown(a, b string, down bool) {
 		l.cfg.Down = down
 	}
 	n.mu.Unlock()
-	if n.bus.Active() {
-		ty := obs.EvPartitionCut
-		if !down {
-			ty = obs.EvPartitionHealed
-		}
-		n.bus.Publish(obs.Event{Type: ty, Node: a, Peer: b})
-	}
 }
 
 // Isolate cuts every link to and from the node (node failure / going

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"colony/internal/crdt"
-	"colony/internal/obs"
 	"colony/internal/vclock"
 )
 
@@ -116,7 +115,6 @@ func (s *Store) Advance(cut vclock.Vector, keepDots bool) error {
 		s.forgetTx(folded...)
 	}
 	s.baseAdv.Inc()
-	s.bus.Publish(obs.Event{Type: obs.EvBaseAdvanced, Node: s.self, N: int64(len(folded))})
 	return nil
 }
 
@@ -191,6 +189,5 @@ func (s *Store) AdvanceBuckets(cutFor func(bucket string) vclock.Vector) error {
 		sh.mu.Unlock()
 	}
 	s.baseAdv.Inc()
-	s.bus.Publish(obs.Event{Type: obs.EvBaseAdvanced, Node: s.self, N: int64(folded)})
 	return nil
 }

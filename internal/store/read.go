@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"colony/internal/crdt"
-	"colony/internal/obs"
 	"colony/internal/txn"
 	"colony/internal/vclock"
 )
@@ -154,9 +153,6 @@ func (s *Store) materializeLocked(id txn.ObjectID, obj *object, at vclock.Vector
 
 	if c != nil && c.fp == fp && c.allApplied && c.vec.LEQ(at) {
 		s.cacheHits.Inc()
-		if s.bus.Active() {
-			s.bus.Publish(obs.Event{Type: obs.EvCacheHit, Node: s.self, Object: id.String()})
-		}
 		if c.watermark == len(obj.journal) {
 			// Nothing new since the cached materialisation: share the sealed
 			// snapshot directly — the allocation-free fast path.
@@ -181,9 +177,6 @@ func (s *Store) materializeLocked(id txn.ObjectID, obj *object, at vclock.Vector
 
 	// Full replay; memoise the result when it supersedes the cached one.
 	s.cacheMiss.Inc()
-	if s.bus.Active() {
-		s.bus.Publish(obs.Event{Type: obs.EvCacheMiss, Node: s.self, Object: id.String()})
-	}
 	out, all, err := s.replay(id, obj.base.Fork(), obj.journal, at, opts)
 	if err != nil {
 		return nil, err

@@ -159,7 +159,6 @@ type Store struct {
 	cacheMiss *obs.Counter
 	baseAdv   *obs.Counter
 	snapshots *obs.Counter
-	bus       *obs.Bus
 }
 
 // New returns an empty store owned by node self.
@@ -184,8 +183,7 @@ func (s *Store) SetCacheMode(on bool) { s.cacheMode = on }
 // snapshots returned without a deep clone), registers itself as a source of
 // the store.max_journal_len gauge (AggMax across the deployment's stores)
 // and the process-wide crdt.cow_copies gauge (containers actually copied by
-// copy-on-write forks), and publishes EvCacheHit/EvCacheMiss/EvBaseAdvanced
-// events. Passing nil detaches counters but keeps a previously registered
+// copy-on-write forks). Passing nil detaches counters but keeps a previously registered
 // gauge source (registries have no unregister; the source just keeps
 // reporting). Must be called before the store is shared between goroutines.
 func (s *Store) SetObs(r *obs.Registry) {
@@ -193,7 +191,6 @@ func (s *Store) SetObs(r *obs.Registry) {
 	s.cacheMiss = r.Counter("store.cache_miss")
 	s.baseAdv = r.Counter("store.base_advance")
 	s.snapshots = r.Counter("crdt.snapshots")
-	s.bus = r.Events()
 	r.RegisterGauge("store.max_journal_len", obs.AggMax, func() int64 {
 		return int64(s.MaxJournalLen())
 	})
@@ -459,6 +456,17 @@ func (s *Store) Transaction(dot vclock.Dot) (*txn.Transaction, bool) {
 		return nil, false
 	}
 	return t.Clone(), true
+}
+
+// VisibleAt reports whether the store holds the transaction dot (held) and
+// whether it is visible at cut, reading the record in place: no copy, for a
+// caller that only needs the answer. A symbolic transaction is visible at no
+// cut.
+func (s *Store) VisibleAt(dot vclock.Dot, cut vclock.Vector) (visible, held bool) {
+	s.txMu.RLock()
+	defer s.txMu.RUnlock()
+	rec, ok := s.txs[dot]
+	return ok && rec.VisibleAt(cut), ok
 }
 
 // Contains reports whether the store has applied the transaction dot.

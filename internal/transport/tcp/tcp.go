@@ -279,7 +279,8 @@ func (m *Mesh) localNode(name string) *node {
 
 // connFor resolves a remote destination to a live connection, dialing the
 // static peer address on first use. Learned routes win over dialing: if the
-// destination already reached us on some connection, reuse it.
+// destination already reached us on some connection, reuse it. The
+// connection returned becomes the destination's route (routeLocked).
 func (m *Mesh) connFor(to string) (*conn, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -296,6 +297,7 @@ func (m *Mesh) connFor(to string) (*conn, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
 	if c := m.conns[addr]; c != nil {
+		c = m.routeLocked(to, c)
 		m.mu.Unlock()
 		return c, nil
 	}
@@ -317,14 +319,31 @@ func (m *Mesh) connFor(to string) (*conn, error) {
 		nc.Close()
 		return nil, ErrClosed
 	}
-	if c := m.conns[addr]; c != nil { // lost a concurrent dial race
-		m.mu.Unlock()
-		nc.Close()
-		return c, nil
+	c := m.conns[addr]
+	lost := c != nil // a concurrent dial won the race
+	if !lost {
+		c = m.newConnLocked(nc, br, addr, peer)
 	}
-	c := m.newConnLocked(nc, br, addr, peer)
+	c = m.routeLocked(to, c)
 	m.mu.Unlock()
+	if lost {
+		nc.Close()
+	}
 	return c, nil
+}
+
+// routeLocked pins the connection that carries sends to a destination: its
+// route if one was learned (perhaps while a dial was in flight), else c.
+// Sends to one destination then share one connection and arrive in the
+// order they were sent; moving them to another connection could let a send
+// overtake earlier ones still queued on the first, and the replication mesh
+// admits a DC's commits in arrival order. Caller holds m.mu.
+func (m *Mesh) routeLocked(to string, c *conn) *conn {
+	if r := m.routes[to]; r != nil {
+		return r
+	}
+	m.routes[to] = c
+	return c
 }
 
 // newConnLocked registers a handshaken connection and starts its loops.

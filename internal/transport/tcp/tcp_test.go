@@ -558,3 +558,49 @@ func TestWriteLoopFlushesOnDrain(t *testing.T) {
 		t.Fatalf("lone call took %v: a write loop held its frame instead of flushing on drain", el)
 	}
 }
+
+// TestSendsStayOnOneConnection: a mesh that dialed a peer and then learns a
+// route to one of that peer's nodes over a second, inbound connection keeps
+// sending to the node on the first. Frames on two connections have no order
+// between them, so moving a stream of sends would let a later send overtake
+// earlier ones still queued on the first connection.
+func TestSendsStayOnOneConnection(t *testing.T) {
+	mb := newMesh(t, "procB")
+	ma, err := New(Config{Name: "procA", Listen: "127.0.0.1:0", Peers: map[string]string{"b": mb.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ma.Close() })
+	first, err := ma.connFor("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// procB dials back, as it does when it sends first.
+	nc, err := net.Dial("tcp", ma.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello := []byte(magic)
+	hello = bin.AppendUvarint(hello, version)
+	hello = bin.AppendUvarint(hello, featCodecV1)
+	hello = bin.AppendString(hello, "procB")
+	if _, err := nc.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	var inbound *conn
+	waitFor(t, "inbound conn registered", func() bool {
+		ma.mu.Lock()
+		defer ma.mu.Unlock()
+		for c := range ma.live {
+			if c != first {
+				inbound = c
+			}
+		}
+		return inbound != nil
+	})
+	ma.learnRoute("b", inbound) // a frame from node b arrived on it
+	if now, err := ma.connFor("b"); err != nil || now != first {
+		t.Fatalf("sends to b moved to another connection (err %v)", err)
+	}
+}

@@ -142,7 +142,13 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 			}
 		}
 		buf = appendVector(buf, v.Stable)
-		return appendRange(buf, v.Gen, v.Lo, v.Hi), nil
+		buf = appendRange(buf, v.Gen, v.Lo, v.Hi)
+		if v.Group {
+			// Group is an optional trailing field, written only when set: a
+			// DC's frames encode exactly as before the field existed.
+			buf = bin.AppendBool(buf, true)
+		}
+		return buf, nil
 	case MigratedTxAck:
 		buf = appendStamps(buf, v.Commit)
 		return bin.AppendString(buf, v.Err), nil
@@ -180,22 +186,6 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendVarint(buf, int64(v.DCIndex))
 		buf = bin.AppendUvarint(buf, v.Ts)
 		return appendVector(buf, v.Stable), nil
-	case GroupSyncReq:
-		buf = bin.AppendString(buf, v.Node)
-		return bin.AppendVarint(buf, int64(v.From)), nil
-	case GroupSyncAck:
-		buf = bin.AppendVarint(buf, int64(v.From))
-		buf = bin.AppendUvarint(buf, uint64(len(v.Entries)))
-		var err error
-		for _, t := range v.Entries {
-			if buf, err = AppendTx(buf, t); err != nil {
-				return nil, err
-			}
-		}
-		return appendVector(buf, v.Stable), nil
-	case GroupVisEntry:
-		buf = bin.AppendVarint(buf, int64(v.Index))
-		return AppendTx(buf, v.Tx)
 	case EPaxosPreAccept:
 		buf = appendInstanceID(buf, v.Inst)
 		var err error
@@ -366,6 +356,12 @@ func DecodeMessage(data []byte) (Message, error) {
 		}
 		v.Stable = readVector(r)
 		v.Gen, v.Lo, v.Hi = readRange(r)
+		if r.Remaining() > 0 {
+			// Present means set: an encoder omits a false Group.
+			if v.Group = r.Bool(); !v.Group {
+				r.Poison()
+			}
+		}
 		m = v
 	case TagMigratedTxAck:
 		m = MigratedTxAck{Commit: readStamps(r), Err: r.String()}
@@ -408,21 +404,6 @@ func DecodeMessage(data []byte) (Message, error) {
 		v.Ts = r.Uvarint()
 		v.Stable = readVector(r)
 		m = v
-	case TagGroupSyncReq:
-		m = GroupSyncReq{Node: r.String(), From: int(r.Varint())}
-	case TagGroupSyncAck:
-		v := GroupSyncAck{From: int(r.Varint())}
-		n := r.Count(1)
-		if n > 0 {
-			v.Entries = make([]*txn.Transaction, 0, n)
-			for i := 0; i < n; i++ {
-				v.Entries = append(v.Entries, readTx(r))
-			}
-		}
-		v.Stable = readVector(r)
-		m = v
-	case TagGroupVisEntry:
-		m = GroupVisEntry{Index: int(r.Varint()), Tx: readTx(r)}
 	case TagEPaxosPreAccept:
 		v := EPaxosPreAccept{Inst: readInstanceID(r)}
 		v.Cmd = readCommand(r)

@@ -50,6 +50,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, frame := range truncatedNextFrames(f) {
 		f.Add(frame)
 	}
+	// The retired group visibility-log tags (23–25) as an old parent sent
+	// them, and group push frames with a Group bit that is not a set bit.
+	for _, frame := range retiredGroupFrames(f) {
+		f.Add(frame)
+	}
+	for _, frame := range malformedGroupFrames(f) {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)

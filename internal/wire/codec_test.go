@@ -98,6 +98,8 @@ func goldenMessages() map[string]Message {
 		"fetch_object": FetchObject{ID: txn.ObjectID{Bucket: "docs", Key: "readme"}, At: vclock.Vector{3, 1, 4}},
 		"push_txs": PushTxs{From: "dc1", Txs: []*txn.Transaction{sampleTx()},
 			Stable: vclock.Vector{5, 5, 5}, Gen: 1700000000000000007, Lo: 41, Hi: 44},
+		"push_txs_group": PushTxs{From: "parent-1", Txs: []*txn.Transaction{sampleTx()},
+			Gen: 1700000000000000009, Lo: 7, Hi: 8, Group: true},
 		"migrated_tx": MigratedTx{Origin: "edge-7", Actor: "alice",
 			Snapshot: vclock.Vector{3, 1, 4}, Name: "recount", Args: []byte{0x01, 0x02},
 			Touches: []txn.ObjectID{{Bucket: "stats", Key: "edits"}, {Bucket: "docs", Key: "readme"}}},
@@ -119,10 +121,6 @@ func goldenMessages() map[string]Message {
 		"group_member_event": GroupMemberEvent{Members: []string{"parent-1", "peer-2", "peer-3"}},
 		"group_promote": GroupPromote{Dot: vclock.Dot{Node: "peer-2", Seq: 8},
 			DCIndex: 1, Ts: 44, Stable: vclock.Vector{6, 2, 1}},
-		"group_sync_req": GroupSyncReq{Node: "peer-3", From: 5},
-		"group_sync_ack": GroupSyncAck{From: 5, Entries: []*txn.Transaction{sampleTx()},
-			Stable: vclock.Vector{4, 4, 4}},
-		"group_vis_entry": GroupVisEntry{Index: 9, Tx: sampleTx()},
 		"epaxos_pre_accept": EPaxosPreAccept{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4},
 			Cmd:  EPaxosCommand{ID: "edge-7:42", Keys: []string{"docs/readme"}, Payload: sampleTx()},
 			Deps: []EPaxosInstanceID{{Replica: "peer-2", Slot: 1}}, Seq: 2},
@@ -158,6 +156,22 @@ var (
 	retiredDropQueryFrame  = []byte{byte(TagDropQuery), 0x02, 0x05, 's', 't', 'a', 't', 's', 0x00}
 	retiredDropVoteFrame   = []byte{byte(TagDropVote), 0x05, 's', 't', 'a', 't', 's', 0x01}
 )
+
+// retiredGroupFrames returns the last golden encodings of the group
+// parent's visibility-log messages, whose tags 23–25 are retired: a pull
+// from index 5 by peer-3, its reply (from 5, one transaction, cut [4 4 4]),
+// and the push of entry 9.
+func retiredGroupFrames(t testing.TB) [][]byte {
+	t.Helper()
+	tx, err := AppendTx(nil, sampleTx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncReq := []byte{byte(TagGroupSyncReq), 0x06, 'p', 'e', 'e', 'r', '-', '3', 0x0a}
+	syncAck := append(append([]byte{byte(TagGroupSyncAck), 0x0a, 0x01}, tx...), 0x03, 0x04, 0x04, 0x04)
+	visEntry := append([]byte{byte(TagGroupVisEntry), 0x12}, tx...)
+	return [][]byte{syncReq, syncAck, visEntry}
+}
 
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden_"+name+".hex")
@@ -294,7 +308,7 @@ func TestEncodeNilAndEmpty(t *testing.T) {
 		ObjectState{}, FetchObject{}, PushTxs{}, MigratedTx{}, MigratedTxAck{},
 		TreeAssign{}, TreePush{},
 		GroupJoinReq{}, GroupJoinAck{}, GroupLeaveReq{}, GroupMemberEvent{},
-		GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
+		GroupPromote{},
 		EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
 		EPaxosAcceptOK{}, EPaxosCommit{}, EPaxosCommitAck{},
 		BucketVec{}, BackfillReq{}, BackfillResp{},
@@ -374,10 +388,11 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A flight's Next list is an optional trailing field, so the frame
-		// cut just before it is the complete message without it — the one
-		// strict prefix that must decode, and to exactly that message.
-		bare, bareLen := withoutNext(msg), -1
+		// A flight's Next list and a push frame's Group bit are optional
+		// trailing fields, so the frame cut just before one is the complete
+		// message without it — the one strict prefix that must decode, and to
+		// exactly that message.
+		bare, bareLen := withoutTrailing(msg), -1
 		if bare != nil {
 			b, err := EncodeMessage(nil, bare)
 			if err != nil {
@@ -389,7 +404,7 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 			m, err := DecodeMessage(frame[:cut])
 			if cut == bareLen {
 				if err != nil {
-					t.Errorf("%s: the frame without its Next list failed to decode: %v", name, err)
+					t.Errorf("%s: the frame without its trailing field failed to decode: %v", name, err)
 				} else {
 					assertMessagesEqual(t, bare, m)
 				}
@@ -417,24 +432,31 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 	if _, err := DecodeMessage([]byte{0xee}); !errors.Is(err, ErrUnknownTag) {
 		t.Errorf("unknown tag: err = %v, want ErrUnknownTag", err)
 	}
-	// Tags 1, 17 and 35–37 are retired: a frame carrying one — bare, or with
-	// the body an old peer would have sent — is rejected, never decoded into
-	// a zero-valued message or silently ignored.
-	for _, frame := range [][]byte{
+	// Tags 1, 17, 23–25 and 35–37 are retired: a frame carrying one — bare,
+	// or with the body an old peer would have sent — is rejected, never
+	// decoded into a zero-valued message or silently ignored.
+	retired := [][]byte{
 		{byte(TagReplTx)}, retiredReplTxFrame, {byte(TagTreeAck)}, retiredTreeAckFrame,
 		{byte(TagBucketDrop)}, retiredBucketDropFrame, {byte(TagDropQuery)}, retiredDropQueryFrame,
 		{byte(TagDropVote)}, retiredDropVoteFrame,
-	} {
+		{byte(TagGroupSyncReq)}, {byte(TagGroupSyncAck)}, {byte(TagGroupVisEntry)},
+	}
+	for _, frame := range append(retired, retiredGroupFrames(t)...) {
 		if m, err := DecodeMessage(frame); !errors.Is(err, ErrUnknownTag) || m != nil {
 			t.Errorf("retired tag frame %x: got %v, %v, want nil, ErrUnknownTag", frame, m, err)
 		}
 	}
 }
 
-// withoutNext returns msg with its Next list dropped, or nil when msg has
-// none.
-func withoutNext(msg Message) Message {
+// withoutTrailing returns msg with its optional trailing field (a flight's
+// Next list, a push frame's Group bit) dropped, or nil when msg has none.
+func withoutTrailing(msg Message) Message {
 	switch v := msg.(type) {
+	case PushTxs:
+		if v.Group {
+			v.Group = false
+			return v
+		}
 	case EdgeCommit:
 		if len(v.Next) > 0 {
 			v.Next = nil
@@ -487,6 +509,37 @@ func truncatedNextFrames(t testing.TB) map[string][]byte {
 // malformed — never a shorter flight.
 func TestDecodeTruncatedNext(t *testing.T) {
 	for name, frame := range truncatedNextFrames(t) {
+		if m, err := DecodeMessage(frame); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %#v, %v, want ErrMalformed", name, m, err)
+		}
+	}
+}
+
+// malformedGroupFrames are group push frames whose trailing Group bit is
+// not a set bit: an explicit false (an encoder omits it) and a byte that is
+// no boolean. Each must be rejected as malformed.
+func malformedGroupFrames(t testing.TB) map[string][]byte {
+	t.Helper()
+	group, err := EncodeMessage(nil, goldenMessages()["push_txs_group"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	withLast := func(b byte) []byte {
+		f := append([]byte(nil), group...)
+		f[len(f)-1] = b
+		return f
+	}
+	return map[string][]byte{
+		"explicit false Group": withLast(0x00),
+		"non-boolean Group":    withLast(0x02),
+	}
+}
+
+// TestDecodeMalformedGroup: a push frame's Group bit is present only when
+// set, so a present bit that is not a plain true is malformed — never a
+// plain frame.
+func TestDecodeMalformedGroup(t *testing.T) {
+	for name, frame := range malformedGroupFrames(t) {
 		if m, err := DecodeMessage(frame); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: got %#v, %v, want ErrMalformed", name, m, err)
 		}

@@ -37,15 +37,20 @@ const (
 	// as an unknown tag.
 	TagTreeAck Tag = 17
 
-	// Peer-group membership and sync.
+	// Peer-group membership.
 	TagGroupJoinReq     Tag = 18
 	TagGroupJoinAck     Tag = 19
 	TagGroupLeaveReq    Tag = 20
 	TagGroupMemberEvent Tag = 21
 	TagGroupPromote     Tag = 22
-	TagGroupSyncReq     Tag = 23
-	TagGroupSyncAck     Tag = 24
-	TagGroupVisEntry    Tag = 25
+	// Tags 23–25 are retired: they carried a group parent's visibility-log
+	// pull, its reply and its per-entry push, which nothing sends since the
+	// parent serves its members a sequenced PushTxs stream. The numbers stay
+	// declared so they are never reused; the decoder rejects them as unknown
+	// tags.
+	TagGroupSyncReq  Tag = 23
+	TagGroupSyncAck  Tag = 24
+	TagGroupVisEntry Tag = 25
 
 	// EPaxos consensus inside a peer group.
 	TagEPaxosPreAccept   Tag = 26
@@ -91,7 +96,7 @@ var _ = []Message{
 	MigratedTx{}, MigratedTxAck{},
 	TreeAssign{}, TreePush{},
 	GroupJoinReq{}, GroupJoinAck{}, GroupLeaveReq{}, GroupMemberEvent{},
-	GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
+	GroupPromote{},
 	EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
 	EPaxosAcceptOK{}, EPaxosCommit{}, EPaxosCommitAck{},
 	BucketVec{}, BackfillReq{}, BackfillResp{},
@@ -212,30 +217,6 @@ func (GroupPromote) Tag() Tag { return TagGroupPromote }
 
 // Units implements Message.
 func (GroupPromote) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupSyncReq) Tag() Tag { return TagGroupSyncReq }
-
-// Units implements Message.
-func (GroupSyncReq) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupSyncAck) Tag() Tag { return TagGroupSyncAck }
-
-// Units implements Message. A sync ack that only advances the stable vector
-// still counts as one message.
-func (a GroupSyncAck) Units() int {
-	if len(a.Entries) == 0 {
-		return 1
-	}
-	return len(a.Entries)
-}
-
-// Tag implements Message.
-func (GroupVisEntry) Tag() Tag { return TagGroupVisEntry }
-
-// Units implements Message.
-func (GroupVisEntry) Units() int { return 1 }
 
 // Tag implements Message.
 func (EPaxosPreAccept) Tag() Tag { return TagEPaxosPreAccept }

@@ -3,11 +3,10 @@ package wire
 import (
 	"fmt"
 
-	"colony/internal/txn"
 	"colony/internal/vclock"
 )
 
-// This file defines the peer-group protocol: group membership/sync messages
+// This file defines the peer-group protocol: group membership messages
 // and the EPaxos consensus messages exchanged inside a peer group (paper §5).
 // In the paper these ride WebRTC data channels; historically they were raw Go
 // structs that could only travel in-process. Defining them here — with stable
@@ -18,7 +17,7 @@ import (
 // live here because wire must name them in its codec and both packages
 // already depend on wire's layer.
 
-// --- group membership, promotion and sync (paper §5.1) ---
+// --- group membership and promotion (paper §5.1) ---
 
 type (
 	// GroupJoinReq asks the parent to admit a node into the group.
@@ -48,27 +47,6 @@ type (
 		DCIndex int
 		Ts      uint64
 		Stable  vclock.Vector
-	}
-	// GroupSyncReq asks the parent for the visibility log from index From,
-	// to recover transactions missed while disconnected.
-	GroupSyncReq struct {
-		Node string
-		From int
-	}
-	// GroupSyncAck returns the requested visibility log suffix (with current
-	// commit stamps) and the parent's stable vector.
-	GroupSyncAck struct {
-		From    int
-		Entries []*txn.Transaction
-		Stable  vclock.Vector
-	}
-	// GroupVisEntry pushes one newly group-visible transaction to a member
-	// as it executes (§5.1.2: updates are pushed in a best-effort manner);
-	// GroupSyncReq remains as the recovery path for members that missed
-	// pushes.
-	GroupVisEntry struct {
-		Index int
-		Tx    *txn.Transaction
 	}
 )
 

@@ -189,10 +189,9 @@ type Subscribe struct {
 // objects at the DC's stable cut, and the position (Gen, Cursor) in the DC's
 // push stream the subscription continues from. A subscriber holding another
 // generation adopts the pair; one already in Gen keeps its own cursor, which
-// is the authority. Gen 0 means the sender's pushes are unsequenced (a group
-// parent). Stable is set only for a subscriber that starts at Cursor — one
-// that holds no position in Gen and is not resuming; otherwise cuts arrive
-// with the in-order frames that carry them.
+// is the authority. Stable is set only for a subscriber that starts at
+// Cursor — one that holds no position in Gen and is not resuming; otherwise
+// cuts arrive with the in-order frames that carry them.
 type SubscribeAck struct {
 	Stable  vclock.Vector
 	Objects []ObjectState
@@ -239,18 +238,23 @@ type FetchObject struct {
 // PushTxs streams newly K-stable transactions (filtered to the receiver's
 // interest set) plus the sender's stable vector, in causal order.
 //
-// A DC's frames are sequenced: Txs holds every visible transaction of the
-// DC's history positions [Lo, Hi) (generation Gen) that touches the
-// receiver's buckets, and the receiver integrates the frame only when it
-// connects to its PushCursor. Gen 0 marks an unsequenced frame (a group
-// parent forwarding to its members), applied on arrival and deduplicated by
-// dot.
+// Frames are sequenced: a DC's Txs holds every visible transaction of its
+// history positions [Lo, Hi) (generation Gen, a non-zero boot nonce) that
+// touches the receiver's buckets, and the receiver integrates the frame only
+// when it connects to its PushCursor. A group parent serves its members the
+// same protocol over its own log: the DC frames it integrated and the
+// group's executions, in the order it logged them.
+//
+// Group marks a frame of transactions the peer group's consensus ordered:
+// the receiver makes them group-visible (readable at any cut) as it applies
+// them. A DC never sets it.
 type PushTxs struct {
 	From   string
 	Txs    []*txn.Transaction
 	Stable vclock.Vector
 	Gen    uint64
 	Lo, Hi int
+	Group  bool
 }
 
 // PushCursor is a receiver's position in one DC's sequenced push stream: the
@@ -265,9 +269,9 @@ type PushCursor struct {
 // Admit reports whether a frame covering [lo, hi) of generation gen connects
 // to the cursor — same generation, no gap — and advances the cursor past it
 // if so. Overlap below the cursor is fine: the transactions deduplicate by
-// dot.
+// dot. Generation 0 is no stream's: a cursor that holds none admits nothing.
 func (c *PushCursor) Admit(gen uint64, lo, hi int) bool {
-	if gen != c.Gen || lo > c.Idx {
+	if gen == 0 || gen != c.Gen || lo > c.Idx {
 		return false
 	}
 	c.Idx = max(c.Idx, hi)

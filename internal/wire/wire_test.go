@@ -169,7 +169,7 @@ func TestPushCursorAdmit(t *testing.T) {
 		{7, 10, 12, true, 12},  // connects
 		{7, 13, 15, false, 12}, // gap: a frame is missing
 		{8, 12, 13, false, 12}, // another generation
-		{0, 0, 0, false, 12},   // an unsequenced frame is not the cursor's to judge
+		{0, 0, 0, false, 12},   // generation 0 is no stream's
 		{7, 5, 9, true, 12},    // overlap below the cursor: dots deduplicate
 		{7, 11, 14, true, 14},  // partial overlap advances to hi
 		{7, 14, 14, true, 14},  // pure stability advance
@@ -177,5 +177,9 @@ func TestPushCursorAdmit(t *testing.T) {
 		if ok := c.Admit(tc.gen, tc.lo, tc.hi); ok != tc.ok || c.Idx != tc.idx || c.Gen != 7 {
 			t.Errorf("Admit(%d, %d, %d) = %v, cursor %+v; want %v at %d", tc.gen, tc.lo, tc.hi, ok, c, tc.ok, tc.idx)
 		}
+	}
+	var none PushCursor
+	if none.Admit(0, 0, 1) {
+		t.Errorf("a cursor with no generation admitted a frame of generation 0")
 	}
 }
