@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-stress vet check ci bench bench-compare bench-store bench-vclock bench-fig4 bench-obs
+.PHONY: all build test test-race test-stress vet check ci bench bench-compare bench-store bench-crdt bench-vclock bench-fig4 bench-obs
 
 all: check
 
@@ -37,7 +37,7 @@ test-race:
 # after any change to internal/epaxos or group's driver. The fourth covers the
 # per-history costs kept flat: the TCP write loop's flush-on-drain, the DC's
 # anti-entropy resend from a peer's position, the DC's masking rule against
-# its scan reference and the visibility recheck, and the RGA's slot index —
+# its scan reference and the visibility recheck, and the RGA's chunked kernel —
 # and tcp sends to one destination staying on one connection; run it after
 # any change to tcp's writeLoop or connFor, the DC's history or visibility code
 # (recordLocked, maskLocked, RecheckVisibility, antiEntropyLocked) or
@@ -65,10 +65,12 @@ vet:
 check: build vet test test-race
 
 # The continuous-integration gate: static checks, racy packages under the
-# race detector, then everything else, then 15 s of fuzzing the WAL's replay
+# race detector, then everything else, then one pass of each RGA
+# microbenchmark (so they cannot rot), then 15 s of fuzzing the WAL's replay
 # (torn tails, corrupt records, foreign files) and 15 s of fuzzing the wire
 # codec's decoder (hostile counts, truncated bodies, retired tags).
 ci: vet test-race build test
+	$(GO) test -run='^$$' -bench RGA -benchtime 1x ./internal/crdt
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=15s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=15s ./internal/wire
 
@@ -76,6 +78,12 @@ ci: vet test-race build test
 # depths, parallel readers over shards, incremental advancing-cut reads.
 bench-store:
 	$(GO) test -run xxx -bench BenchmarkStore -benchmem ./internal/store
+
+# RGA kernel microbenchmarks: a typing burst on a fork, a mid-document
+# insert, and the store's cache refresh (fork, four remote inserts, seal),
+# each at several document sizes.
+bench-crdt:
+	$(GO) test -run xxx -bench RGA -benchmem ./internal/crdt
 
 bench-vclock:
 	$(GO) test -run xxx -bench BenchmarkVector -benchmem ./internal/vclock

@@ -161,7 +161,9 @@ func (cn *Connection) ObjectKey(bucket, key string) ([]byte, error) {
 }
 
 // OnUpdate subscribes a callback to an object's update events (§6.1,
-// reactive programming).
+// reactive programming). The callback runs on the goroutine that delivered
+// the update; reading an object the cache lacks from inside it waits out the
+// call timeout (see edge.Node.OnUpdate).
 func (cn *Connection) OnUpdate(bucket, key string, fn func()) {
 	cn.node.OnUpdate(txn.ObjectID{Bucket: bucket, Key: key}, func(txn.ObjectID) { fn() })
 }

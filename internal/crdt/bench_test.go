@@ -1,9 +1,10 @@
-// Benchmarks for the sealed-snapshot read path and the indexed RGA kernel.
+// Benchmarks for the sealed-snapshot read path and the chunked RGA kernel.
 // The package is crdt_test so the cached-read benchmark can drive the store
 // without an import cycle.
 package crdt_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"colony/internal/crdt"
@@ -35,9 +36,9 @@ func buildFlatRGA(tb testing.TB, n int) *crdt.RGA {
 // --- typing-burst benchmarks ---
 //
 // One iteration is one editor burst: read the n-element document, then type
-// benchBurst characters at the end. The read forks the sealed snapshot (one
-// COW container copy for the whole burst) and every keystroke resolves its
-// anchor through the cursor in O(1).
+// benchBurst characters at the end. The read forks the sealed snapshot; the
+// burst copies the chunk list and the last chunk once, and each keystroke
+// finds its anchor from the nearer end of the document.
 
 func benchTypingBurstIndexed(b *testing.B, n int) {
 	base := buildFlatRGA(b, n)
@@ -65,8 +66,7 @@ func BenchmarkRGATypingBurstIndexed100k(b *testing.B) { benchTypingBurstIndexed(
 //
 // One iteration is one insert at the middle of an owned document that grows
 // from n elements (rebuilt outside the timer once it doubles): the shape of
-// several typists editing one shared document, where most inserts move a
-// long tail.
+// several typists editing the middle of one shared document.
 
 func benchInsertMidDocument(b *testing.B, n int) {
 	var r *crdt.RGA
@@ -89,6 +89,41 @@ func benchInsertMidDocument(b *testing.B, n int) {
 
 func BenchmarkRGAInsertMidDocument1k(b *testing.B)  { benchInsertMidDocument(b, 1_000) }
 func BenchmarkRGAInsertMidDocument10k(b *testing.B) { benchInsertMidDocument(b, 10_000) }
+
+// --- fork refresh ---
+//
+// One iteration is one refresh of the store's materialisation cache: fork
+// the sealed n-element snapshot, apply benchRefreshOps remote inserts at
+// random positions, and seal the result. A refresh should cost what it
+// edits, not what the document holds.
+
+const benchRefreshOps = 4
+
+func benchForkRefresh(b *testing.B, n int) {
+	base := buildFlatRGA(b, n)
+	base.Seal()
+	elems := base.Elements()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fork := base.Fork().(*crdt.RGA)
+		for k := 0; k < benchRefreshOps; k++ {
+			op := crdt.Op{RGA: &crdt.RGAOp{After: elems[rng.Intn(n)].Tag, Value: "r"}}
+			// A Lamport tag above the document's, as a concurrent remote
+			// typist's is.
+			m := crdt.Meta{Dot: vclock.Dot{Node: "r", Seq: uint64(n + i*benchRefreshOps + k + 1)}}
+			if err := fork.Apply(m, op); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fork.Seal()
+	}
+}
+
+func BenchmarkRGAForkRefresh1k(b *testing.B)   { benchForkRefresh(b, 1_000) }
+func BenchmarkRGAForkRefresh10k(b *testing.B)  { benchForkRefresh(b, 10_000) }
+func BenchmarkRGAForkRefresh100k(b *testing.B) { benchForkRefresh(b, 100_000) }
 
 // --- cached-read benchmark ---
 

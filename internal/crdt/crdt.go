@@ -161,7 +161,9 @@ var cowCopies atomic.Int64
 
 // CowCopies returns the process-wide count of copy-on-write container copies.
 // One fork that mutates pays one copy per container it touches, however many
-// readers share the sealed original.
+// readers share the sealed original. An RGA's containers are its chunks, so
+// an RGA fork counts one copy per chunk it writes, plus its chunk list, its
+// index overlay and its gone map when it writes those.
 func CowCopies() int64 { return cowCopies.Load() }
 
 // Object is a materialised CRDT replica state.

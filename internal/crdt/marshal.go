@@ -88,13 +88,19 @@ func MarshalState(buf []byte, o Object) ([]byte, error) {
 	case *Flag:
 		return appendTagSet(buf, v.tokens), nil
 	case *RGA:
-		buf = bin.AppendUvarint(buf, uint64(len(v.order)))
-		for i := range v.order {
-			e := &v.order[i]
-			buf = appendTag(buf, e.id)
-			buf = appendTag(buf, e.after)
-			buf = bin.AppendString(buf, e.value)
-			buf = bin.AppendBool(buf, e.tombstone)
+		n := 0
+		for _, c := range v.chunks {
+			n += len(c.elems)
+		}
+		buf = bin.AppendUvarint(buf, uint64(n))
+		for _, c := range v.chunks {
+			for i := range c.elems {
+				e := &c.elems[i]
+				buf = appendTag(buf, e.id)
+				buf = appendTag(buf, e.after)
+				buf = bin.AppendString(buf, e.value)
+				buf = bin.AppendBool(buf, e.tombstone)
+			}
 		}
 		gone := make([]Tag, 0, len(v.gone))
 		for t := range v.gone {
@@ -198,15 +204,15 @@ func readState(r *bin.Reader) (Object, error) {
 	case KindRGA:
 		rga := NewRGA()
 		n := r.Count(4)
-		rga.order = make([]rgaElem, 0, n)
+		elems := make([]rgaElem, 0, n)
 		for i := 0; i < n; i++ {
 			e := rgaElem{id: readTag(r), after: readTag(r)}
 			e.value = r.String()
 			e.tombstone = r.Bool()
-			if !e.tombstone {
-				rga.live++
+			if e.tombstone {
+				rga.unswept++
 			}
-			rga.order = append(rga.order, e)
+			elems = append(elems, e)
 		}
 		ng := r.Count(2)
 		if ng > 0 {
@@ -216,7 +222,7 @@ func readState(r *bin.Reader) (Object, error) {
 				rga.gone[id] = readTag(r)
 			}
 		}
-		rga.index = nil // rebuilt on first lookup
+		rga.pack(elems)
 		return finish(r, rga)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformedState, kind)

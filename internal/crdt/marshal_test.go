@@ -2,6 +2,7 @@ package crdt
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
@@ -216,5 +217,67 @@ func TestMarshalNilObject(t *testing.T) {
 	b, err := MarshalState(nil, nil)
 	if err != nil || !bytes.Equal(b, []byte{0}) {
 		t.Fatalf("nil marshal: %x, %v", b, err)
+	}
+}
+
+// goldenRGAState is the canonical MarshalState encoding of goldenRGA's
+// document. It pins the RGA's wire layout (every element, tombstones
+// included, in document order, then the gone map in tag order), so a change
+// to the kernel's in-memory layout cannot change the bytes a replica ships.
+const goldenRGAState = "07040161010000000001680101610200016101000165000161050001610200016c000162010001610100015801010161030001610200"
+
+// goldenRGA builds a document holding live elements, a referenced and an
+// unreferenced tombstone, concurrent siblings on one anchor, and one
+// compacted element in its gone map.
+func goldenRGA(t *testing.T) *RGA {
+	t.Helper()
+	r := NewRGA()
+	h := meta("a", 1, 0)
+	mustApply(t, r, h, r.PrepareInsertAfter(Tag{}, "h"))
+	e := meta("a", 2, 0)
+	mustApply(t, r, e, r.PrepareInsertAfter(h.tag(), "e"))
+	x := meta("b", 1, 0) // concurrent with e on the same anchor
+	mustApply(t, r, x, r.PrepareInsertAfter(h.tag(), "X"))
+	y := meta("a", 3, 0)
+	mustApply(t, r, y, r.PrepareInsertAfter(e.tag(), "y"))
+	mustApply(t, r, meta("a", 4, 0), r.PrepareDelete(y.tag()))
+	if n := r.CompactTombstones(); n != 1 {
+		t.Fatalf("compacted %d tombstones, want 1", n)
+	}
+	mustApply(t, r, meta("a", 5, 0), r.PrepareInsertAfter(e.tag(), "l"))
+	mustApply(t, r, meta("b", 2, 0), r.PrepareDelete(x.tag()))
+	mustApply(t, r, meta("a", 6, 0), r.PrepareDelete(h.tag()))
+	return r
+}
+
+// TestRGAMarshalGolden checks the RGA state encoding byte for byte, and
+// that decoding the golden bytes yields the same document.
+func TestRGAMarshalGolden(t *testing.T) {
+	r := goldenRGA(t)
+	if got := r.String(); got != "el" {
+		t.Fatalf("golden document reads %q, want %q", got, "el")
+	}
+	b, err := MarshalState(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(b); got != goldenRGAState {
+		t.Fatalf("RGA state encoding changed:\n got %s\nwant %s", got, goldenRGAState)
+	}
+	want, _ := hex.DecodeString(goldenRGAState)
+	back, err := UnmarshalState(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := back.(*RGA)
+	if rb.String() != "el" || rb.Len() != 2 {
+		t.Fatalf("decoded golden reads %q (len %d)", rb.String(), rb.Len())
+	}
+	again, err := MarshalState(nil, rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(again) != goldenRGAState {
+		t.Fatalf("decoded golden re-encodes differently:\n got %x", again)
 	}
 }

@@ -56,9 +56,11 @@ func TestRGACompactionEquivalence(t *testing.T) {
 			t.Fatalf("element %d diverged: %v vs %v", i, ae[i], be[i])
 		}
 	}
-	if len(a.order) >= len(b.order) {
-		t.Fatalf("compaction reclaimed nothing: %d elements vs %d", len(a.order), len(b.order))
+	if rgaElems(a) >= rgaElems(b) {
+		t.Fatalf("compaction reclaimed nothing: %d elements vs %d", rgaElems(a), rgaElems(b))
 	}
+	checkRGAChunks(t, 0, "compacted", a)
+	checkRGAChunks(t, 0, "uncompacted", b)
 }
 
 // TestRGACompactedAnchorResurrection covers the late-op case: a replica
@@ -80,7 +82,7 @@ func TestRGACompactedAnchorResurrection(t *testing.T) {
 	if n := a.CompactTombstones(); n != 1 {
 		t.Fatalf("compacted %d tombstones, want 1", n)
 	}
-	if _, ok := a.lookup(tb); ok {
+	if _, _, ok := a.lookup(tb); ok {
 		t.Fatal("compacted tombstone still indexed")
 	}
 

@@ -8,7 +8,7 @@ import (
 
 // TestRGADeepChain is the regression test for the old recursive tree kernel:
 // a 100k-deep insert chain (every element anchored on the previous one) made
-// walk/Clone/String recurse once per element. The flat kernel iterates, so
+// walk/Clone/String recurse once per element. The chunked kernel iterates, so
 // everything here must finish without growing the stack, and appends must
 // stay O(1) amortised (the whole test is a fraction of a second).
 func TestRGADeepChain(t *testing.T) {
@@ -32,9 +32,10 @@ func TestRGADeepChain(t *testing.T) {
 		t.Fatalf("Elements length = %d, want %d", got, n)
 	}
 	cl := r.Clone().(*RGA)
-	if cl.Len() != n || len(cl.order) != n {
-		t.Fatalf("clone: live %d order %d, want %d", cl.Len(), len(cl.order), n)
+	if cl.Len() != n || rgaElems(cl) != n {
+		t.Fatalf("clone: live %d elements %d, want %d", cl.Len(), rgaElems(cl), n)
 	}
+	checkRGAChunks(t, 0, "clone", cl)
 
 	r.Seal()
 	fork := r.Fork().(*RGA)
@@ -48,9 +49,10 @@ func TestRGADeepChain(t *testing.T) {
 	if got := fork.CompactTombstones(); got != n/2 {
 		t.Fatalf("compacted %d tombstones, want %d", got, n/2)
 	}
-	if fork.Len() != n/2 || len(fork.order) != n/2 {
-		t.Fatalf("after compaction: live %d order %d, want %d", fork.Len(), len(fork.order), n/2)
+	if fork.Len() != n/2 || rgaElems(fork) != n/2 {
+		t.Fatalf("after compaction: live %d elements %d, want %d", fork.Len(), rgaElems(fork), n/2)
 	}
+	checkRGAChunks(t, 0, "compacted fork", fork)
 	if got := len(fork.String()); got != n/2 {
 		t.Fatalf("fork String length = %d, want %d", got, n/2)
 	}

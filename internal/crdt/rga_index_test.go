@@ -8,36 +8,61 @@ import (
 	"colony/internal/vclock"
 )
 
-// checkRGAIndex asserts that every element's lookup is its position in order
-// and, where the index is built, that tag -> slot -> position is consistent.
-func checkRGAIndex(t *testing.T, step int, what string, r *RGA) {
+// checkRGAChunks asserts the chunked kernel's invariants: no chunk is empty
+// or over rgaChunkMax, each chunk's live count is its live elements and the
+// counts sum to Len, where places every chunk, every element resolves
+// through the index to where it is, ids are unique, and no compacted id is
+// also present.
+func checkRGAChunks(t *testing.T, step int, what string, r *RGA) {
 	t.Helper()
-	if r.index != nil {
-		if len(r.index) != len(r.order) || len(r.pos) != len(r.order) {
-			t.Fatalf("step %d %s: index %d, pos %d, order %d entries", step, what, len(r.index), len(r.pos), len(r.order))
+	if !r.sealed {
+		r.ensureIndex()
+	}
+	indexed := r.indexed() // a sealed decode or clone never builds one
+	seen := make(map[Tag]bool)
+	live := 0
+	for ci, c := range r.chunks {
+		if len(c.elems) == 0 || len(c.elems) > rgaChunkMax {
+			t.Fatalf("step %d %s: chunk %d holds %d elements", step, what, ci, len(c.elems))
 		}
-		for i := range r.order {
-			if slot := r.index[r.order[i].id]; slot != r.order[i].slot || r.pos[slot] != int32(i) {
-				t.Fatalf("step %d %s: element %d has slot %d (index says %d) at pos %d",
-					step, what, i, r.order[i].slot, slot, r.pos[slot])
+		if got := r.where[c.id]; int(got) != ci {
+			t.Fatalf("step %d %s: chunk %d (id %d) is placed at %d", step, what, ci, c.id, got)
+		}
+		n := 0
+		for ei := range c.elems {
+			e := &c.elems[ei]
+			if seen[e.id] {
+				t.Fatalf("step %d %s: element %v appears twice", step, what, e.id)
+			}
+			seen[e.id] = true
+			if !e.tombstone {
+				n++
+			}
+			if cid, ok := r.index.get(e.id); indexed && (!ok || cid != c.id) {
+				t.Fatalf("step %d %s: index names chunk %d (%v) for %v, held by chunk %d",
+					step, what, cid, ok, e.id, c.id)
+			}
+			if _, g := r.gone[e.id]; g {
+				t.Fatalf("step %d %s: element %v is both present and compacted", step, what, e.id)
 			}
 		}
-	}
-	for i := range r.order {
-		if p, ok := r.lookup(r.order[i].id); !ok || p != i {
-			t.Fatalf("step %d %s: lookup(element %d) = %d, %v", step, what, i, p, ok)
+		if n != int(c.live) {
+			t.Fatalf("step %d %s: chunk %d counts %d live, holds %d", step, what, ci, c.live, n)
 		}
-	}
-	live := 0
-	for i := range r.order {
-		if !r.order[i].tombstone {
-			live++
-		}
+		live += n
 	}
 	if live != r.live {
 		t.Fatalf("step %d %s: live count %d, %d live elements", step, what, r.live, live)
 	}
+	for id := range r.gone {
+		if _, ok := r.index.get(id); ok {
+			t.Fatalf("step %d %s: compacted element %v still resolves", step, what, id)
+		}
+	}
 }
+
+// rgaElems counts r's elements, tombstones included.
+func rgaElems(r *RGA) int { return len(r.all()) }
 
 // sameRGA asserts two replicas hold the same live sequence, tags included.
 func sameRGA(t *testing.T, step int, what string, got, want *RGA) {
@@ -150,7 +175,7 @@ func rgaIndexSchedule(t *testing.T, seed int64, steps int) {
 			cur = cur.Fork().(*RGA)
 		}
 
-		checkRGAIndex(t, step, "replica", cur)
+		checkRGAChunks(t, step, "replica", cur)
 		sameRGA(t, step, "replica vs reference", cur, ref)
 		if step%100 == 99 || step == steps-1 {
 			fresh := NewRGA()
@@ -162,8 +187,107 @@ func rgaIndexSchedule(t *testing.T, seed int64, steps int) {
 				if got := s.r.String(); got != s.want {
 					t.Fatalf("step %d: snapshot %d reads %q, sealed as %q", step, i, got, s.want)
 				}
-				checkRGAIndex(t, step, fmt.Sprintf("snapshot %d", i), s.r)
+				checkRGAChunks(t, step, fmt.Sprintf("snapshot %d", i), s.r)
 			}
 		}
+	}
+}
+
+// TestRGASiblingForksPushIndexLevels edits two forks of one sealed snapshot
+// hard enough that each pushes index levels of its own: neither may see the
+// other's entries, and the snapshot must read as sealed.
+func TestRGASiblingForksPushIndexLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base, ref := NewRGA(), NewRGA()
+	var seq uint64
+	for i := 0; i < 3*rgaOverlayMax; i++ {
+		applyBoth(t, &seq, base.PrepareInsertAt(rng.Intn(base.Len()+1), "b"), base, ref)
+	}
+	base.Seal()
+	sealed := base.String()
+	forks := []*RGA{base.Fork().(*RGA), base.Fork().(*RGA)}
+	refs := []*RGA{ref.Clone().(*RGA), ref.Clone().(*RGA)}
+	for i := 0; i < 3*rgaOverlayMax; i++ {
+		for f := range forks {
+			seq++
+			m := Meta{Dot: vclock.Dot{Node: fmt.Sprintf("f%d", f), Seq: seq}}
+			op := forks[f].PrepareInsertAt(rng.Intn(forks[f].Len()+1), fmt.Sprint(f))
+			mustApply(t, forks[f], m, op)
+			mustApply(t, refs[f], m, op)
+		}
+	}
+	for f := range forks {
+		checkRGAChunks(t, 0, fmt.Sprintf("fork %d", f), forks[f])
+		sameRGA(t, 0, fmt.Sprintf("fork %d", f), forks[f], refs[f])
+	}
+	if base.String() != sealed {
+		t.Fatal("sealed snapshot changed under its forks")
+	}
+}
+
+// TestRGAForkSplitsSharedChunk inserts into the middle of a full chunk a
+// fork shares with its sealed snapshot and with a sibling fork: the split
+// must copy, leaving both others as they were.
+func TestRGAForkSplitsSharedChunk(t *testing.T) {
+	base, ref := NewRGA(), NewRGA()
+	var seq uint64
+	for i := 0; i < rgaChunkMax; i++ { // head inserts fill one chunk
+		applyBoth(t, &seq, base.PrepareInsertAt(0, "b"), base, ref)
+	}
+	if len(base.chunks) != 1 || len(base.chunks[0].elems) != rgaChunkMax {
+		t.Fatalf("setup: %d chunks, want one full one", len(base.chunks))
+	}
+	base.Seal()
+	sealed := base.String()
+	fork, sibling := base.Fork().(*RGA), base.Fork().(*RGA)
+	for _, at := range []int{10, rgaChunkMax - 10} {
+		applyBoth(t, &seq, fork.PrepareInsertAt(at, "f"), fork, ref)
+	}
+	checkRGAChunks(t, 0, "fork", fork)
+	sameRGA(t, 0, "fork", fork, ref)
+	if base.String() != sealed || sibling.String() != sealed {
+		t.Fatal("a split in one fork changed the snapshot or its sibling")
+	}
+	checkRGAChunks(t, 0, "sibling", sibling)
+}
+
+// TestRGACompactRetiresChunks reclaims every element of the chunks in the
+// middle of a document: the emptied chunks are retired and the chunks after
+// them must still resolve. Then it leaves one element in every few, which
+// lays the document out afresh.
+func TestRGACompactRetiresChunks(t *testing.T) {
+	r := NewRGA()
+	var seq uint64
+	var tags []Tag
+	for i := 0; i < 4*rgaChunkMax; i++ { // siblings of the head: no element anchors on another
+		tags = append(tags, applyBoth(t, &seq, r.PrepareInsertAfter(Tag{}, "x"), r))
+	}
+	before := len(r.chunks)
+	for _, tag := range tags[len(tags)/4 : 3*len(tags)/4] {
+		applyBoth(t, &seq, r.PrepareDelete(tag), r)
+	}
+	if got, want := r.CompactTombstones(), len(tags)/2; got != want {
+		t.Fatalf("compacted %d tombstones, want %d", got, want)
+	}
+	if len(r.chunks) >= before {
+		t.Fatalf("%d chunks before compaction, %d after: none retired", before, len(r.chunks))
+	}
+	checkRGAChunks(t, 0, "compacted", r)
+	if len(r.chunks) < 3 {
+		t.Fatalf("%d chunks left, the repack below needs 3", len(r.chunks))
+	}
+	var doomed []Tag // all but the first element of every chunk
+	for _, c := range r.chunks {
+		for _, e := range c.elems[1:] {
+			doomed = append(doomed, e.id)
+		}
+	}
+	for _, tag := range doomed {
+		applyBoth(t, &seq, r.PrepareDelete(tag), r)
+	}
+	r.CompactTombstones()
+	checkRGAChunks(t, 0, "repacked", r)
+	if len(r.chunks) != 1 {
+		t.Fatalf("%d elements left in %d chunks, want them packed into one", r.Len(), len(r.chunks))
 	}
 }

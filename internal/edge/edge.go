@@ -511,6 +511,12 @@ func (n *Node) sweepStableLocked() {
 // OnUpdate subscribes a callback fired whenever the object changes (local
 // commit or remote update) — the reactive-programming hook of the paper's
 // API (§6.1).
+//
+// A remote update's callback runs on the goroutine that delivered it, so the
+// link it came on reads nothing until the callback returns. A callback that
+// reads an object the cache lacks therefore fetches it from that same link
+// and waits out CallTimeout for a reply queued behind itself; read only
+// cached objects there, or hand the read to another goroutine.
 func (n *Node) OnUpdate(id txn.ObjectID, fn func(txn.ObjectID)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -778,7 +784,8 @@ func (n *Node) ApplyPush(m wire.PushTxs) {
 			continue // duplicate or malformed
 		}
 		// Fire events for every touched object with a listener, cached or
-		// not: the listener's read pulls an uncached object into the cache.
+		// not. A listener runs on this delivery goroutine, so a read of an
+		// uncached object from inside it times out (see OnUpdate).
 		for _, id := range t.Objects() {
 			touched[id] = true
 		}

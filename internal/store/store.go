@@ -183,9 +183,11 @@ func (s *Store) SetCacheMode(on bool) { s.cacheMode = on }
 // snapshots returned without a deep clone), registers itself as a source of
 // the store.max_journal_len gauge (AggMax across the deployment's stores)
 // and the process-wide crdt.cow_copies gauge (containers actually copied by
-// copy-on-write forks). Passing nil detaches counters but keeps a previously registered
-// gauge source (registries have no unregister; the source just keeps
-// reporting). Must be called before the store is shared between goroutines.
+// copy-on-write forks; an RGA fork counts each chunk it copies, not one copy
+// of the document). Passing nil detaches counters but keeps a previously
+// registered gauge source (registries have no unregister; the source just
+// keeps reporting). Must be called before the store is shared between
+// goroutines.
 func (s *Store) SetObs(r *obs.Registry) {
 	s.cacheHits = r.Counter("store.cache_hit")
 	s.cacheMiss = r.Counter("store.cache_miss")
