@@ -16,10 +16,12 @@ test:
 # registry (obs), the group-commit WAL writer (wal), both network substrates and the
 # codec they share (simnet, transport, transport/tcp, wire, bin), the
 # replication mesh (replication), the peer-group / EPaxos quorum machinery
-# (group, epaxos), and the end-to-end benchmark's tracker and decorators
-# (benchmark) — run under the race detector on every check.
+# (group, epaxos), the end-to-end benchmark's tracker and decorators
+# (benchmark), and the values every layer shares instead of copying — the
+# transaction, its stamps and the shards' views of it (txn, vclock, clocksi),
+# which no holder may write — run under the race detector on every check.
 test-race:
-	$(GO) test -race ./internal/crdt ./internal/store ./internal/dc ./internal/edge ./internal/obs ./internal/wal ./internal/simnet ./internal/transport ./internal/transport/tcp ./internal/wire ./internal/bin ./internal/group ./internal/epaxos ./internal/replication ./benchmark
+	$(GO) test -race ./internal/crdt ./internal/store ./internal/dc ./internal/edge ./internal/obs ./internal/wal ./internal/simnet ./internal/transport ./internal/transport/tcp ./internal/wire ./internal/bin ./internal/group ./internal/epaxos ./internal/replication ./internal/clocksi ./internal/txn ./internal/vclock ./benchmark
 
 # The push path — interest shards, multicast trees, relays, receiver cursors
 # and the resume that repairs them — twenty times over under the race
@@ -49,15 +51,17 @@ test-race:
 # duplicates and stamp-ordered records — and the edge's uplink flights: a
 # flight stamped in dot order, stopped at its first failure, a backlog
 # drained in one flight, a DC restart and a migration with a flight in
-# flight; run it after any change to internal/wal, store/advance.go,
-# dc.Stable, the DC's commitAt or acceptEdgeTx, the edge's drainUnacked or
-# a substrate's reply path.
+# flight — and one transaction shared by two stores, an encoder and readers
+# while its holders learn stamps (SharedTx); run it after any change to
+# internal/wal, store/advance.go, dc.Stable, the DC's commitAt or
+# acceptEdgeTx, the edge's drainUnacked, a substrate's reply path, or how a
+# store swaps its record (store.apply, Promote, ResolveSnapshot).
 test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave|Stream' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
 	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA|Masking|Recheck|SendsStay' ./internal/transport/tcp ./internal/dc ./internal/crdt
-	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable|Deferred|AppendThen|ShareFsync|AckImpliesLogged|EdgeFlight|InlineCommits|SequencedTwice' ./internal/wal ./internal/store ./internal/dc ./internal/edge ./internal/transport ./internal/transport/tcp
+	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable|Deferred|AppendThen|ShareFsync|AckImpliesLogged|EdgeFlight|InlineCommits|SequencedTwice|SharedTx' ./internal/wal ./internal/store ./internal/dc ./internal/edge ./internal/transport ./internal/transport/tcp
 
 vet:
 	$(GO) vet ./...

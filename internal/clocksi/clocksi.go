@@ -104,6 +104,7 @@ func (s *Shard) Prepare(part *txn.Transaction) (uint64, error) {
 
 // Commit is phase two: the shard durably applies its partition with the
 // commit stamps decided by the coordinator and releases the prepare record.
+// It stores a stamped copy: the partition may be the caller's transaction.
 func (s *Shard) Commit(dot vclock.Dot, commit vclock.CommitStamps) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,11 +113,10 @@ func (s *Shard) Commit(dot vclock.Dot, commit vclock.CommitStamps) error {
 		return fmt.Errorf("commit %s on %s: %w", dot, s.name, ErrNotPrepared)
 	}
 	delete(s.prepared, dot)
-	part.Commit = commit.Clone()
 	for _, ts := range commit {
 		s.clock.Witness(ts)
 	}
-	return s.store.Apply(part)
+	return s.store.Apply(part.WithCommit(commit))
 }
 
 // Abort discards a prepared transaction.

@@ -3,6 +3,7 @@ package clocksi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"colony/internal/crdt"
@@ -317,5 +318,58 @@ func TestAdvance(t *testing.T) {
 	}
 	if got := obj.(*crdt.Counter).Total(); got != 5 {
 		t.Fatalf("total after advance = %d", got)
+	}
+}
+
+// TestShardRecordsShareTheCommit commits, as the DC does, a transaction
+// whose updates span shards and one held by a single shard, and one applied
+// already committed: every shard store's record is the committed value or a
+// view of it — the same Updates backing array when the shard holds every
+// update, the same snapshot and stamps otherwise — and the coordinator's
+// transaction is never written.
+func TestShardRecordsShareTheCommit(t *testing.T) {
+	c := newCoordinator(t, 4)
+	record := func(s *Shard, dot vclock.Dot) *txn.Transaction {
+		t.Helper()
+		rec, ok := s.store.Transaction(dot)
+		if !ok {
+			t.Fatalf("%s holds no record of %s", s.Name(), dot)
+		}
+		return rec
+	}
+	for seq, keys := range [][]string{{"a", "b", "c", "d", "e", "f"}, {"a", "a"}} {
+		tx := counterTx("dc", uint64(seq+1), vclock.Vector{0}, keys...)
+		before := tx.Clone()
+		p, err := c.Prepare(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed := tx.WithCommit(vclock.CommitStamps{0: uint64(10 + seq)})
+		if err := p.Commit(committed.Commit); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.shards) == 1 {
+			if rec := record(p.shards[0], tx.Dot); &rec.Updates[0] != &committed.Updates[0] {
+				t.Error("a shard holding every update copied them")
+			}
+		} else {
+			for _, s := range p.shards {
+				rec := record(s, tx.Dot)
+				if &rec.Snapshot[0] != &committed.Snapshot[0] || reflect.ValueOf(rec.Commit).Pointer() != reflect.ValueOf(committed.Commit).Pointer() {
+					t.Errorf("%s copied the snapshot or the stamps", s.Name())
+				}
+			}
+		}
+		if !reflect.DeepEqual(tx, before) {
+			t.Fatalf("commit wrote the coordinator's transaction: %v, was %v", tx, before)
+		}
+	}
+	replicated := counterTx("peer", 1, vclock.Vector{0, 4}, "a")
+	replicated.Commit = vclock.CommitStamps{1: 5}
+	if err := c.ApplyCommitted(replicated); err != nil {
+		t.Fatal(err)
+	}
+	if rec := record(c.Shard(replicated.Updates[0].Object), replicated.Dot); rec != replicated {
+		t.Error("a replicated transaction held by one shard is stored as a copy")
 	}
 }

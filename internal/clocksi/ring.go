@@ -53,7 +53,8 @@ func (r *Ring) Lookup(id txn.ObjectID) string {
 	return r.points[i].shard
 }
 
-// Partition splits a transaction's updates by responsible shard.
+// Partition splits a transaction's updates by responsible shard: each part
+// is t's Restrict view, t itself when one shard holds every update.
 func (r *Ring) Partition(t *txn.Transaction) map[string]*txn.Transaction {
 	shards := make(map[string]bool)
 	for _, u := range t.Updates {

@@ -106,8 +106,8 @@ func TestAntiEntropyResendsFromPeerPosition(t *testing.T) {
 			if tx.Origin != "dc0" || tx.Dot != want[i].Dot || tx.Commit[0] != want[i].Commit[0] {
 				t.Fatalf("known=%d: resend %d is %v@%v, want %v@%v", known, i, tx.Dot, tx.Commit, want[i].Dot, want[i].Commit)
 			}
-			if tx == want[i] {
-				t.Fatalf("known=%d: resend %d shares the recorded transaction", known, i)
+			if tx != want[i] {
+				t.Fatalf("known=%d: resend %d is a copy of the recorded transaction", known, i)
 			}
 		}
 		if len(want) > 0 && (b.From != 0 || len(b.State) != 3) {

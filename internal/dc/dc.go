@@ -153,8 +153,9 @@ type DC struct {
 	byDot map[vclock.Dot]int
 	// unrecorded holds the dots this DC has committed but not yet recorded
 	// (their completion waits for durability): the replication receive path
-	// must not record them a second time.
-	unrecorded map[vclock.Dot]struct{}
+	// must not record them a second time. It keeps instead the stamps of a
+	// peer's copy that arrives meanwhile, and complete absorbs them.
+	unrecorded map[vclock.Dot]vclock.CommitStamps
 	// own holds the positions of the records this DC stamped, ordered by that
 	// stamp, so anti-entropy resumes at a peer's position instead of walking
 	// the whole history.
@@ -270,7 +271,7 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		state:         vclock.NewVector(cfg.NumDCs),
 		peers:         make(map[int]string),
 		byDot:         make(map[vclock.Dot]int),
-		unrecorded:    make(map[vclock.Dot]struct{}),
+		unrecorded:    make(map[vclock.Dot]vclock.CommitStamps),
 		subs:          make(map[string]*subscription),
 		outboxes:      make(map[int]*replOutbox),
 		pipeStop:      make(chan struct{}),
@@ -759,13 +760,15 @@ type pendingCommit struct {
 // section that stamped it, and commitAt drains the queue before it returns,
 // so concurrent committers still record in stamp order: a record must not
 // move the state vector past a lower stamp still awaiting its record. A
-// commit that fails is reported to done at once.
-func (d *DC) commitAt(t *txn.Transaction, done func(vclock.CommitStamps, error)) {
+// commit that fails is reported to done at once. commitAt returns the
+// stamped copy of t it commits, or nil when the commit failed; t itself is
+// not written.
+func (d *DC) commitAt(t *txn.Transaction, done func(vclock.CommitStamps, error)) *txn.Transaction {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		done(nil, ErrClosed)
-		return
+		return nil
 	}
 	d.inflight.Add(1)
 	d.mu.Unlock()
@@ -776,18 +779,18 @@ func (d *DC) commitAt(t *txn.Transaction, done func(vclock.CommitStamps, error))
 	prep, err := d.coord.Prepare(t)
 	if err != nil {
 		fail(err)
-		return
+		return nil
 	}
 	d.mu.Lock()
 	d.seq = max(d.seq, prep.MaxPrepare) + 1
-	t.Commit = vclock.CommitStamps{d.cfg.Index: d.seq}
+	t = t.WithCommit(vclock.CommitStamps{d.cfg.Index: d.seq})
 	if err := prep.Commit(t.Commit); err != nil {
 		d.mu.Unlock()
 		fail(err)
-		return
+		return nil
 	}
 	p := &pendingCommit{t: t, done: done}
-	d.unrecorded[t.Dot] = struct{}{}
+	d.unrecorded[t.Dot] = nil
 	durable := d.journal != nil && d.cfg.SyncWrites
 	switch {
 	case durable:
@@ -805,6 +808,7 @@ func (d *DC) commitAt(t *txn.Transaction, done func(vclock.CommitStamps, error))
 	if !durable {
 		d.completeQueued()
 	}
+	return t
 }
 
 // completeQueued completes every queued commit, in stamp order, for commitAt
@@ -820,9 +824,10 @@ func (d *DC) completeQueued() {
 }
 
 // complete is the second half of commitAt for a run of commits, in stamp
-// order: one d.mu section records them, observes the new state and routes
-// the newly stable suffix to the push shards; then each is cloned into the
-// peers' replication outboxes and reported to its caller.
+// order: one d.mu section records them, absorbs the stamps of any peer's
+// copy that arrived meanwhile, observes the new state and routes the newly
+// stable suffix to the push shards; then each goes into the peers'
+// replication outboxes and is reported to its caller.
 func (d *DC) complete(run []*pendingCommit) {
 	d.mu.Lock()
 	// The outboxes are collected under d.mu so a concurrent SetPeers cannot
@@ -831,23 +836,19 @@ func (d *DC) complete(run []*pendingCommit) {
 	for _, o := range d.outboxes {
 		outs = append(outs, o)
 	}
-	// One clone per commit, shared by every peer's batch (the wire contract
-	// treats in-flight transactions as immutable).
-	clones := make([]*txn.Transaction, len(run))
-	for i, p := range run {
+	for _, p := range run {
+		early := d.unrecorded[p.t.Dot]
 		delete(d.unrecorded, p.t.Dot)
 		d.recordLocked(p.t)
-		if len(outs) > 0 {
-			clones[i] = p.t.Clone()
-		}
+		d.absorbLocked(len(d.hist)-1, early)
 	}
 	d.mesh.ObserveSelf(d.state)
 	d.notifySubscribersLocked(false)
 	d.mu.Unlock()
-	for i, p := range run {
+	for _, p := range run {
 		d.noteWALError(p.walErr)
-		d.enqueueRepl(outs, clones[i])
-		p.done(p.t.Commit.Clone(), nil)
+		d.enqueueRepl(outs, p.t)
+		p.done(p.t.Commit, nil)
 		d.inflight.Done()
 	}
 }
@@ -1012,7 +1013,7 @@ func (d *DC) antiEntropyLocked(m wire.ReplHeartbeat) (wire.ReplBatch, string) {
 	// Masked records go too: each peer applies its own visibility.
 	txs := make([]*txn.Transaction, len(missing))
 	for j, pos := range missing {
-		txs[j] = d.hist[pos].t.Clone()
+		txs[j] = d.hist[pos].t
 	}
 	// Anti-entropy resends are scoped like the live stream: the receiver's
 	// WantSeq guard plus the next round's resend make dropped batches
@@ -1129,13 +1130,11 @@ func (d *DC) acceptEdgeTx(m wire.EdgeCommit) any {
 		d.lamport.Witness(t.Dot.Seq)
 		d.mu.Unlock()
 
-		cp := t.Clone()
-		cp.Snapshot = cp.Snapshot.Join(prev)
 		var failed error
 		f.pending.Add(1)
 		// A commit that fails is reported at once, on this goroutine; one
 		// that succeeds completes once recorded, maybe on another goroutine.
-		d.commitAt(cp, func(stamps vclock.CommitStamps, err error) {
+		stamped := d.commitAt(t.WithSnapshot(vclock.LUB(t.Snapshot, prev)), func(stamps vclock.CommitStamps, err error) {
 			if err != nil {
 				failed = err
 			} else {
@@ -1148,7 +1147,7 @@ func (d *DC) acceptEdgeTx(m wire.EdgeCommit) any {
 			refused = d.refuseEdgeTx(t.Dot, failed)
 			break
 		}
-		prev, _ = cp.Commit.Vector(cp.Snapshot)
+		prev, _ = stamped.CommitVector()
 		f.n = i + 1
 	}
 	if f.n == 0 {
@@ -1220,26 +1219,19 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 		d.mu.Unlock()
 		return
 	}
-	// Clone non-duplicates: the sender's record (and other recipients') must
-	// not share mutable state with this DC's history. Duplicate or partially
-	// overlapping batches (anti-entropy rounds racing the live stream) are
-	// filtered by dot here and again after admission.
-	// A copy of a recorded transaction still goes through when it carries a
-	// stamp the record lacks (absorbLocked).
+	// Duplicate or partially overlapping batches (anti-entropy rounds racing
+	// the live stream) are filtered by dot here and again after admission;
+	// a copy of a dot this DC holds gives only its stamps (takeStampsLocked).
+	before := d.state.Sum()
 	incoming := make([]*txn.Transaction, 0, len(m.Txs))
 	for _, t := range m.Txs {
-		if t == nil || d.knownLocked(t.Dot) && !d.newStampLocked(t) {
-			continue
+		if t != nil && !d.takeStampsLocked(t) {
+			incoming = append(incoming, t)
 		}
-		incoming = append(incoming, t.Clone())
 	}
 	ready := d.mesh.AdmitBatch(incoming, d.state)
 	for _, t := range ready {
-		if pos, ok := d.byDot[t.Dot]; ok {
-			d.absorbLocked(pos, t)
-			continue
-		}
-		if d.knownLocked(t.Dot) {
+		if d.takeStampsLocked(t) {
 			continue
 		}
 		if err := d.coord.ApplyCommitted(t); err != nil && !errors.Is(err, store.ErrDuplicate) {
@@ -1251,65 +1243,59 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 	d.mesh.ObserveSelf(d.state)
 	d.notifySubscribersLocked(false)
 	ackTo, ack := d.peers[m.From], wire.ReplHeartbeat{From: d.cfg.Index, State: d.state.Clone()}
+	moved := d.state.Sum() != before
 	d.mu.Unlock()
-	// Acknowledge with our new state vector so the sender's K-stability
-	// frontier advances promptly even without further traffic.
-	if len(ready) > 0 && ackTo != "" {
+	// Acknowledge a state that moved (it only grows) so the sender's
+	// K-stability frontier advances promptly even without further traffic.
+	if moved && ackTo != "" {
 		_ = d.node.Send(ackTo, ack)
 	}
 }
 
-// newStampLocked reports whether t is a copy of a recorded transaction that
-// carries a commit stamp the record lacks.
-func (d *DC) newStampLocked(t *txn.Transaction) bool {
-	pos, ok := d.byDot[t.Dot]
-	if !ok {
-		return false
-	}
-	for i := range t.Commit {
-		if _, ok := d.hist[pos].t.Commit[i]; !ok {
-			return true
-		}
-	}
-	return false
-}
-
-// absorbLocked merges the stamps of a peer's copy of the transaction at
-// history position pos into its record, its store entry and the state
-// vector. The same edge commit can be sequenced twice — by a DC whose ack
-// was lost and by the DC the edge re-sent it to — and each DC then records
-// the copy that reached it first. Every stamp names the same transaction,
-// so a DC holding it holds what each stamp names: without the merge, its
-// state would never cover the other DC's stamp, and a later commit naming
-// that stamp in its snapshot (the edge saw it pushed) would be refused here,
-// or stay pending in admission, until that DC stamps something newer. The
-// record is replaced, not changed in place: pushes in flight share it. A
-// copy that arrives while the dot awaits its record is not merged;
-// anti-entropy re-sends it, since this state does not cover its stamp. A
-// restart forgets the merge the same way.
-func (d *DC) absorbLocked(pos int, t *txn.Transaction) {
+// absorbLocked merges stamps — a peer's copy's — into the transaction at
+// history position pos: its record, its store entry and the state vector.
+// The same edge commit can be sequenced twice — by a DC whose ack was lost
+// and by the DC the edge re-sent it to — and each DC then records the copy
+// that reached it first. Every stamp names the same transaction, so a DC
+// holding it holds what each stamp names: without the merge, its state would
+// never cover the other DC's stamp, and a later commit naming that stamp in
+// its snapshot (the edge saw it pushed) would be refused here, or stay
+// pending in admission, until that DC stamps something newer. The record's
+// pointer is swapped, like every holder's: pushes in flight keep the value
+// they share. A restart forgets the merge; anti-entropy re-sends it, since
+// this state does not cover the stamp.
+func (d *DC) absorbLocked(pos int, stamps vclock.CommitStamps) {
 	rec := &d.hist[pos]
-	_ = d.coord.ApplyCommitted(t) // the store absorbs a duplicate's stamps
-	merged := rec.t.Clone()
-	for i, ts := range t.Commit {
-		if _, ok := merged.Commit[i]; ok {
-			continue
-		}
-		merged.Commit[i] = ts
-		if rec.masked {
-			d.addMaskRootLocked(i, ts, merged)
+	merged := rec.t.Commit.Merge(stamps)
+	if len(merged) == len(rec.t.Commit) {
+		return
+	}
+	old := rec.t.Commit
+	rec.t = rec.t.WithCommit(merged)
+	if rec.masked {
+		for i, ts := range merged {
+			if _, ok := old[i]; !ok {
+				d.addMaskRootLocked(i, ts, rec.t)
+			}
 		}
 	}
-	rec.t = merged
-	d.state = merged.Commit.JoinInto(d.state, merged.Snapshot)
+	_ = d.coord.ApplyCommitted(rec.t) // the stores absorb a duplicate's stamps
+	d.state = merged.JoinInto(d.state, rec.t.Snapshot)
 }
 
-// knownLocked reports whether this DC has recorded dot, or committed it and
-// is waiting to record it.
-func (d *DC) knownLocked(dot vclock.Dot) bool {
-	_, recorded := d.byDot[dot]
-	_, committed := d.unrecorded[dot]
-	return recorded || committed
+// takeStampsLocked reports whether t is a copy of a dot this DC holds, and
+// if so takes the copy's stamps: into the record at once, or, while the dot
+// awaits its record, into d.unrecorded for complete to absorb.
+func (d *DC) takeStampsLocked(t *txn.Transaction) bool {
+	if pos, recorded := d.byDot[t.Dot]; recorded {
+		d.absorbLocked(pos, t.Commit)
+		return true
+	}
+	early, waiting := d.unrecorded[t.Dot]
+	if waiting {
+		d.unrecorded[t.Dot] = early.Merge(t.Commit)
+	}
+	return waiting
 }
 
 // --- edge subscriptions and pushes ---

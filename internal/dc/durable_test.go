@@ -323,6 +323,11 @@ func TestDeferredCommitReplicatedCopyRecordedOnce(t *testing.T) {
 	if n := d.LogLen(); n != commits {
 		t.Fatalf("history holds %d records for %d distinct commits", n, commits)
 	}
+	// A copy that arrived while its dot awaited the fsync still gave its
+	// stamp: no heartbeat runs here, so nothing else would bring it.
+	if got := d.State().Get(1); got != commits {
+		t.Fatalf("state covers dc1 up to %d, want the last peer stamp %d", got, commits)
+	}
 }
 
 func isAck(reply any) bool {

@@ -383,7 +383,7 @@ func (d *DC) flushShard(sh *pushShard, segs []pushSeg, plans []treeSend, direct 
 	filtered := make([]*txn.Transaction, 0, total)
 	for i := range segs {
 		for _, t := range segs[i].txs {
-			if ft := t.RestrictShared(keep); ft != nil {
+			if ft := t.Restrict(keep); ft != nil {
 				filtered = append(filtered, ft)
 			}
 		}
@@ -478,7 +478,7 @@ func (d *DC) sendRangeLocked(sub *subscription, from, idx int, stable vclock.Vec
 	to := from
 	for ; to < idx && len(txs) < antiEntropyMax; to++ {
 		if r := d.hist[to]; !r.masked {
-			if ft := r.t.RestrictShared(keep); ft != nil {
+			if ft := r.t.Restrict(keep); ft != nil {
 				txs = append(txs, ft)
 			}
 		}

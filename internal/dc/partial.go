@@ -413,13 +413,9 @@ func (d *DC) scopeBatch(peerIdx int, txs []*txn.Transaction) ([]*txn.Transaction
 		}
 		d.obsStubTxs.Inc()
 		d.obsSkipped.Add(int64(skipped))
-		out[i] = &txn.Transaction{
-			Dot:      t.Dot,
-			Origin:   t.Origin,
-			Actor:    t.Actor,
-			Snapshot: t.Snapshot,
-			Commit:   t.Commit,
-		}
+		stub := *t
+		stub.Updates = nil
+		out[i] = &stub
 	}
 	return out, wantSeq
 }

@@ -440,8 +440,8 @@ func (n *Node) EnqueueForDC(t *txn.Transaction) {
 // §5.1.4; rollback freedom, §5.2). Idempotent: a dot the store already holds
 // is only marked (and its commit stamps absorbed). The store skips updates
 // to objects this cache does not hold; update listeners fire for the rest.
-func (n *Node) ApplyGroupTx(shared *txn.Transaction) {
-	t := shared.Clone() // the caller's record fans out to many stores
+// The store keeps t itself, as other stores may: no holder writes it.
+func (n *Node) ApplyGroupTx(t *txn.Transaction) {
 	n.mu.Lock()
 	n.lamport.Witness(t.Dot.Seq)
 	var fns []boundListener
@@ -487,7 +487,7 @@ func (n *Node) observeAckLocked(dot vclock.Dot, cv vclock.Vector) {
 		return
 	}
 	tr.acked = true
-	tr.cv = cv.Clone()
+	tr.cv = cv
 	n.ackLat.Observe(int64(time.Since(tr.at)))
 }
 
@@ -596,8 +596,8 @@ func (n *Node) subscribe(dc string, ids []txn.ObjectID, resume bool, since vcloc
 	// A resume from nothing — no position, no cut, no cached object — is
 	// just a fresh subscription, whose seeds cover everything below the
 	// frontier. Anything else resumes, even with an empty Since (a stream
-	// whose cut is still zero gives none): a seed never replaces an object
-	// the node already holds, so such a node must be sent what it lacks.
+	// whose cut is still zero gives none): a seed replaces a held object only
+	// when store.Seedable, so such a node must be sent what it lacks.
 	n.mu.Lock()
 	resume = resume && (n.push.Gen != 0 || len(since) > 0 || len(n.interest) > 0)
 	n.mu.Unlock()
@@ -657,7 +657,7 @@ func (n *Node) subscribeOnce(dc string, ids []txn.ObjectID, resume bool, since v
 		n.interest[id] = true
 	}
 	for _, st := range ack.Objects {
-		if st.Object != nil && !n.st.Has(st.ID) {
+		if st.Object != nil && n.st.Seedable(st.ID) {
 			n.st.Seed(st.ID, st.Object, st.Vec, st.Folded...)
 			// The node's cut must cover every base it holds, or a
 			// transaction could read one object's base (which bakes in a
@@ -754,7 +754,9 @@ func (n *Node) relayPush(m wire.TreePush) {
 // generation — is refused whole: not applied, its stable cut not adopted,
 // Hooks.Push not called; the sender loop resumes from the cursor. So
 // transactions are integrated in log order, and a stable cut only ever
-// together with the in-order frame that carries it.
+// together with the in-order frame that carries it. The store keeps the
+// frame's transactions themselves: a frame fans out to many receivers, and
+// none of them writes a transaction.
 func (n *Node) ApplyPush(m wire.PushTxs) {
 	n.applyMu.Lock()
 	touched := make(map[txn.ObjectID]bool)
@@ -770,11 +772,7 @@ func (n *Node) ApplyPush(m wire.PushTxs) {
 		n.wake()
 		return
 	}
-	for _, shared := range m.Txs {
-		// Clone before storing: the same message (and transaction pointer)
-		// fans out to many receivers, and each store mutates its record's
-		// commit stamps independently.
-		t := shared.Clone()
+	for _, t := range m.Txs {
 		n.lamport.Witness(t.Dot.Seq)
 		apply := n.st.Apply
 		if m.Group {
@@ -842,8 +840,8 @@ type Tx struct {
 //
 // The snapshot is the shared epoch clone of the state vector — one clone
 // per state change rather than one per transaction. Transactions treat it
-// as read-only (Commit clones it lazily, only when the transaction turns
-// out to have writes).
+// as read-only, and a committed one keeps it as its snapshot: no holder
+// writes a transaction.
 func (n *Node) Begin() *Tx {
 	n.mu.Lock()
 	if n.stateSnap == nil {
@@ -937,7 +935,7 @@ func (n *Node) fetchMiss(id txn.ObjectID, kind crdt.Kind, at vclock.Vector) (crd
 		obj = fresh
 	}
 	n.mu.Lock()
-	if !n.st.Has(id) {
+	if n.st.Seedable(id) {
 		n.st.Seed(id, obj, st.Vec, st.Folded...)
 		n.joinState(st.Vec) // see subscribe: bases stay ≤ state
 	}
@@ -1012,7 +1010,7 @@ func (t *Tx) Commit() (*txn.Transaction, error) {
 		Dot:      t.dot,
 		Origin:   n.cfg.Name,
 		Actor:    n.cfg.Actor,
-		Snapshot: t.snapshot.Clone(),
+		Snapshot: t.snapshot,
 		Updates:  t.updates,
 	}
 	if err := n.st.Apply(tx); err != nil {
@@ -1035,21 +1033,17 @@ func (t *Tx) Commit() (*txn.Transaction, error) {
 		n.unacked = append(n.unacked, tx)
 	}
 	fns = n.listenersFor(touched)
-	// The canonical record stays in the store (its commit stamps and
-	// snapshot keep evolving under the store lock); callers and the commit
-	// hook get an independent snapshot of it.
-	cp := tx.Clone()
 	n.mu.Unlock()
 
 	if hook != nil {
-		hook(cp)
+		hook(tx)
 	} else {
 		n.kickSender()
 	}
 	for _, fn := range fns {
 		fn.fn(fn.id)
 	}
-	return cp, nil
+	return tx, nil
 }
 
 // --- asynchronous commit sender ---

@@ -169,6 +169,32 @@ func TestReadThroughDCOnMiss(t *testing.T) {
 	}
 }
 
+// TestSubscribeSeedsObjectCommittedBlind: a blind update (no read first)
+// creates the object in the edge's cache from the genesis state, so the
+// cache holds the object but not the DC's state of it. Subscribing to it
+// must install the DC's base under the edge's own update.
+func TestSubscribeSeedsObjectCommittedBlind(t *testing.T) {
+	r := newRig(t, 1, 1)
+	seed := r.dcs[0].Begin("seed")
+	seed.Update(xID, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 9}})
+	if _, err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e := r.edge(t, "edgeA", "dc0")
+	tx := e.Begin()
+	inc(tx, 1)
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, time.Second, func() bool { return e.UnackedCount() == 0 }, "blind update never acked")
+	if err := e.AddInterest(xID); err != nil {
+		t.Fatal(err)
+	}
+	if got := counterAt(t, e); got != 10 {
+		t.Fatalf("edge reads %d after subscribing, want the DC's 9 plus its own 1", got)
+	}
+}
+
 func TestFreshObjectReadableOffline(t *testing.T) {
 	r := newRig(t, 1, 1)
 	e := r.edge(t, "edgeA", "dc0")

@@ -99,7 +99,7 @@ func (d *driver) propose(t *txn.Transaction, wait time.Duration) {
 		applied = make(chan struct{})
 		d.waiters[t.Dot] = applied
 	}
-	d.replica.Propose(epaxos.Command{ID: t.Dot.String(), Keys: interferenceKeys(t), Payload: t.Clone()})
+	d.replica.Propose(epaxos.Command{ID: t.Dot.String(), Keys: interferenceKeys(t), Payload: t})
 	d.mu.Unlock()
 	d.drain()
 	if applied == nil {

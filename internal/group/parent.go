@@ -278,7 +278,7 @@ func (p *Parent) onMemberSubscribe(m wire.Subscribe) any {
 // cursor to go by.
 func (p *Parent) firstUncovered(log []logEntry, cut vclock.Vector) int {
 	for i, e := range log {
-		if visible, held := p.node.Store().VisibleAt(e.dot, cut); held && !visible {
+		if t, held := p.node.Store().Transaction(e.dot); held && !t.VisibleAt(cut) {
 			return i
 		}
 	}

@@ -47,6 +47,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,10 +74,12 @@ var (
 // serve that many concurrent readers of distinct objects without contention.
 const numShards = 16
 
-// record is the dot index's entry for one transaction: the canonical
-// transaction plus the group-visibility mark. Journal entries point at the
-// record, so the mark travels with the dot — through Seed and reattachLocked,
-// and out of the store when Advance or forgetTx releases the dot.
+// record is the dot index's entry for one transaction: the store's current
+// value of the transaction plus the group-visibility mark. Journal entries
+// point at the record, so the mark travels with the dot — through Seed and
+// reattachLocked, and out of the store when Advance or forgetTx releases the
+// dot. A stamp or a snapshot join the store learns swaps the record's
+// pointer for a copy, under the same locks as groupVisible.
 type record struct {
 	*txn.Transaction
 	// groupVisible marks the transaction readable at any cut (set by
@@ -260,9 +263,8 @@ func (s *Store) unlockShards(mask *[numShards]bool) {
 	}
 }
 
-// updateShards marks the shards holding any object t updates.
-func updateShards(t *txn.Transaction) [numShards]bool {
-	var mask [numShards]bool
+// updateShards adds to mask the shards holding any object t updates.
+func updateShards(mask [numShards]bool, t *txn.Transaction) [numShards]bool {
 	for _, u := range t.Updates {
 		mask[shardIndex(u.Object)] = true
 	}
@@ -299,18 +301,26 @@ func (s *Store) Apply(t *txn.Transaction) error { return s.apply(t, false) }
 func (s *Store) ApplyGroupVisible(t *txn.Transaction) error { return s.apply(t, true) }
 
 func (s *Store) apply(t *txn.Transaction, groupVisible bool) error {
-	mask := updateShards(t)
+	return s.applyHolding(t, groupVisible, updateShards([numShards]bool{}, t))
+}
+
+// applyHolding is apply with the shards in mask write-locked.
+func (s *Store) applyHolding(t *txn.Transaction, groupVisible bool, mask [numShards]bool) error {
 	s.lockShards(&mask)
 	s.txMu.Lock()
 	if prev, dup := s.txs[t.Dot]; dup {
+		if wider := updateShards(mask, prev.Transaction); wider != mask {
+			// t is a view of a transaction held whole (a push restricted to
+			// the receiver's buckets). The record swap below must hold every
+			// shard its journal entries are read under.
+			s.txMu.Unlock()
+			s.unlockShards(&mask)
+			return s.applyHolding(t, groupVisible, wider)
+		}
 		// Absorb any commit stamps the re-delivery carries: a replica that
 		// missed the promotion broadcast still learns the concrete commit
 		// when the transaction comes back around via another path.
-		for dc, ts := range t.Commit {
-			if stamps, err := prev.Commit.Add(dc, ts); err == nil {
-				prev.Commit = stamps
-			}
-		}
+		prev.swapStamps(prev.Commit.Merge(t.Commit))
 		if groupVisible {
 			// A mark below a cache watermark is the Promote case: the skipped
 			// entry left allApplied false, so the next read replays in full.
@@ -387,19 +397,29 @@ func (s *Store) forgetTx(dots ...vclock.Dot) {
 	s.txMu.Unlock()
 }
 
+// swapStamps replaces the record's transaction with a copy carrying stamps, a
+// superset of its own, when they hold more. The caller holds the locks.
+func (r *record) swapStamps(stamps vclock.CommitStamps) {
+	if len(stamps) != len(r.Commit) {
+		r.Transaction = r.WithCommit(stamps)
+	}
+}
+
 // lockTxShards looks the transaction up, write-locks every shard holding one
-// of its journal entries (ordering the mutation with concurrent readers of
-// those objects, who evaluate visibility from the commit stamps) and
-// re-checks the lookup under txMu. The caller must call unlock() when done
-// with the returned transaction, and must not retain it past that.
-func (s *Store) lockTxShards(dot vclock.Dot) (*txn.Transaction, func(), error) {
+// of its journal entries (ordering the swap of its record with concurrent
+// readers of those objects) and re-checks the lookup under txMu. The caller
+// must call unlock() when done with the returned record.
+func (s *Store) lockTxShards(dot vclock.Dot) (*record, func(), error) {
 	s.txMu.RLock()
 	rec, ok := s.txs[dot]
+	var mask [numShards]bool
+	if ok {
+		mask = updateShards(mask, rec.Transaction) // every swap keeps the updates
+	}
 	s.txMu.RUnlock()
 	if !ok {
 		return nil, nil, ErrUnknownTx
 	}
-	mask := updateShards(rec.Transaction)
 	s.lockShards(&mask)
 	s.txMu.Lock()
 	if rec, ok = s.txs[dot]; !ok { // dropped by a concurrent Advance
@@ -407,7 +427,7 @@ func (s *Store) lockTxShards(dot vclock.Dot) (*txn.Transaction, func(), error) {
 		s.unlockShards(&mask)
 		return nil, nil, ErrUnknownTx
 	}
-	return rec.Transaction, func() {
+	return rec, func() {
 		s.txMu.Unlock()
 		s.unlockShards(&mask)
 	}, nil
@@ -417,58 +437,49 @@ func (s *Store) lockTxShards(dot vclock.Dot) (*txn.Transaction, func(), error) {
 // turning a symbolic commit concrete (or adding an equivalent commit vector),
 // and returns the transaction's commit vector.
 func (s *Store) Promote(dot vclock.Dot, dc int, ts uint64) (vclock.Vector, error) {
-	t, unlock, err := s.lockTxShards(dot)
+	rec, unlock, err := s.lockTxShards(dot)
 	if err != nil {
 		return nil, fmt.Errorf("promote %s: %w", dot, err)
 	}
 	defer unlock()
-	stamps, err := t.Commit.Add(dc, ts)
+	stamps, err := rec.Commit.Add(dc, ts)
 	if err != nil {
 		return nil, err
 	}
-	t.Commit = stamps
-	cv, _ := stamps.Vector(t.Snapshot)
+	rec.swapStamps(stamps)
+	cv, _ := stamps.Vector(rec.Snapshot)
 	return cv, nil
 }
 
 // ResolveSnapshot joins extra into the stored transaction's snapshot and
-// returns an independent clone suitable for sending. Edge nodes use it just
-// before shipping a locally committed transaction to the DC: the symbolic
-// dependencies on earlier local transactions resolve to the concrete commit
-// vectors those transactions have been assigned meanwhile (paper §3.7).
-// Going through the store keeps the mutation ordered with concurrent reads.
+// returns the joined transaction. Edge nodes use it just before shipping a
+// locally committed transaction to the DC: the symbolic dependencies on
+// earlier local transactions resolve to the concrete commit vectors those
+// transactions have been assigned meanwhile (paper §3.7). The joined
+// snapshot is a vector of its own, never extra.
 func (s *Store) ResolveSnapshot(dot vclock.Dot, extra vclock.Vector) (*txn.Transaction, error) {
-	t, unlock, err := s.lockTxShards(dot)
+	rec, unlock, err := s.lockTxShards(dot)
 	if err != nil {
 		return nil, fmt.Errorf("resolve %s: %w", dot, err)
 	}
 	defer unlock()
-	t.Snapshot = t.Snapshot.Join(extra)
-	return t.Clone(), nil
+	if !extra.LEQ(rec.Snapshot) {
+		rec.Transaction = rec.WithSnapshot(rec.Snapshot.Clone().Join(extra))
+	}
+	return rec.Transaction, nil
 }
 
-// Transaction returns a snapshot (deep copy) of the stored transaction with
-// the given dot, if any. A copy is returned because the canonical record's
-// commit stamps keep evolving under the store lock.
+// Transaction returns the store's current value of the transaction with the
+// given dot, if any. Like every transaction it is never written; a stamp the
+// store learns later is in the value a later call returns.
 func (s *Store) Transaction(dot vclock.Dot) (*txn.Transaction, bool) {
 	s.txMu.RLock()
 	defer s.txMu.RUnlock()
-	t, ok := s.txs[dot]
+	rec, ok := s.txs[dot]
 	if !ok {
 		return nil, false
 	}
-	return t.Clone(), true
-}
-
-// VisibleAt reports whether the store holds the transaction dot (held) and
-// whether it is visible at cut, reading the record in place: no copy, for a
-// caller that only needs the answer. A symbolic transaction is visible at no
-// cut.
-func (s *Store) VisibleAt(dot vclock.Dot, cut vclock.Vector) (visible, held bool) {
-	s.txMu.RLock()
-	defer s.txMu.RUnlock()
-	rec, ok := s.txs[dot]
-	return ok && rec.VisibleAt(cut), ok
+	return rec.Transaction, true
 }
 
 // Contains reports whether the store has applied the transaction dot.
@@ -495,6 +506,21 @@ func (s *Store) Has(id txn.ObjectID) bool {
 	defer sh.mu.RUnlock()
 	_, ok := sh.objects[id]
 	return ok
+}
+
+// Seedable reports whether a seed for id would lose nothing the store holds:
+// the store has no state for it, or only the genesis base an update created
+// (never seeded, nothing folded) under journal entries that all carry commit
+// stamps. Seed re-journals those of them its cut does not cover. A symbolic
+// entry may already be inside a seed, which nothing can tell, so an object
+// holding one is not seedable.
+func (s *Store) Seedable(id txn.ObjectID) bool {
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	obj := sh.objects[id]
+	return obj == nil || len(obj.baseVec) == 0 && len(obj.folded) == 0 &&
+		!slices.ContainsFunc(obj.journal, func(e entry) bool { return e.tx.Symbolic() })
 }
 
 // Seed installs a pre-materialised base version for an object, replacing any

@@ -7,6 +7,8 @@ package txn
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"colony/internal/crdt"
 	"colony/internal/vclock"
@@ -41,9 +43,12 @@ func (u Update) Meta(dot vclock.Dot) crdt.Meta { return crdt.Meta{Dot: dot, Seq:
 // Read-only transactions terminate without side effects and are never
 // represented as Transaction values (paper §3.5).
 //
-// A Transaction value is immutable once published to other nodes, with one
-// exception: Commit stamps grow as DCs accept the transaction. The owning
-// store serialises that mutation.
+// A Transaction is never written after it is built, so one value is shared
+// by every holder in a process — stores, histories, push frames, outboxes,
+// consensus payloads — without copies. Its set of equivalent commit vectors
+// only grows (§3.5): a holder that learns a stamp or a snapshot join swaps
+// its own pointer for the copy WithCommit or WithSnapshot returns, and every
+// other holder keeps the value it had.
 type Transaction struct {
 	// Dot is the globally unique identifier, minted by the origin node. It
 	// also provides the arbitration order between concurrent transactions.
@@ -65,31 +70,13 @@ type Transaction struct {
 // Meta returns the CRDT operation metadata for the update at slice index i.
 func (t *Transaction) Meta(i int) crdt.Meta { return t.Updates[i].Meta(t.Dot) }
 
-// Restrict returns a shallow partition of the transaction containing only
-// the updates selected by keep; metadata (dot, snapshot, commit) is shared
-// semantics but deep-copied state. Shards use it to store just their slice
-// of a multi-shard transaction without perturbing update tags.
-func (t *Transaction) Restrict(keep func(Update) bool) *Transaction {
-	cp := t.Clone()
-	kept := cp.Updates[:0]
-	for _, u := range cp.Updates {
-		if keep(u) {
-			kept = append(kept, u)
-		}
-	}
-	cp.Updates = kept
-	return cp
-}
-
-// RestrictShared returns a filtered view of the transaction that shares its
-// metadata (Dot, Snapshot, Commit) and update values with t instead of
-// deep-copying them. It exists for fan-out paths that build one filtered
-// record and hand it to many receivers who all treat it as read-only: when
-// keep selects every update t itself is returned (zero allocation), when it
+// Restrict returns the transaction's view holding only the updates keep
+// selects. The view shares t's metadata (Dot, Snapshot, Commit) and update
+// values: when keep selects every update t itself is returned, when it
 // selects none the result is nil, and otherwise only the filtered Updates
-// slice is fresh. Callers that go on to mutate the result — or whose
-// receivers do — must use Restrict instead.
-func (t *Transaction) RestrictShared(keep func(Update) bool) *Transaction {
+// slice is fresh. Shards store it and fan-out paths hand it to many
+// receivers; like t, it is never written.
+func (t *Transaction) Restrict(keep func(Update) bool) *Transaction {
 	n := 0
 	for _, u := range t.Updates {
 		if keep(u) {
@@ -102,20 +89,28 @@ func (t *Transaction) RestrictShared(keep func(Update) bool) *Transaction {
 	case 0:
 		return nil
 	}
-	cp := &Transaction{
-		Dot:      t.Dot,
-		Origin:   t.Origin,
-		Actor:    t.Actor,
-		Snapshot: t.Snapshot,
-		Commit:   t.Commit,
-		Updates:  make([]Update, 0, n),
-	}
+	cp := *t
+	cp.Updates = make([]Update, 0, n)
 	for _, u := range t.Updates {
 		if keep(u) {
 			cp.Updates = append(cp.Updates, u)
 		}
 	}
-	return cp
+	return &cp
+}
+
+// WithCommit returns a shallow copy of t carrying the commit stamps c.
+func (t *Transaction) WithCommit(c vclock.CommitStamps) *Transaction {
+	cp := *t
+	cp.Commit = c
+	return &cp
+}
+
+// WithSnapshot returns a shallow copy of t reading from the cut snap.
+func (t *Transaction) WithSnapshot(snap vclock.Vector) *Transaction {
+	cp := *t
+	cp.Snapshot = snap
+	return &cp
 }
 
 // Symbolic reports whether no DC has assigned a concrete commit timestamp.
@@ -135,8 +130,8 @@ func (t *Transaction) CommitVector() (vclock.Vector, bool) {
 }
 
 // AppendUpdate appends an update to a transaction under construction,
-// assigning the next in-transaction sequence number. It must not be used on
-// a transaction produced by Restrict.
+// assigning the next in-transaction sequence number. It must not be used
+// once the transaction has been handed to anyone.
 func (t *Transaction) AppendUpdate(id ObjectID, kind crdt.Kind, op crdt.Op) {
 	t.Updates = append(t.Updates, Update{Object: id, Kind: kind, Op: op, Seq: len(t.Updates)})
 }
@@ -155,18 +150,14 @@ func (t *Transaction) Objects() []ObjectID {
 	return out
 }
 
-// Clone returns a deep copy sharing no mutable state with t.
+// Clone returns a copy of t with its own Snapshot, Commit and Updates. No
+// holder needs one; fixtures that build variants in place do.
 func (t *Transaction) Clone() *Transaction {
-	cp := &Transaction{
-		Dot:      t.Dot,
-		Origin:   t.Origin,
-		Actor:    t.Actor,
-		Snapshot: t.Snapshot.Clone(),
-		Commit:   t.Commit.Clone(),
-		Updates:  make([]Update, len(t.Updates)),
-	}
-	copy(cp.Updates, t.Updates)
-	return cp
+	cp := *t
+	cp.Snapshot = t.Snapshot.Clone()
+	cp.Commit = maps.Clone(t.Commit)
+	cp.Updates = slices.Clone(t.Updates)
+	return &cp
 }
 
 // String renders a short description for logs.

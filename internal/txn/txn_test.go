@@ -114,6 +114,32 @@ func TestRestrictPreservesSeqs(t *testing.T) {
 	if m := onlyX.Meta(1); m.Seq != 2 {
 		t.Fatalf("restricted meta seq = %d", m.Seq)
 	}
+	// A view keeping every update is the transaction itself; one keeping
+	// none is nil.
+	if all := tx.Restrict(func(Update) bool { return true }); all != tx {
+		t.Fatal("a view keeping every update is a copy")
+	}
+	if none := tx.Restrict(func(Update) bool { return false }); none != nil {
+		t.Fatalf("a view keeping no update = %v", none)
+	}
+}
+
+func TestWithLeavesOriginal(t *testing.T) {
+	tx := sample()
+	stamped := tx.WithCommit(vclock.CommitStamps{1: 4})
+	joined := stamped.WithSnapshot(vclock.Vector{5, 2, 0})
+	if !tx.Symbolic() || !tx.Snapshot.Equal(vclock.Vector{1, 2, 0}) {
+		t.Fatalf("original written: %v", tx)
+	}
+	if stamped.Commit[1] != 4 || !stamped.Snapshot.Equal(tx.Snapshot) {
+		t.Fatalf("WithCommit = %v", stamped)
+	}
+	if joined.Commit[1] != 4 || !joined.Snapshot.Equal(vclock.Vector{5, 2, 0}) {
+		t.Fatalf("WithSnapshot = %v", joined)
+	}
+	if &joined.Updates[0] != &tx.Updates[0] {
+		t.Fatal("a shallow copy copied the updates")
+	}
 }
 
 func TestStringIsInformative(t *testing.T) {

@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -18,33 +19,35 @@ import (
 // to their origin node (read-my-writes).
 type CommitStamps map[int]uint64
 
-// Clone returns an independent copy.
-func (c CommitStamps) Clone() CommitStamps {
-	if c == nil {
-		return nil
-	}
-	out := make(CommitStamps, len(c))
-	for dc, ts := range c {
-		out[dc] = ts
-	}
-	return out
-}
-
 // Symbolic reports whether no DC has accepted the transaction yet.
 func (c CommitStamps) Symbolic() bool { return len(c) == 0 }
 
-// Add records that DC dc accepted the transaction at timestamp ts, returning
-// the updated stamps. Re-acceptance by the same DC must carry the same
+// Add returns the stamps with DC dc's acceptance at timestamp ts added. It
+// never writes c: a new stamp comes back in a fresh map, and a stamp c
+// already holds returns c itself, so stamps may be shared by every holder of
+// one transaction. Re-acceptance by the same DC must carry the same
 // timestamp; a conflicting timestamp indicates a protocol error.
 func (c CommitStamps) Add(dc int, ts uint64) (CommitStamps, error) {
-	if prev, ok := c[dc]; ok && prev != ts {
-		return c, fmt.Errorf("vclock: DC%d already assigned commit timestamp %d, refusing %d", dc, prev, ts)
+	if prev, ok := c[dc]; ok {
+		if prev != ts {
+			return c, fmt.Errorf("vclock: DC%d already assigned commit timestamp %d, refusing %d", dc, prev, ts)
+		}
+		return c, nil
 	}
-	if c == nil {
-		c = make(CommitStamps, 1)
+	out := make(CommitStamps, len(c)+1)
+	maps.Copy(out, c)
+	out[dc] = ts
+	return out, nil
+}
+
+// Merge returns c with every stamp of o that c lacks added, copy-on-write as
+// Add: c itself when o adds nothing. A stamp o gives a DC that c already
+// holds at another timestamp is ignored.
+func (c CommitStamps) Merge(o CommitStamps) CommitStamps {
+	for dc, ts := range o {
+		c, _ = c.Add(dc, ts)
 	}
-	c[dc] = ts
-	return c, nil
+	return c
 }
 
 // VisibleAt reports whether a transaction with snapshot vector snap and these

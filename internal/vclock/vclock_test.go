@@ -230,6 +230,27 @@ func TestCommitStampsAdd(t *testing.T) {
 	}
 }
 
+func TestCommitStampsCopyOnWrite(t *testing.T) {
+	shared := CommitStamps{0: 3}
+	grown, err := shared.Add(1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shared) != 1 || grown[1] != 7 || grown[0] != 3 {
+		t.Fatalf("Add wrote its receiver: shared %v, grown %v", shared, grown)
+	}
+	if same, _ := grown.Add(1, 7); reflect.ValueOf(same).Pointer() != reflect.ValueOf(grown).Pointer() {
+		t.Fatal("re-adding a held stamp copied the stamps")
+	}
+	merged := shared.Merge(CommitStamps{0: 4, 2: 9})
+	if len(shared) != 1 || merged.String() != "{0:3, 2:9}" {
+		t.Fatalf("Merge: shared %v, merged %v", shared, merged)
+	}
+	if same := merged.Merge(CommitStamps{2: 9}); reflect.ValueOf(same).Pointer() != reflect.ValueOf(merged).Pointer() {
+		t.Fatal("a merge adding nothing copied the stamps")
+	}
+}
+
 func TestCommitStampsVisibility(t *testing.T) {
 	// Transaction with snapshot [1,2,0] accepted by DC0 at ts=2 and DC2 at
 	// ts=5: equivalent commit vectors [2,2,0] and [1,2,5].

@@ -5,8 +5,9 @@
 // encoding (codec.go) carried by the TCP mesh, and the same Go values are
 // handed over in-process by simnet.
 //
-// Transactions inside messages are treated as immutable; senders clone
-// before sending when they retain a mutable reference.
+// Transactions inside messages are shared, not copied: no holder writes a
+// *txn.Transaction (see its doc), so a sender hands over the value it keeps
+// and a receiver keeps the value it gets.
 package wire
 
 import (
@@ -293,9 +294,9 @@ func (p PushTxs) Units() int {
 // contract, not a mechanism — after SealPushFrame returns, neither the
 // sender nor any receiver may mutate the frame:
 //
-//   - Txs and every *Transaction in it (including Snapshot and Commit) are
-//     frozen; receivers that need mutable state must Clone the transaction
-//     (edge.ApplyPush already does).
+//   - Txs is frozen, and every *Transaction in it, like every transaction,
+//     is never written: a receiver that learns a stamp swaps its own
+//     pointer (edge.ApplyPush stores the frame's transactions themselves).
 //   - Stable is frozen; receivers fold it with v.Join(frame.Stable), which
 //     never mutates its argument.
 //

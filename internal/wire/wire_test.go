@@ -2,6 +2,7 @@ package wire
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"colony/internal/crdt"
@@ -24,37 +25,27 @@ func makeTx() *txn.Transaction {
 	return t
 }
 
-// TestReplTxCloneSafety asserts the package's sender contract: a
-// transaction placed in a message is immutable, so a sender that clones
-// before sending may keep mutating its own copy (snapshot resolution,
-// commit promotion, update appends) without the in-flight message changing.
+// TestReplTxCloneSafety asserts the package's sender contract: a sender
+// hands over the transaction it keeps, no copy, and goes on learning stamps
+// and snapshot joins by swapping its own pointer, so the in-flight message
+// never changes.
 func TestReplTxCloneSafety(t *testing.T) {
 	local := makeTx()
-	msg := ReplBatch{From: 1, Txs: []*txn.Transaction{local.Clone()}, State: vclock.Vector{4, 4, 4}}
-	sent := msg.Txs[0]
+	msg := ReplBatch{From: 1, Txs: []*txn.Transaction{local}, State: vclock.Vector{4, 4, 4}}
 	want := local.Clone() // expected wire image
 
-	// The sender's copy keeps evolving after the send.
-	local.Snapshot = local.Snapshot.Join(vclock.Vector{9, 9, 9})
+	// The sender's value keeps evolving after the send.
 	stamps, err := local.Commit.Add(2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local.Commit = stamps
-	local.AppendUpdate(txn.ObjectID{Bucket: "b", Key: "late"}, crdt.KindCounter,
-		crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
+	local = local.WithSnapshot(vclock.LUB(local.Snapshot, vclock.Vector{9, 9, 9})).WithCommit(stamps)
 
-	if !sent.Snapshot.Equal(want.Snapshot) {
-		t.Errorf("message snapshot mutated: %v, want %v", sent.Snapshot, want.Snapshot)
-	}
-	if len(sent.Commit) != len(want.Commit) {
-		t.Errorf("message commit mutated: %v, want %v", sent.Commit, want.Commit)
-	}
-	if len(sent.Updates) != len(want.Updates) {
-		t.Errorf("message updates mutated: %d entries, want %d", len(sent.Updates), len(want.Updates))
-	}
-	if !reflect.DeepEqual(sent, want) {
+	if sent := msg.Txs[0]; !reflect.DeepEqual(sent, want) {
 		t.Errorf("message transaction diverged from wire image:\n got %+v\nwant %+v", sent, want)
+	}
+	if local.Commit[2] != 42 || local.Snapshot[0] != 9 {
+		t.Errorf("sender's value did not learn: %v", local)
 	}
 }
 
@@ -76,8 +67,8 @@ func TestCloneRoundTripPreservesTags(t *testing.T) {
 
 // TestRestrictedShardSlicePreservesSeq covers the multi-shard path: a DC
 // coordinator Restricts a transaction to each shard's objects; the slice
-// must keep the original in-transaction sequence numbers (CRDT tags) and be
-// independent of the parent.
+// must keep the original in-transaction sequence numbers (CRDT tags) and
+// share the parent's metadata, which neither ever writes.
 func TestRestrictedShardSlicePreservesSeq(t *testing.T) {
 	orig := makeTx()
 	slice := orig.Restrict(func(u txn.Update) bool { return u.Object.Key == "s" })
@@ -90,10 +81,8 @@ func TestRestrictedShardSlicePreservesSeq(t *testing.T) {
 	if slice.Meta(0) != orig.Meta(1) {
 		t.Errorf("restricted meta %+v, want %+v", slice.Meta(0), orig.Meta(1))
 	}
-	// Mutating the slice must not reach the parent.
-	slice.Snapshot = slice.Snapshot.Set(0, 99)
-	if orig.Snapshot[0] == 99 {
-		t.Error("restricted slice shares snapshot storage with parent")
+	if &slice.Snapshot[0] != &orig.Snapshot[0] || len(orig.Updates) != 2 {
+		t.Error("restricted slice copied the parent's snapshot or wrote the parent")
 	}
 }
 
@@ -129,24 +118,22 @@ func TestObjectStateIsolation(t *testing.T) {
 }
 
 // TestPushTxsBatchIsolation checks clone discipline over a batch: the
-// sender promotes its retained transactions after the send, and none of the
-// batched clones move.
+// sender promotes its retained transactions after the send — swapping its
+// own pointers — and none of the batched transactions move.
 func TestPushTxsBatchIsolation(t *testing.T) {
 	var retained []*txn.Transaction
-	var batch []*txn.Transaction
 	for seq := uint64(1); seq <= 3; seq++ {
 		tx := makeTx()
 		tx.Dot.Seq = seq
 		retained = append(retained, tx)
-		batch = append(batch, tx.Clone())
 	}
-	msg := PushTxs{From: "dc0", Txs: batch, Stable: vclock.Vector{5, 5, 5}}
+	msg := PushTxs{From: "dc0", Txs: slices.Clone(retained), Stable: vclock.Vector{5, 5, 5}}
 	for i, tx := range retained {
 		stamps, err := tx.Commit.Add(0, uint64(10+i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tx.Commit = stamps
+		retained[i] = tx.WithCommit(stamps)
 	}
 	for i, tx := range msg.Txs {
 		if !tx.Symbolic() {
