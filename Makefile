@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-stress vet check ci bench bench-compare bench-store bench-crdt bench-vclock bench-fig4 bench-obs
+.PHONY: all build test test-race test-stress vet check ci bench bench-compare bench-store bench-crdt bench-wire bench-vclock bench-fig4 bench-obs
 
 all: check
 
@@ -69,12 +69,14 @@ vet:
 check: build vet test test-race
 
 # The continuous-integration gate: static checks, racy packages under the
-# race detector, then everything else, then one pass of each RGA
-# microbenchmark (so they cannot rot), then 15 s of fuzzing the WAL's replay
-# (torn tails, corrupt records, foreign files) and 15 s of fuzzing the wire
-# codec's decoder (hostile counts, truncated bodies, retired tags).
+# race detector, then everything else, then one pass of each RGA and
+# transaction-codec microbenchmark (so they cannot rot), then 15 s of fuzzing
+# the WAL's replay (torn tails, corrupt records, foreign files) and 15 s of
+# fuzzing the wire codec's decoder (hostile counts, truncated bodies, retired
+# tags).
 ci: vet test-race build test
 	$(GO) test -run='^$$' -bench RGA -benchtime 1x ./internal/crdt
+	$(GO) test -run='^$$' -bench 'Tx(En|De)code' -benchtime 1x ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=15s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=15s ./internal/wire
 
@@ -84,10 +86,16 @@ bench-store:
 	$(GO) test -run xxx -bench BenchmarkStore -benchmem ./internal/store
 
 # RGA kernel microbenchmarks: a typing burst on a fork, a mid-document
-# insert, and the store's cache refresh (fork, four remote inserts, seal),
-# each at several document sizes.
+# insert, the store's cache refresh (fork, four remote inserts, seal) and its
+# fold over a history of compacted tombstones, each at several sizes.
 bench-crdt:
 	$(GO) test -run xxx -bench RGA -benchmem ./internal/crdt
+
+# Transaction codec microbenchmarks: AppendTx and DecodeTx over a
+# one-counter-update transaction and a chat post (a map op nesting an RGA
+# insert), with bytes per transaction and allocations.
+bench-wire:
+	$(GO) test -run xxx -bench 'Tx(En|De)code' -benchmem ./internal/wire
 
 bench-vclock:
 	$(GO) test -run xxx -bench BenchmarkVector -benchmem ./internal/vclock

@@ -125,6 +125,57 @@ func BenchmarkRGAForkRefresh1k(b *testing.B)   { benchForkRefresh(b, 1_000) }
 func BenchmarkRGAForkRefresh10k(b *testing.B)  { benchForkRefresh(b, 10_000) }
 func BenchmarkRGAForkRefresh100k(b *testing.B) { benchForkRefresh(b, 100_000) }
 
+// --- fold over compacted tombstones ---
+//
+// One iteration is one fold of the store's base: fork the sealed base, type
+// a character and delete it, compact (reclaiming that one tombstone) and
+// seal; the result is the next iteration's base. The base already holds n
+// compacted tombstones in its gone map, so a fold should cost what it
+// reclaims, not what earlier folds did.
+
+func benchFoldGone(b *testing.B, n int) {
+	base := buildFlatRGA(b, n)
+	for base.Len() > 0 {
+		op, _ := base.PrepareDeleteAt(0)
+		if err := base.Apply(crdt.Meta{Dot: vclock.Dot{Node: "d", Seq: uint64(base.Len())}}, op); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if got := base.CompactTombstones(); got != n {
+		b.Fatalf("compacted %d tombstones, want %d", got, n)
+	}
+	for i := 0; i < 64; i++ { // a small live document over the compacted history
+		m := crdt.Meta{Dot: vclock.Dot{Node: "l", Seq: uint64(i + 1)}}
+		if err := base.Apply(m, base.PrepareInsertAt(base.Len(), "x")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base.Seal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold := base.Fork().(*crdt.RGA)
+		m := crdt.Meta{Dot: vclock.Dot{Node: "t", Seq: uint64(2*i + 1)}}
+		if err := fold.Apply(m, fold.PrepareInsertAt(fold.Len(), "y")); err != nil {
+			b.Fatal(err)
+		}
+		op, _ := fold.PrepareDeleteAt(fold.Len() - 1)
+		m.Dot.Seq++
+		if err := fold.Apply(m, op); err != nil {
+			b.Fatal(err)
+		}
+		if got := fold.CompactTombstones(); got != 1 {
+			b.Fatalf("fold %d compacted %d tombstones, want 1", i, got)
+		}
+		fold.Seal()
+		base = fold
+	}
+}
+
+func BenchmarkRGAFoldGone1k(b *testing.B)   { benchFoldGone(b, 1_000) }
+func BenchmarkRGAFoldGone10k(b *testing.B)  { benchFoldGone(b, 10_000) }
+func BenchmarkRGAFoldGone100k(b *testing.B) { benchFoldGone(b, 100_000) }
+
 // --- cached-read benchmark ---
 
 // BenchmarkStoreCachedRGARead measures the store's snapshot hit path: a

@@ -4,7 +4,7 @@ package crdt
 // Increments are naturally commutative, so the counter needs no conflict
 // arbitration; this is the op-based PN-counter.
 type CounterOp struct {
-	Delta int64 `json:"delta"`
+	Delta int64
 }
 
 // Counter is an op-based PN-counter. Its value is the sum of all applied

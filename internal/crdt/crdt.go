@@ -100,16 +100,16 @@ func (m Meta) tag() Tag { return Tag{Dot: m.Dot, Seq: m.Seq} }
 
 // Op is the downstream form of a single CRDT mutation. Exactly one field is
 // non-nil, and it must match the kind of the target object. Op is a tagged
-// union encoded with encoding/json; pointer fields with omitempty keep the
-// wire form compact.
+// union; AppendOp and ReadOp give it its one byte form (kind byte, then the
+// set field's fields).
 type Op struct {
-	Counter *CounterOp     `json:"counter,omitempty"`
-	LWW     *LWWRegisterOp `json:"lww,omitempty"`
-	MV      *MVRegisterOp  `json:"mv,omitempty"`
-	Set     *ORSetOp       `json:"set,omitempty"`
-	Map     *ORMapOp       `json:"map,omitempty"`
-	Flag    *FlagOp        `json:"flag,omitempty"`
-	RGA     *RGAOp         `json:"rga,omitempty"`
+	Counter *CounterOp
+	LWW     *LWWRegisterOp
+	MV      *MVRegisterOp
+	Set     *ORSetOp
+	Map     *ORMapOp
+	Flag    *FlagOp
+	RGA     *RGAOp
 }
 
 // Kind returns the kind of object this op targets, or 0 if the op is empty
@@ -162,8 +162,8 @@ var cowCopies atomic.Int64
 // CowCopies returns the process-wide count of copy-on-write container copies.
 // One fork that mutates pays one copy per container it touches, however many
 // readers share the sealed original. An RGA's containers are its chunks, so
-// an RGA fork counts one copy per chunk it writes, plus its chunk list, its
-// index overlay and its gone map when it writes those.
+// an RGA fork counts one copy per chunk it writes, plus its chunk list and
+// its index and gone overlays when it writes those.
 func CowCopies() int64 { return cowCopies.Load() }
 
 // Object is a materialised CRDT replica state.

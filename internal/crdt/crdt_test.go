@@ -1,12 +1,14 @@
 package crdt
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"colony/internal/bin"
 	"colony/internal/vclock"
 )
 
@@ -451,32 +453,124 @@ func TestRGACausalViolationErrors(t *testing.T) {
 	}
 }
 
-func TestOpJSONRoundTrip(t *testing.T) {
-	ops := []Op{
-		{Counter: &CounterOp{Delta: -7}},
-		{LWW: &LWWRegisterOp{Value: "v"}},
-		{MV: &MVRegisterOp{Value: "v", Overwrites: []Tag{{Dot: vclock.Dot{Node: "a", Seq: 1}}}}},
-		{Set: &ORSetOp{Elem: "e", Remove: true, Removes: []Tag{{Dot: vclock.Dot{Node: "a", Seq: 2}, Seq: 1}}}},
-		{Flag: &FlagOp{Disable: true}},
-		{RGA: &RGAOp{After: Tag{}, Value: "x"}},
+// TestOpBinaryRoundTrip pins AppendOp/ReadOp on every op kind: each op
+// decodes back to itself and consumes exactly its encoding, and every strict
+// prefix of an encoding is rejected.
+func TestOpBinaryRoundTrip(t *testing.T) {
+	a1 := Tag{Dot: vclock.Dot{Node: "a", Seq: 1}}
+	a2 := Tag{Dot: vclock.Dot{Node: "a", Seq: 2}, Seq: 1}
+	nested := Op{RGA: &RGAOp{After: a1, Value: "hi"}}
+	inner := Op{Counter: &CounterOp{Delta: 3}}
+	deep := Op{Map: &ORMapOp{Key: "in", Kind: KindCounter, Nested: &inner}}
+	ops := map[string]Op{
+		"counter":        {Counter: &CounterOp{Delta: -7}},
+		"lww":            {LWW: &LWWRegisterOp{Value: "v"}},
+		"mv overwrites":  {MV: &MVRegisterOp{Value: "v", Overwrites: []Tag{a1, a2}}},
+		"set add":        {Set: &ORSetOp{Elem: "e"}},
+		"set remove":     {Set: &ORSetOp{Elem: "e", Remove: true, Removes: []Tag{a2}}},
+		"flag enable":    {Flag: &FlagOp{}},
+		"flag disable":   {Flag: &FlagOp{Disable: true, Disables: []Tag{a1}}},
+		"rga insert":     {RGA: &RGAOp{After: a2, Value: "x"}},
+		"rga head":       {RGA: &RGAOp{Value: "x"}},
+		"rga delete":     {RGA: &RGAOp{Delete: true, Target: a1}},
+		"map update":     {Map: &ORMapOp{Key: "k", Kind: KindRGA, Nested: &nested}},
+		"map in map":     {Map: &ORMapOp{Key: "out", Kind: KindORMap, Nested: &deep}},
+		"map remove":     {Map: &ORMapOp{Key: "k", Remove: true, Removes: []Tag{a1, a2}}},
+		"empty op":       {},
+		"counter zero":   {Counter: &CounterOp{}},
+		"lww empty text": {LWW: &LWWRegisterOp{}},
 	}
-	nested := Op{Counter: &CounterOp{Delta: 1}}
-	ops = append(ops, Op{Map: &ORMapOp{Key: "k", Kind: KindCounter, Nested: &nested}})
-	for _, op := range ops {
-		data, err := json.Marshal(op)
+	for name, op := range ops {
+		enc, err := AppendOp(nil, op)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: encode: %v", name, err)
 		}
-		var back Op
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		if back.Kind() != op.Kind() {
-			t.Fatalf("round trip changed kind: %v -> %v", op.Kind(), back.Kind())
+		r := bin.NewReader(enc)
+		back, err := ReadOp(r)
+		if err != nil || !r.Complete() {
+			t.Fatalf("%s: decode %x: %v (complete %v)", name, enc, err, r.Complete())
 		}
 		if !reflect.DeepEqual(op, back) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", op, back)
+			t.Fatalf("%s: round trip mismatch: %+v vs %+v", name, op, back)
 		}
+		if back.Kind() != op.Kind() || Kind(enc[0]) != op.Kind() {
+			t.Fatalf("%s: kind %v encoded as %d, decoded as %v", name, op.Kind(), enc[0], back.Kind())
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := ReadOp(bin.NewReader(enc[:cut])); err == nil {
+				t.Fatalf("%s: prefix %x of %x decoded", name, enc[:cut], enc)
+			}
+		}
+	}
+	if n := len(mustAppendOp(t, Op{Counter: &CounterOp{Delta: 1}})); n != 2 {
+		t.Fatalf("a counter op takes %d bytes, want 2", n)
+	}
+}
+
+func mustAppendOp(t *testing.T, op Op) []byte {
+	t.Helper()
+	enc, err := AppendOp(nil, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestOpEncodingRefusesAmbiguity: an op with two fields set, or a map op
+// nesting an empty op or nested past maxOpDepth, has no encoding.
+func TestOpEncodingRefusesAmbiguity(t *testing.T) {
+	empty := Op{}
+	deep := Op{Counter: &CounterOp{Delta: 1}}
+	for i := 0; i <= maxOpDepth; i++ {
+		next := deep
+		deep = Op{Map: &ORMapOp{Key: "k", Kind: KindORMap, Nested: &next}}
+	}
+	for name, op := range map[string]Op{
+		"two fields":   {Counter: &CounterOp{Delta: 1}, LWW: &LWWRegisterOp{Value: "v"}},
+		"nested empty": {Map: &ORMapOp{Key: "k", Kind: KindCounter, Nested: &empty}},
+		"nested two": {Map: &ORMapOp{Key: "k", Kind: KindCounter,
+			Nested: &Op{Counter: &CounterOp{}, Flag: &FlagOp{}}}},
+		"too deep": deep,
+	} {
+		if enc, err := AppendOp(nil, op); !errors.Is(err, ErrMalformedOp) {
+			t.Errorf("%s: encoded as %x, %v; want ErrMalformedOp", name, enc, err)
+		}
+	}
+}
+
+// TestReadOpIsStrict: bytes that are not AppendOp's output for some op — an
+// unknown kind, a bool other than 0 or 1, a tag count the input cannot hold,
+// map ops nested too deep — are rejected, so any op that decodes re-encodes
+// to the bytes it came from.
+func TestReadOpIsStrict(t *testing.T) {
+	deep := []byte{}
+	for i := 0; i <= maxOpDepth; i++ {
+		deep = append(deep, byte(KindORMap), 1, 'k', byte(KindORMap), 0, 0)
+	}
+	deep = append(deep, byte(KindCounter), 2)
+	for name, enc := range map[string][]byte{
+		"unknown kind":      {8},
+		"set remove bool 2": {byte(KindORSet), 1, 'e', 2, 0},
+		"flag bool 2":       {byte(KindFlag), 2, 0},
+		"rga delete bool 2": {byte(KindRGA), 0, 0, 0, 0, 2, 0, 0, 0},
+		"map remove bool 2": {byte(KindORMap), 1, 'k', byte(KindCounter), 2, 0, 0},
+		"hostile tag count": {byte(KindMVRegister), 0, 0xff, 0xff, 0x03},
+		"nested unknown":    {byte(KindORMap), 1, 'k', byte(KindCounter), 0, 0, 9},
+		"too deep":          deep,
+	} {
+		if op, err := ReadOp(bin.NewReader(enc)); err == nil {
+			t.Errorf("%s: %x decoded as %+v", name, enc, op)
+		}
+	}
+	// The same chain one level shallower decodes, and re-encodes to itself.
+	ok := deep[6:]
+	r := bin.NewReader(ok)
+	op, err := ReadOp(r)
+	if err != nil || !r.Complete() {
+		t.Fatalf("%d nested map ops: %v", maxOpDepth, err)
+	}
+	if again := mustAppendOp(t, op); !bytes.Equal(again, ok) {
+		t.Fatalf("re-encoded as %x, read from %x", again, ok)
 	}
 }
 

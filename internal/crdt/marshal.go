@@ -7,19 +7,21 @@ import (
 	"colony/internal/bin"
 )
 
-// This file gives every CRDT kind a canonical binary state encoding, used by
-// the wire codec to ship materialised objects (wire.ObjectState) across
-// process boundaries — subscribe acks and fetch replies over the TCP
-// transport. In-process transports keep passing the sealed snapshot pointer
-// and never pay for this.
+// This file gives every CRDT kind two canonical binary encodings, used by the
+// wire codec. MarshalState ships materialised objects (wire.ObjectState)
+// across process boundaries — subscribe acks and fetch replies over the TCP
+// transport; in-process transports keep passing the sealed snapshot pointer
+// and never pay for it. AppendOp encodes the downstream operations inside a
+// transaction's updates, so an op has one byte form on every socket and in
+// the WAL.
 //
-// The encoding is deterministic: map-backed containers are sorted (elements
-// by string, tags by arbitration order) before writing, so equal states
-// produce equal bytes — which golden tests and content fingerprints rely on.
-// It is also versionless by construction: the kind byte in front selects the
-// layout, and layouts only grow behind new kinds. Reading is bounds-checked
-// by bin.Reader, so corrupt input fails with ErrMalformedState rather than
-// panicking or over-allocating.
+// Both encodings are deterministic: map-backed containers are sorted
+// (elements by string, tags by arbitration order) before writing, so equal
+// states produce equal bytes — which golden tests and content fingerprints
+// rely on. They are also versionless by construction: the kind byte in front
+// selects the layout, and layouts only grow behind new kinds. Reading is
+// bounds-checked by bin.Reader, so corrupt input fails with ErrMalformedState
+// or ErrMalformedOp rather than panicking or over-allocating.
 
 // ErrMalformedState is returned by UnmarshalState for input that is not a
 // canonical state encoding (truncated, trailing bytes, unknown kind, or
@@ -102,15 +104,14 @@ func MarshalState(buf []byte, o Object) ([]byte, error) {
 				buf = bin.AppendBool(buf, e.tombstone)
 			}
 		}
-		gone := make([]Tag, 0, len(v.gone))
-		for t := range v.gone {
-			gone = append(gone, t)
-		}
-		sort.Slice(gone, func(i, j int) bool { return gone[i].Compare(gone[j]) < 0 })
+		type goneEntry struct{ id, after Tag }
+		var gone []goneEntry
+		v.gone.each(func(id Tag, g goneAnchor) { gone = append(gone, goneEntry{id, g.after}) })
+		sort.Slice(gone, func(i, j int) bool { return gone[i].id.Compare(gone[j].id) < 0 })
 		buf = bin.AppendUvarint(buf, uint64(len(gone)))
-		for _, t := range gone {
-			buf = appendTag(buf, t)
-			buf = appendTag(buf, v.gone[t])
+		for _, g := range gone {
+			buf = appendTag(buf, g.id)
+			buf = appendTag(buf, g.after)
 		}
 		return buf, nil
 	default:
@@ -216,11 +217,12 @@ func readState(r *bin.Reader) (Object, error) {
 		}
 		ng := r.Count(2)
 		if ng > 0 {
-			rga.gone = make(map[Tag]Tag, ng)
+			gone := make(map[Tag]goneAnchor, ng)
 			for i := 0; i < ng; i++ {
 				id := readTag(r)
-				rga.gone[id] = readTag(r)
+				gone[id] = goneAnchor{after: readTag(r)}
 			}
+			rga.gone.levels = []tagLevel[goneAnchor]{{gone, rga.owner}}
 		}
 		rga.pack(elems)
 		return finish(r, rga)
@@ -276,4 +278,134 @@ func readTagSet(r *bin.Reader) map[Tag]bool {
 		set[readTag(r)] = true
 	}
 	return set
+}
+
+// maxOpDepth bounds the nesting of map operations (a map op's nested op may
+// itself be a map op), so a hostile encoding cannot recurse without limit.
+const maxOpDepth = 64
+
+// AppendOp appends the canonical binary encoding of op to buf and returns the
+// extended slice: the kind byte, then the fields of the one operation op
+// carries, in declaration order. A map op's nested op follows inline, and a
+// nil nested op is an empty op. The empty op encodes as kind 0. An op with
+// more than one field set, or a map op whose nested op is empty or nested
+// more than maxOpDepth deep, has no encoding.
+func AppendOp(buf []byte, op Op) ([]byte, error) { return appendOp(buf, op, 0) }
+
+func appendOp(buf []byte, op Op, depth int) ([]byte, error) {
+	k := op.Kind()
+	if k == 0 {
+		if op != (Op{}) {
+			return nil, fmt.Errorf("%w: more than one field set", ErrMalformedOp)
+		}
+		return append(buf, 0), nil
+	}
+	buf = append(buf, byte(k))
+	switch k {
+	case KindCounter:
+		return bin.AppendVarint(buf, op.Counter.Delta), nil
+	case KindLWWRegister:
+		return bin.AppendString(buf, op.LWW.Value), nil
+	case KindMVRegister:
+		buf = bin.AppendString(buf, op.MV.Value)
+		return appendTags(buf, op.MV.Overwrites), nil
+	case KindORSet:
+		buf = bin.AppendString(buf, op.Set.Elem)
+		buf = bin.AppendBool(buf, op.Set.Remove)
+		return appendTags(buf, op.Set.Removes), nil
+	case KindORMap:
+		m := op.Map
+		buf = bin.AppendString(buf, m.Key)
+		buf = append(buf, byte(m.Kind))
+		buf = bin.AppendBool(buf, m.Remove)
+		buf = appendTags(buf, m.Removes)
+		switch {
+		case m.Nested == nil:
+			return append(buf, 0), nil
+		case *m.Nested == (Op{}):
+			return nil, fmt.Errorf("%w: map op on %q nests an empty op", ErrMalformedOp, m.Key)
+		case depth == maxOpDepth:
+			return nil, fmt.Errorf("%w: map ops nested deeper than %d", ErrMalformedOp, maxOpDepth)
+		}
+		return appendOp(buf, *m.Nested, depth+1)
+	case KindFlag:
+		buf = bin.AppendBool(buf, op.Flag.Disable)
+		return appendTags(buf, op.Flag.Disables), nil
+	default: // KindRGA
+		o := op.RGA
+		buf = appendTag(buf, o.After)
+		buf = bin.AppendString(buf, o.Value)
+		buf = bin.AppendBool(buf, o.Delete)
+		return appendTag(buf, o.Target), nil
+	}
+}
+
+// ReadOp decodes one op encoding produced by AppendOp from r's current
+// position. Malformed input — a truncation, an unknown kind, a non-canonical
+// bool, map ops nested too deep — latches r's error and returns
+// ErrMalformedOp. A nested kind 0 decodes as a nil Nested, never as a pointer
+// to an empty op, so every op ReadOp returns re-encodes to the bytes it was
+// read from.
+func ReadOp(r *bin.Reader) (Op, error) { return readOp(r, 0) }
+
+func readOp(r *bin.Reader, depth int) (Op, error) {
+	var op Op
+	switch Kind(r.Byte()) {
+	case 0:
+	case KindCounter:
+		op.Counter = &CounterOp{Delta: r.Varint()}
+	case KindLWWRegister:
+		op.LWW = &LWWRegisterOp{Value: r.String()}
+	case KindMVRegister:
+		op.MV = &MVRegisterOp{Value: r.String(), Overwrites: readTags(r)}
+	case KindORSet:
+		op.Set = &ORSetOp{Elem: r.String(), Remove: r.Bool(), Removes: readTags(r)}
+	case KindORMap:
+		m := &ORMapOp{Key: r.String(), Kind: Kind(r.Byte()), Remove: r.Bool(), Removes: readTags(r)}
+		if depth == maxOpDepth {
+			r.Poison()
+			break
+		}
+		nested, err := readOp(r, depth+1)
+		if err != nil {
+			return Op{}, err
+		}
+		if nested != (Op{}) {
+			m.Nested = &nested
+		}
+		op.Map = m
+	case KindFlag:
+		op.Flag = &FlagOp{Disable: r.Bool(), Disables: readTags(r)}
+	case KindRGA:
+		op.RGA = &RGAOp{After: readTag(r), Value: r.String(), Delete: r.Bool(), Target: readTag(r)}
+	default:
+		r.Poison()
+	}
+	if r.Err() {
+		return Op{}, ErrMalformedOp
+	}
+	return op, nil
+}
+
+// appendTags encodes a tag list in its own order (the preparing replica
+// sorts it).
+func appendTags(buf []byte, tags []Tag) []byte {
+	buf = bin.AppendUvarint(buf, uint64(len(tags)))
+	for _, t := range tags {
+		buf = appendTag(buf, t)
+	}
+	return buf
+}
+
+// readTags decodes a tag list (nil when empty).
+func readTags(r *bin.Reader) []Tag {
+	n := r.Count(3)
+	if n == 0 {
+		return nil
+	}
+	tags := make([]Tag, n)
+	for i := range tags {
+		tags[i] = readTag(r)
+	}
+	return tags
 }

@@ -179,8 +179,10 @@ func TestRGACompactedRoundTrip(t *testing.T) {
 	if rb.String() != "x" || rb.Len() != 1 {
 		t.Fatalf("state: %q len %d", rb.String(), rb.Len())
 	}
-	if len(rb.gone) != 1 {
-		t.Fatalf("gone map lost: %v", rb.gone)
+	n := 0
+	rb.gone.each(func(Tag, goneAnchor) { n++ })
+	if n != 1 {
+		t.Fatalf("gone map lost: %d entries", n)
 	}
 }
 

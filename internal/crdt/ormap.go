@@ -8,15 +8,15 @@ import (
 // ORMapOp updates or removes one key of an observed-remove map of nested
 // CRDTs.
 type ORMapOp struct {
-	Key string `json:"key"`
+	Key string
 	// Kind is the nested CRDT kind; required on updates, ignored on removes.
-	Kind Kind `json:"kind,omitempty"`
+	Kind Kind
 	// Nested is the nested object's operation; nil on removes.
-	Nested *Op `json:"nested,omitempty"`
+	Nested *Op
 	// Remove marks a key removal. Removes carries the presence tags observed
 	// at the source, so a concurrent update (add-wins) keeps the key alive.
-	Remove  bool  `json:"remove,omitempty"`
-	Removes []Tag `json:"removes,omitempty"`
+	Remove  bool
+	Removes []Tag
 }
 
 // mapEntry is one key of an ORMap. shared marks the presence map (and the

@@ -6,9 +6,9 @@ import "sort"
 // A removal names the add tags the source had observed for the element, so a
 // concurrent add — which the remover had not seen — survives.
 type ORSetOp struct {
-	Elem    string `json:"elem"`
-	Remove  bool   `json:"remove,omitempty"`
-	Removes []Tag  `json:"removes,omitempty"`
+	Elem    string
+	Remove  bool
+	Removes []Tag
 }
 
 // orsetEntry holds the observed add tags of one member. shared marks the
@@ -191,8 +191,8 @@ func (s *ORSet) PrepareRemove(elem string) Op {
 // FlagOp enables or disables an enable-wins flag. Disable carries the enable
 // tags observed at the source, mirroring ORSet removal.
 type FlagOp struct {
-	Disable  bool  `json:"disable,omitempty"`
-	Disables []Tag `json:"disables,omitempty"`
+	Disable  bool
+	Disables []Tag
 }
 
 // Flag is an enable-wins boolean flag: concurrent enable and disable resolve

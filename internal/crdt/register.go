@@ -4,7 +4,7 @@ import "sort"
 
 // LWWRegisterOp assigns a value to a last-writer-wins register.
 type LWWRegisterOp struct {
-	Value string `json:"value"`
+	Value string
 }
 
 // LWWRegister keeps the assignment with the greatest update tag. Because
@@ -77,8 +77,8 @@ func (r *LWWRegister) PrepareAssign(v string) Op {
 // MVRegisterOp assigns a value to a multi-value register, overwriting the
 // sibling entries the source replica had observed.
 type MVRegisterOp struct {
-	Value      string `json:"value"`
-	Overwrites []Tag  `json:"overwrites,omitempty"`
+	Value      string
+	Overwrites []Tag
 }
 
 // mvEntry is one live assignment in an MV register.

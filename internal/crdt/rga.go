@@ -14,12 +14,12 @@ import (
 type RGAOp struct {
 	// After is the tag of the element the new element goes after; the zero
 	// Tag means the head of the sequence. Only meaningful for inserts.
-	After Tag `json:"after"`
+	After Tag
 	// Value is the inserted element (typically a character or a chunk).
-	Value string `json:"value,omitempty"`
+	Value string
 	// Delete marks a deletion of Target instead of an insert.
-	Delete bool `json:"delete,omitempty"`
-	Target Tag  `json:"target,omitempty"`
+	Delete bool
+	Target Tag
 }
 
 const (
@@ -60,58 +60,85 @@ type rgaElem struct {
 // the chunk in the index and survives those copies.
 type rgaChunk struct {
 	owner uint64
-	id    int32
+	id    chunkID
 	live  int32
 	elems []rgaElem
 }
 
-// rgaIndex maps an element's tag to the id of its chunk: a stack of levels,
-// newest last, and a small overlay above them. A level is written only by
-// the RGA holding its owner token and is shared read-only by forks; a
-// writer that owns no level on top records its writes in the overlay, which
-// a fork copies on its first write. A full overlay becomes the newest
-// level, merged into the levels below while the next one down is owned or at
-// most rgaLevelRatio times its size, so levels grow geometrically downwards
-// and a lookup probes O(log n) maps. An entry of -1 marks a removal, dropped
-// when it reaches the bottom level.
-type rgaIndex struct {
-	levels  []rgaLevel
-	overlay map[Tag]int32
+// chunkID names a chunk in the index; -1 marks a removal.
+type chunkID int32
+
+func (c chunkID) removal() bool { return c < 0 }
+
+// goneAnchor is the gone entry of a compacted tombstone: the anchor it was
+// inserted after. A resurrected entry marks a removal.
+type goneAnchor struct {
+	after       Tag
+	resurrected bool
+}
+
+func (g goneAnchor) removal() bool { return g.resurrected }
+
+// tagValue is what a tagMap holds; a value whose removal is true marks the
+// tag as removed.
+type tagValue interface{ removal() bool }
+
+// tagMap maps tags to values — the index maps each element to its chunk,
+// gone each compacted tombstone to its anchor — as a stack of levels, newest
+// last, and a small overlay above them. A level is written only by the RGA
+// holding its owner token and is shared read-only by forks; a writer that
+// owns no level on top records its writes in the overlay, which a fork
+// copies on its first write. A full overlay becomes the newest level, merged
+// into the levels below while the next one down is owned or at most
+// rgaLevelRatio times its size, so levels grow geometrically downwards, a
+// lookup probes O(log n) maps, and a fork that writes k entries copies
+// O(k + rgaOverlayMax) of them, however many the map holds. A removal is
+// dropped when it reaches the bottom level.
+type tagMap[V tagValue] struct {
+	levels  []tagLevel[V]
+	overlay map[Tag]V
 	owner   uint64 // the RGA that may write overlay
 }
 
-type rgaLevel struct {
-	m     map[Tag]int32
+type tagLevel[V tagValue] struct {
+	m     map[Tag]V
 	owner uint64
 }
 
-func (x *rgaIndex) get(id Tag) (int32, bool) {
-	if c, ok := x.overlay[id]; ok {
-		return c, c >= 0
+func (x *tagMap[V]) get(id Tag) (V, bool) {
+	if v, ok := x.overlay[id]; ok {
+		return v, !v.removal()
 	}
 	for i := len(x.levels) - 1; i >= 0; i-- {
-		if c, ok := x.levels[i].m[id]; ok {
-			return c, c >= 0
+		if v, ok := x.levels[i].m[id]; ok {
+			return v, !v.removal()
 		}
 	}
-	return 0, false
+	var none V
+	return none, false
 }
 
-// set points id at chunk c, or removes it when c is -1.
-func (x *rgaIndex) set(owner uint64, id Tag, c int32) {
+// has reports whether id maps to a value.
+func (x *tagMap[V]) has(id Tag) bool {
+	_, ok := x.get(id)
+	return ok
+}
+
+// set maps id to v (a removal when v.removal()) on behalf of owner.
+func (x *tagMap[V]) set(owner uint64, id Tag, v V) {
 	if n := len(x.levels); x.overlay == nil && n > 0 && x.levels[n-1].owner == owner {
-		putIndex(x.levels[n-1].m, id, c, n == 1)
+		putLevel(x.levels[n-1].m, id, v, n == 1)
 		return
 	}
 	if x.owner != owner || x.overlay == nil {
 		if len(x.overlay) > 0 {
 			cowCopies.Add(1)
 		}
-		overlay := make(map[Tag]int32, max(8, len(x.overlay)+1))
+		overlay := make(map[Tag]V, max(8, len(x.overlay)+1))
 		maps.Copy(overlay, x.overlay)
 		x.overlay, x.owner = overlay, owner
 	}
-	x.overlay[id] = c
+	x.overlay[id] = v
 	if len(x.overlay) < rgaOverlayMax {
 		return
 	}
@@ -122,27 +149,67 @@ func (x *rgaIndex) set(owner uint64, id Tag, c int32) {
 			if len(below.m) > rgaLevelRatio*len(top) {
 				break
 			}
-			m := make(map[Tag]int32, len(below.m)+len(top))
+			m := make(map[Tag]V, len(below.m)+len(top))
 			maps.Copy(m, below.m)
 			below.m = m
 			cowCopies.Add(1)
 		}
-		for id, c := range top {
-			putIndex(below.m, id, c, n == 1)
+		for id, v := range top {
+			putLevel(below.m, id, v, n == 1)
 		}
 		top = below.m
 	}
-	x.levels = append(x.levels[:n:n], rgaLevel{top, owner}) // a new slice: forks share the old one
+	x.levels = append(x.levels[:n:n], tagLevel[V]{top, owner}) // a new slice: forks share the old one
 	x.overlay = nil
 }
 
-// putIndex writes one entry into a level; the bottom level drops removals.
-func putIndex(m map[Tag]int32, id Tag, c int32, bottom bool) {
-	if c < 0 && bottom {
+// putLevel writes one entry into a level; the bottom level drops removals.
+func putLevel[V tagValue](m map[Tag]V, id Tag, v V, bottom bool) {
+	if bottom && v.removal() {
 		delete(m, id)
 	} else {
-		m[id] = c
+		m[id] = v
 	}
+}
+
+// each calls fn for every tag the map holds and its value, in no order.
+func (x *tagMap[V]) each(fn func(Tag, V)) {
+	if x.overlay == nil && len(x.levels) <= 1 {
+		for _, l := range x.levels {
+			for id, v := range l.m {
+				if !v.removal() {
+					fn(id, v)
+				}
+			}
+		}
+		return
+	}
+	seen := make(map[Tag]bool)
+	visit := func(m map[Tag]V) {
+		for id, v := range m {
+			if !seen[id] {
+				seen[id] = true
+				if !v.removal() {
+					fn(id, v)
+				}
+			}
+		}
+	}
+	visit(x.overlay)
+	for i := len(x.levels) - 1; i >= 0; i-- {
+		visit(x.levels[i].m)
+	}
+}
+
+// flat returns a one-level copy of x that owner may write and x's writers
+// never touch.
+func (x *tagMap[V]) flat(owner uint64) tagMap[V] {
+	m := make(map[Tag]V)
+	x.each(func(id Tag, v V) { m[id] = v })
+	if len(m) == 0 {
+		return tagMap[V]{}
+	}
+	return tagMap[V]{levels: []tagLevel[V]{{m, owner}}}
 }
 
 // RGA is a Replicated Growable Array: a sequence CRDT supporting concurrent
@@ -167,15 +234,13 @@ type RGA struct {
 	// chunk is retired. chunks and where belong to listOwner.
 	where     []int32
 	listOwner uint64
-	index     rgaIndex
+	index     tagMap[chunkID]
 	// gone records compacted tombstones: id -> the anchor the element was
 	// inserted after. A late operation referencing a compacted element
 	// resurrects it (as a tombstone, at its original deterministic position)
-	// so replicas that compacted at different times still converge. It
-	// belongs to goneOwner.
-	gone      map[Tag]Tag
-	goneOwner uint64
-	live      int
+	// so replicas that compacted at different times still converge.
+	gone tagMap[goneAnchor]
+	live int
 	// unswept counts the tombstones made since the last compaction. Only a
 	// new tombstone can make an old one reclaimable, so at zero
 	// CompactTombstones has nothing to find.
@@ -219,20 +284,6 @@ func (r *RGA) ownChunk(ci, extra int) *rgaChunk {
 	return cp
 }
 
-// ownGone gives r a private gone map.
-func (r *RGA) ownGone() {
-	if r.goneOwner == r.owner {
-		if r.gone == nil {
-			r.gone = make(map[Tag]Tag)
-		}
-		return
-	}
-	gone := make(map[Tag]Tag, len(r.gone)+1)
-	maps.Copy(gone, r.gone)
-	r.gone, r.goneOwner = gone, r.owner
-	cowCopies.Add(1)
-}
-
 // lookup returns the chunk position and in-chunk offset of element id.
 func (r *RGA) lookup(id Tag) (ci, ei int, ok bool) {
 	r.ensureIndex()
@@ -271,7 +322,7 @@ func (r *RGA) Apply(meta Meta, op Op) error {
 func (r *RGA) applyDelete(target Tag) error {
 	ci, ei, ok := r.lookup(target)
 	if !ok {
-		if _, compacted := r.gone[target]; compacted {
+		if r.gone.has(target) {
 			return nil // already deleted and reclaimed
 		}
 		return fmt.Errorf("crdt: rga delete of unknown element %v (causal delivery violated): %w",
@@ -292,12 +343,12 @@ func (r *RGA) applyInsert(id, after Tag, value string) error {
 	if _, _, dup := r.lookup(id); dup {
 		return nil // idempotent re-apply
 	}
-	if _, dup := r.gone[id]; dup {
+	if r.gone.has(id) {
 		return nil // re-apply of an element already compacted away
 	}
 	if after != (Tag{}) {
 		if _, _, ok := r.lookup(after); !ok {
-			if _, compacted := r.gone[after]; !compacted {
+			if !r.gone.has(after) {
 				return fmt.Errorf("crdt: rga insert after unknown element %v (causal delivery violated): %w",
 					after, ErrMalformedOp)
 			}
@@ -381,7 +432,7 @@ func (r *RGA) insertAt(ci, ei int, e rgaElem) {
 // indexing the elements under its fresh id.
 func (r *RGA) newChunk(at int, elems []rgaElem) *rgaChunk {
 	r.ownList()
-	c := &rgaChunk{owner: r.owner, id: int32(len(r.where))}
+	c := &rgaChunk{owner: r.owner, id: chunkID(len(r.where))}
 	c.elems = make([]rgaElem, len(elems), len(elems)+1)
 	copy(c.elems, elems)
 	for i := range c.elems {
@@ -428,22 +479,23 @@ func (r *RGA) split(ci int) {
 func (r *RGA) resurrect(t Tag) {
 	chain := []Tag{t}
 	for {
-		a := r.gone[chain[len(chain)-1]]
+		g, _ := r.gone.get(chain[len(chain)-1])
+		a := g.after
 		if a == (Tag{}) {
 			break
 		}
 		if _, _, present := r.lookup(a); present {
 			break
 		}
-		if _, compacted := r.gone[a]; !compacted {
+		if !r.gone.has(a) {
 			break // anchor truly unknown; insertPos anchors at head
 		}
 		chain = append(chain, a)
 	}
-	r.ownGone()
 	for i := len(chain) - 1; i >= 0; i-- {
 		id := chain[i]
-		after := r.gone[id]
+		g, _ := r.gone.get(id)
+		after := g.after
 		if after != (Tag{}) {
 			if _, _, present := r.lookup(after); !present {
 				after = Tag{}
@@ -452,7 +504,7 @@ func (r *RGA) resurrect(t Tag) {
 		ci, ei := r.insertPos(after, id)
 		r.insertAt(ci, ei, rgaElem{id: id, after: after, tombstone: true})
 		r.unswept++
-		delete(r.gone, id)
+		r.gone.set(r.owner, id, goneAnchor{resurrected: true})
 	}
 }
 
@@ -489,7 +541,6 @@ func (r *RGA) CompactTombstones() int {
 		return 0
 	}
 	r.ownList()
-	r.ownGone()
 	r.ensureIndex()
 	kept, total, d := r.chunks[:0], 0, len(drops)-1
 	for ci, c := range r.chunks {
@@ -501,7 +552,7 @@ func (r *RGA) CompactTombstones() int {
 		keep := make([]rgaElem, 0, len(c.elems))
 		for ei := range c.elems {
 			if e := &c.elems[ei]; d >= 0 && drops[d] == (position{ci, ei}) {
-				r.gone[e.id] = e.after
+				r.gone.set(r.owner, e.id, goneAnchor{after: e.after})
 				r.index.set(r.owner, e.id, -1)
 				d--
 			} else {
@@ -547,18 +598,18 @@ func (r *RGA) all() []rgaElem {
 // pays for it.
 func (r *RGA) pack(elems []rgaElem) {
 	r.chunks, r.where, r.listOwner = nil, nil, r.owner
-	r.index = rgaIndex{}
+	r.index = tagMap[chunkID]{}
 	r.live = 0
 	for len(elems) > 0 {
 		n := min(len(elems), rgaChunkFill)
-		c := &rgaChunk{owner: r.owner, id: int32(len(r.chunks)), elems: elems[:n:n]}
+		c := &rgaChunk{owner: r.owner, id: chunkID(len(r.chunks)), elems: elems[:n:n]}
 		for i := range c.elems {
 			if !c.elems[i].tombstone {
 				c.live++
 			}
 		}
 		r.live += int(c.live)
-		r.where = append(r.where, c.id)
+		r.where = append(r.where, int32(c.id))
 		r.chunks = append(r.chunks, c)
 		elems = elems[n:]
 	}
@@ -580,13 +631,13 @@ func (r *RGA) ensureIndex() {
 	for _, c := range r.chunks {
 		n += len(c.elems)
 	}
-	bottom := make(map[Tag]int32, n)
+	bottom := make(map[Tag]chunkID, n)
 	for _, c := range r.chunks {
 		for i := range c.elems {
 			bottom[c.elems[i].id] = c.id
 		}
 	}
-	r.index.levels = []rgaLevel{{bottom, r.owner}}
+	r.index.levels = []tagLevel[chunkID]{{bottom, r.owner}}
 }
 
 // Value implements Object, returning the concatenated live elements as a
@@ -643,7 +694,7 @@ func (r *RGA) Clone() Object {
 	cp.sealed = false
 	if !r.sealed {
 		cp.pack(r.all())
-		cp.gone, cp.goneOwner = maps.Clone(r.gone), cp.owner
+		cp.gone = r.gone.flat(cp.owner)
 	}
 	return &cp
 }

@@ -42,7 +42,7 @@ func checkRGAChunks(t *testing.T, step int, what string, r *RGA) {
 				t.Fatalf("step %d %s: index names chunk %d (%v) for %v, held by chunk %d",
 					step, what, cid, ok, e.id, c.id)
 			}
-			if _, g := r.gone[e.id]; g {
+			if r.gone.has(e.id) {
 				t.Fatalf("step %d %s: element %v is both present and compacted", step, what, e.id)
 			}
 		}
@@ -54,11 +54,11 @@ func checkRGAChunks(t *testing.T, step int, what string, r *RGA) {
 	if live != r.live {
 		t.Fatalf("step %d %s: live count %d, %d live elements", step, what, r.live, live)
 	}
-	for id := range r.gone {
+	r.gone.each(func(id Tag, _ goneAnchor) {
 		if _, ok := r.index.get(id); ok {
 			t.Fatalf("step %d %s: compacted element %v still resolves", step, what, id)
 		}
-	}
+	})
 }
 
 // rgaElems counts r's elements, tombstones included.

@@ -9,7 +9,7 @@
 // Every connection opens with a handshake, each side writing immediately and
 // then reading the peer's hello:
 //
-//	magic "CLNY" | uvarint version (=2) | uvarint feature bits | string name
+//	magic "CLNY" | uvarint version (=3) | uvarint feature bits | string name
 //
 // Feature bit 0 declares the v1 binary codec; a peer that lacks it (or speaks
 // another version) is disconnected. After the handshake the stream is a
@@ -68,9 +68,11 @@ import (
 // mesh is refused at the handshake instead of mis-decoding; new message types
 // ride on new wire tags instead. Version 2: push frames carry their log
 // range, subscribes and their acks a stream position; tag 17 is retired.
+// Version 3: a transaction's CRDT ops are binary (crdt.AppendOp), no longer
+// JSON blobs.
 const (
 	magic       = "CLNY"
-	version     = 2
+	version     = 3
 	featCodecV1 = 1 << 0
 
 	kindSend  = 0

@@ -112,6 +112,33 @@ func TestReplayRejectsLegacyJSONLog(t *testing.T) {
 	}
 }
 
+// formatOneLog is a one-record log as format 1 wrote it: the magic ending in
+// \x01, then a record whose transaction (dc0/1, snapshot [0], stamp 1 at DC
+// 0) carries its counter op as the JSON blob {"counter":{"delta":1}}.
+func formatOneLog() []byte {
+	body := append([]byte{0x01, 0x03, 'd', 'c', '0', 0x01, 0x03, 'd', 'c', '0', 0x00, 0x01, 0x00,
+		0x01, 0x00, 0x01, 0x01, 0x01, 'b', 0x01, 'x', 0x01, 0x00, 0x17}, `{"counter":{"delta":1}}`...)
+	return append([]byte("colnyWL\x01"), appendRecord(nil, body)...)
+}
+
+// TestReplayRejectsFormatOneLog: a log of the previous binary format must
+// fail loudly, naming its format — not replay as an empty log, and not be
+// opened for appending either.
+func TestReplayRejectsFormatOneLog(t *testing.T) {
+	seqs, err := replayFile(t, formatOneLog())
+	if err == nil || !strings.Contains(err.Error(), "format-1") {
+		t.Fatalf("format-1 log replayed %v, err %v; want an error naming format 1", seqs, err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "v1.wal"), formatOneLog(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenWithOptions(dir, "v1.wal", Options{}); err == nil {
+		l.Close()
+		t.Fatal("opened a format-1 log for appending")
+	}
+}
+
 // TestAppendAfterTornTailReplays: after a crash leaves a torn record, the
 // next incarnation's appends must follow the last intact record, so the log
 // still replays in full.
@@ -181,6 +208,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(magic[:5]))
 	f.Add([]byte{})
 	f.Add([]byte(legacyLog))
+	f.Add(formatOneLog())
 	flipped := bytes.Clone(data)
 	flipped[starts[1]+9] ^= 0xff
 	f.Add(flipped)

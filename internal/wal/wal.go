@@ -17,8 +17,10 @@
 // a strict prefix of the magic as an empty log; a short or checksum-failed
 // final record as a torn tail (a crash mid-append), which ends the replay;
 // and a bad record with bytes after it as corruption, which is an error. A
-// file that does not start with the magic — a JSON-lines log written by an
-// older build — is refused with an error, never replayed as empty.
+// file that does not start with the magic is refused with an error, never
+// replayed as empty: a log of an older format (format 1, whose records carry
+// CRDT ops as JSON blobs, or the JSON lines before it) as much as a file
+// that is no log at all.
 //
 // # Writing
 //
@@ -35,6 +37,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,7 +56,8 @@ import (
 
 const (
 	// magic opens every log file; its last byte is the format version.
-	magic = "colnyWL\x01"
+	// Format 2: record bodies carry CRDT ops in their binary encoding.
+	magic = "colnyWL\x02"
 	// batchMax caps the records one write and fsync cover.
 	batchMax = 64
 )
@@ -61,6 +65,9 @@ const (
 var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 	errClosed  = errors.New("wal: closed")
+	// scratchBodies recycles the buffers record bodies are encoded into, so
+	// a queued record holds one allocation of its exact size.
+	scratchBodies = sync.Pool{New: func() any { return new([]byte) }}
 )
 
 // Options configures a log.
@@ -209,11 +216,15 @@ func (l *Log) wait(t *txn.Transaction) error {
 func (l *Log) submit(t *txn.Transaction, done func(error)) error {
 	r := request{done: done}
 	if t != nil {
-		body, err := wire.AppendTx(nil, t)
+		scratch := scratchBodies.Get().(*[]byte)
+		body, err := wire.AppendTx((*scratch)[:0], t)
 		if err != nil {
+			scratchBodies.Put(scratch)
 			return fmt.Errorf("wal: %w", err)
 		}
-		r.body = body
+		r.body = bytes.Clone(body)
+		*scratch = body
+		scratchBodies.Put(scratch)
 	}
 	l.closeMu.RLock()
 	defer l.closeMu.RUnlock()
@@ -361,9 +372,13 @@ func Replay(dir, name string, fn func(*txn.Transaction) error) error {
 // length of data's intact prefix: 0 for an empty log (no magic, or part of
 // it), otherwise everything before a torn final record.
 func replay(path string, data []byte, fn func(*txn.Transaction) error) (int, error) {
-	if !strings.HasPrefix(magic, string(data[:min(len(data), len(magic))])) {
-		return 0, fmt.Errorf("wal: %s does not start with the WAL magic "+
-			"(a JSON-lines log written by an older build?); refusing to replay it", path)
+	if head := data[:min(len(data), len(magic))]; !strings.HasPrefix(magic, string(head)) {
+		if len(head) == len(magic) && string(head[:len(magic)-1]) == magic[:len(magic)-1] {
+			return 0, fmt.Errorf("wal: %s is a format-%d log, and this build reads format %d only; "+
+				"refusing to replay it", path, head[len(magic)-1], magic[len(magic)-1])
+		}
+		return 0, fmt.Errorf("wal: %s does not start with the WAL magic (it starts %q); "+
+			"refusing to replay it", path, head)
 	}
 	if len(data) < len(magic) {
 		return 0, nil

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -25,13 +24,11 @@ import (
 //
 // Two deliberate choices:
 //
-//   - CRDT *operations* (crdt.Op, inside transaction updates) are embedded
-//     as length-prefixed JSON blobs: Op is documented as a tagged union
-//     encoded with encoding/json, and the codec reuses that one canonical op
-//     encoding instead of inventing a second. Everything around the blob —
-//     vectors, dots, stamps, strings — is binary varints. The transaction
-//     encoding (AppendTx/DecodeTx) is also the WAL's record body, so a
-//     transaction has one byte form on disk and on every socket.
+//   - CRDT *operations* (crdt.Op, inside transaction updates) are written
+//     inline by crdt.AppendOp — a kind byte, then the op's fields — and read
+//     back by crdt.ReadOp, which is as strict as the rest of the codec. The
+//     transaction encoding (AppendTx/DecodeTx) is also the WAL's record body,
+//     so a transaction has one byte form on disk and on every socket.
 //   - CRDT *state* (wire.ObjectState.Object) uses crdt.MarshalState, the
 //     deterministic binary state codec. Encoding is read-pure on sealed
 //     snapshots, so shipping a subscribe ack never copies or unseals the
@@ -555,10 +552,13 @@ func readDot(r *bin.Reader) vclock.Dot {
 }
 
 // appendStamps encodes commit stamps sorted by DC index (deterministic
-// bytes; an empty/nil map — a symbolic commit — encodes as count 0).
+// bytes; an empty/nil map — a symbolic commit — encodes as count 0). The
+// indexes are sorted in a stack array, so encoding a transaction allocates
+// nothing unless it carries more than len(small) stamps.
 func appendStamps(buf []byte, c vclock.CommitStamps) []byte {
 	buf = bin.AppendUvarint(buf, uint64(len(c)))
-	idxs := make([]int, 0, len(c))
+	var small [8]int
+	idxs := small[:0]
 	for dc := range c {
 		idxs = append(idxs, dc)
 	}
@@ -728,11 +728,10 @@ func AppendTx(buf []byte, t *txn.Transaction) ([]byte, error) {
 		buf = appendObjectID(buf, u.Object)
 		buf = append(buf, byte(u.Kind))
 		buf = bin.AppendVarint(buf, int64(u.Seq))
-		op, err := json.Marshal(u.Op)
-		if err != nil {
+		var err error
+		if buf, err = crdt.AppendOp(buf, u.Op); err != nil {
 			return nil, fmt.Errorf("wire: encode op for %v: %w", u.Object, err)
 		}
-		buf = bin.AppendBytes(buf, op)
 	}
 	return buf, nil
 }
@@ -749,8 +748,8 @@ func DecodeTx(data []byte) (*txn.Transaction, error) {
 	return t, nil
 }
 
-// readTx decodes one transaction; malformed op blobs latch the reader's
-// error so the caller's Complete check fails.
+// readTx decodes one transaction; a malformed op latches the reader's error
+// so the caller's Complete check fails.
 func readTx(r *bin.Reader) *txn.Transaction {
 	if !r.Bool() {
 		return nil
@@ -767,12 +766,9 @@ func readTx(r *bin.Reader) *txn.Transaction {
 			u := txn.Update{Object: readObjectID(r)}
 			u.Kind = crdt.Kind(r.Byte())
 			u.Seq = int(r.Varint())
-			blob := r.Bytes()
-			if blob != nil {
-				if err := json.Unmarshal(blob, &u.Op); err != nil {
-					r.Poison()
-					return nil
-				}
+			var err error
+			if u.Op, err = crdt.ReadOp(r); err != nil {
+				return nil
 			}
 			t.Updates = append(t.Updates, u)
 		}

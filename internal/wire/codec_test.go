@@ -48,6 +48,39 @@ func sampleTxAt(seq uint64) *txn.Transaction {
 	return t
 }
 
+// everyOpTx builds a transaction whose updates carry every op kind, removes
+// and nested map ops included, so the goldens pin each op layout.
+func everyOpTx() *txn.Transaction {
+	a := crdt.Tag{Dot: vclock.Dot{Node: "edge-2", Seq: 3}}
+	b := crdt.Tag{Dot: vclock.Dot{Node: "edge-5", Seq: 8}, Seq: 1}
+	post := crdt.Op{RGA: &crdt.RGAOp{After: a, Value: "alice|hi"}}
+	t := &txn.Transaction{
+		Dot:      vclock.Dot{Node: "edge-7", Seq: 43},
+		Origin:   "edge-7",
+		Actor:    "alice",
+		Snapshot: vclock.Vector{3, 1, 4},
+		Commit:   vclock.CommitStamps{1: 6},
+	}
+	for _, u := range []struct {
+		key  string
+		kind crdt.Kind
+		op   crdt.Op
+	}{
+		{"hits", crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: -3}}},
+		{"title", crdt.KindLWWRegister, crdt.Op{LWW: &crdt.LWWRegisterOp{Value: "Colony"}}},
+		{"topic", crdt.KindMVRegister, crdt.Op{MV: &crdt.MVRegisterOp{Value: "edge", Overwrites: []crdt.Tag{a, b}}}},
+		{"members", crdt.KindORSet, crdt.Op{Set: &crdt.ORSetOp{Elem: "bob", Remove: true, Removes: []crdt.Tag{b}}}},
+		{"rooms", crdt.KindORMap, crdt.Op{Map: &crdt.ORMapOp{Key: "general", Kind: crdt.KindRGA, Nested: &post}}},
+		{"rooms", crdt.KindORMap, crdt.Op{Map: &crdt.ORMapOp{Key: "random", Remove: true, Removes: []crdt.Tag{a}}}},
+		{"muted", crdt.KindFlag, crdt.Op{Flag: &crdt.FlagOp{Disable: true, Disables: []crdt.Tag{a}}}},
+		{"readme", crdt.KindRGA, crdt.Op{RGA: &crdt.RGAOp{After: b, Value: "x"}}},
+		{"readme", crdt.KindRGA, crdt.Op{RGA: &crdt.RGAOp{Delete: true, Target: a}}},
+	} {
+		t.AppendUpdate(txn.ObjectID{Bucket: "chat", Key: u.key}, u.kind, u.op)
+	}
+	return t
+}
+
 // sampleObjectState builds an ObjectState with real CRDT state.
 func sampleObjectState() ObjectState {
 	set := crdt.NewORSet()
@@ -78,10 +111,11 @@ func goldenMessages() map[string]Message {
 	return map[string]Message{
 		"repl_batch": ReplBatch{From: 2, Txs: []*txn.Transaction{sampleTx(), sampleTx()},
 			State: vclock.Vector{1, 2}, SentAt: sentAt, WantSeq: 6},
-		"repl_heartbeat":    ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30}},
-		"edge_commit":       EdgeCommit{Tx: sampleTx()},
-		"edge_commit_ack":   EdgeCommitAck{Dot: vclock.Dot{Node: "edge-7", Seq: 42}, DCIndex: 2, Ts: 10, Stable: vclock.Vector{5, 5, 10}},
-		"edge_commit_batch": EdgeCommit{Tx: sampleTx(), Next: []*txn.Transaction{sampleTxAt(43), sampleTxAt(44)}},
+		"repl_heartbeat":       ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30}},
+		"edge_commit":          EdgeCommit{Tx: sampleTx()},
+		"edge_commit_every_op": EdgeCommit{Tx: everyOpTx()},
+		"edge_commit_ack":      EdgeCommitAck{Dot: vclock.Dot{Node: "edge-7", Seq: 42}, DCIndex: 2, Ts: 10, Stable: vclock.Vector{5, 5, 10}},
+		"edge_commit_batch":    EdgeCommit{Tx: sampleTx(), Next: []*txn.Transaction{sampleTxAt(43), sampleTxAt(44)}},
 		"edge_commit_ack_batch": EdgeCommitAck{Dot: vclock.Dot{Node: "edge-7", Seq: 42}, DCIndex: 2, Ts: 10,
 			Stable: vclock.Vector{5, 5, 10}, Next: []EdgeCommitAck{
 				{Dot: vclock.Dot{Node: "edge-7", Seq: 43}, DCIndex: 2, Ts: 11},
