@@ -38,11 +38,13 @@ test-race:
 # listeners that commit, per-member order, the PSI wait — the same way; run it
 # after any change to internal/epaxos or group's driver. The fourth covers the
 # per-history costs kept flat: the TCP write loop's flush-on-drain, the DC's
-# anti-entropy resend from a peer's position, the DC's masking rule against
-# its scan reference and the visibility recheck, and the RGA's chunked kernel —
+# replication stream (a resume from a peer's position, a lost batch refused
+# and re-sent, a stale scope, an absorbed stamp waiting for its own stream,
+# the backlog gauge, an append-only d.own), the DC's masking rule against its
+# scan reference and the visibility recheck, and the RGA's chunked kernel —
 # and tcp sends to one destination staying on one connection; run it after
-# any change to tcp's writeLoop or connFor, the DC's history or visibility code
-# (recordLocked, maskLocked, RecheckVisibility, antiEntropyLocked) or
+# any change to tcp's writeLoop or connFor, the DC's history, replication or
+# visibility code (recordLocked, maskLocked, RecheckVisibility, repl.go) or
 # crdt/rga.go. The fifth covers durability and folding: the group-commit WAL
 # (batching, torn tails, corrupt records, append after a crash, completions),
 # the store's background fold and its re-fold request, the DC's stable cut met
@@ -60,7 +62,7 @@ test-stress:
 	$(GO) test -race -count=20 -run 'Tree|Sharded|Fanout|Push|Relay|Resume' ./internal/dc ./internal/edge
 	$(GO) test -race -count=20 -run 'GroupVisible|Seed|ReadCache|Migration|Leave|Stream' ./internal/store ./internal/group
 	$(GO) test -race -count=20 -run 'Seeded|Concurrent|Group|PSI' ./internal/epaxos ./internal/group
-	$(GO) test -race -count=20 -run 'WriteLoop|AntiEntropy|RGA|Masking|Recheck|SendsStay' ./internal/transport/tcp ./internal/dc ./internal/crdt
+	$(GO) test -race -count=20 -run 'WriteLoop|ReplResume|ReplDropped|ReplRefused|ReplLostFirst|StaleScope|PendingStub|AbsorbedStamp|ReplBacklog|OwnIsAppendOnly|RGA|Masking|Recheck|SendsStay' ./internal/transport/tcp ./internal/dc ./internal/crdt
 	$(GO) test -race -count=20 -run 'GroupCommit|Replay|Append|AutoAdvance|Stable|Deferred|AppendThen|ShareFsync|AckImpliesLogged|EdgeFlight|InlineCommits|SequencedTwice|SharedTx' ./internal/wal ./internal/store ./internal/dc ./internal/edge ./internal/transport ./internal/transport/tcp
 
 vet:

@@ -168,7 +168,7 @@ func run(args []string) error {
 					time.Duration(kst.P50), time.Duration(kst.P95), time.Duration(kst.P99), kst.Count)
 			}
 			if rb, ok := snap.Histograms["dc.repl_batch_txs"]; ok && rb.Count > 0 {
-				fmt.Printf("  write pipeline: repl batch p50=%d p95=%d, outbox repl=%d push=%d, fsyncs=%d\n",
+				fmt.Printf("  write pipeline: repl batch p50=%d p95=%d, repl backlog=%d push outbox=%d, fsyncs=%d\n",
 					rb.P50, rb.P95,
 					snap.Gauges["dc.repl_outbox_depth"], snap.Gauges["dc.push_outbox_depth"],
 					snap.Counters["wal.fsyncs"])

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,8 +48,9 @@ type Config struct {
 	// K is the K-stability visibility threshold for edge nodes (default 1;
 	// the paper's experiments use 2 with 3 DCs).
 	K int
-	// Heartbeat is the state-vector gossip period; 0 disables heartbeats
-	// (tests drive gossip through traffic instead).
+	// Heartbeat is the state-vector gossip period, and a tenth of the silence
+	// after which a replication sender rewinds to its peer's acked position;
+	// 0 disables both (tests drive gossip through traffic instead).
 	Heartbeat time.Duration
 	// AutoAdvanceThreshold lets each storage shard advance its own base
 	// versions (journal truncation, paper §4.1) in the background whenever an
@@ -109,28 +109,9 @@ type subscription struct {
 	tree *pushTree
 }
 
-// Sizing fixed at the values every deployment ran with while they were still
-// configurable.
-const (
-	// vnodes is the consistent-hashing virtual node count per storage shard.
-	vnodes = 64
-	// replOutboxCap bounds each per-peer replication outbox. A full outbox
-	// back-pressures committers rather than dropping, so replication never
-	// silently relies on anti-entropy alone.
-	replOutboxCap = 4096
-	// replBatchMax caps how many transactions a per-peer sender coalesces
-	// into one wire.ReplBatch.
-	replBatchMax = 128
-)
-
-// replOutbox is one peer's bounded replication queue, drained by a dedicated
-// sender goroutine that coalesces runs of transactions into wire.ReplBatch
-// frames (one state-vector clone per batch instead of per transaction).
-type replOutbox struct {
-	peerIdx int
-	peer    string
-	ch      chan *txn.Transaction
-}
+// vnodes is the consistent-hashing virtual node count per storage shard,
+// fixed at the value every deployment ran with while it was configurable.
+const vnodes = 64
 
 // DC is one data centre.
 type DC struct {
@@ -144,7 +125,6 @@ type DC struct {
 	lamport vclock.Lamport
 	seq     uint64
 	state   vclock.Vector
-	peers   map[int]string
 	// hist is the DC's history: every transaction it has recorded, once, in
 	// record order, with visibility a mark on the record. The push stream's
 	// [Lo, Hi) ranges are positions in it.
@@ -156,10 +136,14 @@ type DC struct {
 	// must not record them a second time. It keeps instead the stamps of a
 	// peer's copy that arrives meanwhile, and complete absorbs them.
 	unrecorded map[vclock.Dot]vclock.CommitStamps
-	// own holds the positions of the records this DC stamped, ordered by that
-	// stamp, so anti-entropy resumes at a peer's position instead of walking
-	// the whole history.
-	own  []int
+	// own holds the positions of the records this DC stamped, in stamp order:
+	// the replication stream every peer is sent (repl.go), whose [Lo, Hi)
+	// ranges are positions in it. It is only ever appended to.
+	own []int
+	// repl holds each peer's sender; in, indexed by DC, this DC's cursor into
+	// each peer's stream.
+	repl map[int]*replPeer
+	in   []wire.PushCursor
 	subs map[string]*subscription
 	// visible decides whether a transaction may become visible (the ACL
 	// check hook, paper §6.4); nil admits everything.
@@ -186,16 +170,14 @@ type DC struct {
 	walMu  sync.Mutex
 	walErr error
 
-	// outboxes are the per-peer replication queues (created in SetPeers
-	// under d.mu). replDepth/pushDepth mirror the queue depths for the obs
-	// gauges without taking locks.
-	outboxes  map[int]*replOutbox
-	replDepth atomic.Int64
+	// pushDepth mirrors the push queue depth for the obs gauge without taking
+	// locks.
 	pushDepth atomic.Int64
 	// histLen mirrors len(hist) for the dc.history_len gauge.
 	histLen atomic.Int64
-	// pipeStop stops the replication senders; pipeWG waits for them and for
-	// the shard workers (stopped via fan.stop).
+	// pipeStop stops the heartbeat, the replication senders and the
+	// completion goroutine; pipeWG waits for them and for the shard workers
+	// (stopped via fan.stop).
 	pipeStop chan struct{}
 	pipeWG   sync.WaitGroup
 
@@ -238,9 +220,6 @@ type DC struct {
 	obsReplBatch    *obs.Histogram
 	obsReplLat      *obs.Histogram
 	obsShardFanout  *obs.Histogram
-
-	stopHeartbeat chan struct{}
-	heartbeatDone chan struct{}
 }
 
 // New creates a DC, registers it on the network, and starts its heartbeat
@@ -265,18 +244,16 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		return nil, err
 	}
 	d := &DC{
-		cfg:           cfg,
-		coord:         coord,
-		mesh:          replication.NewMesh(cfg.Index, cfg.NumDCs),
-		state:         vclock.NewVector(cfg.NumDCs),
-		peers:         make(map[int]string),
-		byDot:         make(map[vclock.Dot]int),
-		unrecorded:    make(map[vclock.Dot]vclock.CommitStamps),
-		subs:          make(map[string]*subscription),
-		outboxes:      make(map[int]*replOutbox),
-		pipeStop:      make(chan struct{}),
-		stopHeartbeat: make(chan struct{}),
-		heartbeatDone: make(chan struct{}),
+		cfg:        cfg,
+		coord:      coord,
+		mesh:       replication.NewMesh(cfg.Index, cfg.NumDCs),
+		state:      vclock.NewVector(cfg.NumDCs),
+		byDot:      make(map[vclock.Dot]int),
+		unrecorded: make(map[vclock.Dot]vclock.CommitStamps),
+		subs:       make(map[string]*subscription),
+		repl:       make(map[int]*replPeer),
+		in:         make([]wire.PushCursor, cfg.NumDCs),
+		pipeStop:   make(chan struct{}),
 	}
 	d.resetMaskLocked()
 	if cfg.Obs != nil {
@@ -298,9 +275,7 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		d.obsReplBatch = cfg.Obs.Histogram("dc.repl_batch_txs")
 		d.obsReplLat = cfg.Obs.Histogram("dc.repl_propagation_ns")
 		d.obsShardFanout = cfg.Obs.Histogram("dc.push_shard_fanout")
-		cfg.Obs.RegisterGauge("dc.repl_outbox_depth", obs.AggSum, func() int64 {
-			return d.replDepth.Load()
-		})
+		cfg.Obs.RegisterGauge("dc.repl_outbox_depth", obs.AggSum, d.replBacklog)
 		cfg.Obs.RegisterGauge("dc.push_outbox_depth", obs.AggSum, func() int64 {
 			return d.pushDepth.Load()
 		})
@@ -360,85 +335,10 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	}
 	d.node = net.AddNode(cfg.Name, d.handle)
 	if cfg.Heartbeat > 0 {
+		d.pipeWG.Add(1)
 		go d.heartbeatLoop()
-	} else {
-		close(d.heartbeatDone)
 	}
 	return d, nil
-}
-
-// SetPeers wires the other DCs (index → network node name) and creates one
-// bounded outbox plus sender goroutine per peer; commitAt enqueues onto these
-// and the senders coalesce runs of pending transactions into wire.ReplBatch
-// frames.
-func (d *DC) SetPeers(peers map[int]string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for idx, name := range peers {
-		if idx == d.cfg.Index {
-			continue
-		}
-		d.peers[idx] = name
-		if d.outboxes[idx] != nil || d.closed {
-			continue
-		}
-		o := &replOutbox{peerIdx: idx, peer: name, ch: make(chan *txn.Transaction, replOutboxCap)}
-		d.outboxes[idx] = o
-		d.pipeWG.Add(1)
-		go d.runReplSender(o)
-	}
-}
-
-// peerNamesLocked lists the peers' network names. Called with d.mu held.
-func (d *DC) peerNamesLocked() []string {
-	peers := make([]string, 0, len(d.peers))
-	for _, p := range d.peers {
-		peers = append(peers, p)
-	}
-	return peers
-}
-
-// runReplSender drains one peer's outbox: it blocks for the first pending
-// transaction, greedily coalesces whatever else is queued (up to
-// replBatchMax) into a single ReplBatch with one state-vector clone, and
-// ships it. Per-peer FIFO (outbox order = commit order, simnet links are
-// FIFO) preserves the causal order of this DC's own commits.
-func (d *DC) runReplSender(o *replOutbox) {
-	defer d.pipeWG.Done()
-	for {
-		select {
-		case <-d.pipeStop:
-			return
-		case t := <-o.ch:
-			batch := make([]*txn.Transaction, 1, replBatchMax)
-			batch[0] = t
-		fill:
-			for len(batch) < replBatchMax {
-				select {
-				case t2 := <-o.ch:
-					batch = append(batch, t2)
-				default:
-					break fill
-				}
-			}
-			d.replDepth.Add(-int64(len(batch)))
-			d.obsReplBatch.Observe(int64(len(batch)))
-			txs, wantSeq := d.scopeBatch(o.peerIdx, batch)
-			msg := wire.ReplBatch{From: d.cfg.Index, Txs: txs, State: d.State(), SentAt: time.Now(), WantSeq: wantSeq}
-			_ = d.node.Send(o.peer, msg) // partitions heal via anti-entropy
-		}
-	}
-}
-
-// enqueueRepl fans a committed transaction out to every peer outbox. A full
-// outbox back-pressures the committer (blocking send) instead of dropping.
-// It runs only inside a commit's completion, and Close waits for those
-// before it stops the senders, so a blocked send is always drained.
-func (d *DC) enqueueRepl(outs []*replOutbox, cp *txn.Transaction) {
-	for _, o := range outs {
-		o.ch <- cp
-		d.replDepth.Add(1)
-	}
 }
 
 // SetVisibilityCheck installs the ACL hook: transactions for which check
@@ -464,8 +364,6 @@ func (d *DC) Close() {
 	journal := d.journal
 	d.mu.Unlock()
 	d.inflight.Wait()
-	close(d.stopHeartbeat)
-	<-d.heartbeatDone
 	close(d.pipeStop)
 	d.fan.stop()
 	d.pipeWG.Wait()
@@ -483,18 +381,23 @@ func (d *DC) recover() error {
 			return err
 		}
 		d.mu.Lock()
-		d.recordLocked(t)
+		if pos, held := d.byDot[t.Dot]; held {
+			d.absorbLocked(pos, t.Commit) // a stamp merge, logged after the record
+		} else {
+			d.recordLocked(t)
+		}
 		d.mu.Unlock()
 		d.mesh.ObserveSelf(d.state)
 		return nil
 	})
 }
 
-// persist queues a replicated transaction for the write-ahead log without
-// waiting: it is recoverable from its origin DC via anti-entropy, and the
-// apply path calls this holding d.mu. I/O errors must not take the DC down
-// mid-protocol: they are counted (dc.wal_errors) and kept via LastWALError
-// instead of propagating.
+// persist queues a replicated transaction, or a stamp merge, for the
+// write-ahead log without waiting: the apply path calls this holding d.mu,
+// and a record lost in a crash comes back on its origin's stream, which a
+// restarted DC resumes from its replayed state. I/O errors must not take the
+// DC down mid-protocol: they are counted (dc.wal_errors) and kept via
+// LastWALError instead of propagating.
 func (d *DC) persist(t *txn.Transaction) {
 	if d.journal != nil {
 		d.noteWALError(d.journal.Append(t))
@@ -548,39 +451,6 @@ func (d *DC) Stable() vclock.Vector {
 	return vclock.GLB(d.mesh.KStable(d.cfg.K), d.mesh.Known(d.cfg.Index))
 }
 
-// heartbeatLoop gossips the state vector so stability advances during quiet
-// periods.
-func (d *DC) heartbeatLoop() {
-	defer close(d.heartbeatDone)
-	ticker := time.NewTicker(d.cfg.Heartbeat)
-	defer ticker.Stop()
-	ticks := 0
-	for {
-		select {
-		case <-ticker.C:
-			if d.partial {
-				ticks++
-				if ticks%32 == 1 {
-					// Interest sets gossip on every change; the periodic
-					// re-broadcast converges peers that booted later or missed
-					// the change broadcast.
-					d.gossipBuckets()
-				}
-			}
-			d.mu.Lock()
-			msg := wire.ReplHeartbeat{From: d.cfg.Index, State: d.state.Clone()}
-			peers := d.peerNamesLocked()
-			d.notifySubscribersLocked(true)
-			d.mu.Unlock()
-			for _, p := range peers {
-				_ = d.node.Send(p, msg) // partitions surface elsewhere
-			}
-		case <-d.stopHeartbeat:
-			return
-		}
-	}
-}
-
 // handle dispatches incoming network messages.
 func (d *DC) handle(from string, msg any) any {
 	switch m := msg.(type) {
@@ -593,11 +463,10 @@ func (d *DC) handle(from string, msg any) any {
 		// A gossip receipt is a stability advance without local traffic:
 		// broadcast it so quiet-bucket subscribers' cuts keep moving.
 		d.notifySubscribersLocked(true)
-		resend, peer := d.antiEntropyLocked(m)
-		d.mu.Unlock()
-		if len(resend.Txs) > 0 && peer != "" {
-			_ = d.node.Send(peer, resend)
+		if p := d.repl[m.From]; p != nil {
+			d.heardLocked(p, m)
 		}
+		d.mu.Unlock()
 		return nil
 	case wire.EdgeCommit:
 		return d.acceptEdgeTx(m)
@@ -826,16 +695,10 @@ func (d *DC) completeQueued() {
 // complete is the second half of commitAt for a run of commits, in stamp
 // order: one d.mu section records them, absorbs the stamps of any peer's
 // copy that arrived meanwhile, observes the new state and routes the newly
-// stable suffix to the push shards; then each goes into the peers'
-// replication outboxes and is reported to its caller.
+// stable suffix to the push shards, and wakes the peers' replication
+// senders; then each is reported to its caller.
 func (d *DC) complete(run []*pendingCommit) {
 	d.mu.Lock()
-	// The outboxes are collected under d.mu so a concurrent SetPeers cannot
-	// race the map.
-	outs := make([]*replOutbox, 0, len(d.outboxes))
-	for _, o := range d.outboxes {
-		outs = append(outs, o)
-	}
 	for _, p := range run {
 		early := d.unrecorded[p.t.Dot]
 		delete(d.unrecorded, p.t.Dot)
@@ -844,10 +707,12 @@ func (d *DC) complete(run []*pendingCommit) {
 	}
 	d.mesh.ObserveSelf(d.state)
 	d.notifySubscribersLocked(false)
+	for _, p := range d.repl {
+		wake(p.wake)
+	}
 	d.mu.Unlock()
 	for _, p := range run {
 		d.noteWALError(p.walErr)
-		d.enqueueRepl(outs, p.t)
 		p.done(p.t.Commit, nil)
 		d.inflight.Done()
 	}
@@ -867,8 +732,14 @@ func (c *completionQueue) push(p *pendingCommit) {
 	c.mu.Lock()
 	c.q = append(c.q, p)
 	c.mu.Unlock()
+	wake(c.wake)
+}
+
+// wake signals a capacity-1 wake-up channel without blocking: one pending
+// signal covers everything queued before its receiver runs.
+func wake(ch chan struct{}) {
 	select {
-	case c.wake <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -919,14 +790,14 @@ func (d *DC) recordLocked(t *txn.Transaction) {
 	d.byDot[t.Dot] = pos
 	if ts, ours := t.Commit[d.cfg.Index]; ours {
 		d.seq = max(d.seq, ts)
-		// This DC's commits complete in stamp order, but anti-entropy and
-		// replay feed any order, so the insertion point is found from the
-		// tail.
-		i := len(d.own)
-		for i > 0 && d.ownStampLocked(i-1) > ts {
-			i--
+		// A peer's cursor is a position in d.own, so a record may only be
+		// appended. Commits complete in stamp order, the WAL replays them in
+		// that order, and a replicated record never carries this DC's stamp
+		// (receiveReplicated): an insertion below the tail is a bug.
+		if n := len(d.own); n > 0 && d.ownStampLocked(n-1) >= ts {
+			panic(fmt.Sprintf("dc %s: own record stamped %d after %d", d.cfg.Name, ts, d.ownStampLocked(n-1)))
 		}
-		d.own = slices.Insert(d.own, i, pos)
+		d.own = append(d.own, pos)
 	}
 	d.hist = append(d.hist, histRec{t: t, masked: d.maskLocked(t)})
 	d.histLen.Store(int64(len(d.hist)))
@@ -950,8 +821,8 @@ type maskRoot struct {
 // are tested, per component in stamp order, stopping at the first stamped
 // above t's snapshot: with no root at or below the snapshot the test costs
 // O(NumDCs), however many records are masked. A root at or below it is tested
-// whole — a DC's state can cover an edge commit's stamp before a lower stamp
-// whose dependencies it lacks — but the first is normally t's ancestor.
+// whole — an edge's snapshot covers every stamp of a DC below its own acked
+// commit's, whatever those depend on — but the first is normally t's ancestor.
 func (d *DC) maskLocked(t *txn.Transaction) bool {
 	if d.visible != nil && !d.visible(t) {
 		d.nMasked++
@@ -988,38 +859,6 @@ func (d *DC) addMaskRootLocked(i int, ts uint64, t *txn.Transaction) {
 func (d *DC) resetMaskLocked() {
 	d.nMasked = 0
 	d.maskRoots = make([][]maskRoot, d.cfg.NumDCs)
-}
-
-// antiEntropyMax bounds one anti-entropy round; the next heartbeat continues.
-const antiEntropyMax = 256
-
-// antiEntropyLocked finds own-accepted transactions the heartbeat sender is
-// missing, so commits broadcast into a partition are retransmitted after the
-// partition heals. Duplicates on the receiving side are filtered by dot. The
-// search starts at the sender's position in d.own, so a round costs
-// O(log history + resent), not O(history). The resends ride one ReplBatch:
-// the state vector and send stamp are built once per round.
-func (d *DC) antiEntropyLocked(m wire.ReplHeartbeat) (wire.ReplBatch, string) {
-	peer := d.peers[m.From]
-	if peer == "" {
-		return wire.ReplBatch{}, ""
-	}
-	known := m.State.Get(d.cfg.Index)
-	i := sort.Search(len(d.own), func(i int) bool { return d.ownStampLocked(i) > known })
-	missing := d.own[i:min(len(d.own), i+antiEntropyMax)]
-	if len(missing) == 0 {
-		return wire.ReplBatch{}, peer
-	}
-	// Masked records go too: each peer applies its own visibility.
-	txs := make([]*txn.Transaction, len(missing))
-	for j, pos := range missing {
-		txs[j] = d.hist[pos].t
-	}
-	// Anti-entropy resends are scoped like the live stream: the receiver's
-	// WantSeq guard plus the next round's resend make dropped batches
-	// self-healing.
-	txs, wantSeq := d.scopeBatch(m.From, txs)
-	return wire.ReplBatch{From: d.cfg.Index, Txs: txs, State: d.state.Clone(), SentAt: time.Now(), WantSeq: wantSeq}, peer
 }
 
 // --- edge transaction acceptance (paper §3.7) ---
@@ -1193,109 +1032,6 @@ func (d *DC) recordedAckLocked(dot vclock.Dot) (wire.EdgeCommitAck, vclock.Vecto
 	rec := d.hist[pos].t
 	cv, _ := rec.Commit.Vector(rec.Snapshot)
 	return stampAck(dot, rec.Commit), cv, true
-}
-
-// --- replication receive path ---
-
-// receiveReplicated applies a batch of transactions replicated from a peer
-// DC once their causal dependencies are satisfied. The whole batch is
-// admitted in one mesh call and applied under one d.mu acquisition, so a
-// coalesced batch of N transactions pays the lock/mesh overhead once.
-func (d *DC) receiveReplicated(m wire.ReplBatch) {
-	d.obsReplRx.Add(int64(len(m.Txs)))
-	if !m.SentAt.IsZero() {
-		d.obsReplLat.Observe(int64(time.Since(m.SentAt)))
-	}
-	d.mesh.ObservePeer(m.From, m.State)
-	if d.dropStale(m) {
-		// Scoped against an interest set older than our latest bucket
-		// addition: the batch may stub a bucket we now hold. Refuse it whole
-		// (the peer's state was still observed above); anti-entropy re-sends
-		// the content with a fresher scope.
-		return
-	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	// Duplicate or partially overlapping batches (anti-entropy rounds racing
-	// the live stream) are filtered by dot here and again after admission;
-	// a copy of a dot this DC holds gives only its stamps (takeStampsLocked).
-	before := d.state.Sum()
-	incoming := make([]*txn.Transaction, 0, len(m.Txs))
-	for _, t := range m.Txs {
-		if t != nil && !d.takeStampsLocked(t) {
-			incoming = append(incoming, t)
-		}
-	}
-	ready := d.mesh.AdmitBatch(incoming, d.state)
-	for _, t := range ready {
-		if d.takeStampsLocked(t) {
-			continue
-		}
-		if err := d.coord.ApplyCommitted(t); err != nil && !errors.Is(err, store.ErrDuplicate) {
-			continue // skip malformed transaction, keep the DC alive
-		}
-		d.persist(t)
-		d.recordLocked(t)
-	}
-	d.mesh.ObserveSelf(d.state)
-	d.notifySubscribersLocked(false)
-	ackTo, ack := d.peers[m.From], wire.ReplHeartbeat{From: d.cfg.Index, State: d.state.Clone()}
-	moved := d.state.Sum() != before
-	d.mu.Unlock()
-	// Acknowledge a state that moved (it only grows) so the sender's
-	// K-stability frontier advances promptly even without further traffic.
-	if moved && ackTo != "" {
-		_ = d.node.Send(ackTo, ack)
-	}
-}
-
-// absorbLocked merges stamps — a peer's copy's — into the transaction at
-// history position pos: its record, its store entry and the state vector.
-// The same edge commit can be sequenced twice — by a DC whose ack was lost
-// and by the DC the edge re-sent it to — and each DC then records the copy
-// that reached it first. Every stamp names the same transaction, so a DC
-// holding it holds what each stamp names: without the merge, its state would
-// never cover the other DC's stamp, and a later commit naming that stamp in
-// its snapshot (the edge saw it pushed) would be refused here, or stay
-// pending in admission, until that DC stamps something newer. The record's
-// pointer is swapped, like every holder's: pushes in flight keep the value
-// they share. A restart forgets the merge; anti-entropy re-sends it, since
-// this state does not cover the stamp.
-func (d *DC) absorbLocked(pos int, stamps vclock.CommitStamps) {
-	rec := &d.hist[pos]
-	merged := rec.t.Commit.Merge(stamps)
-	if len(merged) == len(rec.t.Commit) {
-		return
-	}
-	old := rec.t.Commit
-	rec.t = rec.t.WithCommit(merged)
-	if rec.masked {
-		for i, ts := range merged {
-			if _, ok := old[i]; !ok {
-				d.addMaskRootLocked(i, ts, rec.t)
-			}
-		}
-	}
-	_ = d.coord.ApplyCommitted(rec.t) // the stores absorb a duplicate's stamps
-	d.state = merged.JoinInto(d.state, rec.t.Snapshot)
-}
-
-// takeStampsLocked reports whether t is a copy of a dot this DC holds, and
-// if so takes the copy's stamps: into the record at once, or, while the dot
-// awaits its record, into d.unrecorded for complete to absorb.
-func (d *DC) takeStampsLocked(t *txn.Transaction) bool {
-	if pos, recorded := d.byDot[t.Dot]; recorded {
-		d.absorbLocked(pos, t.Commit)
-		return true
-	}
-	early, waiting := d.unrecorded[t.Dot]
-	if waiting {
-		d.unrecorded[t.Dot] = early.Merge(t.Commit)
-	}
-	return waiting
 }
 
 // --- edge subscriptions and pushes ---

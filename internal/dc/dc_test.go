@@ -16,24 +16,10 @@ import (
 
 var xID = txn.ObjectID{Bucket: "b", Key: "x"}
 
-// cluster builds n DCs on a fresh network.
+// cluster builds n DCs with no heartbeats on a fresh network.
 func cluster(t *testing.T, net *simnet.Network, n, k int) []*DC {
 	t.Helper()
-	dcs := make([]*DC, n)
-	peers := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		peers[i] = fmt.Sprintf("dc%d", i)
-	}
-	for i := 0; i < n; i++ {
-		d, err := New(net.Transport(), Config{Index: i, Name: peers[i], NumDCs: n, Shards: 2, K: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetPeers(peers)
-		t.Cleanup(d.Close)
-		dcs[i] = d
-	}
-	return dcs
+	return clusterOn(t, net.Transport(), n, k, nil)
 }
 
 // waitFor polls until cond holds or the deadline passes.
@@ -522,7 +508,7 @@ func TestStableCutNeverExceedsAppliedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch := wire.ReplBatch{From: 1, State: ahead}
+	batch := wire.ReplBatch{From: 1, State: ahead, Gen: 1, Hi: n}
 	for i := uint64(1); i <= n; i++ {
 		r := &txn.Transaction{
 			Dot:      vclock.Dot{Node: "dc1", Seq: 100 + i},

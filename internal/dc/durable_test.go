@@ -312,7 +312,8 @@ func TestDeferredCommitReplicatedCopyRecordedOnce(t *testing.T) {
 		reply := d.handle("edgeA", wire.EdgeCommit{Tx: tx})
 		cp := tx.Clone()
 		cp.Commit = vclock.CommitStamps{1: seq}
-		d.receiveReplicated(wire.ReplBatch{From: 1, Txs: []*txn.Transaction{cp}, State: vclock.Vector{0, seq}})
+		d.receiveReplicated(wire.ReplBatch{From: 1, Txs: []*txn.Transaction{cp}, State: vclock.Vector{0, seq},
+			Gen: 1, Lo: int(seq - 1), Hi: int(seq), Floor: seq - 1})
 		if r := awaitReply(t, reply); !isAck(r) {
 			t.Fatalf("commit %d: reply %#v, want an ack", seq, r)
 		}

@@ -461,10 +461,9 @@ func (d *DC) resumeLocked(sub *subscription, m wire.Subscribe) (gen uint64, from
 // sendRangeLocked is the one repair path: it sends sub a direct sealed frame
 // with the visible transactions of d.hist[from, idx) that touch its
 // signature — idx and stable being the scan frontier and its cut
-// (fanout.frontier) — at most antiEntropyMax of them, the bound of an
-// anti-entropy round; the receiver asks again from its new cursor. The frame
-// carries the cut unless the range was cut short of the frontier the cut
-// belongs to. With missed set (a resume),
+// (fanout.frontier) — at most wire.RangeMax of them; the receiver asks again
+// from its new cursor. The frame carries the cut unless the range was cut
+// short of the frontier the cut belongs to. With missed set (a resume),
 // a reply that carries transactions also moves a tree child out of its
 // subtree: its relay did not reach it. Called with d.mu held.
 func (d *DC) sendRangeLocked(sub *subscription, from, idx int, stable vclock.Vector, missed bool) {
@@ -476,7 +475,7 @@ func (d *DC) sendRangeLocked(sub *subscription, from, idx int, stable vclock.Vec
 	keep := func(u txn.Update) bool { return sh.buckets[u.Object.Bucket] }
 	var txs []*txn.Transaction
 	to := from
-	for ; to < idx && len(txs) < antiEntropyMax; to++ {
+	for ; to < idx && len(txs) < wire.RangeMax; to++ {
 		if r := d.hist[to]; !r.masked {
 			if ft := r.t.Restrict(keep); ft != nil {
 				txs = append(txs, ft)

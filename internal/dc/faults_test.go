@@ -14,8 +14,8 @@ import (
 )
 
 // TestConvergenceUnderLossyMesh: 20% message loss on every DC↔DC link; the
-// anti-entropy path (heartbeats + re-send of missing transactions) must
-// still drive every DC to the same state.
+// stream's repair path (a refused batch, or a silence, rewinds the sender to
+// the receiver's cursor) must still drive every DC to the same state.
 func TestConvergenceUnderLossyMesh(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 99})
 	defer net.Close()

@@ -2,6 +2,7 @@ package dc
 
 import (
 	"testing"
+	"time"
 
 	"colony/internal/simnet"
 	"colony/internal/txn"
@@ -180,13 +181,12 @@ func TestEdgeCommitSequencedTwiceJoinsBothStamps(t *testing.T) {
 		t.Fatalf("dc1 answered %#v, want an ack with its own stamp", ack1)
 	}
 
-	d0.mu.Lock()
-	copy0 := d0.hist[d0.byDot[tx.Dot]].t.Clone()
-	d0.mu.Unlock()
-	d1.receiveReplicated(wire.ReplBatch{From: 0, Txs: []*txn.Transaction{copy0}, State: d0.State()})
-	if got := d1.State().Get(0); got < ack0.Ts {
-		t.Fatalf("dc1's state covers dc0 up to %d, short of dc0's stamp %d for a dot dc1 holds", got, ack0.Ts)
-	}
+	// dc0's stream brings its copy once the partition heals (no heartbeat
+	// runs here to retry the send the partition refused).
+	net.Heal("dc0", "dc1")
+	wake(d0.repl[1].wake)
+	waitFor(t, 2*time.Second, func() bool { return d1.State().Get(0) >= ack0.Ts },
+		"dc1's state never covered dc0's stamp for a dot dc1 holds")
 	if n := d1.LogLen(); n != 1 {
 		t.Fatalf("dc1's history holds %d records for one commit", n)
 	}
@@ -199,5 +199,53 @@ func TestEdgeCommitSequencedTwiceJoinsBothStamps(t *testing.T) {
 	next.Snapshot = vclock.Vector{ack0.Ts, 0}
 	if r := awaitReply(t, d1.handle("edgeA", wire.EdgeCommit{Tx: next})); !isAck(r) {
 		t.Fatalf("dc1 answered %#v to a commit naming dc0's stamp, want an ack", r)
+	}
+}
+
+// TestSequencedTwiceMergeSurvivesRestart: the stamp merge above, at a DC with
+// a write-ahead log and no heartbeats, survives the DC's restart: after Close
+// and New on the same DataDir its state covers both stamps. dc0's copy
+// reaches dc1 as an unsequenced batch, which an older DC admitted as it came
+// and this one refuses, resuming dc0's stream.
+func TestSequencedTwiceMergeSurvivesRestart(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	defer net.Close()
+	dir := t.TempDir()
+	peers := map[int]string{0: "dc0", 1: "dc1"}
+	start := func(i int) *DC {
+		d, err := New(net.Transport(), Config{Index: i, Name: peers[i], NumDCs: 2, Shards: 2, K: 1, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetPeers(peers)
+		return d
+	}
+	d0, d1 := start(0), start(1)
+	defer d0.Close()
+	net.Partition("dc0", "dc1")
+	tx := edgeInc("edgeA", 1, 2, 1)
+	ack0, ok0 := awaitReply(t, d0.handle("edgeA", wire.EdgeCommit{Tx: tx.Clone()})).(wire.EdgeCommitAck)
+	ack1, ok1 := awaitReply(t, d1.handle("edgeA", wire.EdgeCommit{Tx: tx.Clone()})).(wire.EdgeCommitAck)
+	if !ok0 || !ok1 || ack0.DCIndex != 0 || ack1.DCIndex != 1 {
+		t.Fatalf("acks %#v and %#v, want one stamp from each DC", ack0, ack1)
+	}
+	net.Heal("dc0", "dc1")
+	d0.mu.Lock()
+	copy0 := d0.hist[d0.byDot[tx.Dot]].t
+	d0.mu.Unlock()
+	d1.receiveReplicated(wire.ReplBatch{From: 0, Txs: []*txn.Transaction{copy0}, State: d0.State()})
+	waitFor(t, 2*time.Second, func() bool { return d1.State().Get(0) >= ack0.Ts },
+		"dc1 never absorbed dc0's stamp")
+
+	d1.Close()
+	net.RemoveNode("dc1")
+	d1 = start(1)
+	defer d1.Close()
+	waitFor(t, 2*time.Second, func() bool {
+		s := d1.State()
+		return s.Get(0) >= ack0.Ts && s.Get(1) >= ack1.Ts
+	}, "dc1's state after restart does not cover both stamps")
+	if n := d1.LogLen(); n != 1 {
+		t.Fatalf("dc1's history holds %d records after restart, want 1", n)
 	}
 }

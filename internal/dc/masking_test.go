@@ -167,9 +167,10 @@ func checkMaskingAgainstScan(t *testing.T, seed int64) (direct, transitive int) 
 
 // TestMaskingNeedsWholeAncestor pins the history the scan reference found: a
 // snapshot can cover a masked record's stamp in one component without
-// covering what that record depends on — a peer's state covers an edge
-// commit's stamp before a lower stamp of the same DC whose dependencies it
-// lacks — and a transaction on such a snapshot does not depend on it.
+// covering what that record depends on — an edge's snapshot holds its own
+// acked commit's vector, which covers every lower stamp of that DC whatever
+// those depend on — and a transaction on such a snapshot does not depend on
+// it.
 func TestMaskingNeedsWholeAncestor(t *testing.T) {
 	d := aeDC(t)
 	d.SetVisibilityCheck(func(tx *txn.Transaction) bool { return tx.Actor != "mallory" })

@@ -19,15 +19,19 @@ package dc
 //     like the full transaction would, so over-stripping can never stall the
 //     causal frontier — it can only lose effects, which invariant 2 covers.
 //  2. Every effect a DC ever skipped for a bucket is ≤ its state vector at
-//     backfill time, so a snapshot seed at any consistent cut ≥ that state
+//     backfill time joined with the records it has admitted but not yet
+//     applied, so a snapshot seed at any consistent cut ≥ that join
 //     re-covers all of them.
 //
 // The remaining race — a sender stripping a bucket concurrently with the
 // receiver subscribing to it — is closed by versioning: ReplBatch.WantSeq
 // records which version of the receiver's interest set the sender scoped
-// with, and the receiver drops whole batches scoped before its latest bucket
-// addition (wantFloor). Dropped batches are recovered by anti-entropy, which
-// re-sends with a fresher scope.
+// with, and the receiver refuses whole batches scoped before its latest
+// bucket addition (wantFloor). A stub keeps its position in the stream, so a
+// refusal is like any other: the sender rewinds to the receiver's cursor and
+// re-sends the range with a fresher scope, and the batches behind the refused
+// one leave a gap and are refused too. The receiver's state never moves past
+// the refused range.
 
 import (
 	"context"
@@ -221,8 +225,12 @@ func (d *DC) ensureBucket(bucket string) error {
 
 // backfillBucket pulls a consistent snapshot of one bucket from a peer
 // replica and seeds the local store with it. C_min is this DC's state vector
-// after the pending mark: every effect this DC ever skipped for the bucket is
-// ≤ C_min, so any serving cut ≥ C_min re-covers them all. Full-payload
+// after the pending mark, joined with the records it has admitted but still
+// holds back for their dependencies (Mesh.PendingCut): a stub among those is
+// recorded later without its effect. Every effect this DC ever skips for the
+// bucket is then ≤ C_min — a batch scoped after the mark carries payloads,
+// and one scoped before it and not yet admitted is refused as stale — so any
+// serving cut ≥ C_min re-covers them all. Full-payload
 // transactions that arrive while pending are recorded (not materialised) and
 // re-attach above the seed when Seed runs.
 //
@@ -239,7 +247,9 @@ func (d *DC) ensureBucket(bucket string) error {
 // read availability at exactly the moment a subscriber is waiting for its
 // seed. See DESIGN.md §4h.
 func (d *DC) backfillBucket(bucket string, st *bucketState) error {
-	cMin := d.State()
+	d.mu.Lock() // no batch is admitted between the two reads
+	cMin := d.mesh.PendingCut(d.state)
+	d.mu.Unlock()
 	const rounds = 20
 	// A bucket may only be declared genesis-empty (live with no seed) after
 	// the "no live holder anywhere" verdict has held for this many consecutive
@@ -348,8 +358,8 @@ func (d *DC) backfillCandidates(bucket string) []string {
 		if idx == d.cfg.Index {
 			continue
 		}
-		if name := d.peers[idx]; name != "" {
-			out = append(out, name)
+		if p := d.repl[idx]; p != nil {
+			out = append(out, p.name)
 		}
 	}
 	return out
@@ -420,21 +430,6 @@ func (d *DC) scopeBatch(peerIdx int, txs []*txn.Transaction) ([]*txn.Transaction
 	return out, wantSeq
 }
 
-// dropStale implements the receiver half of the WantSeq guard: a batch scoped
-// against an interest set older than our latest bucket addition may have
-// stubbed a bucket we now hold, so the whole batch is refused (anti-entropy
-// re-covers it with a fresher scope). Unscoped batches (WantSeq 0) are always
-// safe.
-func (d *DC) dropStale(m wire.ReplBatch) bool {
-	if !d.partial || m.WantSeq == 0 {
-		return false
-	}
-	d.bmu.Lock()
-	stale := m.WantSeq < d.wantFloor
-	d.bmu.Unlock()
-	return stale
-}
-
 // seedCutFor lifts an edge-facing materialisation cut to at least the
 // bucket's seed/advance floor: a backfilled or per-bucket-advanced base may
 // include effects above the global stable cut, and advertising a vector
@@ -484,26 +479,6 @@ func (d *DC) bucketCutFor(bucket string) vclock.Vector {
 	st.cut = st.cut.Join(cut) // live stays live: no re-check needed
 	d.bmu.Unlock()
 	return cut
-}
-
-// ScopesKnown reports whether this DC has learned every peer's bucket
-// interest vector. Until the first BucketVec gossip round completes, peers
-// are treated as universal subscribers and replication conservatively ships
-// full payloads; benchmarks wait for this before measuring WAN traffic.
-// Always true on fully replicating DCs.
-func (d *DC) ScopesKnown() bool {
-	if !d.partial {
-		return true
-	}
-	for i := 0; i < d.cfg.NumDCs; i++ {
-		if i == d.cfg.Index {
-			continue
-		}
-		if d.mesh.BucketSeq(i) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ResidentStats reports the DC's resident footprint: live buckets, resident

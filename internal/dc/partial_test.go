@@ -11,12 +11,22 @@ import (
 	"colony/internal/crdt"
 	"colony/internal/obs"
 	"colony/internal/simnet"
+	"colony/internal/transport"
 	"colony/internal/txn"
+	"colony/internal/vclock"
+	"colony/internal/wire"
 )
 
 // partialCluster builds n partially replicating DCs, with per-DC boot
 // interest sets.
 func partialCluster(t *testing.T, net *simnet.Network, n, k int, buckets map[int][]string, tweak func(*Config)) []*DC {
+	t.Helper()
+	return partialClusterOn(t, net.Transport(), n, k, buckets, tweak)
+}
+
+// partialClusterOn is partialCluster on any network. Without heartbeats
+// (a tweak may set Heartbeat 0) it runs the first gossip round itself.
+func partialClusterOn(t *testing.T, netw transport.Network, n, k int, buckets map[int][]string, tweak func(*Config)) []*DC {
 	t.Helper()
 	dcs := make([]*DC, n)
 	peers := make(map[int]string, n)
@@ -33,7 +43,7 @@ func partialCluster(t *testing.T, net *simnet.Network, n, k int, buckets map[int
 		if tweak != nil {
 			tweak(&cfg)
 		}
-		d, err := New(net.Transport(), cfg)
+		d, err := New(netw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,15 +51,22 @@ func partialCluster(t *testing.T, net *simnet.Network, n, k int, buckets map[int
 		t.Cleanup(d.Close)
 		dcs[i] = d
 	}
+	for _, d := range dcs {
+		if d.cfg.Heartbeat == 0 {
+			d.gossipBuckets()
+		}
+	}
 	// Let the first BucketVec gossip round finish so interest scoping is
 	// actually exercised (before it, peers are treated as universal).
 	deadline := time.Now().Add(5 * time.Second)
 	for _, d := range dcs {
-		for !d.ScopesKnown() {
-			if time.Now().After(deadline) {
-				t.Fatal("bucket gossip never completed")
+		for peer := 0; peer < n; peer++ {
+			for peer != d.cfg.Index && d.mesh.BucketSeq(peer) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("bucket gossip never completed")
+				}
+				time.Sleep(time.Millisecond)
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 	return dcs
@@ -181,6 +198,119 @@ func TestPartialSubscribeBackfillRacesLiveCommits(t *testing.T) {
 	const total = committers * perCommitter
 	for _, d := range dcs {
 		waitCounter(t, d, id, total)
+	}
+}
+
+// TestPartialStaleScopeRefusedAndResumed: dc1 commits A into bucket hot and
+// scopes it for dc2, which holds nothing, as a stub. That batch is held in
+// flight while dc2 takes the bucket, backfilling it from dc0, which has not
+// seen A either, and while dc1 learns dc2's new interest set and sends its
+// next commit, B, in full. When the held batches land, A's is stale and
+// refused, and B's, which does not depend on A, would leave a gap; dc1
+// re-sends both, scoped afresh, and dc2 counts both. (Admitted by snapshot,
+// B would lift dc2's state past A's stamp, A's effect would be in neither the
+// seed nor the store, and no re-send from dc2's state would bring it: the
+// lost update of TestPartialSubscribeBackfillRacesLiveCommits.)
+func TestPartialStaleScopeRefusedAndResumed(t *testing.T) {
+	sim := simnet.New(simnet.Config{})
+	defer sim.Close()
+	var mu sync.Mutex
+	holding := true
+	var held []func()
+	tap := tapNet{Network: sim.Transport(), filter: func(c transport.Conn, to string, b wire.ReplBatch) bool {
+		if c.Name() != "dc1" {
+			return true
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if holding {
+			held = append(held, func() { _ = c.Send(to, b) })
+		}
+		return !holding
+	}}
+	heldCount := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(held)
+	}
+	dcs := partialClusterOn(t, tap, 3, 1, map[int][]string{0: {"hot"}, 1: {"hot"}}, func(c *Config) { c.Heartbeat = 0 })
+	id := txn.ObjectID{Bucket: "hot", Key: "k"}
+	commit := func(edge string) {
+		tx := &txn.Transaction{Dot: vclock.Dot{Node: edge, Seq: 1}, Origin: edge, Snapshot: vclock.NewVector(3)}
+		tx.AppendUpdate(id, crdt.KindCounter, crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
+		if r := awaitReply(t, dcs[1].handle(edge, wire.EdgeCommit{Tx: tx})); !isAck(r) {
+			t.Fatalf("%s's commit: reply %#v, want an ack", edge, r)
+		}
+	}
+
+	commit("edgeA")
+	waitFor(t, 2*time.Second, func() bool { return heldCount() == 2 }, "A's batches never sent")
+	if err := dcs[2].EnsureBuckets("hot"); err != nil {
+		t.Fatal(err)
+	}
+	dcs[2].bmu.Lock()
+	seq := dcs[2].bucketSeq
+	dcs[2].bmu.Unlock()
+	waitFor(t, 2*time.Second, func() bool { return dcs[1].mesh.BucketSeq(2) == seq }, "dc1 never learned dc2's interest set")
+	commit("edgeB")
+	waitFor(t, 2*time.Second, func() bool { return heldCount() == 4 }, "B's batches never sent")
+
+	mu.Lock()
+	holding = false
+	for _, send := range held {
+		send()
+	}
+	mu.Unlock()
+	for _, d := range dcs {
+		waitCounter(t, d, id, 2)
+	}
+}
+
+// TestPartialPendingStubCoveredBySeed: dc1 commits B into bucket hot on top
+// of dc0's commit A and sends it to dc2, which holds nothing, as a stub.
+// dc2 admits B but must hold it back, since A has not reached it. dc2 then
+// takes the bucket. Its backfill must ask for a cut that covers B: B is
+// recorded as the stub it came as, so only the seed can hold its effect.
+// dc0, which has not seen B yet, cannot serve that cut; dc1 can.
+func TestPartialPendingStubCoveredBySeed(t *testing.T) {
+	sim := simnet.New(simnet.Config{})
+	defer sim.Close()
+	var mu sync.Mutex
+	holding := true
+	var held []func()
+	tap := tapNet{Network: sim.Transport(), filter: func(c transport.Conn, to string, b wire.ReplBatch) bool {
+		if from := c.Name(); !(from == "dc0" && to == "dc2" || from == "dc1" && to == "dc0") {
+			return true
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if holding {
+			held = append(held, func() { _ = c.Send(to, b) })
+		}
+		return !holding
+	}}
+	dcs := partialClusterOn(t, tap, 3, 1, map[int][]string{0: {"hot"}, 1: {"hot"}}, func(c *Config) { c.Heartbeat = 0 })
+	id := txn.ObjectID{Bucket: "hot", Key: "k"}
+	commitN(t, dcs[0], id, 1) // A
+	waitFor(t, 2*time.Second, func() bool { return dcs[1].State().Get(0) > 0 }, "dc1 never received A")
+	commitN(t, dcs[1], id, 1) // B, whose snapshot covers A
+	waitFor(t, 2*time.Second, func() bool {
+		dcs[2].mu.Lock()
+		defer dcs[2].mu.Unlock()
+		return dcs[2].in[1].Idx == 1 && dcs[2].state.Get(1) == 0
+	}, "dc2 never admitted B's stub")
+
+	if err := dcs[2].EnsureBuckets("hot"); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	holding = false
+	for _, send := range held {
+		send()
+	}
+	mu.Unlock()
+	for _, d := range dcs {
+		waitCounter(t, d, id, 2)
 	}
 }
 

@@ -108,8 +108,10 @@ func remoteTx(seq uint64, delta int64) *txn.Transaction {
 }
 
 // TestReplBatchDuplicateAndPartialDelivery feeds a DC overlapping and
-// out-of-order replication batches — the live stream racing an anti-entropy
-// round — and asserts exactly-once application in causal order.
+// out-of-order batches of one peer's stream — a lost batch, then the re-send
+// racing what was in flight behind it — and asserts exactly-once application
+// in causal order: a batch that leaves a gap is refused whole, and overlaps
+// below the cursor are skipped.
 func TestReplBatchDuplicateAndPartialDelivery(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
@@ -119,26 +121,50 @@ func TestReplBatchDuplicateAndPartialDelivery(t *testing.T) {
 	}
 	t.Cleanup(d.Close)
 	d.SetPeers(map[int]string{1: "fakedc1"})
-	peer := net.AddNode("fakedc1", func(string, any) any { return nil })
+	var mu sync.Mutex
+	var refusals []wire.ReplHeartbeat
+	peer := net.AddNode("fakedc1", func(_ string, msg any) any {
+		if hb, ok := msg.(wire.ReplHeartbeat); ok && hb.Refuse {
+			mu.Lock()
+			refusals = append(refusals, hb)
+			mu.Unlock()
+		}
+		return nil
+	})
 
-	t1, t2, t3 := remoteTx(1, 1), remoteTx(2, 10), remoteTx(3, 100)
+	txs := []*txn.Transaction{remoteTx(1, 1), remoteTx(2, 10), remoteTx(3, 100)}
 	state := vclock.Vector{0, 3}
 
-	// The tail arrives first (out of order): nothing may apply yet.
-	send := func(txs ...*txn.Transaction) {
-		if err := peer.Send("dc0", wire.ReplBatch{From: 1, Txs: txs, State: state.Clone()}); err != nil {
+	// send delivers positions [lo, hi) of the peer's stream.
+	send := func(lo, hi int) {
+		b := wire.ReplBatch{From: 1, Txs: txs[lo:hi], State: state.Clone(), Gen: 7, Lo: lo, Hi: hi}
+		if lo > 0 {
+			b.Floor = uint64(lo)
+		}
+		if err := peer.Send("dc0", b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(t3)
-	time.Sleep(20 * time.Millisecond)
+	// The tail arrives first (its head was lost): refused, nothing applied.
+	send(2, 3)
+	waitFor(t, 2*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(refusals) == 1
+	}, "the tail was never refused")
 	if got := counterValue(t, d, d.State()); got != 0 {
 		t.Fatalf("tail applied before its dependencies: %d", got)
 	}
-	// The head batch arrives, partially overlapping a duplicate resend.
-	send(t1, t2)
-	send(t1, t2, t3) // full duplicate (anti-entropy replay)
-	send(t2, t3)     // partial overlap
+	mu.Lock()
+	if hb := refusals[0]; hb.Gen != 0 || hb.Cursor != 0 {
+		t.Fatalf("refusal carries cursor (%d, %d), want the empty one", hb.Gen, hb.Cursor)
+	}
+	mu.Unlock()
+	// The re-send from the head, then what was in flight: a full duplicate
+	// and a partial overlap.
+	send(0, 2)
+	send(0, 3)
+	send(1, 3)
 
 	waitFor(t, 2*time.Second, func() bool {
 		return counterValue(t, d, d.State()) == 111
@@ -150,6 +176,11 @@ func TestReplBatchDuplicateAndPartialDelivery(t *testing.T) {
 	}
 	if got := d.State().Get(1); got != 3 {
 		t.Fatalf("peer component = %d, want 3", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(refusals) != 1 {
+		t.Fatalf("%d refusals, want only the tail's: overlaps connect", len(refusals))
 	}
 }
 

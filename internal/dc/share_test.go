@@ -52,7 +52,7 @@ func TestCommitSharedByEveryHolder(t *testing.T) {
 	}
 	peerTx := inc("dc1", vclock.CommitStamps{1: 1})
 	peerSent := peerTx.Clone()
-	d.receiveReplicated(wire.ReplBatch{From: 1, Txs: []*txn.Transaction{peerTx}, State: vclock.Vector{0, 1, 0}})
+	d.receiveReplicated(wire.ReplBatch{From: 1, Txs: []*txn.Transaction{peerTx}, State: vclock.Vector{0, 1, 0}, Gen: 1, Hi: 1})
 	waitFor(t, 2*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -79,7 +79,7 @@ func TestCommitSharedByEveryHolder(t *testing.T) {
 	}
 
 	// Another peer sequenced the same transaction: its stamp swaps the record.
-	d.receiveReplicated(wire.ReplBatch{From: 2, Txs: []*txn.Transaction{peerTx.WithCommit(vclock.CommitStamps{2: 1})}, State: vclock.Vector{0, 0, 1}})
+	d.receiveReplicated(wire.ReplBatch{From: 2, Txs: []*txn.Transaction{peerTx.WithCommit(vclock.CommitStamps{2: 1})}, State: vclock.Vector{0, 0, 1}, Gen: 1, Hi: 1})
 	if rec := record(peerTx.Dot); len(rec.Commit) != 2 || d.State().Get(2) != 1 {
 		t.Fatalf("absorbed record %v, state %v: want both stamps", rec, d.State())
 	}

@@ -71,12 +71,12 @@ func TestHandedOverTransactionNeverWritten(t *testing.T) {
 	}
 
 	peer := r.net.Transport().AddNode("peer", nil)
-	if err := peer.Send("dc0", wire.ReplBatch{From: 1, Txs: []*txn.Transaction{tx}, State: vclock.Vector{0, 1, 0}}); err != nil {
+	if err := peer.Send("dc0", wire.ReplBatch{From: 1, Txs: []*txn.Transaction{tx}, State: vclock.Vector{0, 1, 0}, Gen: 1, Hi: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return r.dcs[0].State().Get(1) == 1 }, "dc0 never recorded the peer's transaction")
 	absorbed := tx.WithCommit(vclock.CommitStamps{2: 1})
-	if err := peer.Send("dc0", wire.ReplBatch{From: 2, Txs: []*txn.Transaction{absorbed}, State: vclock.Vector{0, 0, 1}}); err != nil {
+	if err := peer.Send("dc0", wire.ReplBatch{From: 2, Txs: []*txn.Transaction{absorbed}, State: vclock.Vector{0, 0, 1}, Gen: 1, Hi: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return r.dcs[0].State().Get(2) == 1 }, "dc0 never absorbed the second stamp")

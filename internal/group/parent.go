@@ -71,10 +71,6 @@ type logEntry struct {
 	group bool
 }
 
-// rangeMax bounds the transactions of one range reply, as the DC bounds an
-// anti-entropy round: the member asks again from its new cursor.
-const rangeMax = 256
-
 // NewParent creates a group parent on net, attaches its DC-facing edge node,
 // and starts its consensus. Call Connect once, then Close when done.
 func NewParent(netw transport.Network, cfg ParentConfig) *Parent {
@@ -286,7 +282,7 @@ func (p *Parent) firstUncovered(log []logEntry, cut vclock.Vector) int {
 }
 
 // sendRangeLocked is the stream's one repair path: it sends member the
-// entries from position from on, at most rangeMax transactions, read back
+// entries from position from on, at most wire.RangeMax transactions, read back
 // from the store with their freshest commit stamps. Consecutive entries of
 // one kind share a frame, since a frame's Group bit covers all of it. The
 // last frame carries the stream's cut if it reaches the frontier, which the
@@ -294,7 +290,7 @@ func (p *Parent) firstUncovered(log []logEntry, cut vclock.Vector) int {
 func (p *Parent) sendRangeLocked(member string, from int) {
 	frame := wire.PushTxs{From: p.node.Name(), Gen: p.gen, Lo: from}
 	to, n := from, 0
-	for ; to < len(p.log) && n < rangeMax; to++ {
+	for ; to < len(p.log) && n < wire.RangeMax; to++ {
 		e := p.log[to]
 		if to > frame.Lo && e.group != frame.Group {
 			frame.Hi = to

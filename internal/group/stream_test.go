@@ -206,10 +206,10 @@ func counterOf(t *testing.T, n *edge.Node, id txn.ObjectID) int64 {
 }
 
 // TestStreamRangeReplyBound: a member cut off while the parent logs more
-// than rangeMax entries catches up in bounded range replies, asking again
+// than wire.RangeMax entries catches up in bounded range replies, asking again
 // from its new cursor after each.
 func TestStreamRangeReplyBound(t *testing.T) {
-	const writes = rangeMax + 44
+	const writes = wire.RangeMax + 44
 	r := newRig(t, 1, 1, 1, VariantAsync)
 	var mu sync.Mutex
 	var replies []int // sizes of the multi-transaction frames peer1 received
@@ -247,8 +247,8 @@ func TestStreamRangeReplyBound(t *testing.T) {
 		t.Fatalf("peer1 caught up through range replies of %v transactions, want at least two", replies)
 	}
 	for _, n := range replies {
-		if n > rangeMax {
-			t.Fatalf("a range reply carried %d transactions, above the bound %d", n, rangeMax)
+		if n > wire.RangeMax {
+			t.Fatalf("a range reply carried %d transactions, above the bound %d", n, wire.RangeMax)
 		}
 	}
 }

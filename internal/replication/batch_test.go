@@ -25,22 +25,22 @@ func TestAdmitBatchDrainsInCausalOrder(t *testing.T) {
 			t.Fatalf("order: got seq %d at %d", ready[i].Dot.Seq, i)
 		}
 	}
-	if m.PendingCount() != 0 {
-		t.Fatalf("pending = %d", m.PendingCount())
+	if len(m.pending) != 0 {
+		t.Fatalf("pending = %d", len(m.pending))
 	}
 }
 
 func TestAdmitBatchHoldsBackAndJoinsLaterBatch(t *testing.T) {
 	m := NewMesh(0, 2)
-	// An anti-entropy round races ahead of the live stream: the tail of the
-	// peer's log arrives before the head. Nothing may release early, and the
-	// head batch must drain everything in causal order.
+	// The tail of the peer's log arrives before the head. Nothing may
+	// release early, and the head batch must drain everything in causal
+	// order.
 	tail := []*txn.Transaction{tx("dc1", 3, vclock.Vector{0, 2}, 1, 3)}
 	if got := m.AdmitBatch(tail, vclock.Vector{0, 0}); len(got) != 0 {
 		t.Fatalf("tail released early: %v", got)
 	}
-	if m.PendingCount() != 1 {
-		t.Fatalf("pending = %d", m.PendingCount())
+	if len(m.pending) != 1 {
+		t.Fatalf("pending = %d", len(m.pending))
 	}
 	head := []*txn.Transaction{
 		tx("dc1", 1, vclock.Vector{0, 0}, 1, 1),
@@ -65,5 +65,25 @@ func TestAdmitBatchSkipsNilEntries(t *testing.T) {
 	}
 	if got := m.AdmitBatch(nil, vclock.Vector{0, 1}); len(got) != 0 {
 		t.Fatalf("empty batch released %d txs", len(got))
+	}
+}
+
+// TestAdmitBatchKeepsOriginOrder: DC 1's commit 5 waits for DC 2's commit
+// 3, while DC 1's commit 6, which depends on neither, is ready. Releasing 6
+// would lift the state's component 1 past 5, a stamp it does not hold, so
+// nothing of DC 1 is released until DC 2's commit arrives; then all three
+// drain in order.
+func TestAdmitBatchKeepsOriginOrder(t *testing.T) {
+	m := NewMesh(0, 3)
+	local := vclock.Vector{0, 4, 2}
+	a5 := tx("edgeA", 1, vclock.Vector{0, 4, 3}, 1, 5)
+	a6 := tx("edgeB", 1, vclock.Vector{0, 4, 0}, 1, 6)
+	if got := m.AdmitBatch([]*txn.Transaction{a5, a6}, local); len(got) != 0 {
+		t.Fatalf("released %v while dc1's commit 5 waits for a dependency", got[0].Commit)
+	}
+	b3 := tx("dc2", 3, vclock.Vector{0, 0, 2}, 2, 3)
+	got := m.AdmitBatch([]*txn.Transaction{b3}, local)
+	if len(got) != 3 || got[0] != b3 || got[1] != a5 || got[2] != a6 {
+		t.Fatalf("ready = %v, want dc2's 3, then dc1's 5 and 6", got)
 	}
 }

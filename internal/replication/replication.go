@@ -27,6 +27,7 @@ type Mesh struct {
 	mu      sync.Mutex
 	known   map[int]vclock.Vector // DC index → latest known state vector
 	pending []*txn.Transaction    // remote txs waiting for causal dependencies
+	low     []uint64              // AdmitBatch's per-component scratch
 	buckets map[int]*bucketView   // DC index → advertised interest set (absent = universal)
 }
 
@@ -36,7 +37,7 @@ func NewMesh(self, nDCs int) *Mesh {
 	for i := 0; i < nDCs; i++ {
 		known[i] = vclock.NewVector(nDCs)
 	}
-	return &Mesh{self: self, known: known}
+	return &Mesh{self: self, known: known, low: make([]uint64, nDCs)}
 }
 
 // ObserveSelf records the local DC's new state vector.
@@ -54,28 +55,14 @@ func (m *Mesh) ObservePeer(peer int, state vclock.Vector) {
 	m.known[peer] = m.known[peer].Join(state)
 }
 
-// Admit offers a remote transaction for application. Given the local state
-// vector, it returns every queued (and the offered) transaction whose causal
-// dependencies are now satisfied, in a causally safe order. The caller
-// applies them and then calls ObserveSelf with its grown state vector.
-//
-// A transaction is ready when its snapshot is covered by the local state
-// vector: its dependencies are exactly the transactions at or below its
-// snapshot (paper §3.5). FIFO links deliver each DC's own commits in order,
-// and the pending queue holds back anything that raced ahead.
-func (m *Mesh) Admit(t *txn.Transaction, localState vclock.Vector) []*txn.Transaction {
-	if t == nil {
-		return m.AdmitBatch(nil, localState)
-	}
-	return m.AdmitBatch([]*txn.Transaction{t}, localState)
-}
-
-// AdmitBatch offers a whole replication batch for application in one mesh
-// call: all offered transactions join the pending set, then readiness is
-// evaluated once. Per-peer senders coalesce runs of transactions, so this
-// amortises the mesh lock and the drain scan over the batch instead of
-// paying them per transaction. Nil entries are skipped. The returned
-// transactions are ready to apply, in a causally safe order.
+// AdmitBatch offers remote transactions (nil entries are skipped) and
+// returns every queued or offered one now ready, in a causally safe order;
+// the caller applies them and then calls ObserveSelf. A transaction is ready
+// when the local state covers its snapshot — its dependencies are exactly the
+// transactions at or below it (paper §3.5) — and no transaction queued ahead
+// of it carries a lower stamp of a DC it carries a stamp of. So a DC's
+// component grows only by a prefix of its stream: a later, independent commit
+// of DC A cannot lift the state past an earlier one of A still waiting.
 func (m *Mesh) AdmitBatch(txs []*txn.Transaction, localState vclock.Vector) []*txn.Transaction {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -84,39 +71,54 @@ func (m *Mesh) AdmitBatch(txs []*txn.Transaction, localState vclock.Vector) []*t
 			m.pending = append(m.pending, t)
 		}
 	}
-	return m.drainLocked(localState)
-}
-
-// drainLocked repeatedly releases ready transactions, simulating the growth
-// of the state vector as each released transaction is applied.
-func (m *Mesh) drainLocked(localState vclock.Vector) []*txn.Transaction {
 	state := localState.Clone()
 	var ready []*txn.Transaction
-	for {
-		progress := false
+	for progress := true; progress; {
+		progress = false
+		clear(m.low) // low[c]: the lowest stamp in c of the transactions kept so far
 		kept := m.pending[:0]
 		for _, p := range m.pending {
-			if p.Snapshot.LEQ(state) {
+			if m.inOrderLocked(p) && p.Snapshot.LEQ(state) {
 				ready = append(ready, p)
 				state = p.Commit.JoinInto(state, p.Snapshot)
 				progress = true
-			} else {
-				kept = append(kept, p)
+				continue
+			}
+			kept = append(kept, p)
+			for c, ts := range p.Commit {
+				if c >= 0 && c < len(m.low) && (m.low[c] == 0 || ts < m.low[c]) {
+					m.low[c] = ts
+				}
 			}
 		}
+		clear(m.pending[len(kept):])
 		m.pending = kept
-		if !progress {
-			return ready
-		}
 	}
+	return ready
 }
 
-// PendingCount reports the number of transactions still waiting for
-// dependencies.
-func (m *Mesh) PendingCount() int {
+// inOrderLocked reports whether no transaction kept ahead of t carries a
+// lower stamp in a component t is stamped in.
+func (m *Mesh) inOrderLocked(t *txn.Transaction) bool {
+	for c, ts := range t.Commit {
+		if c >= 0 && c < len(m.low) && m.low[c] != 0 && m.low[c] < ts {
+			return false
+		}
+	}
+	return true
+}
+
+// PendingCut returns v joined with the commit vectors of the transactions
+// still waiting for their dependencies: what the DC has admitted from its
+// peers' streams but not yet applied.
+func (m *Mesh) PendingCut(v vclock.Vector) vclock.Vector {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.pending)
+	v = v.Clone()
+	for _, t := range m.pending {
+		v = t.Commit.JoinInto(v, t.Snapshot)
+	}
+	return v
 }
 
 // KStable computes the K-stable cut: componentwise the K-th largest value
@@ -166,18 +168,4 @@ func (m *Mesh) Known(dc int) vclock.Vector {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.known[dc].Clone()
-}
-
-// StabilityOf reports at how many DCs the transaction is known, according to
-// this mesh's (conservative) view — the paper's T.k counter.
-func (m *Mesh) StabilityOf(t *txn.Transaction) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := 0
-	for _, v := range m.known {
-		if t.Commit.VisibleAt(t.Snapshot, v) {
-			k++
-		}
-	}
-	return k
 }

@@ -23,12 +23,12 @@ func tx(node string, seq uint64, snap vclock.Vector, dc int, ts uint64) *txn.Tra
 func TestAdmitReadyImmediately(t *testing.T) {
 	m := NewMesh(0, 3)
 	remote := tx("dc1", 1, vclock.Vector{0, 0, 0}, 1, 1)
-	ready := m.Admit(remote, vclock.Vector{0, 0, 0})
+	ready := m.AdmitBatch([]*txn.Transaction{remote}, vclock.Vector{0, 0, 0})
 	if len(ready) != 1 || ready[0] != remote {
 		t.Fatalf("ready = %v", ready)
 	}
-	if m.PendingCount() != 0 {
-		t.Fatalf("pending = %d", m.PendingCount())
+	if len(m.pending) != 0 {
+		t.Fatalf("pending = %d", len(m.pending))
 	}
 }
 
@@ -36,16 +36,16 @@ func TestAdmitHoldsBackMissingDeps(t *testing.T) {
 	m := NewMesh(0, 3)
 	// dep committed at DC2 ts=1; later tx from DC1 depends on it.
 	dependent := tx("dc1", 2, vclock.Vector{0, 0, 1}, 1, 2)
-	ready := m.Admit(dependent, vclock.Vector{0, 0, 0})
+	ready := m.AdmitBatch([]*txn.Transaction{dependent}, vclock.Vector{0, 0, 0})
 	if len(ready) != 0 {
 		t.Fatalf("dependent released early: %v", ready)
 	}
-	if m.PendingCount() != 1 {
-		t.Fatalf("pending = %d", m.PendingCount())
+	if len(m.pending) != 1 {
+		t.Fatalf("pending = %d", len(m.pending))
 	}
 	// The missing dependency arrives; both drain in causal order.
 	dep := tx("dc2", 1, vclock.Vector{0, 0, 0}, 2, 1)
-	ready = m.Admit(dep, vclock.Vector{0, 0, 0})
+	ready = m.AdmitBatch([]*txn.Transaction{dep}, vclock.Vector{0, 0, 0})
 	if len(ready) != 2 {
 		t.Fatalf("ready = %d txs, want 2", len(ready))
 	}
@@ -61,13 +61,13 @@ func TestAdmitChainDrains(t *testing.T) {
 	t3 := tx("dc1", 3, vclock.Vector{0, 2}, 1, 3)
 	t2 := tx("dc1", 2, vclock.Vector{0, 1}, 1, 2)
 	t1 := tx("dc1", 1, vclock.Vector{0, 0}, 1, 1)
-	if got := m.Admit(t3, vclock.Vector{0, 0}); len(got) != 0 {
+	if got := m.AdmitBatch([]*txn.Transaction{t3}, vclock.Vector{0, 0}); len(got) != 0 {
 		t.Fatalf("t3 released: %v", got)
 	}
-	if got := m.Admit(t2, vclock.Vector{0, 0}); len(got) != 0 {
+	if got := m.AdmitBatch([]*txn.Transaction{t2}, vclock.Vector{0, 0}); len(got) != 0 {
 		t.Fatalf("t2 released: %v", got)
 	}
-	got := m.Admit(t1, vclock.Vector{0, 0})
+	got := m.AdmitBatch([]*txn.Transaction{t1}, vclock.Vector{0, 0})
 	if len(got) != 3 {
 		t.Fatalf("chain did not drain: %d", len(got))
 	}
@@ -106,29 +106,5 @@ func TestObserveIsMonotone(t *testing.T) {
 	m.ObservePeer(1, vclock.Vector{0, 3}) // stale update must not regress
 	if got := m.Known(1); !got.Equal(vclock.Vector{0, 5}) {
 		t.Fatalf("Known(1) = %v", got)
-	}
-}
-
-func TestStabilityOf(t *testing.T) {
-	m := NewMesh(0, 3)
-	tr := tx("dc0", 1, vclock.Vector{0, 0, 0}, 0, 1)
-	if got := m.StabilityOf(tr); got != 0 {
-		t.Fatalf("initial k = %d", got)
-	}
-	m.ObserveSelf(vclock.Vector{1, 0, 0})
-	if got := m.StabilityOf(tr); got != 1 {
-		t.Fatalf("k after self = %d", got)
-	}
-	m.ObservePeer(1, vclock.Vector{1, 2, 0})
-	if got := m.StabilityOf(tr); got != 2 {
-		t.Fatalf("k after peer = %d", got)
-	}
-	// A transaction with equivalent commit vectors counts a DC as soon as
-	// either vector is covered.
-	multi := tx("edgeA", 1, vclock.Vector{0, 0, 0}, 0, 2)
-	multi.Commit[2] = 7
-	m.ObservePeer(2, vclock.Vector{0, 0, 7})
-	if got := m.StabilityOf(multi); got != 1 {
-		t.Fatalf("k via equivalent vector = %d", got)
 	}
 }

@@ -32,8 +32,8 @@
 // frames (a peer that contacted us is reachable on its own connection even if
 // we have no address for it — how replies and push frames reach edge
 // processes behind one listener). Connections are shared per address and
-// re-dialed lazily after failure; the DC layers' heartbeats and anti-entropy
-// make lazy re-dial self-healing.
+// re-dialed lazily after failure; the DC layers' heartbeats and stream
+// resumes make lazy re-dial self-healing.
 //
 // # Backpressure
 //
@@ -69,10 +69,11 @@ import (
 // ride on new wire tags instead. Version 2: push frames carry their log
 // range, subscribes and their acks a stream position; tag 17 is retired.
 // Version 3: a transaction's CRDT ops are binary (crdt.AppendOp), no longer
-// JSON blobs.
+// JSON blobs. Version 4: replication batches carry their stream range and
+// heartbeats the receiver's cursor.
 const (
 	magic       = "CLNY"
-	version     = 3
+	version     = 4
 	featCodecV1 = 1 << 0
 
 	kindSend  = 0

@@ -345,9 +345,9 @@ func TestBadHandshakeRejected(t *testing.T) {
 }
 
 // TestPreviousVersionRefusedAtHandshake: a peer still speaking protocol
-// version 2 — whose transactions carry their CRDT ops as JSON blobs — is
-// disconnected at the hello, and the frame it pipelined right behind it, an
-// edge commit in its own encoding, is never decoded or delivered.
+// version 3 — whose replication heartbeats carry no stream cursor — is
+// disconnected at the hello, and the frame it pipelined right behind it, a
+// heartbeat in its own encoding, is never decoded or delivered.
 func TestPreviousVersionRefusedAtHandshake(t *testing.T) {
 	m := newMesh(t, "proc")
 	var s sink
@@ -358,13 +358,12 @@ func TestPreviousVersionRefusedAtHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	hello := append([]byte(magic), 2, featCodecV1)
+	hello := append([]byte(magic), 3, featCodecV1)
 	hello = bin.AppendString(hello, "old")
 	body := []byte{kindSend}
 	body = bin.AppendString(body, "a")
 	body = bin.AppendString(body, "n")
-	body = append(body, byte(wire.TagEdgeCommit))
-	body = append(body, version2Tx...)
+	body = append(body, version3Heartbeat...)
 	frame := bin.AppendUvarint(nil, uint64(len(body)))
 	nc.Write(append(hello, append(frame, body...)...))
 	nc.SetReadDeadline(time.Now().Add(3 * time.Second))
@@ -373,21 +372,19 @@ func TestPreviousVersionRefusedAtHandshake(t *testing.T) {
 	for {
 		if _, err := nc.Read(discard); err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				t.Fatal("version-2 peer was not disconnected")
+				t.Fatal("version-3 peer was not disconnected")
 			}
 			break
 		}
 	}
 	if n := s.len(); n != 0 {
-		t.Fatalf("%d frames from a version-2 peer were delivered", n)
+		t.Fatalf("%d frames from a version-3 peer were delivered", n)
 	}
 }
 
-// version2Tx is a transaction as protocol version 2 encoded it: dot e/1,
-// origin e, no actor, snapshot [0], no stamps, and one update of counter b/x
-// whose op is the JSON blob {"counter":{"delta":1}}.
-var version2Tx = append([]byte{0x01, 0x01, 'e', 0x01, 0x01, 'e', 0x00, 0x01, 0x00, 0x00,
-	0x01, 0x01, 'b', 0x01, 'x', 0x01, 0x00, 0x17}, `{"counter":{"delta":1}}`...)
+// version3Heartbeat is a replication heartbeat as protocol version 3 encoded
+// it: from DC 1, state [5, 0], and nothing else.
+var version3Heartbeat = []byte{byte(wire.TagReplHeartbeat), 0x02, 0x02, 0x05, 0x00}
 
 func TestUnknownPeerAndClose(t *testing.T) {
 	m := newMesh(t, "proc")

@@ -30,7 +30,8 @@
 // Send and SendMulti never block on the destination: an implementation with
 // bounded per-peer queues fails fast with ErrBackpressure when a queue is
 // full, and the caller is expected to fall back to its repair path
-// (anti-entropy between DCs, resume-subscribe at the edge) rather than
+// (a rewind of the replication stream between DCs, resume-subscribe at the
+// edge) rather than
 // retry in a loop. Call blocks until a reply, ctx expiry, or transport
 // close. After Close, every operation fails.
 package transport

@@ -70,10 +70,15 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		}
 		buf = appendVector(buf, v.State)
 		buf = appendTime(buf, v.SentAt)
-		return bin.AppendUvarint(buf, v.WantSeq), nil
+		buf = bin.AppendUvarint(buf, v.WantSeq)
+		buf = appendRange(buf, v.Gen, v.Lo, v.Hi)
+		return bin.AppendUvarint(buf, v.Floor), nil
 	case ReplHeartbeat:
 		buf = bin.AppendVarint(buf, int64(v.From))
-		return appendVector(buf, v.State), nil
+		buf = appendVector(buf, v.State)
+		buf = bin.AppendUvarint(buf, v.Gen)
+		buf = bin.AppendVarint(buf, int64(v.Cursor))
+		return bin.AppendBool(buf, v.Refuse), nil
 	case EdgeCommit:
 		buf, err := AppendTx(buf, v.Tx)
 		if err != nil || len(v.Next) == 0 {
@@ -283,9 +288,15 @@ func DecodeMessage(data []byte) (Message, error) {
 		v.State = readVector(r)
 		v.SentAt = readTime(r)
 		v.WantSeq = r.Uvarint()
+		v.Gen, v.Lo, v.Hi = readRange(r)
+		v.Floor = r.Uvarint()
 		m = v
 	case TagReplHeartbeat:
-		m = ReplHeartbeat{From: int(r.Varint()), State: readVector(r)}
+		v := ReplHeartbeat{From: int(r.Varint()), State: readVector(r)}
+		v.Gen = r.Uvarint()
+		v.Cursor = int(r.Varint())
+		v.Refuse = r.Bool()
+		m = v
 	case TagEdgeCommit:
 		v := EdgeCommit{Tx: readTx(r)}
 		if n := readTrailingCount(r, 1); n > 0 {

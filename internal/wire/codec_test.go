@@ -110,8 +110,10 @@ func goldenMessages() map[string]Message {
 	sentAt := time.Unix(0, 1700000000000000000)
 	return map[string]Message{
 		"repl_batch": ReplBatch{From: 2, Txs: []*txn.Transaction{sampleTx(), sampleTx()},
-			State: vclock.Vector{1, 2}, SentAt: sentAt, WantSeq: 6},
-		"repl_heartbeat":       ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30}},
+			State: vclock.Vector{1, 2}, SentAt: sentAt, WantSeq: 6,
+			Gen: 1700000000000000007, Lo: 40, Hi: 42, Floor: 97},
+		"repl_heartbeat": ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30},
+			Gen: 1700000000000000007, Cursor: 40, Refuse: true},
 		"edge_commit":          EdgeCommit{Tx: sampleTx()},
 		"edge_commit_every_op": EdgeCommit{Tx: everyOpTx()},
 		"edge_commit_ack":      EdgeCommitAck{Dot: vclock.Dot{Node: "edge-7", Seq: 42}, DCIndex: 2, Ts: 10, Stable: vclock.Vector{5, 5, 10}},

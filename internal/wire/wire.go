@@ -20,29 +20,28 @@ import (
 
 // --- DC ↔ DC replication ---
 
-// ReplBatch replicates a run of committed transactions between DCs in one
-// message. Txs are in the sender's commit (causal) order; State piggybacks
-// the sender's current state vector for K-stability tracking (paper §3.8),
-// once for the whole batch, so coalescing N transactions costs one vector
-// clone instead of N. SentAt stamps the send time so the receiver can observe
-// inter-DC propagation latency; the zero value disables the measurement. The
-// per-peer sender goroutines (dc package) coalesce their outbox into these;
-// anti-entropy retransmissions reuse the same type.
+// ReplBatch is a run of one DC's replication stream to a peer: its own
+// records in stamp order at positions [Lo, Hi), in generation Gen (its boot
+// nonce). The receiver admits the batch only if it connects to its
+// PushCursor for the sender, or, from any generation, if it holds the
+// sender's records up to Floor, the stamp on the record just below Lo (0 at
+// Lo 0); otherwise it refuses the batch whole with a ReplHeartbeat. State
+// piggybacks the sender's state vector for K-stability tracking (paper
+// §3.8); SentAt, unless zero, lets the receiver observe propagation latency.
 type ReplBatch struct {
 	From   int // sender's DC index
 	Txs    []*txn.Transaction
 	State  vclock.Vector
 	SentAt time.Time
 	// WantSeq is the version of the *destination's* bucket interest set the
-	// sender scoped this batch with (see BucketVec.Seq). Zero means the batch
-	// was not scoped at all — every transaction carries its full update
-	// payload — which is always safe to admit. A partially-replicating
-	// receiver drops batches whose WantSeq predates its latest bucket
-	// addition: such a batch may have stubbed a bucket that is now wanted,
-	// and admitting it would advance the state vector past effects the
-	// receiver never gets. Anti-entropy re-covers dropped batches once the
-	// sender learns the new interest set.
+	// sender scoped this batch with (see BucketVec.Seq); zero means unscoped
+	// (full payloads), always safe. A partially-replicating receiver refuses
+	// a batch whose WantSeq predates its latest bucket addition: it may stub
+	// a bucket now wanted, and the sender re-sends the range scoped afresh.
 	WantSeq uint64
+	Gen     uint64
+	Lo, Hi  int
+	Floor   uint64
 }
 
 // Units reports the number of logical messages the batch stands for, for the
@@ -64,11 +63,17 @@ func (b ReplBatch) Units() int {
 	return n
 }
 
-// ReplHeartbeat advertises a DC's state vector when there is no traffic, so
-// K-stability keeps advancing.
+// ReplHeartbeat gives one peer a DC's state vector and the position (Gen,
+// Cursor) it has admitted through in the peer's stream: as idle stability
+// gossip, as the ack of a ReplBatch and, with Refuse set, as a refusal, which
+// rewinds the peer's sender to Cursor — or, from another generation, to its
+// first record State does not cover.
 type ReplHeartbeat struct {
-	From  int
-	State vclock.Vector
+	From   int
+	State  vclock.Vector
+	Gen    uint64
+	Cursor int
+	Refuse bool
 }
 
 // BucketVec advertises a DC's bucket interest set for partial replication:
@@ -257,6 +262,11 @@ type PushTxs struct {
 	Lo, Hi int
 	Group  bool
 }
+
+// RangeMax bounds the transactions of one range reply on a sequenced stream
+// — a DC's to a resuming subscriber, a group parent's to a member — and of
+// each ReplBatch.
+const RangeMax = 256
 
 // PushCursor is a receiver's position in one DC's sequenced push stream: the
 // log generation and the index it has integrated through. The receiver, not
